@@ -297,7 +297,10 @@ def read_cache(path) -> LatentCache:
         offset += 2
         if offset + id_len + 16 > len(blob):
             raise CacheCorruptionError(f"{path}: truncated record header", index)
-        sid = blob[offset : offset + id_len].decode("utf-8")
+        try:
+            sid = blob[offset : offset + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CacheCorruptionError(f"{path}: sample id is not UTF-8", index) from None
         offset += id_len
         label, cc, hh, ww = struct.unpack_from("<IIII", blob, offset)
         offset += 16

@@ -426,7 +426,7 @@ def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState
 
 FD_STEP = 3e-5
 FD_TOLERANCE = 1e-4
-# Central differences cancel ~16 digits of an O(10) objective, leaving
+# The stencil's differences cancel ~16 digits of an O(10) objective, leaving
 # ~1e-10 absolute noise at this step. Coordinates whose true gradient sits
 # below the floor are compared against it instead, so measurement noise on
 # near-dead coordinates cannot read as a mismatch; systematic errors on live
@@ -449,7 +449,12 @@ class GradCheckReport:
 
 def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
                    cfg: TrainConfig, step: float = FD_STEP) -> GradCheckReport:
-    """Analytic vs central-difference gradients for every trainable scalar.
+    """Analytic vs finite-difference gradients for every trainable scalar.
+
+    The numeric side is the fourth-order five-point stencil
+    (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h. A central difference
+    at the same step has an O(h^2) truncation error that alone exceeds the
+    tolerance on coordinates with a small gradient and a large curvature.
 
     The batch, permutation, and bank are held fixed across evaluations. Bank
     entries, teacher latents, and the encoder are reported as excluded: they
@@ -478,6 +483,10 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
                                  probs_override=probs)
         return total.item()
 
+    def objective_at(flat: np.ndarray, j: int, value: float) -> float:
+        flat[j] = value
+        return objective()
+
     total, _ = forward_batch(state.params, feats, idx, state.bank, cfg, pi,
                              probs_override=probs)
     ad.zero_grads(state.params.values())
@@ -494,12 +503,10 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
         worst = 0.0
         for j in range(flat.size):
             keep = flat[j]
-            flat[j] = keep + step
-            f_plus = objective()
-            flat[j] = keep - step
-            f_minus = objective()
+            f_p1, f_m1, f_p2, f_m2 = (objective_at(flat, j, keep + m * step)
+                                      for m in (1, -1, 2, -2))
             flat[j] = keep
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (8.0 * (f_p1 - f_m1) - (f_p2 - f_m2)) / (12.0 * step)
             denom = max(abs(grad_flat[j]), abs(numeric), _REL_FLOOR)
             worst = max(worst, abs(grad_flat[j] - numeric) / denom)
         per_param[name] = worst
@@ -543,7 +550,9 @@ def run_gradient_check(cache: LatentCache, cfg: TrainConfig,
 
 # ---------------------------------------------------------------------------
 # checkpoint format: optional "# resolved-config" comment header, then the
-# bank dump, then one text block per parameter tensor (name, shape, rows).
+# bank block ("BANK <fill_count>" and the bank dump, or "BANK none"), then one
+# text block per parameter tensor (name, shape, rows). A bare "BANK" tag is
+# the older form, written before the fill count was kept; it loads as full.
 
 
 def format_checkpoint(state: TrainState, header: dict[str, str] | None = None) -> str:
@@ -553,7 +562,7 @@ def format_checkpoint(state: TrainState, header: dict[str, str] | None = None) -
         for k in sorted(header):
             lines.append(f"# {k} = {header[k]}")
     if state.bank is not None:
-        lines.append("BANK")
+        lines.append(f"BANK {state.bank.fill_count}")
         lines.append(format_bank(state.bank).rstrip("\n"))
     else:
         lines.append("BANK none")
@@ -573,8 +582,11 @@ def save_checkpoint(path, state: TrainState, header: dict[str, str] | None = Non
 
 
 def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], SemanticBank | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: checkpoint is not UTF-8 text") from exc
     header: dict[str, str] = {}
     body: list[str] = []
     for ln in raw_lines:
@@ -588,13 +600,27 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], Semant
             body.append(ln)
     if not body:
         raise ParameterError(f"{path}: empty checkpoint")
+    try:
+        bank, params = _parse_checkpoint_body(path, body)
+    except ParameterError:
+        raise
+    except (ValueError, IndexError) as exc:
+        # A garbled number, or a block cut short of its declared rows.
+        raise ParameterError(f"{path}: malformed checkpoint: {exc}") from exc
+    return header, params, bank
+
+
+def _parse_checkpoint_body(path, body: list[str]):
+    """(bank, params) from the non-comment lines of a checkpoint."""
     pos = 0
     bank: SemanticBank | None = None
+    tag = body[pos].split()
     if body[pos] == "BANK none":
         pos += 1
-    elif body[pos] == "BANK":
+    elif tag[0] == "BANK" and len(tag) <= 2:
+        fill_count = int(tag[1]) if len(tag) == 2 else None
         size = int(body[pos + 1].split()[0])
-        bank = parse_bank(body[pos + 1 : pos + 2 + size])
+        bank = parse_bank(body[pos + 1 : pos + 2 + size], fill_count)
         pos += 2 + size
     else:
         raise ParameterError(f"{path}: expected a BANK block, got {body[pos]!r}")
@@ -612,7 +638,7 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], Semant
         ]
         params[name] = np.stack(rows).reshape(shape)
         pos += 2 + n_rows
-    return header, params, bank
+    return bank, params
 
 
 def state_from_values(param_values: dict[str, np.ndarray], bank: SemanticBank | None,

@@ -114,7 +114,7 @@ def test_2_gradient_suite():
     cache = generate_dataset(SyntheticSpec(num_classes=4, seed=0), 8)
     cfg = TrainConfig(embed_dim=8, bank_size=6, batch_size=5, seed=0)
 
-    # every trainable scalar against central finite differences
+    # every trainable scalar against five-point finite differences
     report = run_gradient_check(cache, cfg)
     fd_ok = report.worst_error < 1e-4
     assert set(report.excluded) == set(FROZEN_INPUTS)

@@ -117,6 +117,37 @@ def test_eval_rejects_label_space_mismatch(ws):
     assert code == 2
 
 
+def test_eval_stops_on_a_partly_filled_bank(ws, capsys):
+    root = ws["root"]
+    ckpt = str(root / "partial.txt")
+    assert main(["train", "--config", ws["cfg"], "--set", "protocol=all",
+                 "--set", "bank_size=64", "--set", "epochs=1", "--cache", ws["cache"],
+                 "--checkpoint", ckpt, "--history", str(root / "p_h.txt"),
+                 "--report", str(root / "p_r.txt")]) == 0
+    _, _, bank = load_checkpoint(ckpt)
+    assert bank.fill_count == 48 and not bank.full
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--cache", ws["cache"],
+                 "--report", str(root / "p_eval.txt")]) == 2
+    assert "full bank" in capsys.readouterr().err
+
+
+def test_eval_malformed_checkpoint_exits_two(ws, capsys):
+    lines = open(ws["all_ckpt"]).read().splitlines()
+    shape = next(i for i, ln in enumerate(lines) if ln.startswith("PARAM ")) + 1
+    lines[shape] = "x16"
+    bad = ws["root"] / "bad_shape.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--cache", ws["cache"],
+                 "--report", str(ws["root"] / "bad_shape_eval.txt")]) == 2
+    assert "malformed checkpoint" in capsys.readouterr().err
+    bad.write_bytes(b"BANK none\nPARAM text_raw\n1\n\xff\n")
+    assert main(["eval", "--checkpoint", str(bad), "--cache", ws["cache"],
+                 "--report", str(ws["root"] / "bad_shape_eval.txt")]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(ws):
     assert main(["eval"]) == 1  # --checkpoint is required
     assert main(["nonsense"]) == 1

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from bandprompt.bands import factorize
 from bandprompt.diagnostics import (
+    CHUNK_SIZE,
     DEFAULT_BINS,
     OverlapReport,
+    RadialSpectrum,
+    _overlap_weights,
     align_grid,
     band_overlap,
     diagnose,
@@ -102,7 +106,6 @@ def test_align_averages_checkerboard_to_zero():
 def test_band_overlap_identities():
     a = np.zeros(4); a[0] = 1.0
     b = np.zeros(4); b[3] = 1.0
-    from bandprompt.diagnostics import RadialSpectrum
     sa = RadialSpectrum(energies=a, total_energy=1.0)
     sb = RadialSpectrum(energies=b, total_energy=1.0)
     assert band_overlap(sa, sa) == pytest.approx(1.0, abs=1e-12)
@@ -170,3 +173,97 @@ def test_report_formatting_is_deterministic(tmp_path):
     path = tmp_path / "diag.txt"
     write_report(path, report)
     assert path.read_text().startswith("band_index")
+
+
+# ---------------------------------------------------------------------------
+# stacked inputs and the chunked report
+
+
+def per_latent_diagnose(cache, kernel, num_bins, align):
+    """The per-latent loop `diagnose` ran before it was batched: two
+    alignments, two spectra and one overlap per latent."""
+    overlaps, base_acc, detail_acc = [], [], []
+    skipped = 0
+    for record in cache:
+        pair = factorize(record.latent.data, kernel)
+        base, detail = pair.base, pair.detail
+        if align is not None:
+            base = align_grid(base, align)
+            detail = align_grid(detail, align)
+        sb = radial_spectrum(base, num_bins)
+        sd = radial_spectrum(detail, num_bins)
+        if sb.degenerate or sd.degenerate:
+            skipped += 1
+            continue
+        overlaps.append(band_overlap(sb, sd))
+        base_acc.append(sb.energies)
+        detail_acc.append(sd.energies)
+    mean_base = np.mean(base_acc, axis=0) if base_acc else np.zeros(num_bins)
+    mean_detail = np.mean(detail_acc, axis=0) if detail_acc else np.zeros(num_bins)
+    return np.asarray(overlaps), mean_base, mean_detail, skipped
+
+
+def straddling_cache():
+    """Random and degenerate latents on both sides of two chunk boundaries;
+    the size is no multiple of the chunk."""
+    n = 2 * CHUNK_SIZE + 37
+    rng = np.random.default_rng(11)
+    degenerate = {0, 5, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 2, 2 * CHUNK_SIZE, n - 1}
+    records = []
+    for i in range(n):
+        if i in degenerate:
+            # constant (empty detail band) or all-zero (both bands empty)
+            data = np.full((2, 8, 8), 0.0 if i % 2 else 1.25, dtype=np.float32)
+        else:
+            data = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(2, 8, 8)).astype(np.float32)
+        records.append(CacheRecord(sample_id=f"s{i}", class_label=0,
+                                   latent=LatentTensor(data=data, sample_id=f"s{i}")))
+    return LatentCache(records=records), len(degenerate)
+
+
+@pytest.mark.parametrize("align", [None, (6, 11)])
+def test_chunked_diagnose_matches_the_per_latent_loop(align):
+    cache, n_degenerate = straddling_cache()
+    assert len(cache) % CHUNK_SIZE != 0
+    report = diagnose(cache, kernel=3, num_bins=7, align=align)
+    overlaps, mean_base, mean_detail, skipped = per_latent_diagnose(cache, 3, 7, align)
+    assert report.skipped_count == skipped == n_degenerate
+    assert report.overlaps.shape == overlaps.shape
+    np.testing.assert_allclose(report.overlaps, overlaps, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.mean_base, mean_base, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.mean_detail, mean_detail, rtol=0, atol=1e-12)
+    again = diagnose(cache, kernel=3, num_bins=7, align=align)
+    for name in ("overlaps", "mean_base", "mean_detail"):
+        assert np.array_equal(getattr(report, name), getattr(again, name)), name
+
+
+def test_stacked_align_and_spectrum_equal_per_latent_results():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(5, 3, 12, 10))
+    stack[2] = 0.0  # a degenerate member
+    aligned = align_grid(stack, (7, 9))
+    assert aligned.shape == (5, 3, 7, 9)
+    assert np.array_equal(aligned, np.stack([align_grid(z, (7, 9)) for z in stack]))
+    # the single-latent path against the weight matrices applied as one contraction
+    wr, wc = _overlap_weights(12, 7), _overlap_weights(10, 9)
+    np.testing.assert_allclose(align_grid(stack[0], (7, 9)),
+                               np.einsum("ij,cjk,lk->cil", wr, stack[0], wc), rtol=0, atol=1e-12)
+
+    spectra = radial_spectrum(stack, 6)
+    singles = [radial_spectrum(z, 6) for z in stack]
+    assert spectra.energies.shape == (5, 6) and spectra.num_bins == 6
+    assert np.array_equal(spectra.energies, np.stack([s.energies for s in singles]))
+    assert np.array_equal(spectra.total_energy, [s.total_energy for s in singles])
+    assert spectra.degenerate.tolist() == [s.degenerate for s in singles]
+    assert spectra.degenerate.tolist() == [False, False, True, False, False]
+
+    shifted = radial_spectrum(stack[::-1], 6)
+    pairwise = band_overlap(spectra, shifted)
+    assert np.array_equal(pairwise, [band_overlap(a, b) for a, b in zip(singles, singles[::-1])])
+
+
+def test_stack_rank_is_validated():
+    with pytest.raises(ParameterError):
+        align_grid(np.zeros((2, 2, 1, 4, 4)), (2, 2))
+    with pytest.raises(ParameterError):
+        radial_spectrum(np.zeros((4, 4)), 3)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from bandprompt.bands import factorize
-from bandprompt.errors import CacheCorruptionError, CacheFormatError, ParameterError, SpecificationError
+from bandprompt.errors import (
+    BandpromptError,
+    CacheCorruptionError,
+    CacheFormatError,
+    ParameterError,
+    SpecificationError,
+)
 from bandprompt.teacher import (
     CacheRecord,
     LatentCache,
@@ -249,3 +255,25 @@ def test_trailing_bytes_are_corruption_at_count(tmp_path):
     with pytest.raises(CacheCorruptionError) as exc:
         read_cache(extra)
     assert exc.value.record_index == len(cache)
+
+
+def test_every_single_byte_flip_fails_inside_the_taxonomy(tmp_path):
+    rng = np.random.default_rng(4)
+    records = []
+    for i in range(2):
+        data = rng.normal(size=(1, 4, 4)).astype(np.float32)
+        records.append(CacheRecord(f"rec_{i}", i, LatentTensor(data, f"rec_{i}")))
+    path = tmp_path / "c.bin"
+    write_cache(LatentCache(records), path)
+    blob = path.read_bytes()
+    flipped = tmp_path / "flip.bin"
+    id_errors = 0
+    for offset in range(len(blob)):
+        mutated = bytearray(blob)
+        mutated[offset] ^= 0xFF
+        flipped.write_bytes(bytes(mutated))
+        try:
+            read_cache(flipped)
+        except BandpromptError as exc:
+            id_errors += "not UTF-8" in str(exc)
+    assert id_errors == 2 * len("rec_0")  # each id byte, flipped, leaves invalid UTF-8

@@ -206,9 +206,57 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(empty)
 
 
+def test_checkpoint_keeps_a_partial_bank_fill(cache, tmp_path):
+    state = fit(cache, small_cfg(bank_size=64, epochs=1))
+    assert state.bank.fill_count == 32 and not state.bank.full
+    path = tmp_path / "partial.txt"
+    save_checkpoint(path, state)
+    _, _, bank = load_checkpoint(path)
+    assert bank.fill_count == 32 and not bank.full
+    assert np.array_equal(bank.entries, state.bank.entries)
+
+
+def test_checkpoint_bare_bank_tag_loads_as_full(cache, tmp_path):
+    state = fit(cache, small_cfg(epochs=1))
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, state)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"BANK {state.bank.size}"
+    lines[0] = "BANK"
+    path.write_text("\n".join(lines) + "\n")
+    _, values, bank = load_checkpoint(path)
+    assert bank.full and np.array_equal(bank.entries, state.bank.entries)
+    assert sorted(values) == sorted(state.params)
+
+
+@pytest.mark.parametrize("garble", [
+    lambda ls: ["BANK x"] + ls[1:],
+    lambda ls: ls[:1] + ["6 8 0.1 tau"] + ls[2:],
+    lambda ls: [("x16" if i > 0 and ls[i - 1].startswith("PARAM ") else ln)
+                for i, ln in enumerate(ls)],
+    lambda ls: ls[:-1] + [ls[-1] + " 1.0.0"],
+    lambda ls: ls[:-1],
+], ids=["bank-fill", "bank-header", "shape", "row", "truncated"])
+def test_checkpoint_malformed_numbers_raise_parameter_error(cache, tmp_path, garble):
+    state = fit(cache, small_cfg(epochs=1))
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(path, state)
+    path.write_text("\n".join(garble(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ParameterError):
+        load_checkpoint(path)
+
+
 def test_gradient_check_passes_and_reports_frozen_inputs(cache):
     cfg = small_cfg()
     report = run_gradient_check(cache, cfg)
     assert report.passed, (report.worst_param, report.worst_error)
     assert report.excluded == FROZEN_INPUTS
     assert set(report.per_param) == set(init_state(cache, cfg).params)
+
+
+def test_gradient_check_passes_on_a_high_curvature_coordinate():
+    # On this seed a central difference at FD_STEP misreads a text_raw
+    # coordinate with a small gradient by 2.8e-3 relative error.
+    cache = generate_dataset(SyntheticSpec(num_classes=8, seed=30), n_per_class=32)
+    report = run_gradient_check(cache, TrainConfig(embed_dim=8, seed=30))
+    assert report.passed, (report.worst_param, report.worst_error)
