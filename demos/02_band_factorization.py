@@ -3,14 +3,16 @@
 The base band is a replicate-padded k x k box mean computed in float64 and
 quantized back to the input dtype; the detail band is defined as the source
 minus that quantized base, so base + detail reproduces the input bitwise for
-any odd k. Per-channel mean-absolute stats of each band feed two small
-projection heads that emit unit-norm embeddings tagged "low" and "high".
+any odd k. Per-channel mean-absolute stats of each band feed the two small
+projection heads (`proj_low` and `proj_high` in the trainer's parameter
+table), which emit unit-norm embeddings.
 """
 
 import numpy as np
 
-from bandprompt.bands import ProjectionHead, band_stats, factorize, project_band
+from bandprompt.bands import band_stats, factorize, head_graph
 from bandprompt.teacher import SyntheticSpec, generate_dataset
+from bandprompt.trainer import init_group
 
 
 def main() -> None:
@@ -40,13 +42,11 @@ def main() -> None:
     print(f"  detail {np.array2string(s_high, precision=3)}")
 
     rng = np.random.default_rng(0)
-    head_low = ProjectionHead.create(channels=4, dim=8, band="low", rng=rng)
-    head_high = ProjectionHead.create(channels=4, dim=8, band="high", rng=rng)
-    e_low = project_band(head_low, s_low)
-    e_high = project_band(head_high, s_high)
-    for e in (e_low, e_high):
-        print(f"  {e.band}-band embedding: dim {e.vector.shape[0]}, "
-              f"norm {float(np.linalg.norm(e.vector)):.12f}")
+    for band, stats in (("low", s_low), ("high", s_high)):
+        head = init_group(f"proj_{band}", 0, 4, 8, rng).values()  # 4 channels -> d = 8
+        e = head_graph(stats[None, :], *head).value[0]
+        print(f"  {band}-band embedding: dim {e.shape[0]}, "
+              f"norm {float(np.linalg.norm(e)):.12f}")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ once full, each new vector EMA-updates its nearest entry and renormalizes.
 Retrieval is softmax attention over entries at a fixed temperature, and the
 aggregator turns [row, context] into a residual update whose output is
 re-normalized. eta mixes raw and refined rows; eta=0 returns exact copies.
+Retrieval and refinement are the batched tape composites, run here on
+one-row batches; the aggregator is a fresh `agg` group of the trainer's
+parameter table.
 """
 
 import tempfile
@@ -17,10 +20,11 @@ from bandprompt.bank import (
     absorb,
     format_bank,
     read_bank,
-    soft_retrieve,
+    retrieve_rows,
     write_bank,
 )
-from bandprompt.refine import Aggregator, build_text_features, mix, refine
+from bandprompt.refine import build_text_features, mix, refine_rows
+from bandprompt.trainer import init_group
 
 
 def unit(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -51,26 +55,26 @@ def main() -> None:
           f"norms {np.round(np.linalg.norm(bank.entries, axis=1), 12).tolist()}")
 
     # retrieval: weights softmax to 1; sharper for queries near an entry
-    res_near = soft_retrieve(bank, bank.entries[1])
-    res_far = soft_retrieve(bank, unit(rng, d))
-    print(f"retrieval near entry 1: weights {np.round(res_near.weights, 3).tolist()}")
-    print(f"retrieval far query:    weights {np.round(res_far.weights, 3).tolist()}")
+    near, _ = retrieve_rows(bank.entries, bank.entries[1:2], bank.temperature)
+    far, _ = retrieve_rows(bank.entries, unit(rng, d)[None, :], bank.temperature)
+    print(f"retrieval near entry 1: weights {np.round(near.value[0], 3).tolist()}")
+    print(f"retrieval far query:    weights {np.round(far.value[0], 3).tolist()}")
 
     # ------------------------------------------------------------------
     # refinement: LayerNorm(t + MLP([t ; r])). The final affine starts at
     # zero, so a fresh aggregator is exactly LayerNorm(t) and ignores r.
-    agg = Aggregator.create(d, np.random.default_rng(7))
-    t = unit(rng, d)
-    r = soft_retrieve(bank, t).context
-    t_ref = refine(t, r, agg)
+    agg = init_group("agg", 0, 0, d, np.random.default_rng(7))
+    t = unit(rng, d)[None, :]  # one text row
+    _, r = retrieve_rows(bank.entries, t, bank.temperature)
+    t_ref = refine_rows(t, r, *agg.values()).value
     ln = (t - t.mean()) / np.sqrt(t.var() + 1e-5)
     print(f"\nfresh aggregator == LayerNorm(t): {bool(np.allclose(t_ref, ln))} "
           f"(row mean {t_ref.mean():.1e}, |row| = sqrt(d) = {float(np.linalg.norm(t_ref)):.4f})")
 
     # give the residual path weight and the context starts to matter
-    agg.w2 = np.random.default_rng(8).normal(0.0, 0.3, size=(d, d))
-    with_r = refine(t, r, agg)
-    with_other = refine(t, unit(rng, d), agg)
+    agg["agg.w2"] = np.random.default_rng(8).normal(0.0, 0.3, size=(d, d))
+    with_r = refine_rows(t, r, *agg.values()).value
+    with_other = refine_rows(t, unit(rng, d)[None, :], *agg.values()).value
     print(f"context sensitivity: max |refine(t, r) - refine(t, r')| = "
           f"{float(np.abs(with_r - with_other).max()):.4f}")
     t_ref = with_r
@@ -80,7 +84,7 @@ def main() -> None:
 
     # eta=0 must collapse every consumer to the raw rows
     raw = np.stack([unit(rng, d) for _ in range(3)])
-    feats = build_text_features(raw, bank, agg, eta=0.0)
+    feats = build_text_features(raw, bank, tuple(agg.values()), eta=0.0)
     print(f"eta=0 feature set: mixed == raw is {bool(np.array_equal(feats.mixed, feats.raw))}")
 
     # ------------------------------------------------------------------

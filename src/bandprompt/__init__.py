@@ -9,24 +9,13 @@ needs nothing but the text rows, the bank, and the aggregator.
 """
 
 from .autodiff import MIN_NORM, Tensor, backward, constant, parameter
-from .bands import (
-    BandEmbedding,
-    BandPair,
-    ProjectionHead,
-    band_stats,
-    factorize,
-    project_band,
-    smooth_lowpass,
-)
+from .bands import BandPair, band_stats, factorize, smooth_lowpass
 from .bank import (
-    RetrievalResult,
     SemanticBank,
     absorb,
     format_bank,
     parse_bank,
     read_bank,
-    refresh,
-    soft_retrieve,
     write_bank,
 )
 from .config import RunConfig, load_config, parse_config_text, resolve_config
@@ -59,7 +48,6 @@ from .evaluate import (
     predict,
     run_base_to_novel,
 )
-from .granules import FiLMNet, FusionNet, counterfactual_swap, film_modulate, fuse
 from .losses import (
     LossBreakdown,
     class_logits,
@@ -69,7 +57,7 @@ from .losses import (
     loss_sem,
     pseudo_labels,
 )
-from .refine import Aggregator, TextFeatureSet, build_text_features, mix, refine
+from .refine import TextFeatureSet, build_text_features, mix
 from .teacher import (
     CacheRecord,
     LatentCache,

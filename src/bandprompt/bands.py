@@ -42,24 +42,6 @@ class BandPair:
             raise ParameterError("band shapes disagree")
 
 
-@dataclass(frozen=True)
-class BandEmbedding:
-    """A unit-norm d-vector tagged with the band it came from."""
-
-    vector: np.ndarray
-    band: str
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=np.float64)
-        if v.ndim != 1:
-            raise ParameterError("band embedding must be a flat vector")
-        if self.band not in ("low", "high"):
-            raise ParameterError(f"band must be 'low' or 'high', got {self.band!r}")
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-6:
-            raise ParameterError("band embedding must be unit norm")
-        object.__setattr__(self, "vector", v)
-
-
 def smooth_lowpass(z, k: int) -> np.ndarray:
     """Stride-1 k x k mean per channel, replicate (edge) padding, float64 out."""
     arr = _as_latent_array(z)
@@ -101,33 +83,6 @@ def band_stats(z) -> np.ndarray:
     return np.abs(arr).mean(axis=(1, 2))
 
 
-@dataclass
-class ProjectionHead:
-    """Affine C->C, tanh, affine C->d; outputs are L2-normalized."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    band: str
-
-    @classmethod
-    def create(cls, channels: int, dim: int, band: str, rng: np.random.Generator) -> "ProjectionHead":
-        if band not in ("low", "high"):
-            raise ParameterError(f"band must be 'low' or 'high', got {band!r}")
-        return cls(
-            w1=uniform_init(rng, channels, channels),
-            b1=np.zeros(channels),
-            w2=uniform_init(rng, channels, dim),
-            b2=np.zeros(dim),
-            band=band,
-        )
-
-    @property
-    def params(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2)
-
-
 def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Small uniform weights scaled by 1/sqrt(fan_in)."""
     bound = 1.0 / np.sqrt(fan_in)
@@ -137,16 +92,3 @@ def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndar
 def head_graph(stats, w1, b1, w2, b2) -> ad.Tensor:
     """Tape composite mapping (n, C) statistics rows to unit (n, d) rows."""
     return ad.l2normalize_rows(ad.mlp_rows(stats, w1, b1, w2, b2))
-
-
-def project_band(head: ProjectionHead, stats: np.ndarray) -> BandEmbedding:
-    """Eager head application for a single statistics vector."""
-    stats = np.asarray(stats, dtype=np.float64)
-    if stats.ndim != 1:
-        raise ParameterError("band statistics must be a flat vector")
-    if stats.shape[0] != head.w1.shape[0]:
-        raise ParameterError(
-            f"statistics length {stats.shape[0]} does not match head fan-in {head.w1.shape[0]}"
-        )
-    out = head_graph(stats[None, :], *(ad.constant(p) for p in head.params))
-    return BandEmbedding(vector=out.value[0], band=head.band)

@@ -9,26 +9,18 @@ gradients, and retrieval differentiates only through the query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BankStateError, NumericalDegeneracyError, ParameterError
+from .errors import NumericalDegeneracyError, ParameterError
 
 DEFAULT_SIZE = 64
 DEFAULT_MOMENTUM = 0.1
 DEFAULT_TEMPERATURE = 0.07
 
 _UNIT_TOL = 1e-5
-
-
-@dataclass(frozen=True)
-class RetrievalResult:
-    """Softmax retrieval weights over entries and the blended context vector."""
-
-    weights: np.ndarray
-    context: np.ndarray
 
 
 @dataclass
@@ -108,13 +100,6 @@ def absorb(bank: SemanticBank, t_low: np.ndarray) -> SemanticBank:
     return bank
 
 
-def refresh(bank: SemanticBank, stream) -> SemanticBank:
-    """Absorb each element of `stream` in order; empty stream is a no-op."""
-    for vec in stream:
-        absorb(bank, vec)
-    return bank
-
-
 def retrieval_scores(entries: np.ndarray, queries: ad.Tensor, temperature: float) -> ad.Tensor:
     """(n, M) inner-product scores over frozen entries, divided by temperature."""
     return ad.matmul(queries, ad.constant(entries.T)) * (1.0 / temperature)
@@ -125,19 +110,6 @@ def retrieve_rows(entries: np.ndarray, queries, temperature: float) -> tuple[ad.
     weights = ad.softmax_rows(retrieval_scores(entries, ad.lift(queries), temperature))
     context = ad.matmul(weights, ad.constant(entries))
     return weights, context
-
-
-def soft_retrieve(bank: SemanticBank, t: np.ndarray) -> RetrievalResult:
-    """Temperature-softmax attention over entries for one query vector."""
-    if not bank.full:
-        raise BankStateError(
-            f"retrieval needs a full bank ({bank.fill_count}/{bank.size} filled)"
-        )
-    vec = np.asarray(t, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != bank.dim:
-        raise ParameterError("query must be a flat vector matching the bank dim")
-    weights, context = retrieve_rows(bank.entries, vec[None, :], bank.temperature)
-    return RetrievalResult(weights=weights.value[0], context=context.value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +134,20 @@ def parse_bank(lines: list[str], fill_count: int | None = None) -> SemanticBank:
     head = lines[0].split()
     if len(head) != 4:
         raise ParameterError(f"malformed bank header: {lines[0]!r}")
-    size, dim = int(head[0]), int(head[1])
-    momentum, temperature = float(head[2]), float(head[3])
-    if len(lines) < 1 + size:
-        raise ParameterError(f"bank dump has {len(lines) - 1} rows, expected {size}")
-    entries = np.array(
-        [[float(v) for v in lines[1 + i].split()] for i in range(size)], dtype=np.float64
-    )
-    if entries.shape != (size, dim):
+    try:
+        size, dim = int(head[0]), int(head[1])
+        momentum, temperature = float(head[2]), float(head[3])
+        rows = [[float(v) for v in ln.split()] for ln in lines[1 : 1 + size]]
+    except ValueError as exc:
+        raise ParameterError(f"malformed bank dump: {exc}") from None
+    if size < 1 or dim < 1:
+        raise ParameterError(f"bank dump size and dim must be >= 1, got {size} x {dim}")
+    if len(rows) != size:
+        raise ParameterError(f"bank dump has {len(rows)} rows, expected {size}")
+    if any(len(row) != dim for row in rows):
         raise ParameterError("bank dump rows do not match the declared shape")
     return SemanticBank(
-        entries=entries,
+        entries=np.array(rows, dtype=np.float64).reshape(size, dim),
         momentum=momentum,
         temperature=temperature,
         fill_count=size if fill_count is None else fill_count,
@@ -180,6 +155,9 @@ def parse_bank(lines: list[str], fill_count: int | None = None) -> SemanticBank:
 
 
 def read_bank(path) -> SemanticBank:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: bank dump is not UTF-8 text") from exc
     return parse_bank(lines)

@@ -1,19 +1,19 @@
 """Command-line surface: gen / train / eval / diag / bank dump / gradcheck.
 
-Every command resolves one flat RunConfig (defaults < config file < --set <
-SPECPL_SEED) and stamps the resolved values as a comment header on whatever
-report it writes, so runs are reproducible from their own output. Exit codes:
-0 success, 1 usage or config error, 2 runtime failure.
+Every command resolves one flat RunConfig through `resolve_config` (defaults,
+or for `eval` the checkpoint's stamped header < config file < --set <
+SPECPL_SEED < path flags) and stamps the resolved values as a comment header
+on whatever report it writes, so runs are reproducible from their own output.
+Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bank import write_bank
-from .config import SEED_ENV_VAR, RunConfig, apply_setting, load_config, resolve_config
+from .config import RunConfig, apply_setting, resolve_config
 from .diagnostics import diagnose, write_report
 from .errors import BandpromptError, ConfigError, ProtocolError
 from .evaluate import accuracy_percent, predict, run_base_to_novel
@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args, **path_flags: str | None) -> RunConfig:
-    cfg = resolve_config(args.config, args.overrides)
+def _resolve(args, base: RunConfig | None = None, **path_flags: str | None) -> RunConfig:
+    cfg = resolve_config(args.config, args.overrides, base=base)
     for key, value in path_flags.items():
         if value is not None:
             cfg = apply_setting(cfg, key, value)
@@ -151,25 +151,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     header_items, param_values, bank = load_checkpoint(args.checkpoint)
-    cfg = RunConfig()
+    stamped = RunConfig()
     for key, value in header_items.items():
         try:
-            cfg = apply_setting(cfg, key, value)
+            stamped = apply_setting(stamped, key, value)
         except ConfigError:
             continue  # foreign header comment, not a config key
-    if args.config is not None:
-        cfg = load_config(args.config, cfg)
-    for pair in args.overrides:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        cfg = apply_setting(cfg, key, raw)
-    if SEED_ENV_VAR in os.environ:
-        cfg = apply_setting(cfg, "seed", os.environ[SEED_ENV_VAR])
-    if args.cache is not None:
-        cfg = apply_setting(cfg, "cache_path", args.cache)
-    if args.report is not None:
-        cfg = apply_setting(cfg, "eval_report_path", args.report)
+    cfg = _resolve(args, base=stamped, cache_path=args.cache, eval_report_path=args.report)
     cache = read_cache(cfg.cache_path)
     tcfg = cfg.train_config()
     encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)

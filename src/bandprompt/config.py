@@ -85,17 +85,7 @@ class RunConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            embed_dim=self.embed_dim, kernel=self.kernel,
-            lambda_sem=self.lambda_sem, lambda_gf=self.lambda_gf,
-            lambda_gcf=self.lambda_gcf, bank_size=self.bank_size,
-            bank_tau=self.bank_tau, bank_momentum=self.bank_momentum,
-            bank_refresh=self.bank_refresh, eta=self.eta,
-            logit_scale=self.logit_scale, epochs=self.epochs,
-            batch_size=self.batch_size, learning_rate=self.learning_rate,
-            seed=self.seed, use_bank=self.use_bank, use_sem=self.use_sem,
-            use_gf=self.use_gf, use_gcf=self.use_gcf, anchor=self.anchor,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def items(self) -> dict[str, str]:
         out: dict[str, str] = {}
@@ -165,9 +155,11 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
 
 
 def resolve_config(config_path=None, overrides: list[str] | None = None,
-                   env: dict[str, str] | None = None) -> RunConfig:
-    """Defaults, then the file, then --set pairs, then the seed variable."""
-    cfg = RunConfig()
+                   env: dict[str, str] | None = None,
+                   base: RunConfig | None = None) -> RunConfig:
+    """`base` (defaults when None), then the file, then --set pairs, then the
+    seed variable."""
+    cfg = base if base is not None else RunConfig()
     if config_path is not None:
         cfg = load_config(config_path, cfg)
     for pair in overrides or []:

@@ -20,16 +20,16 @@ from . import autodiff as ad
 from .bands import head_graph
 from .errors import ParameterError, ProtocolError
 from .granules import check_permutation, film_rows, fuse_rows
-from .refine import TextFeatureSet, build_text_features
+from .refine import TextFeatureSet
 from .teacher import LatentCache
 from .trainer import (
     TrainConfig,
     TrainState,
-    _check_labels,
-    _group,
-    _seed_streams,
+    check_labels,
     compute_features,
     fit,
+    group,
+    seed_streams,
 )
 
 DEFAULT_SHOTS = 16
@@ -149,11 +149,11 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig,
     if shots < 1:
         raise ParameterError("shots must be >= 1")
     labels = cache.labels()
-    num_classes = _check_labels(labels)
+    num_classes = check_labels(labels)
     base_classes, novel_classes = split_base_novel(num_classes)
     arrays = cache.arrays()
 
-    rng = np.random.default_rng(_seed_streams(cfg.seed)["shots"])
+    rng = np.random.default_rng(seed_streams(cfg.seed)["shots"])
     shot_idx, eval_idx = _subsample_shots(labels, shots, rng)
     base_map = {c: i for i, c in enumerate(base_classes)}
 
@@ -218,8 +218,7 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig,
         state.encoder.encode_batch(arrays[shot_idx[c]]).mean(axis=0)
         for c in novel_classes
     ])
-    novel_text = build_text_features(proto, state.bank, state.aggregator(),
-                                     cfg.eta, use_bank=cfg.use_bank)
+    novel_text = state.text_features(cfg, raw=proto)
     novel_eval = np.concatenate([eval_idx[c] for c in novel_classes])
     novel_labels = np.concatenate(
         [np.full(len(eval_idx[c]), i) for i, c in enumerate(novel_classes)]
@@ -267,9 +266,9 @@ def granule_source_accuracy(state: TrainState, cfg: TrainConfig,
         np.random.SeedSequence([seed if seed is not None else cfg.seed, 0xCF])
     )
     text_raw = state.params["text_raw"].value
-    high_params = tuple(ad.constant(t.value) for t in _group(state.params, "proj_high"))
-    fuse_params = tuple(ad.constant(t.value) for t in _group(state.params, "fuse"))
-    film_params = tuple(ad.constant(t.value) for t in _group(state.params, "film"))
+    high_params = group(state.params, "proj_high", constant=True)
+    fuse_params = group(state.params, "fuse", constant=True)
+    film_params = group(state.params, "film", constant=True)
     if cfg.anchor == "refined_text_by_label":
         anchor_rows = state.text_features(cfg).refined
     else:

@@ -8,8 +8,8 @@ and a modulation net emits feature-wise scale/shift from the fused code,
 
     v_g = L2Norm((1 + tanh(gamma)) * v + beta),  [gamma ; beta] = MLP_mod(c_i).
 
-Final layers of both nets start at zero so training begins at identity
-modulation. Counterfactual batches swap granules by a batch permutation while
+Final layers of both nets start at zero (`trainer.param_table`), so training
+begins at identity modulation. Counterfactual batches swap granules by a batch permutation while
 anchors and visual embeddings stay in place; the target for position i
 becomes the label of the granule donor pi(i). Nothing in this module is used
 at inference.
@@ -17,65 +17,11 @@ at inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import autodiff as ad
-from .bands import BandEmbedding, uniform_init
 from .errors import ParameterError
 from .refine import LAYER_NORM_EPS
-
-
-@dataclass
-class FusionNet:
-    """R^{2d} -> R^d residual fusion with trailing LayerNorm."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    ln_gain: np.ndarray
-    ln_bias: np.ndarray
-
-    @classmethod
-    def create(cls, dim: int, rng: np.random.Generator) -> "FusionNet":
-        return cls(
-            w1=uniform_init(rng, 2 * dim, dim),
-            b1=np.zeros(dim),
-            w2=np.zeros((dim, dim)),
-            b2=np.zeros(dim),
-            ln_gain=np.ones(dim),
-            ln_bias=np.zeros(dim),
-        )
-
-    @property
-    def params(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2, self.ln_gain, self.ln_bias)
-
-
-@dataclass
-class FiLMNet:
-    """R^d -> R^{2d} producing [gamma ; beta]."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    @classmethod
-    def create(cls, dim: int, rng: np.random.Generator) -> "FiLMNet":
-        return cls(
-            w1=uniform_init(rng, dim, dim),
-            b1=np.zeros(dim),
-            w2=np.zeros((dim, 2 * dim)),
-            b2=np.zeros(2 * dim),
-        )
-
-    @property
-    def params(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2)
 
 
 def fuse_rows(anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias) -> ad.Tensor:
@@ -98,41 +44,8 @@ def film_rows(codes, visual, w1, b1, w2, b2) -> ad.Tensor:
     return ad.l2normalize_rows(scaled)
 
 
-def fuse(anchor: np.ndarray, granule: np.ndarray, net: FusionNet) -> np.ndarray:
-    """Eager single-sample fusion."""
-    anchor = np.asarray(anchor, dtype=np.float64)
-    granule = np.asarray(granule, dtype=np.float64)
-    if anchor.shape != granule.shape or anchor.ndim != 1:
-        raise ParameterError("anchor and granule must be flat vectors of equal length")
-    out = fuse_rows(anchor[None, :], granule[None, :], *(ad.constant(p) for p in net.params))
-    return out.value[0]
-
-
-def film_modulate(code: np.ndarray, v: np.ndarray, net: FiLMNet) -> np.ndarray:
-    """Eager single-sample modulation of a unit visual embedding."""
-    code = np.asarray(code, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if code.shape != v.shape or code.ndim != 1:
-        raise ParameterError("code and visual embedding must be flat vectors of equal length")
-    out = film_rows(code[None, :], v[None, :], *(ad.constant(p) for p in net.params))
-    return out.value[0]
-
-
 def check_permutation(pi, n: int) -> np.ndarray:
     pi = np.asarray(pi, dtype=np.intp)
     if pi.shape != (n,) or not np.array_equal(np.sort(pi), np.arange(n)):
         raise ParameterError("pi must be a permutation of 0..n-1")
     return pi
-
-
-def counterfactual_swap(granules: Sequence[BandEmbedding] | np.ndarray, pi) -> list:
-    """Reorder granules by pi; position i receives the granule of donor pi(i).
-
-    The paired target label for position i is the donor's label y[pi[i]];
-    callers pair labels alongside since granules do not carry them.
-    """
-    n = len(granules)
-    pi = check_permutation(pi, n)
-    if isinstance(granules, np.ndarray):
-        return list(granules[pi])
-    return [granules[j] for j in pi]

@@ -48,18 +48,6 @@ class LossBreakdown:
         return self
 
 
-def total_from_parts(parts: LossBreakdown) -> float:
-    """Recombine a breakdown; absent terms count as zero."""
-    total = parts.cls
-    if parts.sem is not None:
-        total += parts.lambda_sem * parts.sem
-    if parts.granule_f is not None:
-        total += parts.lambda_gf * parts.granule_f
-    if parts.granule_cf is not None:
-        total += parts.lambda_gcf * parts.granule_cf
-    return total
-
-
 def _rows(x) -> ad.Tensor:
     t = ad.lift(x)
     if t.value.ndim == 1:

@@ -17,39 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .bands import uniform_init
 from .bank import SemanticBank, retrieve_rows
 from .errors import BankStateError, ParameterError
 
 LAYER_NORM_EPS = 1e-5
-
-
-@dataclass
-class Aggregator:
-    """Residual fusion map R^{2d} -> R^d with a trailing LayerNorm."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    ln_gain: np.ndarray
-    ln_bias: np.ndarray
-
-    @classmethod
-    def create(cls, dim: int, rng: np.random.Generator) -> "Aggregator":
-        # Zero final affine: refinement starts as plain LayerNorm(t).
-        return cls(
-            w1=uniform_init(rng, 2 * dim, dim),
-            b1=np.zeros(dim),
-            w2=np.zeros((dim, dim)),
-            b2=np.zeros(dim),
-            ln_gain=np.ones(dim),
-            ln_bias=np.zeros(dim),
-        )
-
-    @property
-    def params(self) -> tuple[np.ndarray, ...]:
-        return (self.w1, self.b1, self.w2, self.b2, self.ln_gain, self.ln_bias)
 
 
 @dataclass(frozen=True)
@@ -90,16 +61,6 @@ def refined_text_graph(raw_rows, bank_entries: np.ndarray, temperature: float,
     return refine_rows(raw_rows, contexts, *agg_params)
 
 
-def refine(t: np.ndarray, r: np.ndarray, agg: Aggregator) -> np.ndarray:
-    """Eager single-row refinement."""
-    t = np.asarray(t, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if t.shape != r.shape or t.ndim != 1:
-        raise ParameterError("row and context must be flat vectors of equal length")
-    out = refine_rows(t[None, :], r[None, :], *(ad.constant(p) for p in agg.params))
-    return out.value[0]
-
-
 def mix(raw: np.ndarray, refined: np.ndarray, eta: float) -> np.ndarray:
     """(1 - eta) * raw + eta * refined; endpoints return exact copies."""
     if not 0.0 <= eta <= 1.0:
@@ -111,9 +72,10 @@ def mix(raw: np.ndarray, refined: np.ndarray, eta: float) -> np.ndarray:
     return (1.0 - eta) * np.asarray(raw, np.float64) + eta * np.asarray(refined, np.float64)
 
 
-def build_text_features(raw: np.ndarray, bank: SemanticBank | None, agg: Aggregator,
+def build_text_features(raw: np.ndarray, bank: SemanticBank | None, agg_params,
                         eta: float, use_bank: bool = True) -> TextFeatureSet:
-    """Fresh feature set from current rows/bank/aggregator state.
+    """Fresh feature set from current rows, bank and aggregator group
+    (`agg_params`, in `refine_rows` order).
 
     With the bank disabled the refined rows are defined to equal the raw rows,
     so every downstream consumer collapses to the raw-text baseline.
@@ -122,9 +84,8 @@ def build_text_features(raw: np.ndarray, bank: SemanticBank | None, agg: Aggrega
     if not use_bank:
         return TextFeatureSet(raw=raw.copy(), refined=raw.copy(), mixed=raw.copy(), eta=eta)
     if bank is None or not bank.full:
-        raise BankStateError("refinement needs a full bank")
-    refined = refined_text_graph(
-        ad.constant(raw), bank.entries, bank.temperature,
-        tuple(ad.constant(p) for p in agg.params),
-    ).value
+        filled = "no bank" if bank is None else f"{bank.fill_count}/{bank.size} filled"
+        raise BankStateError(f"refinement needs a full bank ({filled})")
+    refined = refined_text_graph(ad.constant(raw), bank.entries, bank.temperature,
+                                 agg_params).value
     return TextFeatureSet(raw=raw.copy(), refined=refined, mixed=mix(raw, refined, eta), eta=eta)

@@ -1,10 +1,10 @@
 """Desk-scale training loop over a frozen random visual backbone.
 
 The visual encoder is a fixed seeded linear map followed by L2
-normalization; it never trains. Trainable state is exactly: the raw class
-text rows, both band projection heads, the refinement aggregator, and the
-granule fusion/modulation nets. The bank and all teacher latents are frozen
-inputs.
+normalization; it never trains. Trainable state is exactly the tensors of
+`param_table`: the raw class text rows, both band projection heads, the
+refinement aggregator, and the granule fusion/modulation nets. The bank and
+all teacher latents are frozen inputs.
 
 Every forward pass is built on the autodiff tape in float64, so seeded runs
 are bitwise reproducible and the finite-difference harness below can check
@@ -23,20 +23,58 @@ from .bank import SemanticBank, absorb, format_bank, parse_bank
 from .errors import BankStateError, NumericalDegeneracyError, ParameterError
 from .granules import check_permutation, film_rows, fuse_rows
 from .losses import LossBreakdown, combine, loss_cls, loss_granule, loss_sem, pseudo_labels
-from .refine import Aggregator, TextFeatureSet, build_text_features, refined_text_graph
+from .refine import TextFeatureSet, build_text_features, refined_text_graph
 from .teacher import LatentCache
 
 ANCHOR_POLICIES = ("raw_text_by_label", "refined_text_by_label", "image_embedding")
 
-_HEAD_KEYS = ("w1", "b1", "w2", "b2")
-_RESIDUAL_KEYS = ("w1", "b1", "w2", "b2", "ln_gain", "ln_bias")
-_GROUP_KEYS = {
-    "proj_low": _HEAD_KEYS,
-    "proj_high": _HEAD_KEYS,
-    "agg": _RESIDUAL_KEYS,
-    "fuse": _RESIDUAL_KEYS,
-    "film": _HEAD_KEYS,
+
+def _mlp(prefix: str, fan_in: int, hidden: int, out: int, final_init: str) -> dict:
+    # Affine -> tanh -> affine, keyed in `ad.mlp_rows` argument order.
+    return {
+        f"{prefix}.w1": ((fan_in, hidden), "uniform"),
+        f"{prefix}.b1": ((hidden,), "zeros"),
+        f"{prefix}.w2": ((hidden, out), final_init),
+        f"{prefix}.b2": ((out,), "zeros"),
+    }
+
+
+def _residual(prefix: str, dim: int) -> dict:
+    # Zero final affine: a fresh group is plain LayerNorm of its first input.
+    return {
+        **_mlp(prefix, 2 * dim, dim, dim, "zeros"),
+        f"{prefix}.ln_gain": ((dim,), "ones"),
+        f"{prefix}.ln_bias": ((dim,), "zeros"),
+    }
+
+
+def param_table(num_classes: int, channels: int, dim: int) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every trainable tensor: name -> (shape, init), in init order.
+
+    The order is the order of RNG draws, and within a group the order its
+    tape composite takes the tensors. A group is the name up to the first
+    dot. Inits: "noise" is 0.01-scaled normal noise (added to the class
+    visual means), "uniform" is `uniform_init` by fan-in; "zeros" and "ones"
+    draw nothing.
+    """
+    return {
+        "text_raw": ((num_classes, dim), "noise"),
+        **_mlp("proj_low", channels, channels, dim, "uniform"),
+        **_mlp("proj_high", channels, channels, dim, "uniform"),
+        **_residual("agg", dim),
+        **_residual("fuse", dim),
+        **_mlp("film", dim, dim, 2 * dim, "zeros"),
+    }
+
+
+# The 25 trainable names in `param_table` order (they do not depend on
+# sizes), and each group's names under its prefix.
+PARAM_NAMES = tuple(param_table(0, 0, 0))
+PARAM_GROUPS = {
+    prefix: tuple(n for n in PARAM_NAMES if n.partition(".")[0] == prefix)
+    for prefix in (n.partition(".")[0] for n in PARAM_NAMES)
 }
+
 
 # Inputs that carry values but are excluded from the trainable set by
 # construction; their analytic gradient is identically zero.
@@ -137,14 +175,13 @@ class TrainState:
         for k, v in values.items():
             self.params[k].value = np.array(v, dtype=np.float64, copy=True)
 
-    def aggregator(self) -> Aggregator:
-        return Aggregator(*(self.params[f"agg.{k}"].value for k in _RESIDUAL_KEYS))
-
-    def text_features(self, cfg: TrainConfig) -> TextFeatureSet:
-        return build_text_features(
-            self.params["text_raw"].value, self.bank, self.aggregator(),
-            cfg.eta, use_bank=cfg.use_bank,
-        )
+    def text_features(self, cfg: TrainConfig, raw: np.ndarray | None = None) -> TextFeatureSet:
+        """Prediction rows from the trained text rows, or from `raw` rows
+        (novel-class prototypes) refined through the same bank/aggregator."""
+        if raw is None:
+            raw = self.params["text_raw"].value
+        return build_text_features(raw, self.bank, group(self.params, "agg", constant=True),
+                                   cfg.eta, use_bank=cfg.use_bank)
 
 
 class Adam:
@@ -176,11 +213,16 @@ class Adam:
 # state construction
 
 
-def _group(params: dict[str, ad.Tensor], prefix: str) -> tuple[ad.Tensor, ...]:
-    return tuple(params[f"{prefix}.{k}"] for k in _GROUP_KEYS[prefix])
+def group(params: dict[str, ad.Tensor], prefix: str,
+          constant: bool = False) -> tuple[ad.Tensor, ...]:
+    """One group's tensors in `param_table` order; with `constant`, value-only
+    copies for eager use, through which no gradient reaches the parameters."""
+    tensors = tuple(params[name] for name in PARAM_GROUPS[prefix])
+    return tuple(ad.constant(t.value) for t in tensors) if constant else tensors
 
 
-def _check_labels(labels: np.ndarray) -> int:
+def check_labels(labels: np.ndarray) -> int:
+    """The class count K of labels that cover 0..K-1 with every class present."""
     classes = np.unique(labels)
     num = int(labels.max()) + 1 if len(labels) else 0
     if len(classes) != num or classes[0] != 0:
@@ -188,31 +230,32 @@ def _check_labels(labels: np.ndarray) -> int:
     return num
 
 
+def init_group(prefix: str, num_classes: int, channels: int, dim: int,
+               rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Fresh values of one group, drawn from `rng` in `param_table` order."""
+    table = param_table(num_classes, channels, dim)
+    values: dict[str, np.ndarray] = {}
+    for name in PARAM_GROUPS[prefix]:
+        shape, init = table[name]
+        if init == "uniform":
+            values[name] = uniform_init(rng, *shape)
+        elif init == "noise":
+            values[name] = 0.01 * rng.normal(size=shape)
+        else:
+            values[name] = np.ones(shape) if init == "ones" else np.zeros(shape)
+    return values
+
+
 def init_params(num_classes: int, channels: int, dim: int,
                 class_means: np.ndarray, rng: np.random.Generator) -> dict[str, ad.Tensor]:
     """Trainable tensors; text rows start at per-class visual means plus noise."""
     if class_means.shape != (num_classes, dim):
         raise ParameterError("class means must be (num_classes, dim)")
-    params: dict[str, np.ndarray] = {
-        "text_raw": class_means + 0.01 * rng.normal(size=class_means.shape)
-    }
-    for prefix in ("proj_low", "proj_high"):
-        params[f"{prefix}.w1"] = uniform_init(rng, channels, channels)
-        params[f"{prefix}.b1"] = np.zeros(channels)
-        params[f"{prefix}.w2"] = uniform_init(rng, channels, dim)
-        params[f"{prefix}.b2"] = np.zeros(dim)
-    for prefix in ("agg", "fuse"):
-        params[f"{prefix}.w1"] = uniform_init(rng, 2 * dim, dim)
-        params[f"{prefix}.b1"] = np.zeros(dim)
-        params[f"{prefix}.w2"] = np.zeros((dim, dim))
-        params[f"{prefix}.b2"] = np.zeros(dim)
-        params[f"{prefix}.ln_gain"] = np.ones(dim)
-        params[f"{prefix}.ln_bias"] = np.zeros(dim)
-    params["film.w1"] = uniform_init(rng, dim, dim)
-    params["film.b1"] = np.zeros(dim)
-    params["film.w2"] = np.zeros((dim, 2 * dim))
-    params["film.b2"] = np.zeros(2 * dim)
-    return {k: ad.parameter(v) for k, v in params.items()}
+    values: dict[str, np.ndarray] = {}
+    for prefix in PARAM_GROUPS:
+        values.update(init_group(prefix, num_classes, channels, dim, rng))
+    values["text_raw"] = class_means + values["text_raw"]
+    return {k: ad.parameter(v) for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -238,7 +281,8 @@ def compute_features(encoder: ToyVisualEncoder, arrays: np.ndarray,
                          labels=np.asarray(labels, dtype=np.intp))
 
 
-def _seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
+def seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
+    """Independent seeds for init, batch order, granule permutations and shots."""
     children = np.random.SeedSequence(seed).spawn(4)
     return dict(zip(("init", "batch", "pi", "shots"), children))
 
@@ -247,12 +291,12 @@ def init_state(cache: LatentCache, cfg: TrainConfig) -> TrainState:
     if len(cache) == 0:
         raise ParameterError("cannot train on an empty cache")
     labels = cache.labels()
-    num_classes = _check_labels(labels)
+    num_classes = check_labels(labels)
     encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
     arrays = cache.arrays()
     visual = encoder.encode_batch(arrays)
     means = np.stack([visual[labels == c].mean(axis=0) for c in range(num_classes)])
-    streams = _seed_streams(cfg.seed)
+    streams = seed_streams(cfg.seed)
     params = init_params(num_classes, cache.grid[0], cfg.embed_dim,
                          means, np.random.default_rng(streams["init"]))
     bank = (
@@ -271,8 +315,7 @@ def init_state(cache: LatentCache, cfg: TrainConfig) -> TrainState:
 
 def low_band_rows(params: dict[str, ad.Tensor], phi_base: np.ndarray) -> np.ndarray:
     """Eager unit low-band embeddings for bank absorption (no gradients kept)."""
-    consts = tuple(ad.constant(t.value) for t in _group(params, "proj_low"))
-    return head_graph(ad.constant(phi_base), *consts).value
+    return head_graph(ad.constant(phi_base), *group(params, "proj_low", constant=True)).value
 
 
 def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
@@ -295,7 +338,7 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
         if bank is None or not bank.full:
             raise BankStateError("forward pass needs a full bank when use_bank is on")
         text_pred = refined_text_graph(text_raw, bank.entries, bank.temperature,
-                                       _group(params, "agg"))
+                                       group(params, "agg"))
     else:
         text_pred = text_raw
 
@@ -307,12 +350,12 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
             probs = probs_override
         else:
             probs = pseudo_labels(visual.value, text_pred.value, cfg.logit_scale)
-        t_low = head_graph(ad.constant(feats.phi_base[idx]), *_group(params, "proj_low"))
+        t_low = head_graph(ad.constant(feats.phi_base[idx]), *group(params, "proj_low"))
         sem_term = loss_sem(probs, text_raw, t_low)
 
     gf_term = gcf_term = None
     if cfg.use_gf or cfg.use_gcf:
-        t_high = head_graph(ad.constant(feats.phi_detail[idx]), *_group(params, "proj_high"))
+        t_high = head_graph(ad.constant(feats.phi_detail[idx]), *group(params, "proj_high"))
         if cfg.anchor == "raw_text_by_label":
             anchors = ad.take_rows(text_raw, y)
         elif cfg.anchor == "refined_text_by_label":
@@ -320,23 +363,26 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
         else:
             anchors = visual
         if cfg.use_gf:
-            codes = fuse_rows(anchors, t_high, *_group(params, "fuse"))
-            v_mod = film_rows(codes, visual, *_group(params, "film"))
+            codes = fuse_rows(anchors, t_high, *group(params, "fuse"))
+            v_mod = film_rows(codes, visual, *group(params, "film"))
             gf_term = loss_granule(v_mod, text_raw, y, cfg.logit_scale)
         if cfg.use_gcf:
             if pi is None:
                 raise ParameterError("counterfactual term needs a permutation")
             pi = check_permutation(pi, len(idx))
-            codes_cf = fuse_rows(anchors, ad.take_rows(t_high, pi), *_group(params, "fuse"))
-            v_cf = film_rows(codes_cf, visual, *_group(params, "film"))
+            codes_cf = fuse_rows(anchors, ad.take_rows(t_high, pi), *group(params, "fuse"))
+            v_cf = film_rows(codes_cf, visual, *group(params, "film"))
             gcf_term = loss_granule(v_cf, text_raw, y[pi], cfg.logit_scale)
 
     return combine(cls_term, sem_term, gf_term, gcf_term,
                    cfg.lambda_sem, cfg.lambda_gf, cfg.lambda_gcf)
 
 
-def _apply_step(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
-                cfg: TrainConfig, pi: np.ndarray | None) -> LossBreakdown:
+def train_step(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
+               cfg: TrainConfig, pi: np.ndarray | None) -> LossBreakdown:
+    """One optimizer update on the batch `idx` of `feats`, with granule
+    permutation `pi`. The bank must already be full when enabled; `fit`
+    handles the fill phase."""
     total, parts = forward_batch(state.params, feats, idx, state.bank, cfg, pi)
     ad.zero_grads(state.params.values())
     ad.backward(total)
@@ -344,20 +390,6 @@ def _apply_step(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
     state.step += 1
     state.step_history.append(parts)
     return parts
-
-
-def train_step(state: TrainState, batch, cfg: TrainConfig) -> tuple[TrainState, LossBreakdown]:
-    """One optimizer update on an explicit (latents, labels) batch.
-
-    The bank must already be full when enabled; `fit` handles the fill phase.
-    """
-    latents, labels = batch
-    arrays = np.stack([np.asarray(getattr(z, "data", z), dtype=np.float64) for z in latents])
-    feats = compute_features(state.encoder, arrays, labels, cfg.kernel)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, state.step, 0x9C]))
-    pi = rng.permutation(len(arrays)) if cfg.use_gcf else None
-    parts = _apply_step(state, feats, np.arange(len(arrays)), cfg, pi)
-    return state, parts
 
 
 def _stratified_order(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -393,7 +425,7 @@ def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState
     """Full training loop: fill the bank, then stratified mini-batch updates."""
     state = init_state(cache, cfg)
     feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
-    streams = _seed_streams(cfg.seed)
+    streams = seed_streams(cfg.seed)
     rng_batch = np.random.default_rng(streams["batch"])
     rng_pi = np.random.default_rng(streams["pi"])
     n = len(cache)
@@ -409,7 +441,7 @@ def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState
                     absorb(state.bank, row)
                 continue
             pi = rng_pi.permutation(len(idx)) if cfg.use_gcf else None
-            epoch_parts.append(_apply_step(state, feats, idx, cfg, pi))
+            epoch_parts.append(train_step(state, feats, idx, cfg, pi))
         if cfg.use_bank and cfg.bank_refresh and state.bank is not None and state.bank.full:
             sub = np.sort(rng_batch.choice(n, size=max(1, n // 2), replace=False))
             for row in low_band_rows(state.params, feats.phi_base[sub]):
@@ -472,7 +504,7 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
         if cfg.use_bank:
             text_pred = refined_text_graph(
                 state.params["text_raw"], state.bank.entries, state.bank.temperature,
-                _group(state.params, "agg"),
+                group(state.params, "agg"),
             ).value
         else:
             text_pred = state.params["text_raw"].value
@@ -538,13 +570,13 @@ def run_gradient_check(cache: LatentCache, cfg: TrainConfig,
     feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
     if cfg.use_bank:
         fill_bank(state, feats)
-    rng_batch = np.random.default_rng(_seed_streams(cfg.seed)["batch"])
-    rng_pi = np.random.default_rng(_seed_streams(cfg.seed)["pi"])
+    rng_batch = np.random.default_rng(seed_streams(cfg.seed)["batch"])
+    rng_pi = np.random.default_rng(seed_streams(cfg.seed)["pi"])
     order = _stratified_order(feats.labels, rng_batch)
     idx = order[: cfg.batch_size]
     for _ in range(warmup_steps):
         pi = rng_pi.permutation(len(idx)) if cfg.use_gcf else None
-        _apply_step(state, feats, idx, cfg, pi)
+        train_step(state, feats, idx, cfg, pi)
     return gradient_check(state, feats, idx, cfg, step=step)
 
 
@@ -630,6 +662,8 @@ def _parse_checkpoint_body(path, body: list[str]):
         if not tag.startswith("PARAM "):
             raise ParameterError(f"{path}: expected a PARAM block, got {tag!r}")
         name = tag[len("PARAM "):]
+        if name in params:
+            raise ParameterError(f"{path}: parameter {name!r} appears twice")
         shape = tuple(int(d) for d in body[pos + 1].split())
         n_rows = 1 if len(shape) == 1 else shape[0]
         rows = [
@@ -643,8 +677,31 @@ def _parse_checkpoint_body(path, body: list[str]):
 
 def state_from_values(param_values: dict[str, np.ndarray], bank: SemanticBank | None,
                       encoder: ToyVisualEncoder, cfg: TrainConfig) -> TrainState:
-    """Rebuild a usable state from checkpoint contents."""
-    params = {k: ad.parameter(v) for k, v in param_values.items()}
-    num_classes = params["text_raw"].value.shape[0]
+    """Rebuild a usable state from checkpoint contents.
+
+    The values must match `param_table` exactly: the same names, the shapes it
+    gives for the class count of `text_raw`, the encoder's channels and
+    `cfg.embed_dim`, and finite entries; the bank must have `cfg.embed_dim`
+    columns. Anything else raises ParameterError.
+    """
+    if bank is not None and bank.dim != cfg.embed_dim:
+        raise ParameterError(f"bank dim {bank.dim} does not match embed_dim {cfg.embed_dim}")
+    missing = sorted(set(PARAM_NAMES) - set(param_values))
+    unexpected = sorted(set(param_values) - set(PARAM_NAMES))
+    if missing or unexpected:
+        raise ParameterError(
+            f"checkpoint parameters do not match the model: missing {missing}, "
+            f"unexpected {unexpected}"
+        )
+    text_shape = np.shape(param_values["text_raw"])
+    num_classes = text_shape[0] if text_shape else 0
+    params: dict[str, ad.Tensor] = {}
+    for name, (shape, _) in param_table(num_classes, encoder.grid[0], cfg.embed_dim).items():
+        value = np.asarray(param_values[name], dtype=np.float64)
+        if value.shape != shape:
+            raise ParameterError(f"parameter {name!r} has shape {value.shape}, expected {shape}")
+        if not np.all(np.isfinite(value)):
+            raise ParameterError(f"parameter {name!r} has non-finite values")
+        params[name] = ad.parameter(value)
     return TrainState(params=params, bank=bank, encoder=encoder,
                       optimizer=Adam(params, cfg.learning_rate), num_classes=num_classes)

@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 import bandprompt.autodiff as ad
-from bandprompt.bands import (
-    BandEmbedding,
-    ProjectionHead,
-    band_stats,
-    factorize,
-    head_graph,
-    project_band,
-    smooth_lowpass,
-    uniform_init,
-)
+from bandprompt.bands import band_stats, factorize, head_graph, smooth_lowpass, uniform_init
 from bandprompt.errors import NumericalDegeneracyError, ParameterError
+from bandprompt.trainer import init_group
 
 
 def brute_force_box_mean(arr, k):
@@ -125,42 +117,35 @@ def test_uniform_init_bounds():
 
 def test_head_outputs_unit_rows():
     rng = np.random.default_rng(7)
-    head = ProjectionHead.create(channels=4, dim=8, rng=rng, band="low")
+    head = init_group("proj_low", 0, 4, 8, rng).values()
     stats = np.abs(rng.normal(size=4))
-    emb = project_band(head, stats)
-    assert isinstance(emb, BandEmbedding)
-    assert abs(np.linalg.norm(emb.vector) - 1.0) <= 1e-6
-    assert emb.band == "low"
+    out = head_graph(stats[None, :], *head).value
+    assert out.shape == (1, 8)
+    assert abs(np.linalg.norm(out[0]) - 1.0) <= 1e-6
 
 
 def test_zero_weight_head_returns_normalized_bias():
     rng = np.random.default_rng(8)
-    head = ProjectionHead.create(channels=3, dim=4, rng=rng, band="high")
-    zero = ProjectionHead(
-        w1=np.zeros_like(head.w1), b1=np.zeros_like(head.b1),
-        w2=np.zeros_like(head.w2), b2=np.array([3.0, 0.0, 4.0, 0.0]),
-        band="high",
-    )
+    w1, b1, w2, _ = init_group("proj_high", 0, 3, 4, rng).values()
+    zero = (np.zeros_like(w1), np.zeros_like(b1), np.zeros_like(w2),
+            np.array([3.0, 0.0, 4.0, 0.0]))
     for _ in range(5):
         stats = np.abs(rng.normal(size=3))
-        emb = project_band(zero, stats)
-        assert np.allclose(emb.vector, [0.6, 0.0, 0.8, 0.0], atol=1e-12)
+        out = head_graph(stats[None, :], *zero).value
+        assert np.allclose(out[0], [0.6, 0.0, 0.8, 0.0], atol=1e-12)
 
 
 def test_degenerate_projection_raises():
-    head = ProjectionHead(
-        w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros((2, 3)), b2=np.zeros(3),
-        band="low",
-    )
+    head = (np.zeros((2, 2)), np.zeros(2), np.zeros((2, 3)), np.zeros(3))
     with pytest.raises(NumericalDegeneracyError):
-        project_band(head, np.ones(2))
+        head_graph(np.ones((1, 2)), *head)
 
 
 def test_head_jacobian_matches_finite_differences():
     rng = np.random.default_rng(9)
-    head = ProjectionHead.create(channels=3, dim=5, rng=rng, band="low")
+    head = init_group("proj_low", 0, 3, 5, rng)
     stats = np.abs(rng.normal(size=(2, 3))) + 0.1
-    params = [ad.parameter(p) for p in (head.w1, head.b1, head.w2, head.b2)]
+    params = [ad.parameter(p) for p in head.values()]
     probe = ad.constant(rng.normal(size=(2, 5)))
 
     def scalar():
@@ -181,12 +166,3 @@ def test_head_jacobian_matches_finite_differences():
             flat[i] = keep
             num = (fp - fm) / (2 * step)
             assert abs(grad[i] - num) / max(abs(grad[i]), abs(num), 1e-5) < 1e-4
-
-
-def test_project_band_validates_input():
-    rng = np.random.default_rng(10)
-    head = ProjectionHead.create(channels=3, dim=4, rng=rng, band="low")
-    with pytest.raises(ParameterError):
-        project_band(head, np.ones(5))
-    with pytest.raises(ParameterError):
-        project_band(head, np.ones((2, 3)))

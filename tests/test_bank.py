@@ -10,12 +10,12 @@ from bandprompt.bank import (
     format_bank,
     parse_bank,
     read_bank,
-    refresh,
     retrieve_rows,
-    soft_retrieve,
     write_bank,
 )
 from bandprompt.errors import BankStateError, NumericalDegeneracyError, ParameterError
+from bandprompt.refine import build_text_features
+from bandprompt.trainer import init_group
 
 
 def unit(v):
@@ -87,50 +87,35 @@ def test_singleton_bank_tracks_the_stream():
     assert gaps[-1] < 1e-2
 
 
-def test_refresh_replays_a_stream_in_order():
-    rng = np.random.default_rng(1)
-    stream = [unit(rng.normal(size=3)) for _ in range(5)]
-    a = SemanticBank.create(size=2, dim=3)
-    refresh(a, stream)
-    b = SemanticBank.create(size=2, dim=3)
-    for v in stream:
-        absorb(b, v)
-    assert np.array_equal(a.entries, b.entries)
-    refresh(a, [])
-    assert np.array_equal(a.entries, b.entries)
-
-
 def test_soft_retrieve_pinned_two_entry_weights():
-    bank = SemanticBank(entries=np.eye(2), temperature=1.0, fill_count=2)
-    res = soft_retrieve(bank, np.array([1.0, 0.0]))
+    weights, context = retrieve_rows(np.eye(2), np.array([[1.0, 0.0]]), 1.0)
+    weights, context = weights.value[0], context.value[0]
     expected = np.exp([1.0, 0.0])
     expected /= expected.sum()
-    assert np.allclose(res.weights, expected, atol=1e-12)
-    assert np.allclose(res.weights, [0.73106, 0.26894], atol=1e-5)
-    assert np.allclose(res.context, res.weights @ np.eye(2), atol=1e-12)
+    assert np.allclose(weights, expected, atol=1e-12)
+    assert np.allclose(weights, [0.73106, 0.26894], atol=1e-5)
+    assert np.allclose(context, weights @ np.eye(2), atol=1e-12)
 
 
 def test_cold_retrieval_sharpens_to_the_argmax():
     rng = np.random.default_rng(2)
     entries = np.stack([unit(rng.normal(size=4)) for _ in range(6)])
-    bank = SemanticBank(entries=entries, temperature=1e-4, fill_count=6)
     q = unit(rng.normal(size=4))
-    res = soft_retrieve(bank, q)
+    weights, context = retrieve_rows(entries, q[None, :], 1e-4)
     hot = int(np.argmax(entries @ q))
     onehot = np.zeros(6)
     onehot[hot] = 1.0
-    assert np.max(np.abs(res.weights - onehot)) <= 1e-3
-    assert np.max(np.abs(res.context - entries[hot])) <= 1e-3
+    assert np.max(np.abs(weights.value[0] - onehot)) <= 1e-3
+    assert np.max(np.abs(context.value[0] - entries[hot])) <= 1e-3
 
 
 def test_context_stays_inside_the_unit_ball():
     rng = np.random.default_rng(3)
     entries = np.stack([unit(rng.normal(size=5)) for _ in range(8)])
-    bank = SemanticBank(entries=entries, temperature=0.07, fill_count=8)
     for _ in range(20):
-        res = soft_retrieve(bank, unit(rng.normal(size=5)))
-        assert np.linalg.norm(res.context) <= 1.0 + 1e-12
-        assert abs(res.weights.sum() - 1.0) <= 1e-12
+        weights, context = retrieve_rows(entries, unit(rng.normal(size=5))[None, :], 0.07)
+        assert np.linalg.norm(context.value[0]) <= 1.0 + 1e-12
+        assert abs(weights.value[0].sum() - 1.0) <= 1e-12
 
 
 def test_retrieval_differentiates_queries_not_entries():
@@ -153,10 +138,12 @@ def test_retrieval_differentiates_queries_not_entries():
 
 
 def test_retrieval_requires_a_full_bank():
+    # retrieve_rows is a bare composite; its callers check the fill
     bank = SemanticBank.create(size=4, dim=2)
     absorb(bank, unit([1.0, 0.0]))
+    agg = tuple(init_group("agg", 0, 0, 2, np.random.default_rng(0)).values())
     with pytest.raises(BankStateError, match=r"1/4 filled"):
-        soft_retrieve(bank, unit([1.0, 0.0]))
+        build_text_features(unit([1.0, 0.0])[None, :], bank, agg, eta=1.0)
 
 
 def test_absorb_validates_inputs():
@@ -216,3 +203,15 @@ def test_parse_rejects_malformed_dumps():
         parse_bank(["2 2 0.1 0.07", "1 0 0", "0 1 0"])  # wrong width
     partial = parse_bank(["2 2 0.1 0.07", "1 0", "0 0"], fill_count=1)
     assert not partial.full and partial.fill_count == 1
+
+
+def test_garbled_bank_dumps_raise_parameter_error(tmp_path):
+    for lines in (["2 2 0.1 x", "1 0", "0 1"],      # garbled header number
+                  ["2 2 0.1 0.07", "1 zz", "0 1"],  # garbled entry
+                  ["2 2 0.1 0.07", "1 0 3", "0 1"]):  # ragged rows
+        with pytest.raises(ParameterError):
+            parse_bank(lines)
+    path = tmp_path / "bank.txt"
+    path.write_bytes(b"1 2 0.1 0.07\n\xff 0\n")
+    with pytest.raises(ParameterError, match="UTF-8"):
+        read_bank(path)

@@ -110,6 +110,37 @@ def test_eval_scores_a_matching_cache(ws):
     assert float(body["accuracy"]) > 80.0  # protocol=all trains all classes
 
 
+def test_eval_config_precedence(ws, tmp_path, monkeypatch):
+    # checkpoint header < --config < --set < SPECPL_SEED < --cache/--report
+    stamped = {"diag_bands": "3", "align_h": "5", "align_w": "5", "eta": "0.25",
+               "seed": "1", "cache_path": "header.bin", "eval_report_path": "header.txt"}
+    lines = []
+    for ln in open(ws["all_ckpt"]).read().splitlines():
+        key = ln[1:].partition("=")[0].strip() if ln.startswith("#") else None
+        lines.append(f"# {key} = {stamped[key]}" if key in stamped else ln)
+    # foreign header comments are skipped, not rejected
+    lines[1:1] = ["# trained_on = lab machine", "# protocol = bogus", "# seed = many"]
+    ckpt = tmp_path / "stamped.txt"
+    ckpt.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("align_h = 7\nalign_w = 7\neta = 0.5\nseed = 2\ncache_path = file.bin\n")
+    monkeypatch.setenv("SPECPL_SEED", "4")
+    out = tmp_path / "report.txt"
+    assert main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg),
+                 "--set", "align_w=8", "--set", "seed=3", "--set", "eval_report_path=set.txt",
+                 "--cache", ws["cache"], "--report", str(out)]) == 0
+    header = {ln.split()[1]: ln.split()[3] for ln in open(out)
+              if ln.startswith("# ") and " = " in ln}
+    assert header["diag_bands"] == "3"          # header beats defaults
+    assert header["align_h"] == "7"             # --config beats the header
+    assert header["eta"] == "0.5"
+    assert header["align_w"] == "8"             # --set beats --config
+    assert header["seed"] == "4"                # SPECPL_SEED beats --set
+    assert header["cache_path"] == ws["cache"]  # path flags beat everything
+    assert header["eval_report_path"] == str(out)
+    assert header["protocol"] == "all" and "trained_on" not in header
+
+
 def test_eval_rejects_label_space_mismatch(ws):
     # base_to_novel checkpoint knows 2 classes; the cache labels 4
     code = main(["eval", "--checkpoint", ws["ckpt"], "--cache", ws["cache"],
@@ -146,6 +177,65 @@ def test_eval_malformed_checkpoint_exits_two(ws, capsys):
     assert main(["eval", "--checkpoint", str(bad), "--cache", ws["cache"],
                  "--report", str(ws["root"] / "bad_shape_eval.txt")]) == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+def _param_block(lines, name):
+    """(start, end) line span of one PARAM block."""
+    start = lines.index(f"PARAM {name}")
+    shape = lines[start + 1].split()
+    return start, start + 2 + (1 if len(shape) == 1 else int(shape[0]))
+
+
+def _drop_block(name):
+    def garble(lines):
+        start, end = _param_block(lines, name)
+        return lines[:start] + lines[end:]
+    return garble
+
+
+def _short_agg_b1(lines):
+    # self-consistent block (7 values, shape 7), but the model needs 8
+    start, _ = _param_block(lines, "agg.b1")
+    lines[start + 1] = "7"
+    lines[start + 2] = " ".join(lines[start + 2].split()[:7])
+    return lines
+
+
+def _extra_block(lines):
+    return _drop_block("film.b2")(lines) + ["PARAM bogus.x", "1", "0.5"]
+
+
+def _wide_bank(lines):
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("BANK "))
+    size, dim, momentum, tau = lines[start + 1].split()
+    lines[start + 1] = f"{size} {int(dim) + 1} {momentum} {tau}"
+    for row in range(start + 2, start + 2 + int(size)):
+        lines[row] += " 0"
+    return lines
+
+
+def _nan_value(lines):
+    start, _ = _param_block(lines, "text_raw")
+    lines[start + 2] = "nan " + lines[start + 2].partition(" ")[2]
+    return lines
+
+
+@pytest.mark.parametrize("garble, message", [
+    (lambda lines: ["BANK none"], "missing"),
+    (_drop_block("agg.ln_gain"), "missing ['agg.ln_gain']"),
+    (_short_agg_b1, "'agg.b1' has shape (7,), expected (8,)"),
+    (_extra_block, "missing ['film.b2'], unexpected ['bogus.x']"),
+    (_nan_value, "'text_raw' has non-finite values"),
+    (_wide_bank, "bank dim 9 does not match embed_dim 8"),
+], ids=["bank-only", "no-ln-gain", "short-b1", "renamed-block", "nan", "bank-dim"])
+def test_eval_rejects_parameters_off_the_table(ws, capsys, garble, message):
+    lines = open(ws["all_ckpt"]).read().splitlines()
+    bad = ws["root"] / "off_table.txt"
+    bad.write_text("\n".join(garble(lines)) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--cache", ws["cache"],
+                 "--report", str(ws["root"] / "off_table_eval.txt")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(ws):

@@ -1,5 +1,7 @@
 """Flat key = value configuration: parsing, precedence, validation."""
 
+from dataclasses import fields
+
 import pytest
 
 from bandprompt.config import (
@@ -11,6 +13,7 @@ from bandprompt.config import (
     resolve_config,
 )
 from bandprompt.errors import ConfigError
+from bandprompt.trainer import TrainConfig
 
 
 def test_defaults_are_complete_and_typed():
@@ -104,6 +107,13 @@ def test_derived_spec_and_train_config_agree():
     tc = cfg.train_config()
     assert tc.kernel == 5 and tc.seed == 4
     assert tc.epochs == cfg.epochs
+
+
+def test_train_config_defaults_match_the_run_config():
+    run_fields = {f.name: f.type for f in fields(RunConfig)}
+    for f in fields(TrainConfig):
+        assert run_fields.get(f.name) == f.type, f.name
+    assert RunConfig().train_config() == TrainConfig()
 
 
 def test_round_trip_through_header_text():

@@ -1,20 +1,13 @@
-"""Granule fusion, FiLM modulation, and counterfactual swaps."""
+"""Granule fusion, FiLM modulation, and counterfactual swaps (tape composites
+on one-row and batched inputs)."""
 
 import numpy as np
 import pytest
 
 import bandprompt.autodiff as ad
 from bandprompt.errors import ParameterError
-from bandprompt.granules import (
-    FiLMNet,
-    FusionNet,
-    check_permutation,
-    counterfactual_swap,
-    film_modulate,
-    film_rows,
-    fuse,
-    fuse_rows,
-)
+from bandprompt.granules import check_permutation, film_rows, fuse_rows
+from bandprompt.trainer import init_group
 
 
 def unit(v):
@@ -30,63 +23,63 @@ def layer_norm_oracle(x, eps=1e-5):
 
 def test_fresh_fusion_standardizes_the_anchor():
     rng = np.random.default_rng(0)
-    net = FusionNet.create(4, rng)  # zero final affine at init
-    anchor = rng.normal(size=4)
-    granule = rng.normal(size=4)
-    assert np.allclose(fuse(anchor, granule, net), layer_norm_oracle(anchor), atol=1e-12)
-    other = fuse(anchor, rng.normal(size=4), net)
-    assert np.allclose(fuse(anchor, granule, net), other, atol=1e-12)
+    net = init_group("fuse", 0, 0, 4, rng).values()  # zero final affine at init
+    anchor = rng.normal(size=(1, 4))
+    granule = rng.normal(size=(1, 4))
+    fused = fuse_rows(anchor, granule, *net).value
+    assert np.allclose(fused, layer_norm_oracle(anchor), atol=1e-12)
+    other = fuse_rows(anchor, rng.normal(size=(1, 4)), *net).value
+    assert np.allclose(fused, other, atol=1e-12)
 
 
 def test_fresh_film_is_the_identity_on_unit_vectors():
     rng = np.random.default_rng(1)
-    net = FiLMNet.create(4, rng)  # zero final affine: gamma = beta = 0
+    net = init_group("film", 0, 0, 4, rng).values()  # zero final affine: gamma = beta = 0
     v = unit(rng.normal(size=4))
-    out = film_modulate(rng.normal(size=4), v, net)
+    out = film_rows(rng.normal(size=(1, 4)), v[None, :], *net).value[0]
     assert np.allclose(out, v, atol=1e-12)
 
 
 def test_saturated_gamma_rescale_is_normalized_away():
     dim = 3
-    net = FiLMNet(w1=np.zeros((dim, dim)), b1=np.zeros(dim),
-                  w2=np.zeros((dim, 2 * dim)),
-                  b2=np.concatenate([np.full(dim, 50.0), np.zeros(dim)]))
+    net = (np.zeros((dim, dim)), np.zeros(dim), np.zeros((dim, 2 * dim)),
+           np.concatenate([np.full(dim, 50.0), np.zeros(dim)]))
     v = unit(np.array([1.0, 2.0, -1.0]))
     # uniform gamma scales all coordinates equally; L2 norm removes it
-    assert np.allclose(film_modulate(np.zeros(dim), v, net), v, atol=1e-10)
+    assert np.allclose(film_rows(np.zeros((1, dim)), v[None, :], *net).value[0], v, atol=1e-10)
 
 
 def test_pinned_shift_only_modulation():
     dim = 2
-    net = FiLMNet(w1=np.zeros((dim, dim)), b1=np.zeros(dim),
-                  w2=np.zeros((dim, 2 * dim)),
-                  b2=np.array([0.0, 0.0, 0.0, 1.0]))  # gamma = 0, beta = (0, 1)
-    out = film_modulate(np.zeros(dim), np.array([1.0, 0.0]), net)
+    net = (np.zeros((dim, dim)), np.zeros(dim), np.zeros((dim, 2 * dim)),
+           np.array([0.0, 0.0, 0.0, 1.0]))  # gamma = 0, beta = (0, 1)
+    out = film_rows(np.zeros((1, dim)), np.array([[1.0, 0.0]]), *net).value[0]
     assert np.allclose(out, [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
 
 
 def test_film_batch_matches_single_rows():
     rng = np.random.default_rng(2)
     dim = 5
-    net = FiLMNet.create(dim, rng)
-    net.w2 = rng.normal(size=(dim, 2 * dim)) * 0.1
+    net = init_group("film", 0, 0, dim, rng)
+    net["film.w2"] = rng.normal(size=(dim, 2 * dim)) * 0.1
     codes = rng.normal(size=(3, dim))
     visual = np.stack([unit(rng.normal(size=dim)) for _ in range(3)])
     batch = film_rows(ad.constant(codes), ad.constant(visual),
-                      *(ad.constant(p) for p in net.params)).value
+                      *(ad.constant(p) for p in net.values())).value
     for i in range(3):
-        assert np.allclose(batch[i], film_modulate(codes[i], visual[i], net), atol=1e-12)
+        single = film_rows(codes[i : i + 1], visual[i : i + 1], *net.values()).value
+        assert np.allclose(batch[i], single[0], atol=1e-12)
     assert np.max(np.abs(np.linalg.norm(batch, axis=1) - 1.0)) <= 1e-12
 
 
 def test_fusion_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     dim = 4
-    net = FusionNet.create(dim, rng)
-    net.w2 = rng.normal(size=(dim, dim)) * 0.1
+    net = init_group("fuse", 0, 0, dim, rng)
+    net["fuse.w2"] = rng.normal(size=(dim, dim)) * 0.1
     anchors = rng.normal(size=(3, dim))
     granules = rng.normal(size=(3, dim))
-    values = [p.copy() for p in net.params]
+    values = [p.copy() for p in net.values()]
 
     def objective(vals, g=None):
         params = tuple(ad.constant(v) for v in vals)
@@ -123,25 +116,14 @@ def test_permutation_validation():
 
 
 def test_counterfactual_swap_semantics():
+    # forward_batch swaps granules as ad.take_rows(t_high, pi)
     rng = np.random.default_rng(4)
     granules = rng.normal(size=(4, 3))
-    pi = np.array([1, 3, 0, 2])
-    swapped = counterfactual_swap(granules, pi)
+    pi = check_permutation(np.array([1, 3, 0, 2]), 4)
+    swapped = ad.take_rows(ad.constant(granules), pi).value
     for i in range(4):
         assert np.array_equal(swapped[i], granules[pi[i]])
     # identity permutation preserves order; any permutation preserves multiset
-    same = counterfactual_swap(granules, np.arange(4))
-    assert np.array_equal(np.stack(same), granules)
-    assert np.array_equal(
-        np.sort(np.stack(swapped), axis=0), np.sort(granules, axis=0)
-    )
-    as_list = counterfactual_swap([granules[i] for i in range(4)], pi)
-    assert np.array_equal(np.stack(as_list), np.stack(swapped))
-
-
-def test_eager_wrappers_validate_shapes():
-    rng = np.random.default_rng(5)
-    with pytest.raises(ParameterError):
-        fuse(np.zeros(3), np.zeros(4), FusionNet.create(3, rng))
-    with pytest.raises(ParameterError):
-        film_modulate(np.zeros(3), np.zeros(4), FiLMNet.create(3, rng))
+    same = ad.take_rows(ad.constant(granules), np.arange(4)).value
+    assert np.array_equal(same, granules)
+    assert np.array_equal(np.sort(swapped, axis=0), np.sort(granules, axis=0))

@@ -14,7 +14,6 @@ from bandprompt.losses import (
     loss_granule,
     loss_sem,
     pseudo_labels,
-    total_from_parts,
 )
 
 
@@ -109,7 +108,9 @@ def test_combine_weighted_total_pinned():
     total, parts = combine(cls, sem, gf, gcf, 0.1, 0.1, 0.1)
     assert total.item() == pytest.approx(1.9, abs=1e-12)
     assert parts.total == pytest.approx(1.9, abs=1e-12)
-    assert total_from_parts(parts) == pytest.approx(parts.total, abs=1e-12)
+    recombined = (parts.cls + parts.lambda_sem * parts.sem + parts.lambda_gf * parts.granule_f
+                  + parts.lambda_gcf * parts.granule_cf)
+    assert recombined == pytest.approx(parts.total, abs=1e-12)
 
 
 def test_absent_terms_leave_total_equal_to_cls():
@@ -117,7 +118,7 @@ def test_absent_terms_leave_total_equal_to_cls():
     total, parts = combine(cls, None, None, None)
     assert total is cls  # reuses the tensor: zero contribution is structural
     assert parts.sem is None and parts.granule_f is None and parts.granule_cf is None
-    assert total_from_parts(parts) == parts.cls
+    assert parts.total == parts.cls
 
 
 def test_zero_lambda_matches_absent_term_in_value():

@@ -7,14 +7,13 @@ import bandprompt.autodiff as ad
 from bandprompt.bank import SemanticBank
 from bandprompt.errors import BankStateError, ParameterError
 from bandprompt.refine import (
-    Aggregator,
     TextFeatureSet,
     build_text_features,
     mix,
-    refine,
     refine_rows,
     refined_text_graph,
 )
+from bandprompt.trainer import init_group
 
 
 def unit(v):
@@ -28,26 +27,30 @@ def layer_norm_oracle(x, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps)
 
 
+def fresh_aggregator(dim, rng):
+    return init_group("agg", 0, 0, dim, rng)
+
+
 def zero_aggregator(dim):
     rng = np.random.default_rng(0)
-    agg = Aggregator.create(dim, rng)
-    return agg  # final affine is zero at init, so residual is identically zero
+    agg = fresh_aggregator(dim, rng)
+    return tuple(agg.values())  # final affine is zero at init, so residual is identically zero
 
 
 def test_fresh_aggregator_is_plain_layer_norm():
     rng = np.random.default_rng(1)
     agg = zero_aggregator(4)
-    t = rng.normal(size=4)
-    r = rng.normal(size=4)
-    assert np.allclose(refine(t, r, agg), layer_norm_oracle(t), atol=1e-12)
+    t = rng.normal(size=(1, 4))
+    r = rng.normal(size=(1, 4))
+    assert np.allclose(refine_rows(t, r, *agg).value, layer_norm_oracle(t), atol=1e-12)
 
 
 def test_pinned_two_dim_refinement():
     agg = zero_aggregator(2)
-    out = refine(np.array([1.0, 1.0]), np.zeros(2), agg)
+    out = refine_rows(np.array([[1.0, 1.0]]), np.zeros((1, 2)), *agg).value[0]
     # constant row: LN maps to zeros
     assert np.allclose(out, [0.0, 0.0], atol=1e-3)
-    out = refine(np.array([2.0, 0.0]), np.zeros(2), agg)
+    out = refine_rows(np.array([[2.0, 0.0]]), np.zeros((1, 2)), *agg).value[0]
     # mean 1, var 1: standardized to (+1, -1) up to the 1e-5 eps
     assert np.allclose(out, [1.0, -1.0], atol=1e-2)
 
@@ -77,19 +80,19 @@ def full_bank(dim, size=4, seed=3, temperature=0.07):
 def test_batch_refinement_matches_per_row():
     rng = np.random.default_rng(4)
     dim = 5
-    agg = Aggregator.create(dim, rng)
-    agg.w2 = rng.normal(size=(dim, dim)) * 0.1  # make the residual nontrivial
-    agg.b2 = rng.normal(size=dim) * 0.1
+    agg = fresh_aggregator(dim, rng)
+    agg["agg.w2"] = rng.normal(size=(dim, dim)) * 0.1  # make the residual nontrivial
+    agg["agg.b2"] = rng.normal(size=dim) * 0.1
     bank = full_bank(dim)
     raw = rng.normal(size=(3, dim))
     batch = refined_text_graph(
         ad.constant(raw), bank.entries, bank.temperature,
-        tuple(ad.constant(p) for p in agg.params),
+        tuple(ad.constant(p) for p in agg.values()),
     ).value
     for i in range(3):
         single = refined_text_graph(
             ad.constant(raw[i : i + 1]), bank.entries, bank.temperature,
-            tuple(ad.constant(p) for p in agg.params),
+            tuple(ad.constant(p) for p in agg.values()),
         ).value
         assert np.allclose(batch[i], single[0], atol=1e-12)
 
@@ -97,12 +100,12 @@ def test_batch_refinement_matches_per_row():
 def test_refinement_is_row_permutation_equivariant():
     rng = np.random.default_rng(5)
     dim = 4
-    agg = Aggregator.create(dim, rng)
-    agg.w2 = rng.normal(size=(dim, dim)) * 0.2
+    agg = fresh_aggregator(dim, rng)
+    agg["agg.w2"] = rng.normal(size=(dim, dim)) * 0.2
     bank = full_bank(dim)
     raw = rng.normal(size=(4, dim))
     perm = np.array([2, 0, 3, 1])
-    params = tuple(ad.constant(p) for p in agg.params)
+    params = tuple(ad.constant(p) for p in agg.values())
     a = refined_text_graph(ad.constant(raw), bank.entries, bank.temperature, params).value
     b = refined_text_graph(ad.constant(raw[perm]), bank.entries, bank.temperature, params).value
     assert np.allclose(a[perm], b, atol=1e-12)
@@ -111,12 +114,12 @@ def test_refinement_is_row_permutation_equivariant():
 def test_recomputation_is_bitwise_pure():
     rng = np.random.default_rng(6)
     dim = 6
-    agg = Aggregator.create(dim, rng)
-    agg.w2 = rng.normal(size=(dim, dim)) * 0.1
+    agg = fresh_aggregator(dim, rng)
+    agg["agg.w2"] = rng.normal(size=(dim, dim)) * 0.1
     bank = full_bank(dim)
     raw = rng.normal(size=(3, dim))
-    first = build_text_features(raw, bank, agg, eta=0.7)
-    second = build_text_features(raw, bank, agg, eta=0.7)
+    first = build_text_features(raw, bank, tuple(agg.values()), eta=0.7)
+    second = build_text_features(raw, bank, tuple(agg.values()), eta=0.7)
     assert np.array_equal(first.refined, second.refined)
     assert np.array_equal(first.mixed, second.mixed)
 
@@ -124,7 +127,7 @@ def test_recomputation_is_bitwise_pure():
 def test_build_text_features_eta_endpoints():
     rng = np.random.default_rng(7)
     dim = 4
-    agg = Aggregator.create(dim, rng)
+    agg = tuple(fresh_aggregator(dim, rng).values())
     bank = full_bank(dim)
     raw = rng.normal(size=(2, dim))
     at_zero = build_text_features(raw, bank, agg, eta=0.0)
@@ -137,7 +140,7 @@ def test_build_text_features_eta_endpoints():
 def test_bank_disabled_collapses_to_raw():
     rng = np.random.default_rng(8)
     raw = rng.normal(size=(3, 4))
-    agg = Aggregator.create(4, rng)
+    agg = tuple(fresh_aggregator(4, rng).values())
     feats = build_text_features(raw, None, agg, eta=1.0, use_bank=False)
     assert np.array_equal(feats.refined, raw)
     assert np.array_equal(feats.mixed, raw)
@@ -145,7 +148,7 @@ def test_bank_disabled_collapses_to_raw():
 
 def test_refinement_requires_a_full_bank():
     rng = np.random.default_rng(9)
-    agg = Aggregator.create(4, rng)
+    agg = tuple(fresh_aggregator(4, rng).values())
     raw = rng.normal(size=(2, 4))
     empty = SemanticBank.create(size=3, dim=4)
     with pytest.raises(BankStateError):
@@ -160,18 +163,16 @@ def test_feature_set_validation():
         TextFeatureSet(raw=raw, refined=np.zeros((2, 4)), mixed=raw, eta=0.5)
     with pytest.raises(ParameterError):
         TextFeatureSet(raw=raw, refined=raw, mixed=raw, eta=1.5)
-    with pytest.raises(ParameterError):
-        refine(np.zeros(3), np.zeros(4), Aggregator.create(3, np.random.default_rng(0)))
 
 
 def test_aggregator_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     dim = 4
-    agg = Aggregator.create(dim, rng)
-    agg.w2 = rng.normal(size=(dim, dim)) * 0.1
+    agg = fresh_aggregator(dim, rng)
+    agg["agg.w2"] = rng.normal(size=(dim, dim)) * 0.1
     bank = full_bank(dim)
     raw = rng.normal(size=(3, dim))
-    values = [p.copy() for p in agg.params]
+    values = [p.copy() for p in agg.values()]
 
     def objective(vals):
         params = tuple(ad.constant(v) for v in vals)

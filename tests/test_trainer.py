@@ -82,24 +82,28 @@ def test_init_rejects_gapped_labels(cache):
         init_state(LatentCache(records=[]), small_cfg())
 
 
+def first_batch(state, cache, cfg):
+    """Features of the cache, the first five samples and a permutation."""
+    feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    pi = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9C])).permutation(5)
+    return feats, np.arange(5), pi
+
+
 def test_train_step_requires_a_full_bank(cache):
     cfg = small_cfg()
     state = init_state(cache, cfg)
-    batch = ([r.latent for r in cache.records[:5]],
-             [r.class_label for r in cache.records[:5]])
+    feats, idx, pi = first_batch(state, cache, cfg)
     with pytest.raises(BankStateError):
-        train_step(state, batch, cfg)
+        train_step(state, feats, idx, cfg, pi)
 
 
 def test_zero_learning_rate_leaves_parameters_fixed(cache):
     cfg = small_cfg(learning_rate=0.0)
     state = init_state(cache, cfg)
-    feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    feats, idx, pi = first_batch(state, cache, cfg)
     fill_bank(state, feats)
     before = state.param_values()
-    batch = ([r.latent for r in cache.records[:5]],
-             [r.class_label for r in cache.records[:5]])
-    state, parts = train_step(state, batch, cfg)
+    parts = train_step(state, feats, idx, cfg, pi)
     assert np.isfinite(parts.total)
     for name, value in state.param_values().items():
         assert np.array_equal(value, before[name]), name
@@ -108,11 +112,9 @@ def test_zero_learning_rate_leaves_parameters_fixed(cache):
 def test_disabled_terms_collapse_total_onto_cls(cache):
     cfg = small_cfg(use_sem=False, use_gf=False, use_gcf=False)
     state = init_state(cache, cfg)
-    feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    feats, idx, _ = first_batch(state, cache, cfg)
     fill_bank(state, feats)
-    batch = ([r.latent for r in cache.records[:5]],
-             [r.class_label for r in cache.records[:5]])
-    _, parts = train_step(state, batch, cfg)
+    parts = train_step(state, feats, idx, cfg, None)
     assert parts.sem is None and parts.granule_f is None and parts.granule_cf is None
     assert parts.total == parts.cls
 
@@ -236,7 +238,8 @@ def test_checkpoint_bare_bank_tag_loads_as_full(cache, tmp_path):
                 for i, ln in enumerate(ls)],
     lambda ls: ls[:-1] + [ls[-1] + " 1.0.0"],
     lambda ls: ls[:-1],
-], ids=["bank-fill", "bank-header", "shape", "row", "truncated"])
+    lambda ls: ls + ls[ls.index("PARAM text_raw"):ls.index("PARAM text_raw") + 6],
+], ids=["bank-fill", "bank-header", "shape", "row", "truncated", "duplicate"])
 def test_checkpoint_malformed_numbers_raise_parameter_error(cache, tmp_path, garble):
     state = fit(cache, small_cfg(epochs=1))
     path = tmp_path / "ckpt.txt"
