@@ -101,11 +101,6 @@ def constant(value) -> Tensor:
     return Tensor(value)
 
 
-def stopgrad(x: Tensor) -> Tensor:
-    """Detach: same values, no history."""
-    return Tensor(np.array(x.value, copy=True))
-
-
 def _node(value, parents, vjp) -> Tensor:
     live = tuple(p for p in parents if p.requires_grad)
     if not live:
@@ -156,8 +151,10 @@ def backward(root: Tensor) -> None:
             if not parent.requires_grad or g is None:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad += g
+                # A copy: one VJP may hand the same array to two parents.
+                parent.grad = np.array(g)
+            else:
+                parent.grad += g
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -363,22 +360,34 @@ def take_rows(a, idx) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# composites shared by the eager module APIs and the training graph
+# fused composites: each is one tape node with a hand-written VJP. The value
+# is computed by the same numpy steps as the primitive chain it replaces, and
+# the gradient agrees with that chain's up to rounding.
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w + b: (n, k) rows, a (k, m) weight, a bias broadcast over rows."""
+    x, w, b = lift(x), lift(w), lift(b)
+    if x.value.ndim != 2 or w.value.ndim != 2:
+        raise ParameterError("affine expects 2-D operands")
+    out = x.value @ w.value + b.value
+
+    def vjp(g):
+        return ((x, g @ w.value.T), (w, x.value.T @ g), (b, _unbroadcast(g, b.value.shape)))
+
+    return _node(out, (x, w, b), vjp)
 
 
 def softmax_rows(x) -> Tensor:
     x = lift(x)
-    # A detached per-row max keeps exp() in range; softmax is shift invariant
-    # so this does not change values or gradients.
-    shift = constant(x.value.max(axis=1, keepdims=True))
-    e = exp(sub(x, shift))
-    return div(e, tsum(e, axis=1, keepdims=True))
+    # Shifting by the row max keeps exp() in range; softmax is shift invariant.
+    e = np.exp(x.value - x.value.max(axis=1, keepdims=True))
+    out = e / e.sum(axis=1, keepdims=True)
 
+    def vjp(g):
+        return ((x, out * (g - (g * out).sum(axis=1, keepdims=True))),)
 
-def logsumexp_rows(x) -> Tensor:
-    x = lift(x)
-    shift = constant(x.value.max(axis=1, keepdims=True))
-    return add(shift, log(tsum(exp(sub(x, shift)), axis=1, keepdims=True)))
+    return _node(out, (x,), vjp)
 
 
 def l2normalize_rows(x, min_norm: float = MIN_NORM) -> Tensor:
@@ -391,23 +400,39 @@ def l2normalize_rows(x, min_norm: float = MIN_NORM) -> Tensor:
         raise NumericalDegeneracyError(
             f"cannot normalize a zero-length vector (row {bad}, norm {norms[bad]:.3e})"
         )
-    return div(x, sqrt(tsum(square(x), axis=1, keepdims=True)))
+    norms = norms[:, None]
+    out = x.value / norms
+
+    def vjp(g):
+        return ((x, (g - out * (g * out).sum(axis=1, keepdims=True)) / norms),)
+
+    return _node(out, (x,), vjp)
 
 
 def layer_norm_rows(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Feature-dimension LayerNorm with learnable gain/bias."""
-    x = lift(x)
-    mu = tmean(x, axis=1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(square(centered), axis=1, keepdims=True)
-    normed = div(centered, sqrt(add(var, eps)))
-    return add(mul(normed, gain), bias)
+    x, gain, bias = lift(x), lift(gain), lift(bias)
+    centered = x.value - x.value.mean(axis=1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
+    normed = centered / std
+    out = normed * gain.value + bias.value
+
+    def vjp(g):
+        gn = g * gain.value
+        gx = (gn - gn.mean(axis=1, keepdims=True)
+              - normed * (gn * normed).mean(axis=1, keepdims=True)) / std
+        return (
+            (x, _unbroadcast(gx, x.value.shape)),
+            (gain, _unbroadcast(g * normed, gain.value.shape)),
+            (bias, _unbroadcast(g, bias.value.shape)),
+        )
+
+    return _node(out, (x, gain, bias), vjp)
 
 
 def mlp_rows(x, w1, b1, w2, b2) -> Tensor:
     """Affine -> tanh -> affine applied to each row."""
-    hidden = tanh(add(matmul(lift(x), w1), b1))
-    return add(matmul(hidden, w2), b2)
+    return affine(tanh(affine(x, w1, b1)), w2, b2)
 
 
 def cross_entropy_mean(logits, labels, num_classes: int | None = None) -> Tensor:
@@ -423,20 +448,36 @@ def cross_entropy_mean(logits, labels, num_classes: int | None = None) -> Tensor
         raise ParameterError("labels do not match the logit batch")
     if np.any(labels < 0) or np.any(labels >= c):
         raise ParameterError("label out of range")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    picked = tsum(mul(logits, constant(onehot)), axis=1, keepdims=True)
-    return tmean(sub(logsumexp_rows(logits), picked))
+    x = logits.value
+    shift = x.max(axis=1, keepdims=True)
+    e = np.exp(x - shift)
+    total = e.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    out = ((shift + np.log(total)) - x[rows, labels][:, None]).mean()
+
+    def vjp(g):
+        grad = e / total
+        grad[rows, labels] -= 1.0
+        return ((logits, grad * (g / n)),)
+
+    return _node(out, (logits,), vjp)
 
 
 def cosine_rows(a, b, min_norm: float = MIN_NORM) -> Tensor:
     """Row-wise cosine similarity; degenerate rows raise."""
     a, b = lift(a), lift(b)
-    for side in (a, b):
-        norms = np.sqrt((side.value * side.value).sum(axis=1))
-        if np.any(norms < min_norm):
-            raise NumericalDegeneracyError("cosine of a zero-length vector")
-    num = tsum(mul(a, b), axis=1)
-    na = sqrt(tsum(square(a), axis=1))
-    nb = sqrt(tsum(square(b), axis=1))
-    return div(num, mul(na, nb))
+    na = np.sqrt((a.value * a.value).sum(axis=1))
+    nb = np.sqrt((b.value * b.value).sum(axis=1))
+    if np.any(na < min_norm) or np.any(nb < min_norm):
+        raise NumericalDegeneracyError("cosine of a zero-length vector")
+    den = na * nb
+    out = (a.value * b.value).sum(axis=1) / den
+
+    def vjp(g):
+        gd = (g / den)[:, None]
+        gc = (g * out)[:, None]
+        ga = gd * b.value - gc * a.value / (na * na)[:, None]
+        gb = gd * a.value - gc * b.value / (nb * nb)[:, None]
+        return ((a, _unbroadcast(ga, a.value.shape)), (b, _unbroadcast(gb, b.value.shape)))
+
+    return _node(out, (a, b), vjp)

@@ -151,6 +151,8 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     return parse_config_text(text, base)
 
 

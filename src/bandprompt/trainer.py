@@ -185,7 +185,12 @@ class TrainState:
 
 
 class Adam:
-    """Standard Adam; a missing gradient counts as exactly zero."""
+    """Standard Adam; a missing gradient counts as exactly zero.
+
+    The moments of all parameters live in two flat buffers, laid out in
+    `params` order, and one step updates every entry in one vectorized pass.
+    The update is elementwise, so it equals a per-tensor loop bitwise.
+    """
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -193,20 +198,29 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        size = sum(p.value.size for p in params.values())
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.value)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[name] / b1c
-            v_hat = self.v[name] / b2c
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params = self.params.values()
+        g = np.concatenate([p.grad.ravel() if p.grad is not None else np.zeros(p.value.size)
+                            for p in params])
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        m_hat = self.m / b1c
+        v_hat = self.v / b2c
+        flat = np.concatenate([p.value.ravel() for p in params])
+        flat = flat - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # Each parameter's new value is a view of its span of `flat`.
+        start = 0
+        for p in params:
+            stop = start + p.value.size
+            p.value = flat[start:stop].reshape(p.value.shape)
+            start = stop
 
 
 # ---------------------------------------------------------------------------

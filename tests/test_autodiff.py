@@ -180,14 +180,6 @@ def test_constants_never_receive_gradients():
     assert np.array_equal(p.grad, np.ones((2, 3)))
 
 
-def test_stopgrad_blocks_flow():
-    p = ad.parameter(np.array([1.0, 2.0]))
-    root = ad.tsum(ad.mul(ad.stopgrad(p), p))
-    ad.backward(root)
-    # d/dp of sum(const * p) = const, not 2p
-    assert np.array_equal(p.grad, p.value)
-
-
 def test_backward_requires_scalar():
     p = ad.parameter(np.ones((2, 2)))
     with pytest.raises(ParameterError):
@@ -218,3 +210,176 @@ def test_deep_chain_does_not_recurse():
         node = ad.add(node, 0.0)
     ad.backward(ad.tsum(node))
     assert np.allclose(p.grad, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# The fused composites against the primitive chains they replaced. The chains
+# live on here only, as references.
+
+FUSED_RTOL = 1e-12
+
+
+def chain_affine(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def chain_softmax_rows(x):
+    x = ad.lift(x)
+    shift = ad.constant(x.value.max(axis=1, keepdims=True))
+    e = ad.exp(ad.sub(x, shift))
+    return ad.div(e, ad.tsum(e, axis=1, keepdims=True))
+
+
+def chain_l2normalize_rows(x):
+    x = ad.lift(x)
+    return ad.div(x, ad.sqrt(ad.tsum(ad.square(x), axis=1, keepdims=True)))
+
+
+def chain_layer_norm_rows(x, gain, bias, eps=1e-5):
+    x = ad.lift(x)
+    centered = ad.sub(x, ad.tmean(x, axis=1, keepdims=True))
+    var = ad.tmean(ad.square(centered), axis=1, keepdims=True)
+    normed = ad.div(centered, ad.sqrt(ad.add(var, eps)))
+    return ad.add(ad.mul(normed, gain), bias)
+
+
+def chain_mlp_rows(x, w1, b1, w2, b2):
+    hidden = ad.tanh(chain_affine(ad.lift(x), w1, b1))
+    return chain_affine(hidden, w2, b2)
+
+
+def chain_cross_entropy_mean(logits, labels):
+    logits = ad.lift(logits)
+    labels = np.asarray(labels, dtype=np.intp)
+    n, c = logits.value.shape
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), labels] = 1.0
+    picked = ad.tsum(ad.mul(logits, ad.constant(onehot)), axis=1, keepdims=True)
+    shift = ad.constant(logits.value.max(axis=1, keepdims=True))
+    lse = ad.add(shift, ad.log(ad.tsum(ad.exp(ad.sub(logits, shift)), axis=1, keepdims=True)))
+    return ad.tmean(ad.sub(lse, picked))
+
+
+def chain_cosine_rows(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+    num = ad.tsum(ad.mul(a, b), axis=1)
+    na = ad.sqrt(ad.tsum(ad.square(a), axis=1))
+    nb = ad.sqrt(ad.tsum(ad.square(b), axis=1))
+    return ad.div(num, ad.mul(na, nb))
+
+
+CHAINS = {
+    "affine": chain_affine,
+    "softmax_rows": chain_softmax_rows,
+    "l2normalize_rows": chain_l2normalize_rows,
+    "layer_norm_rows": chain_layer_norm_rows,
+    "mlp_rows": chain_mlp_rows,
+    "cross_entropy_mean": chain_cross_entropy_mean,
+    "cosine_rows": chain_cosine_rows,
+}
+
+
+def assert_matches(got, want):
+    """Max-norm error within FUSED_RTOL of the reference's max magnitude."""
+    assert got.shape == want.shape
+    err = np.max(np.abs(got - want))
+    assert err <= FUSED_RTOL * np.max(np.abs(want)), err
+
+
+def value_and_vjp(op, arrays):
+    """The op's value and the gradient of <op(arrays), c> for a random c."""
+    params = [ad.parameter(a) for a in arrays]
+    out = op(*params)
+    c = np.random.default_rng(0).normal(size=out.shape)
+    ad.backward(ad.tsum(ad.mul(out, ad.constant(c))))
+    return out.value, [p.grad for p in params]
+
+
+def fused_cases():
+    """(id, fused op, chain, arrays): random shapes, one-row batches,
+    broadcast gain/bias and duplicate labels."""
+    rng = np.random.default_rng(11)
+    for n, d in [(1, 1), (1, 5), (2, 3), (7, 4), (16, 16), (5, 33)]:
+        k, h = (int(v) for v in rng.integers(1, 9, size=2))
+        x = rng.normal(size=(n, d)) * 2.0
+        tag = f"{n}x{d}"
+        for bias_shape in [(k,), (1, k)]:
+            yield (f"affine-{tag}-bias{bias_shape}", ad.affine, chain_affine,
+                   [x, rng.normal(size=(d, k)), rng.normal(size=bias_shape)])
+        yield f"softmax-{tag}", ad.softmax_rows, chain_softmax_rows, [5.0 * x]
+        yield f"l2normalize-{tag}", ad.l2normalize_rows, chain_l2normalize_rows, [x + 0.1]
+        yield (f"cosine-{tag}", ad.cosine_rows, chain_cosine_rows,
+               [x + 0.1, rng.normal(size=(n, d))])
+        yield (f"mlp-{tag}", ad.mlp_rows, chain_mlp_rows,
+               [x, rng.normal(size=(d, h)), rng.normal(size=h),
+                rng.normal(size=(h, k)), rng.normal(size=k)])
+        if d > 1:
+            for gain_shape, bias_shape in [((d,), (d,)), ((1, d), (d,)),
+                                           ((d,), (n, d)), ((), (1, d))]:
+                yield (f"layer_norm-{tag}-gain{gain_shape}-bias{bias_shape}",
+                       ad.layer_norm_rows, chain_layer_norm_rows,
+                       [x, rng.normal(size=gain_shape) + 1.0, rng.normal(size=bias_shape)])
+        # n labels over d + 1 classes: any batch of more than d + 1 rows repeats one
+        labels = rng.integers(0, d + 1, size=n)
+        yield (f"cross_entropy-{tag}",
+               lambda a, y=labels: ad.cross_entropy_mean(a, y),
+               lambda a, y=labels: chain_cross_entropy_mean(a, y),
+               [3.0 * rng.normal(size=(n, d + 1))])
+    same = np.zeros(6, dtype=np.intp)
+    yield ("cross_entropy-one-label",
+           lambda a: ad.cross_entropy_mean(a, same),
+           lambda a: chain_cross_entropy_mean(a, same),
+           [rng.normal(size=(6, 3))])
+
+
+FUSED_CASES = list(fused_cases())
+
+
+@pytest.mark.parametrize("fused,chain,arrays", [c[1:] for c in FUSED_CASES],
+                         ids=[c[0] for c in FUSED_CASES])
+def test_fused_op_matches_its_primitive_chain(fused, chain, arrays):
+    value, grads = value_and_vjp(fused, arrays)
+    want_value, want_grads = value_and_vjp(chain, arrays)
+    assert_matches(value, want_value)
+    for got, want in zip(grads, want_grads):
+        assert_matches(got, want)
+
+
+def test_training_graph_matches_the_chains(monkeypatch):
+    """The whole objective and every parameter gradient, fused against chains.
+
+    `agg.ln_bias` is compared in absolute terms: the bias is shared by every
+    class row, so it shifts all logits of the one term that sees the refined
+    rows equally, and its true gradient is 0. Both sides read rounding noise.
+    """
+    from bandprompt import trainer
+    from bandprompt.teacher import SyntheticSpec, generate_dataset
+
+    cache = generate_dataset(SyntheticSpec(num_classes=4, seed=0), n_per_class=8)
+    cfg = trainer.TrainConfig(embed_dim=8, bank_size=6, seed=0)
+    state = trainer.init_state(cache, cfg)
+    feats = trainer.compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    trainer.fill_bank(state, feats)
+    idx = np.arange(0, 32, 2)
+    pi = np.random.default_rng(0).permutation(len(idx))
+    for _ in range(3):  # zero-initialized final layers start to carry signal
+        trainer.train_step(state, feats, idx, cfg, pi)
+
+    def objective_and_grads():
+        total, _ = trainer.forward_batch(state.params, feats, idx, state.bank, cfg, pi)
+        ad.zero_grads(state.params.values())
+        ad.backward(total)
+        return total.value, {k: p.grad for k, p in state.params.items()}
+
+    fused_total, fused = objective_and_grads()
+    for name, chain in CHAINS.items():
+        monkeypatch.setattr(ad, name, chain)
+    chain_total, chained = objective_and_grads()
+
+    assert_matches(fused_total, chain_total)
+    for name, want in chained.items():
+        if name == "agg.ln_bias":
+            assert np.max(np.abs(want)) <= FUSED_RTOL
+            assert np.max(np.abs(fused[name] - want)) <= FUSED_RTOL
+        else:
+            assert_matches(fused[name], want)

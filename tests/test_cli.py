@@ -246,6 +246,14 @@ def test_usage_errors_exit_one(ws):
     assert main(["--help"]) == 0
 
 
+def test_non_utf8_config_is_a_config_error(ws, capsys):
+    bad = ws["root"] / "not_utf8.cfg"
+    bad.write_bytes(b"seed = 1\n# \xff\n")
+    assert main(["gen", "--config", str(bad), "--out", str(ws["root"] / "x.bin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not_utf8.cfg" in err and "UTF-8" in err
+
+
 def test_missing_inputs_exit_two(ws):
     assert main(["train", "--config", ws["cfg"],
                  "--cache", str(ws["root"] / "missing.bin"),

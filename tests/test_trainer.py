@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+import bandprompt.autodiff as ad
 from bandprompt.errors import BankStateError, ParameterError
 from bandprompt.teacher import LatentCache, SyntheticSpec, generate_dataset
 from bandprompt.trainer import (
     FROZEN_INPUTS,
+    Adam,
     ToyVisualEncoder,
     TrainConfig,
     compute_features,
     fill_bank,
     fit,
+    forward_batch,
     init_state,
     load_checkpoint,
     run_gradient_check,
@@ -117,6 +120,54 @@ def test_disabled_terms_collapse_total_onto_cls(cache):
     parts = train_step(state, feats, idx, cfg, None)
     assert parts.sem is None and parts.granule_f is None and parts.granule_cf is None
     assert parts.total == parts.cls
+
+
+def reachable_tensors(root):
+    """Distinct tensors reachable from `root` through parent links."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_default_objective_tape_size(cache):
+    # One node per fused composite; the primitive chains they replaced made
+    # the same objective reach 215 tensors.
+    cfg = TrainConfig()
+    state = init_state(cache, cfg)
+    feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    fill_bank(state, feats)
+    idx = np.arange(cfg.batch_size)
+    pi = np.random.default_rng(0).permutation(cfg.batch_size)
+    total, _ = forward_batch(state.params, feats, idx, state.bank, cfg, pi)
+    assert reachable_tensors(total) == 116
+
+
+def test_adam_flat_step_equals_the_per_tensor_loop():
+    rng = np.random.default_rng(4)
+    shapes = {"a": (3, 4), "b": (4,), "c": (2, 1), "d": (5,)}
+    params = {k: ad.parameter(rng.normal(size=s)) for k, s in shapes.items()}
+    opt = Adam(params, lr=1e-2)
+    ref = {k: p.value.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    for t in range(1, 5):
+        for k, p in params.items():
+            # "d" never gets a gradient: it counts as exactly zero
+            p.grad = None if k == "d" else rng.normal(size=shapes[k])
+        opt.step()
+        for k, p in params.items():
+            g = p.grad if p.grad is not None else np.zeros(shapes[k])
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+            m_hat = m[k] / (1.0 - 0.9**t)
+            v_hat = v[k] / (1.0 - 0.999**t)
+            ref[k] = ref[k] - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(p.value, ref[k]), (t, k)
 
 
 def test_fit_fill_phase_consumes_whole_batches(cache):
