@@ -23,7 +23,8 @@ from bandprompt.bank import (
     retrieve_rows,
     write_bank,
 )
-from bandprompt.refine import build_text_features, mix, refine_rows
+from bandprompt.granules import fuse_rows
+from bandprompt.refine import build_text_features, mix
 from bandprompt.trainer import init_group
 
 
@@ -66,15 +67,15 @@ def main() -> None:
     agg = init_group("agg", 0, 0, d, np.random.default_rng(7))
     t = unit(rng, d)[None, :]  # one text row
     _, r = retrieve_rows(bank.entries, t, bank.temperature)
-    t_ref = refine_rows(t, r, *agg.values()).value
+    t_ref = fuse_rows(t, r, *agg.values()).value
     ln = (t - t.mean()) / np.sqrt(t.var() + 1e-5)
     print(f"\nfresh aggregator == LayerNorm(t): {bool(np.allclose(t_ref, ln))} "
           f"(row mean {t_ref.mean():.1e}, |row| = sqrt(d) = {float(np.linalg.norm(t_ref)):.4f})")
 
     # give the residual path weight and the context starts to matter
     agg["agg.w2"] = np.random.default_rng(8).normal(0.0, 0.3, size=(d, d))
-    with_r = refine_rows(t, r, *agg.values()).value
-    with_other = refine_rows(t, unit(rng, d)[None, :], *agg.values()).value
+    with_r = fuse_rows(t, r, *agg.values()).value
+    with_other = fuse_rows(t, unit(rng, d)[None, :], *agg.values()).value
     print(f"context sensitivity: max |refine(t, r) - refine(t, r')| = "
           f"{float(np.abs(with_r - with_other).max()):.4f}")
     t_ref = with_r

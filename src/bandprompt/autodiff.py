@@ -13,6 +13,7 @@ than a convention.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -24,11 +25,15 @@ Array = np.ndarray
 # Norms below this are treated as degenerate rather than normalized.
 MIN_NORM = 1e-12
 
+# Creation stamps; `backward` runs VJPs in decreasing stamp order. One counter
+# serves every tape: only the order of the stamps matters.
+_stamps = itertools.count()
+
 
 class Tensor:
     """A float64 array plus the bookkeeping for reverse-mode gradients."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp", "_stamp")
 
     def __init__(
         self,
@@ -42,6 +47,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._vjp = _vjp
+        self._stamp = next(_stamps)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -49,37 +55,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.value)
-
-    # Operator sugar; every overload routes through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self) -> str:
         tag = "param" if self.requires_grad and not self._parents else "node"
@@ -127,28 +102,21 @@ def backward(root: Tensor) -> None:
         raise ParameterError("backward() needs a scalar root")
     if not root.requires_grad:
         return
-    # Iterative post-order over the live subgraph.
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    # A node is stamped after its parents, so creation order is a topological
+    # order: running the reachable VJPs newest-first hands each node its whole
+    # gradient before its own VJP runs.
+    pending = {root._stamp: root} if root._vjp is not None else {}
+    stack = list(pending.values())
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
+        for parent in stack.pop()._parents:
+            if parent._vjp is not None and parent._stamp not in pending:
+                pending[parent._stamp] = parent
+                stack.append(parent)
     root.grad = np.ones_like(root.value)
-    for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
-            continue
+    for stamp in sorted(pending, reverse=True):
+        node = pending[stamp]
         for parent, g in node._vjp(node.grad):
-            if not parent.requires_grad or g is None:
+            if not parent.requires_grad:
                 continue
             if parent.grad is None:
                 # A copy: one VJP may hand the same array to two parents.
@@ -184,15 +152,6 @@ def sub(a, b) -> Tensor:
         return ((a, _unbroadcast(g, a.value.shape)), (b, _unbroadcast(-g, b.value.shape)))
 
     return _node(out, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = lift(a)
-
-    def vjp(g):
-        return ((a, -g),)
-
-    return _node(-a.value, (a,), vjp)
 
 
 def mul(a, b) -> Tensor:

@@ -102,7 +102,7 @@ def absorb(bank: SemanticBank, t_low: np.ndarray) -> SemanticBank:
 
 def retrieval_scores(entries: np.ndarray, queries: ad.Tensor, temperature: float) -> ad.Tensor:
     """(n, M) inner-product scores over frozen entries, divided by temperature."""
-    return ad.matmul(queries, ad.constant(entries.T)) * (1.0 / temperature)
+    return ad.mul(ad.matmul(queries, ad.constant(entries.T)), 1.0 / temperature)
 
 
 def retrieve_rows(entries: np.ndarray, queries, temperature: float) -> tuple[ad.Tensor, ad.Tensor]:

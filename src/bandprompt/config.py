@@ -8,6 +8,7 @@ defaults < config file < --set overrides < SPECPL_SEED.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -118,7 +119,10 @@ def _coerce(key: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+            return value
         return raw
     except ValueError:
         raise ConfigError(f"invalid value for {key}: {raw!r}") from None

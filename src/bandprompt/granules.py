@@ -1,4 +1,4 @@
-"""Detail-granule conditioning of visual embeddings (training-time only).
+"""Detail-granule conditioning of visual embeddings, and the residual composite.
 
 A fusion net folds a high-band granule into its class anchor,
 
@@ -11,8 +11,11 @@ and a modulation net emits feature-wise scale/shift from the fused code,
 Final layers of both nets start at zero (`trainer.param_table`), so training
 begins at identity modulation. Counterfactual batches swap granules by a batch permutation while
 anchors and visual embeddings stay in place; the target for position i
-becomes the label of the granule donor pi(i). Nothing in this module is used
-at inference.
+becomes the label of the granule donor pi(i). Granule conditioning is
+training-time only; `evaluate` uses it solely to score granule sources.
+
+`fuse_rows` is the model's one residual composite: `refine` runs it with the
+`agg` parameter group to anchor class-text rows to their bank contexts.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ParameterError
-from .refine import LAYER_NORM_EPS
 
 
 def fuse_rows(anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias) -> ad.Tensor:
@@ -29,7 +31,7 @@ def fuse_rows(anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias) -> ad.Tensor:
     anchors = ad.lift(anchors)
     joint = ad.concat_cols(anchors, ad.lift(granules))
     residual = ad.mlp_rows(joint, w1, b1, w2, b2)
-    return ad.layer_norm_rows(ad.add(anchors, residual), ln_gain, ln_bias, LAYER_NORM_EPS)
+    return ad.layer_norm_rows(ad.add(anchors, residual), ln_gain, ln_bias)
 
 
 def film_rows(codes, visual, w1, b1, w2, b2) -> ad.Tensor:

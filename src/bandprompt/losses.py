@@ -50,10 +50,8 @@ class LossBreakdown:
 
 def _rows(x) -> ad.Tensor:
     t = ad.lift(x)
-    if t.value.ndim == 1:
-        return ad.lift(t.value[None, :]) if not t.requires_grad else t
     if t.value.ndim != 2:
-        raise ParameterError("expected a vector or a (n, d) matrix")
+        raise ParameterError(f"expected a (n, d) row batch, got shape {t.value.shape}")
     return t
 
 
@@ -68,7 +66,7 @@ def class_logits(visual, text_rows, scale: float) -> ad.Tensor:
     """scale * v @ rows^T for row batches of visual embeddings."""
     if scale <= 0.0:
         raise ParameterError(f"logit scale must be > 0, got {scale}")
-    return ad.matmul(_rows(visual), ad.transpose(ad.lift(text_rows))) * scale
+    return ad.mul(ad.matmul(_rows(visual), ad.transpose(ad.lift(text_rows))), scale)
 
 
 def loss_cls(visual, text_rows, labels, scale: float = DEFAULT_LOGIT_SCALE) -> ad.Tensor:
@@ -92,9 +90,8 @@ def pseudo_labels(visual, text_rows, scale: float = DEFAULT_LOGIT_SCALE) -> np.n
 def expected_text(probs: np.ndarray, raw_rows) -> ad.Tensor:
     """Pseudo-label mixture over L2-normalized raw rows."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = probs[None, :]
-    if np.any(probs < -1e-12) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
+    if (probs.ndim != 2 or np.any(probs < -1e-12)
+            or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9)):
         raise ParameterError("pseudo-labels must be a distribution per row")
     rows = ad.l2normalize_rows(_rows(raw_rows))
     return ad.matmul(ad.constant(probs), rows)
@@ -130,11 +127,11 @@ def combine(cls_term: ad.Tensor,
     """Weighted total as a tape scalar plus the float breakdown."""
     total = cls_term
     if sem_term is not None:
-        total = ad.add(total, sem_term * lambda_sem)
+        total = ad.add(total, ad.mul(sem_term, lambda_sem))
     if gf_term is not None:
-        total = ad.add(total, gf_term * lambda_gf)
+        total = ad.add(total, ad.mul(gf_term, lambda_gf))
     if gcf_term is not None:
-        total = ad.add(total, gcf_term * lambda_gcf)
+        total = ad.add(total, ad.mul(gcf_term, lambda_gcf))
     parts = LossBreakdown(
         cls=cls_term.item(),
         sem=None if sem_term is None else sem_term.item(),

@@ -5,9 +5,10 @@ aggregator folds the pair back into the row:
 
     refined_c = LayerNorm(t_c + Agg([t_c ; r_c]))
 
-The mixed rows used for prediction are a convex combination
-(1 - eta) * raw + eta * refined. No further normalization is applied after
-the LayerNorm; the mixed rows are consumed as-is by the logit layer.
+That is `granules.fuse_rows` run with the `agg` parameter group. The mixed
+rows used for prediction are a convex combination (1 - eta) * raw +
+eta * refined. No further normalization is applied after the LayerNorm; the
+mixed rows are consumed as-is by the logit layer.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .bank import SemanticBank, retrieve_rows
 from .errors import BankStateError, ParameterError
-
-LAYER_NORM_EPS = 1e-5
+from .granules import fuse_rows
 
 
 @dataclass(frozen=True)
@@ -45,20 +45,12 @@ class TextFeatureSet:
         return self.raw.shape[0]
 
 
-def refine_rows(rows, contexts, w1, b1, w2, b2, ln_gain, ln_bias) -> ad.Tensor:
-    """Tape composite: LayerNorm(rows + MLP([rows ; contexts]))."""
-    rows = ad.lift(rows)
-    joint = ad.concat_cols(rows, ad.lift(contexts))
-    residual = ad.mlp_rows(joint, w1, b1, w2, b2)
-    return ad.layer_norm_rows(ad.add(rows, residual), ln_gain, ln_bias, LAYER_NORM_EPS)
-
-
 def refined_text_graph(raw_rows, bank_entries: np.ndarray, temperature: float,
                        agg_params) -> ad.Tensor:
     """Retrieval plus refinement for every class row at once."""
     raw_rows = ad.lift(raw_rows)
     _, contexts = retrieve_rows(bank_entries, raw_rows, temperature)
-    return refine_rows(raw_rows, contexts, *agg_params)
+    return fuse_rows(raw_rows, contexts, *agg_params)
 
 
 def mix(raw: np.ndarray, refined: np.ndarray, eta: float) -> np.ndarray:
@@ -75,7 +67,7 @@ def mix(raw: np.ndarray, refined: np.ndarray, eta: float) -> np.ndarray:
 def build_text_features(raw: np.ndarray, bank: SemanticBank | None, agg_params,
                         eta: float, use_bank: bool = True) -> TextFeatureSet:
     """Fresh feature set from current rows, bank and aggregator group
-    (`agg_params`, in `refine_rows` order).
+    (`agg_params`, in `fuse_rows` order).
 
     With the bank disabled the refined rows are defined to equal the raw rows,
     so every downstream consumer collapses to the raw-text baseline.

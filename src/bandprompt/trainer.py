@@ -142,9 +142,6 @@ class ToyVisualEncoder:
         weight = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(dim, n_in))
         return cls(weight=weight, grid=(c, h, w), seed=seed)
 
-    def encode(self, z) -> np.ndarray:
-        return self.encode_batch(np.asarray(z)[None])[0]
-
     def encode_batch(self, arrays) -> np.ndarray:
         x = np.asarray(arrays, dtype=np.float64)
         if x.ndim != 4 or x.shape[1:] != self.grid:

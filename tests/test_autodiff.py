@@ -383,3 +383,123 @@ def test_training_graph_matches_the_chains(monkeypatch):
             assert np.max(np.abs(fused[name] - want)) <= FUSED_RTOL
         else:
             assert_matches(fused[name], want)
+
+
+# ---------------------------------------------------------------------------
+# `backward` runs the reachable VJPs newest-first by creation stamp. The
+# two-phase post-order traversal it replaced lives on here as the reference.
+
+
+def backward_post_order(root):
+    """The reference: post-order DFS over the live subgraph, then VJPs in
+    reverse post-order."""
+    topo = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.ones_like(root.value)
+    for node in reversed(topo):
+        if node._vjp is None or node.grad is None:
+            continue
+        for parent, g in node._vjp(node.grad):
+            if not parent.requires_grad:
+                continue
+            if parent.grad is None:
+                parent.grad = np.array(g)
+            else:
+                parent.grad += g
+
+
+def tape_nodes(root):
+    """Every tensor reachable from `root`, constants included."""
+    nodes = {id(root): root}
+    stack = [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in nodes:
+                nodes[id(p)] = p
+                stack.append(p)
+    return list(nodes.values())
+
+
+def test_training_step_gradients_match_the_post_order_reference():
+    """All 25 parameter gradients of a default-config step, newest-first
+    against the post-order reference. `agg.ln_bias` has a true gradient of 0
+    (see `test_training_graph_matches_the_chains`) and is compared in absolute
+    terms."""
+    from bandprompt import trainer
+    from bandprompt.teacher import SyntheticSpec, generate_dataset
+
+    cache = generate_dataset(SyntheticSpec(num_classes=4, seed=0), n_per_class=8)
+    cfg = trainer.TrainConfig(embed_dim=8, bank_size=6, seed=0)
+    state = trainer.init_state(cache, cfg)
+    feats = trainer.compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    trainer.fill_bank(state, feats)
+    idx = np.arange(0, 32, 2)
+    pi = np.random.default_rng(0).permutation(len(idx))
+    for _ in range(3):  # zero-initialized final layers start to carry signal
+        trainer.train_step(state, feats, idx, cfg, pi)
+
+    def grads(run_backward):
+        total, _ = trainer.forward_batch(state.params, feats, idx, state.bank, cfg, pi)
+        for node in tape_nodes(total):
+            assert all(node._stamp > p._stamp for p in node._parents)
+        ad.zero_grads(state.params.values())
+        run_backward(total)
+        return {k: p.grad for k, p in state.params.items()}
+
+    got = grads(ad.backward)
+    want = grads(backward_post_order)
+    assert len(want) == 25 and all(g is not None for g in want.values())
+    for name, g in want.items():
+        if name == "agg.ln_bias":
+            assert np.max(np.abs(got[name] - g)) <= FUSED_RTOL
+        else:
+            assert_matches(got[name], g)
+
+
+@pytest.mark.parametrize("short_first", [False, True])
+def test_diamond_runs_each_vjp_once(short_first):
+    """s feeds a long branch (s -> u -> v) and a short one (s -> w); the
+    root's parent order puts whichever branch was made later first."""
+    p = ad.parameter(np.array([[0.3, -0.7]]))
+    s = ad.tanh(p)
+    if short_first:
+        w = ad.mul(s, 3.0)
+        v = ad.square(ad.add(s, 1.0))
+        root = ad.tsum(ad.add(v, w))
+    else:
+        v = ad.square(ad.add(s, 1.0))
+        w = ad.mul(s, 3.0)
+        root = ad.tsum(ad.add(w, v))
+    calls = {}
+
+    def counted(node):
+        vjp = node._vjp
+
+        def run(g):
+            calls[id(node)] = calls.get(id(node), 0) + 1
+            return vjp(g)
+
+        return run
+
+    owners = [n for n in tape_nodes(root) if n._vjp is not None]
+    for node in owners:
+        node._vjp = counted(node)
+    ad.backward(root)
+    assert len(owners) == 6
+    assert sorted(calls) == sorted(id(n) for n in owners)
+    assert all(c == 1 for c in calls.values())
+    t = np.tanh(p.value)
+    assert np.allclose(p.grad, (2.0 * (t + 1.0) + 3.0) * (1.0 - t * t), rtol=1e-14)

@@ -1,12 +1,14 @@
 """End-to-end command-line behavior and exit codes."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bandprompt.bank import read_bank
 from bandprompt.cli import main
+from bandprompt.config import RunConfig
 from bandprompt.teacher import read_cache
 from bandprompt.trainer import load_checkpoint
 
@@ -252,6 +254,21 @@ def test_non_utf8_config_is_a_config_error(ws, capsys):
     assert main(["gen", "--config", str(bad), "--out", str(ws["root"] / "x.bin")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not_utf8.cfg" in err and "UTF-8" in err
+
+
+FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_settings_exit_one(ws, capsys, key):
+    out = ws["root"] / f"nonfinite_{key}"
+    for value in ("nan", "inf", "-inf"):
+        assert main(["train", "--config", ws["cfg"], "--set", f"{key}={value}",
+                     "--cache", ws["cache"], "--checkpoint", f"{out}_ckpt.txt",
+                     "--history", f"{out}_hist.txt", "--report", f"{out}_eval.txt"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and value in err
+    assert not os.path.exists(f"{out}_ckpt.txt")
 
 
 def test_missing_inputs_exit_two(ws):

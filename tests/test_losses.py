@@ -147,6 +147,21 @@ def test_class_logits_validation_and_shape():
         loss_cls(v, rows, [0], scale=100.0)  # one label for two rows
 
 
+def test_losses_take_row_batches_only():
+    rows = np.eye(2)
+    for visual in (np.array([1.0, 0.0]), ad.parameter(np.array([1.0, 0.0]))):
+        with pytest.raises(ParameterError):
+            loss_cls(visual, rows, [0])
+        with pytest.raises(ParameterError):
+            loss_granule(visual, rows, [0])
+        with pytest.raises(ParameterError):
+            loss_sem(np.array([[1.0, 0.0]]), rows, visual)
+    with pytest.raises(ParameterError):
+        expected_text(np.array([0.5, 0.5]), rows)
+    with pytest.raises(ParameterError):
+        loss_cls(np.zeros((1, 1, 2)), rows, [0])
+
+
 def test_cls_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     n, c, d = 4, 3, 5

@@ -6,11 +6,11 @@ import pytest
 import bandprompt.autodiff as ad
 from bandprompt.bank import SemanticBank
 from bandprompt.errors import BankStateError, ParameterError
+from bandprompt.granules import fuse_rows
 from bandprompt.refine import (
     TextFeatureSet,
     build_text_features,
     mix,
-    refine_rows,
     refined_text_graph,
 )
 from bandprompt.trainer import init_group
@@ -42,15 +42,15 @@ def test_fresh_aggregator_is_plain_layer_norm():
     agg = zero_aggregator(4)
     t = rng.normal(size=(1, 4))
     r = rng.normal(size=(1, 4))
-    assert np.allclose(refine_rows(t, r, *agg).value, layer_norm_oracle(t), atol=1e-12)
+    assert np.allclose(fuse_rows(t, r, *agg).value, layer_norm_oracle(t), atol=1e-12)
 
 
 def test_pinned_two_dim_refinement():
     agg = zero_aggregator(2)
-    out = refine_rows(np.array([[1.0, 1.0]]), np.zeros((1, 2)), *agg).value[0]
+    out = fuse_rows(np.array([[1.0, 1.0]]), np.zeros((1, 2)), *agg).value[0]
     # constant row: LN maps to zeros
     assert np.allclose(out, [0.0, 0.0], atol=1e-3)
-    out = refine_rows(np.array([[2.0, 0.0]]), np.zeros((1, 2)), *agg).value[0]
+    out = fuse_rows(np.array([[2.0, 0.0]]), np.zeros((1, 2)), *agg).value[0]
     # mean 1, var 1: standardized to (+1, -1) up to the 1e-5 eps
     assert np.allclose(out, [1.0, -1.0], atol=1e-2)
 
