@@ -1,12 +1,13 @@
 """Base-to-novel protocol with loss ablations and the counterfactual probe.
 
 Even classes train (16 shots each); odd classes are never trained and enter
-prediction as frozen prototype means refined through the bank. The ablation
-flags switch individual loss terms off, so the table shows what each term
-buys on held-out base and novel samples. The counterfactual probe swaps
-high-band granules inside a batch and asks how often the modulated embedding
-classifies as the donor's class: high means the fusion path really carries
-granule content, and dropping the counterfactual term collapses it.
+prediction as frozen prototype means refined through the bank. Each ablation
+sets the weights of some loss terms to 0, which switches them off, so the
+table shows what each term buys on held-out base and novel samples. The
+counterfactual probe swaps high-band granules inside a batch and asks how
+often the modulated embedding classifies as the donor's class: high means the
+fusion path really carries granule content, and dropping the counterfactual
+term collapses it.
 
 Config notes: logit_scale=100 saturates the cross-entropy terms on this
 linearly separable toy set within a few epochs, which starves the aggregator
@@ -25,11 +26,11 @@ from bandprompt.teacher import SyntheticSpec, generate_dataset
 from bandprompt.trainer import TrainConfig
 
 VARIANTS = {
-    "full":    dict(use_sem=True, use_gf=True, use_gcf=True),
-    "sem+gf":  dict(use_sem=True, use_gf=True, use_gcf=False),
-    "sem":     dict(use_sem=True, use_gf=False, use_gcf=False),
-    "gf":      dict(use_sem=False, use_gf=True, use_gcf=False),
-    "cls":     dict(use_sem=False, use_gf=False, use_gcf=False),
+    "full":    dict(),
+    "sem+gf":  dict(lambda_gcf=0.0),
+    "sem":     dict(lambda_gf=0.0, lambda_gcf=0.0),
+    "gf":      dict(lambda_sem=0.0, lambda_gcf=0.0),
+    "cls":     dict(lambda_sem=0.0, lambda_gf=0.0, lambda_gcf=0.0),
 }
 
 
@@ -52,7 +53,7 @@ def main() -> None:
         r = proto.result
 
         probe = "     -"
-        if flags["use_gf"]:
+        if cfg.lambda_gf > 0:
             # score the swap probe on base-class samples with remapped labels
             mask = np.isin(labels, proto.base_classes)
             remap = {c: i for i, c in enumerate(proto.base_classes)}

@@ -2,8 +2,10 @@
 
 Every command resolves one flat RunConfig through `resolve_config` (defaults,
 or for `eval` the checkpoint's stamped header < config file < --set <
-SPECPL_SEED < path flags) and stamps the resolved values as a comment header
-on whatever report it writes, so runs are reproducible from their own output.
+SPECPL_SEED < command flags) and stamps the resolved values as a comment
+header on whatever report it writes, so runs are reproducible from their own
+output. `eval` skips stamped lines whose key is not a config key; a bad value
+of a config key there is a checkpoint error.
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 """
 
@@ -13,9 +15,9 @@ import argparse
 import sys
 
 from .bank import write_bank
-from .config import RunConfig, apply_setting, resolve_config
+from .config import FIELD_TYPES, RunConfig, apply_setting, resolve_config
 from .diagnostics import diagnose, write_report
-from .errors import BandpromptError, ConfigError, ProtocolError
+from .errors import BandpromptError, ConfigError, ParameterError, ProtocolError
 from .evaluate import accuracy_percent, predict, run_base_to_novel
 from .teacher import generate_dataset, read_cache, write_cache
 from .trainer import (
@@ -89,11 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args, base: RunConfig | None = None, **path_flags: str | None) -> RunConfig:
+def _resolve(args, base: RunConfig | None = None, **flags) -> RunConfig:
+    """The config of `args`; a command flag that is not None sets its key."""
     cfg = resolve_config(args.config, args.overrides, base=base)
-    for key, value in path_flags.items():
+    for key, value in flags.items():
         if value is not None:
-            cfg = apply_setting(cfg, key, value)
+            cfg = apply_setting(cfg, key, str(value))
     return cfg
 
 
@@ -122,10 +125,9 @@ def cmd_train(args) -> int:
     cfg = _resolve(args, cache_path=args.cache, checkpoint_path=args.checkpoint,
                    history_path=args.history, eval_report_path=args.report)
     cache = read_cache(cfg.cache_path)
-    tcfg = cfg.train_config()
     header = cfg.header_lines()
     if cfg.protocol == "base_to_novel":
-        out = run_base_to_novel(cache, tcfg, shots=cfg.shots,
+        out = run_base_to_novel(cache, cfg, shots=cfg.shots,
                                 select_by_base_val=cfg.select_by_base_val)
         state, res = out.state, out.result
         lines = header + [
@@ -141,8 +143,8 @@ def cmd_train(args) -> int:
         print(f"base {res.base_acc:.2f}  novel {res.novel_acc:.2f}  "
               f"hm {res.hm:.2f}  gap {res.gap_percent:.2f}")
     else:
-        state = fit(cache, tcfg)
-        print(f"trained {tcfg.epochs} epochs on {len(cache)} latents")
+        state = fit(cache, cfg)
+        print(f"trained {cfg.epochs} epochs on {len(cache)} latents")
     save_checkpoint(cfg.checkpoint_path, state, cfg.items())
     _write_history(cfg.history_path, header, state.epoch_history)
     print(f"checkpoint: {cfg.checkpoint_path}")
@@ -153,15 +155,16 @@ def cmd_eval(args) -> int:
     header_items, param_values, bank = load_checkpoint(args.checkpoint)
     stamped = RunConfig()
     for key, value in header_items.items():
+        if key not in FIELD_TYPES:
+            continue  # foreign header comment, or a key older versions had
         try:
             stamped = apply_setting(stamped, key, value)
-        except ConfigError:
-            continue  # foreign header comment, not a config key
+        except ConfigError as exc:
+            raise ParameterError(f"{args.checkpoint}: stamped {exc}") from None
     cfg = _resolve(args, base=stamped, cache_path=args.cache, eval_report_path=args.report)
     cache = read_cache(cfg.cache_path)
-    tcfg = cfg.train_config()
     encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
-    state = state_from_values(param_values, bank, encoder, tcfg)
+    state = state_from_values(param_values, bank, encoder, cfg)
     labels = cache.labels()
     if labels.max() >= state.num_classes:
         raise ProtocolError(
@@ -169,7 +172,7 @@ def cmd_eval(args) -> int:
             f"trained {state.num_classes} classes"
         )
     visual = encoder.encode_batch(cache.arrays())
-    _, pred = predict(visual, state.text_features(tcfg), tcfg.logit_scale)
+    _, pred = predict(visual, state.text_features(cfg), cfg.logit_scale)
     acc = accuracy_percent(pred, labels)
     lines = cfg.header_lines() + [f"accuracy {acc:.6f}", f"samples {len(cache)}"]
     with open(cfg.eval_report_path, "w", encoding="utf-8") as fh:
@@ -179,14 +182,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    cfg = _resolve(args, cache_path=args.cache, diag_report_path=args.report)
-    if args.k is not None:
-        cfg = apply_setting(cfg, "kernel", str(args.k))
-    if args.bands is not None:
-        cfg = apply_setting(cfg, "diag_bands", str(args.bands))
-    if args.grid is not None:
-        cfg = apply_setting(cfg, "align_h", str(args.grid))
-        cfg = apply_setting(cfg, "align_w", str(args.grid))
+    cfg = _resolve(args, cache_path=args.cache, diag_report_path=args.report,
+                   kernel=args.k, diag_bands=args.bands, align_h=args.grid, align_w=args.grid)
     cache = read_cache(cfg.cache_path)
     align = (cfg.align_h, cfg.align_w) if cfg.align_h > 0 and cfg.align_w > 0 else None
     report = diagnose(cache, kernel=cfg.kernel, num_bins=cfg.diag_bands, align=align)
@@ -212,7 +209,7 @@ def cmd_gradcheck(args) -> int:
         cache = read_cache(cfg.cache_path)
     else:
         cache = generate_dataset(cfg.synthetic_spec(), cfg.n_per_class)
-    report = run_gradient_check(cache, cfg.train_config())
+    report = run_gradient_check(cache, cfg)
     for name in sorted(report.per_param):
         print(f"{name} {report.per_param[name]:.3e}")
     print(f"worst {report.worst_param} {report.worst_error:.3e}")

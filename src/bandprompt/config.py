@@ -1,9 +1,12 @@
 """Flat key = value run configuration.
 
 One namespace covers the dataset recipe, training hyperparameters,
-diagnostic settings, and output paths. Every key has a default; unknown keys
-are hard errors so typos cannot silently fall back to defaults. Precedence:
-defaults < config file < --set overrides < SPECPL_SEED.
+diagnostic settings, and output paths. `RunConfig` extends `TrainConfig`, so
+each key is declared once and a resolved config goes straight to training.
+Every key has a default; unknown keys are hard errors so typos cannot
+silently fall back to defaults, and each value is checked as it is applied,
+so an out-of-range value is a ConfigError naming its key before any input is
+read. Precedence: defaults < config file < --set overrides < SPECPL_SEED.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .teacher import SyntheticSpec
 from .trainer import TrainConfig
 
@@ -25,7 +28,9 @@ _FALSE = {"0", "false", "no", "off"}
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(TrainConfig):
+    """The `TrainConfig` fields, then the keys that only the commands read."""
+
     # dataset
     num_classes: int = 8
     n_per_class: int = 32
@@ -36,27 +41,8 @@ class RunConfig:
     grid_c: int = 4
     grid_h: int = 16
     grid_w: int = 16
-    # training
-    embed_dim: int = 16
-    kernel: int = 7
-    lambda_sem: float = 0.1
-    lambda_gf: float = 0.1
-    lambda_gcf: float = 0.1
-    bank_size: int = 64
-    bank_tau: float = 0.07
-    bank_momentum: float = 0.1
-    bank_refresh: bool = False
-    eta: float = 1.0
-    logit_scale: float = 100.0
-    epochs: int = 30
-    batch_size: int = 16
-    learning_rate: float = 1e-3
+    # protocol
     shots: int = 16
-    use_bank: bool = True
-    use_sem: bool = True
-    use_gf: bool = True
-    use_gcf: bool = True
-    anchor: str = "raw_text_by_label"
     select_by_base_val: bool = False
     protocol: str = "base_to_novel"
     # diagnostics
@@ -70,10 +56,9 @@ class RunConfig:
     history_path: str = "loss_history.txt"
     diag_report_path: str = "diag_report.txt"
     bank_dump_path: str = "bank_dump.txt"
-    # shared
-    seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
 
@@ -84,9 +69,6 @@ class RunConfig:
             identity_band=self.identity_band,
             grid=(self.grid_c, self.grid_h, self.grid_w), seed=self.seed,
         )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def items(self) -> dict[str, str]:
         out: dict[str, str] = {}
@@ -102,11 +84,11 @@ class RunConfig:
         return lines
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    kind = FIELD_TYPES[key]
     raw = raw.strip()
     try:
         if kind == "bool":
@@ -129,10 +111,15 @@ def _coerce(key: str, raw: str):
 
 
 def apply_setting(cfg: RunConfig, key: str, raw: str) -> RunConfig:
+    """`cfg` with one key set from text. Every check reads a single field, so
+    a bad value fails here, whatever order the settings come in."""
     key = key.strip()
-    if key not in _FIELD_TYPES:
+    if key not in FIELD_TYPES:
         raise ConfigError(f"unknown config key: {key!r}")
-    return replace(cfg, **{key: _coerce(key, raw)})
+    try:
+        return replace(cfg, **{key: _coerce(key, raw)})
+    except ParameterError as exc:
+        raise ConfigError(f"invalid value for {key}: {raw.strip()!r}: {exc}") from None
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:

@@ -281,11 +281,7 @@ def granule_source_accuracy(state: TrainState, cfg: TrainConfig,
         pi = check_permutation(rng.permutation(bs), bs)
         y = feats.labels[idx]
         t_high = head_graph(ad.constant(feats.phi_detail[idx]), *high_params).value
-        if cfg.anchor == "image_embedding":
-            anchors = feats.visual[idx]
-        else:
-            anchors = anchor_rows[y]
-        codes = fuse_rows(ad.constant(anchors), ad.constant(t_high[pi]), *fuse_params)
+        codes = fuse_rows(ad.constant(anchor_rows[y]), ad.constant(t_high[pi]), *fuse_params)
         v_cf = film_rows(codes, ad.constant(feats.visual[idx]), *film_params).value
         _, pred = predict(v_cf, text_raw, cfg.logit_scale)
         hits += int(np.sum(pred == y[pi]))

@@ -10,8 +10,9 @@ Four terms, reduced by batch mean in a fixed order:
   granule_f  cross-entropy of modulated embeddings against raw rows
   granule_cf the same on counterfactually swapped granules with donor labels
 
-Total = cls + l_sem * sem + l_gf * granule_f + l_gcf * granule_cf. Disabled
-terms are absent (None) and contribute exactly zero to value and gradient.
+Total = cls + l_sem * sem + l_gf * granule_f + l_gcf * granule_cf. A term is
+built only when its weight is > 0; a term with weight 0 is absent (None) and
+contributes exactly zero to value and gradient.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ DEFAULT_LAMBDA = 0.1
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Scalar values of the enabled terms plus their weights and the total."""
+    """Scalar values of the built terms (weight > 0) plus their weights and the total."""
 
     cls: float
     sem: float | None

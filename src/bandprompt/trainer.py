@@ -4,7 +4,8 @@ The visual encoder is a fixed seeded linear map followed by L2
 normalization; it never trains. Trainable state is exactly the tensors of
 `param_table`: the raw class text rows, both band projection heads, the
 refinement aggregator, and the granule fusion/modulation nets. The bank and
-all teacher latents are frozen inputs.
+all teacher latents are frozen inputs. Each auxiliary loss term is built
+exactly when its `TrainConfig` weight is > 0; there is no separate switch.
 
 Every forward pass is built on the autodiff tape in float64, so seeded runs
 are bitwise reproducible and the finite-difference harness below can check
@@ -26,7 +27,7 @@ from .losses import LossBreakdown, combine, loss_cls, loss_granule, loss_sem, ps
 from .refine import TextFeatureSet, build_text_features, refined_text_graph
 from .teacher import LatentCache
 
-ANCHOR_POLICIES = ("raw_text_by_label", "refined_text_by_label", "image_embedding")
+ANCHOR_POLICIES = ("raw_text_by_label", "refined_text_by_label")
 
 
 def _mlp(prefix: str, fan_in: int, hidden: int, out: int, final_init: str) -> dict:
@@ -83,6 +84,9 @@ FROZEN_INPUTS = ("bank.entries", "teacher.latents", "encoder.weight")
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters. Each check reads one field, so a bad value
+    fails on construction whatever the other fields hold."""
+
     embed_dim: int = 16
     kernel: int = 7
     lambda_sem: float = 0.1
@@ -99,9 +103,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     use_bank: bool = True
-    use_sem: bool = True
-    use_gf: bool = True
-    use_gcf: bool = True
     anchor: str = "raw_text_by_label"
 
     def __post_init__(self):
@@ -116,12 +117,18 @@ class TrainConfig:
             raise ParameterError("eta must be in [0, 1]")
         if self.logit_scale <= 0:
             raise ParameterError("logit_scale must be > 0")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ParameterError("epochs must be >= 0 and batch_size >= 1")
+        if self.epochs < 0:
+            raise ParameterError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ParameterError("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ParameterError("learning_rate must be >= 0")
-        if self.bank_size < 1 or self.bank_tau <= 0 or not 0 < self.bank_momentum <= 1:
-            raise ParameterError("invalid bank settings")
+        if self.bank_size < 1:
+            raise ParameterError("bank_size must be >= 1")
+        if self.bank_tau <= 0:
+            raise ParameterError("bank_tau must be > 0")
+        if not 0 < self.bank_momentum <= 1:
+            raise ParameterError("bank_momentum must be in (0, 1]")
         if self.anchor not in ANCHOR_POLICIES:
             raise ParameterError(f"anchor must be one of {ANCHOR_POLICIES}, got {self.anchor!r}")
 
@@ -234,8 +241,10 @@ def group(params: dict[str, ad.Tensor], prefix: str,
 
 def check_labels(labels: np.ndarray) -> int:
     """The class count K of labels that cover 0..K-1 with every class present."""
+    if len(labels) == 0:
+        raise ParameterError("cannot train on an empty cache")
     classes = np.unique(labels)
-    num = int(labels.max()) + 1 if len(labels) else 0
+    num = int(labels.max()) + 1
     if len(classes) != num or classes[0] != 0:
         raise ParameterError("labels must cover 0..K-1 with every class present")
     return num
@@ -299,8 +308,6 @@ def seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
 
 
 def init_state(cache: LatentCache, cfg: TrainConfig) -> TrainState:
-    if len(cache) == 0:
-        raise ParameterError("cannot train on an empty cache")
     labels = cache.labels()
     num_classes = check_labels(labels)
     encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
@@ -333,7 +340,7 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
                   idx: np.ndarray, bank: SemanticBank | None, cfg: TrainConfig,
                   pi: np.ndarray | None,
                   probs_override: np.ndarray | None = None) -> tuple[ad.Tensor, LossBreakdown]:
-    """Assemble the enabled objective terms for one batch on the tape.
+    """Assemble the objective terms with a weight > 0 for one batch on the tape.
 
     `probs_override` substitutes fixed pseudo-labels. The gradient checker
     needs it: the detached posteriors still *depend* on the parameters, so a
@@ -356,7 +363,7 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
     cls_term = loss_cls(visual, text_pred, y, cfg.logit_scale)
 
     sem_term = None
-    if cfg.use_sem:
+    if cfg.lambda_sem > 0:
         if probs_override is not None:
             probs = probs_override
         else:
@@ -365,19 +372,15 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
         sem_term = loss_sem(probs, text_raw, t_low)
 
     gf_term = gcf_term = None
-    if cfg.use_gf or cfg.use_gcf:
+    if cfg.lambda_gf > 0 or cfg.lambda_gcf > 0:
         t_high = head_graph(ad.constant(feats.phi_detail[idx]), *group(params, "proj_high"))
-        if cfg.anchor == "raw_text_by_label":
-            anchors = ad.take_rows(text_raw, y)
-        elif cfg.anchor == "refined_text_by_label":
-            anchors = ad.take_rows(text_pred, y)
-        else:
-            anchors = visual
-        if cfg.use_gf:
+        anchor_rows = text_pred if cfg.anchor == "refined_text_by_label" else text_raw
+        anchors = ad.take_rows(anchor_rows, y)
+        if cfg.lambda_gf > 0:
             codes = fuse_rows(anchors, t_high, *group(params, "fuse"))
             v_mod = film_rows(codes, visual, *group(params, "film"))
             gf_term = loss_granule(v_mod, text_raw, y, cfg.logit_scale)
-        if cfg.use_gcf:
+        if cfg.lambda_gcf > 0:
             if pi is None:
                 raise ParameterError("counterfactual term needs a permutation")
             pi = check_permutation(pi, len(idx))
@@ -451,7 +454,7 @@ def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState
                 for row in low_band_rows(state.params, feats.phi_base[idx]):
                     absorb(state.bank, row)
                 continue
-            pi = rng_pi.permutation(len(idx)) if cfg.use_gcf else None
+            pi = rng_pi.permutation(len(idx)) if cfg.lambda_gcf > 0 else None
             epoch_parts.append(train_step(state, feats, idx, cfg, pi))
         if cfg.use_bank and cfg.bank_refresh and state.bank is not None and state.bank.full:
             sub = np.sort(rng_batch.choice(n, size=max(1, n // 2), replace=False))
@@ -510,7 +513,7 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
     # Pin the detached posteriors at the base point so both sides of the
     # comparison honor the stop-gradient.
     probs = None
-    if cfg.use_sem:
+    if cfg.lambda_sem > 0:
         visual = feats.visual[idx]
         if cfg.use_bank:
             text_pred = refined_text_graph(
@@ -586,7 +589,7 @@ def run_gradient_check(cache: LatentCache, cfg: TrainConfig,
     order = _stratified_order(feats.labels, rng_batch)
     idx = order[: cfg.batch_size]
     for _ in range(warmup_steps):
-        pi = rng_pi.permutation(len(idx)) if cfg.use_gcf else None
+        pi = rng_pi.permutation(len(idx)) if cfg.lambda_gcf > 0 else None
         train_step(state, feats, idx, cfg, pi)
     return gradient_check(state, feats, idx, cfg, step=step)
 

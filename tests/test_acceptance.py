@@ -337,15 +337,15 @@ def test_6_mechanism_efficacy():
     novel: dict[str, float] = {}
     source: dict[str, float] = {}
     for name, flags in {
-        "full":   dict(use_sem=True, use_gf=True, use_gcf=True),
-        "sem+gf": dict(use_sem=True, use_gf=True, use_gcf=False),
-        "sem":    dict(use_sem=True, use_gf=False, use_gcf=False),
-        "gf":     dict(use_sem=False, use_gf=True, use_gcf=False),
+        "full":   dict(),
+        "sem+gf": dict(lambda_gcf=0.0),
+        "sem":    dict(lambda_gf=0.0, lambda_gcf=0.0),
+        "gf":     dict(lambda_sem=0.0, lambda_gcf=0.0),
     }.items():
         cfg = replace(base_cfg, **flags)
         proto = run_base_to_novel(cache, cfg, shots=16)
         novel[name] = proto.result.novel_acc
-        if flags["use_gf"]:
+        if cfg.lambda_gf > 0:
             mask = np.isin(labels, proto.base_classes)
             remap = {c: i for i, c in enumerate(proto.base_classes)}
             base_labels = np.array([remap[c] for c in labels[mask]])

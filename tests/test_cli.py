@@ -9,7 +9,7 @@ import pytest
 from bandprompt.bank import read_bank
 from bandprompt.cli import main
 from bandprompt.config import RunConfig
-from bandprompt.teacher import read_cache
+from bandprompt.teacher import LatentCache, read_cache, write_cache
 from bandprompt.trainer import load_checkpoint
 
 SMALL_CFG = """
@@ -90,12 +90,12 @@ def test_set_overrides_reach_the_stamped_header(ws):
     root = ws["root"]
     ckpt = str(root / "nogcf.txt")
     hist = str(root / "nogcf_hist.txt")
-    assert main(["train", "--config", ws["cfg"], "--set", "use_gcf=false",
+    assert main(["train", "--config", ws["cfg"], "--set", "lambda_gcf=0",
                  "--set", "epochs=3", "--cache", ws["cache"],
                  "--checkpoint", ckpt, "--history", hist,
                  "--report", str(root / "nogcf_eval.txt")]) == 0
     header, _, _ = load_checkpoint(ckpt)
-    assert header["use_gcf"] == "false"
+    assert header["lambda_gcf"] == "0.0"
     rows = [ln.split() for ln in open(hist) if not ln.startswith("#")][1:]
     assert all(row[4] == "none" for row in rows)  # gcf column disabled
 
@@ -323,7 +323,7 @@ def test_bank_dump_requires_a_bank(ws):
     root = ws["root"]
     ckpt = str(root / "nobank.txt")
     assert main(["train", "--config", ws["cfg"], "--set", "use_bank=false",
-                 "--set", "use_sem=false", "--set", "protocol=all",
+                 "--set", "lambda_sem=0", "--set", "protocol=all",
                  "--set", "epochs=2", "--cache", ws["cache"],
                  "--checkpoint", ckpt, "--history", str(root / "nb_h.txt"),
                  "--report", str(root / "nb_r.txt")]) == 0
@@ -342,3 +342,74 @@ def test_env_seed_wins(ws, monkeypatch):
 def test_gradcheck_passes_on_a_small_config(ws):
     assert main(["gradcheck", "--config", ws["cfg"],
                  "--set", "n_per_class=8", "--cache", ws["cache"]]) == 0
+
+
+OUT_OF_RANGE = [
+    ("embed_dim", "0"), ("kernel", "4"), ("lambda_sem", "-0.1"), ("lambda_gf", "-0.1"),
+    ("lambda_gcf", "-0.1"), ("eta", "1.5"), ("logit_scale", "0"), ("epochs", "-1"),
+    ("batch_size", "0"), ("learning_rate", "-1e-3"), ("bank_size", "0"),
+    ("bank_tau", "0"), ("bank_momentum", "1.5"), ("anchor", "image_embedding"),
+]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE, ids=[k for k, _ in OUT_OF_RANGE])
+def test_out_of_range_settings_exit_one(ws, capsys, key, value):
+    # the cache does not exist: exit 1 shows the config failed before any read
+    out = ws["root"] / f"range_{key}"
+    cfg = ws["root"] / f"range_{key}.cfg"
+    cfg.write_text(f"{SMALL_CFG}\n{key} = {value}\n")
+    for source in (["--config", ws["cfg"], "--set", f"{key}={value}"], ["--config", str(cfg)]):
+        assert main(["train", *source, "--cache", str(ws["root"] / "missing.bin"),
+                     "--checkpoint", f"{out}_ckpt.txt", "--history", f"{out}_hist.txt",
+                     "--report", f"{out}_eval.txt"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+    assert not any(os.path.exists(f"{out}_{s}.txt") for s in ("ckpt", "hist", "eval"))
+
+
+def _restamp(ws, tmp_path, key, value):
+    """The protocol=all checkpoint with its `key` header line set to `value`,
+    or with `# key = value` added when the header has no such line."""
+    lines = open(ws["all_ckpt"]).read().splitlines()
+    prefix = f"# {key} = "
+    at = [i for i, ln in enumerate(lines) if ln.startswith(prefix)]
+    if at:
+        lines[at[0]] = prefix + value
+    else:
+        lines.insert(1, prefix + value)
+    ckpt = tmp_path / "restamped.txt"
+    ckpt.write_text("\n".join(lines) + "\n")
+    return str(ckpt)
+
+
+@pytest.mark.parametrize("key, value", [("logit_scale", "1e-3x"), ("eta", "2.0")])
+def test_eval_bad_stamped_value_exits_two(ws, tmp_path, capsys, key, value):
+    ckpt = _restamp(ws, tmp_path, key, value)
+    out = tmp_path / "report.txt"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", ckpt, "--cache", ws["cache"],
+                 "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ckpt in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("note", "x"), ("use_gcf", "false")])
+def test_eval_skips_header_lines_that_are_not_config_keys(ws, tmp_path, key, value):
+    ckpt = _restamp(ws, tmp_path, key, value)
+    out = tmp_path / "report.txt"
+    assert main(["eval", "--checkpoint", ckpt, "--cache", ws["cache"],
+                 "--report", str(out)]) == 0
+    assert f"# {key} = " not in out.read_text()
+
+
+def test_empty_cache_exits_two(ws, capsys):
+    empty = ws["root"] / "empty.bin"
+    write_cache(LatentCache([]), empty)
+    out = ws["root"] / "empty_out"
+    capsys.readouterr()
+    assert main(["train", "--config", ws["cfg"], "--cache", str(empty),
+                 "--checkpoint", f"{out}_ckpt.txt", "--history", f"{out}_hist.txt",
+                 "--report", f"{out}_eval.txt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "empty cache" in err

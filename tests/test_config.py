@@ -1,6 +1,6 @@
 """Flat key = value configuration: parsing, precedence, validation."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -23,7 +23,7 @@ def test_defaults_are_complete_and_typed():
     assert cfg.lambda_sem == cfg.lambda_gf == cfg.lambda_gcf == 0.1
     assert cfg.bank_size == 64 and cfg.bank_tau == 0.07
     assert cfg.eta == 1.0 and cfg.logit_scale == 100.0
-    assert cfg.use_bank and cfg.use_sem and cfg.use_gf and cfg.use_gcf
+    assert cfg.use_bank and cfg.lambda_sem > 0 and cfg.lambda_gf > 0 and cfg.lambda_gcf > 0
     assert cfg.protocol == "base_to_novel"
     assert cfg.identity_band == "low"
 
@@ -34,7 +34,7 @@ def test_parse_file_text_with_comments():
         # training block
         epochs = 5
         learning_rate = 3e-3
-        use_gcf = false
+        lambda_gcf = 0
         identity_band = high
 
         seed = 7
@@ -42,7 +42,7 @@ def test_parse_file_text_with_comments():
     )
     assert cfg.epochs == 5
     assert cfg.learning_rate == pytest.approx(3e-3)
-    assert cfg.use_gcf is False
+    assert cfg.lambda_gcf == 0.0
     assert cfg.identity_band == "high"
     assert cfg.seed == 7
     # untouched keys keep their defaults
@@ -65,7 +65,7 @@ def test_unknown_keys_and_bad_values_are_hard_errors():
 def test_boolean_spellings():
     for raw, want in (("true", True), ("1", True), ("on", True), ("YES", True),
                       ("false", False), ("0", False), ("off", False), ("No", False)):
-        assert apply_setting(RunConfig(), "use_sem", raw).use_sem is want
+        assert apply_setting(RunConfig(), "use_bank", raw).use_bank is want
 
 
 def test_precedence_defaults_file_set_env(tmp_path):
@@ -87,12 +87,12 @@ def test_precedence_defaults_file_set_env(tmp_path):
 
 
 def test_header_lines_are_sorted_and_lowercase_bools():
-    cfg = apply_setting(RunConfig(), "use_gcf", "false")
+    cfg = apply_setting(RunConfig(), "select_by_base_val", "TRUE")
     lines = cfg.header_lines()
     assert lines[0] == "# resolved-config"
     keys = [ln.split()[1] for ln in lines[1:]]
     assert keys == sorted(keys)
-    assert "# use_gcf = false" in lines
+    assert "# select_by_base_val = true" in lines
     assert "# use_bank = true" in lines
     items = cfg.items()
     assert items["bank_refresh"] == "false" and items["epochs"] == "30"
@@ -104,20 +104,40 @@ def test_derived_spec_and_train_config_agree():
     assert spec.num_classes == 5 and spec.seed == 4
     assert spec.noise_std == pytest.approx(0.1)
     assert spec.grid == (4, 16, 16)
-    tc = cfg.train_config()
-    assert tc.kernel == 5 and tc.seed == 4
-    assert tc.epochs == cfg.epochs
+    assert isinstance(cfg, TrainConfig)
+    tc = TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
+    assert tc == replace(TrainConfig(), kernel=5, seed=4)
 
 
 def test_train_config_defaults_match_the_run_config():
-    run_fields = {f.name: f.type for f in fields(RunConfig)}
+    # RunConfig extends TrainConfig and declares none of its keys again
+    assert issubclass(RunConfig, TrainConfig)
+    train_keys = {f.name for f in fields(TrainConfig)}
+    assert not train_keys & set(RunConfig.__dict__.get("__annotations__", {}))
+    run, train = RunConfig(), TrainConfig()
     for f in fields(TrainConfig):
-        assert run_fields.get(f.name) == f.type, f.name
-    assert RunConfig().train_config() == TrainConfig()
+        assert getattr(run, f.name) == getattr(train, f.name), f.name
 
 
 def test_round_trip_through_header_text():
-    cfg = parse_config_text("epochs = 7\nuse_gf = false\neta = 0.25")
+    cfg = parse_config_text("epochs = 7\nlambda_gf = 0\neta = 0.25")
     body = "\n".join(ln[2:] for ln in cfg.header_lines()[1:])
     again = parse_config_text(body)
     assert again == cfg
+
+
+def test_out_of_range_values_fail_when_applied():
+    with pytest.raises(ConfigError, match="embed_dim"):
+        parse_config_text("embed_dim = 0")
+    with pytest.raises(ConfigError, match="bank_momentum"):
+        resolve_config(overrides=["bank_momentum=1.5"], env={})
+    # every check reads one field, so the order of settings does not matter
+    with pytest.raises(ConfigError, match="kernel"):
+        parse_config_text("kernel = 4\nkernel = 5")
+    assert parse_config_text("kernel = 5\nepochs = 0").epochs == 0
+
+
+def test_removed_keys_are_unknown():
+    for key in ("use_sem", "use_gf", "use_gcf"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            apply_setting(RunConfig(), key, "false")

@@ -113,7 +113,7 @@ def test_zero_learning_rate_leaves_parameters_fixed(cache):
 
 
 def test_disabled_terms_collapse_total_onto_cls(cache):
-    cfg = small_cfg(use_sem=False, use_gf=False, use_gcf=False)
+    cfg = small_cfg(lambda_sem=0.0, lambda_gf=0.0, lambda_gcf=0.0)
     state = init_state(cache, cfg)
     feats, idx, _ = first_batch(state, cache, cfg)
     fill_bank(state, feats)
@@ -204,8 +204,8 @@ def test_epochs_zero_is_an_initialized_no_op(cache):
 
 
 def test_counterfactual_flag_changes_film_training(cache):
-    on = fit(cache, small_cfg(epochs=3, use_gcf=True))
-    off = fit(cache, small_cfg(epochs=3, use_gcf=False))
+    on = fit(cache, small_cfg(epochs=3))
+    off = fit(cache, small_cfg(epochs=3, lambda_gcf=0.0))
     assert not np.array_equal(on.params["film.w2"].value, off.params["film.w2"].value)
     assert off.step_history[-1].granule_cf is None
     assert on.step_history[-1].granule_cf is not None
