@@ -39,17 +39,17 @@ def main() -> None:
     bank = SemanticBank.create(size=4, dim=d, momentum=0.3, temperature=0.07)
     print(f"new bank: size {bank.size}, dim {bank.dim}, mode {bank.mode}")
 
-    # fill phase: four absorbs land in slots 0..3 verbatim
+    # fill phase: absorb takes an (n, d) stack; four rows land in slots 0..3
+    # verbatim
     vecs = [unit(rng, d) for _ in range(4)]
-    for v in vecs:
-        absorb(bank, v)
-    print(f"after 4 absorbs: mode {bank.mode}, "
+    absorb(bank, np.stack(vecs))
+    print(f"after a 4-row absorb: mode {bank.mode}, "
           f"slot 0 unchanged: {bool(np.array_equal(bank.entries[0], vecs[0]))}")
 
     # EMA phase: a nudged copy of slot 2 pulls only slot 2
     before = bank.entries.copy()
     nudged = vecs[2] + 0.2 * unit(rng, d)
-    absorb(bank, nudged / np.linalg.norm(nudged))
+    absorb(bank, (nudged / np.linalg.norm(nudged))[None])
     moved = np.flatnonzero(np.abs(bank.entries - before).max(axis=1) > 0)
     print(f"EMA absorb moved slots {moved.tolist()}, "
           f"|slot 2 shift| = {float(np.linalg.norm(bank.entries[2] - before[2])):.4f}, "

@@ -8,7 +8,10 @@ op used here.
 
 Ops that combine only constants collapse back to constants, which keeps the
 tape small and makes "this path carries no gradient" a structural fact rather
-than a convention.
+than a convention. `node` is the one way onto the tape: the model's
+composites (`bands.head_graph`, `granules.fuse_rows`, `granules.film_rows`)
+build their single nodes with it from the array-level MLP, row-L2 and
+LayerNorm algebra below, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ Array = np.ndarray
 
 # Norms below this are treated as degenerate rather than normalized.
 MIN_NORM = 1e-12
+LN_EPS = 1e-5
 
 # Creation stamps; `backward` runs VJPs in decreasing stamp order. One counter
 # serves every tape: only the order of the stamps matters.
@@ -76,14 +80,18 @@ def constant(value) -> Tensor:
     return Tensor(value)
 
 
-def _node(value, parents, vjp) -> Tensor:
-    live = tuple(p for p in parents if p.requires_grad)
-    if not live:
+def node(value, parents, vjp) -> Tensor:
+    """A tape node over `parents`, or a constant when none of them is live.
+
+    `vjp(g)` returns (parent, gradient) pairs. It may leave out, and should
+    not compute, the gradients of parents that are constants.
+    """
+    if not any(p.requires_grad for p in parents):
         return Tensor(value)
     return Tensor(value, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
+def unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum a broadcast gradient back down to `shape`."""
     if g.shape == shape:
         return g
@@ -114,8 +122,8 @@ def backward(root: Tensor) -> None:
                 stack.append(parent)
     root.grad = np.ones_like(root.value)
     for stamp in sorted(pending, reverse=True):
-        node = pending[stamp]
-        for parent, g in node._vjp(node.grad):
+        owner = pending[stamp]
+        for parent, g in owner._vjp(owner.grad):
             if not parent.requires_grad:
                 continue
             if parent.grad is None:
@@ -134,24 +142,14 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 # primitive ops
 
 
-def add(a, b) -> Tensor:
-    a, b = lift(a), lift(b)
-    out = a.value + b.value
-
-    def vjp(g):
-        return ((a, _unbroadcast(g, a.value.shape)), (b, _unbroadcast(g, b.value.shape)))
-
-    return _node(out, (a, b), vjp)
-
-
 def sub(a, b) -> Tensor:
     a, b = lift(a), lift(b)
     out = a.value - b.value
 
     def vjp(g):
-        return ((a, _unbroadcast(g, a.value.shape)), (b, _unbroadcast(-g, b.value.shape)))
+        return ((a, unbroadcast(g, a.value.shape)), (b, unbroadcast(-g, b.value.shape)))
 
-    return _node(out, (a, b), vjp)
+    return node(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -160,24 +158,11 @@ def mul(a, b) -> Tensor:
 
     def vjp(g):
         return (
-            (a, _unbroadcast(g * b.value, a.value.shape)),
-            (b, _unbroadcast(g * a.value, b.value.shape)),
+            (a, unbroadcast(g * b.value, a.value.shape)),
+            (b, unbroadcast(g * a.value, b.value.shape)),
         )
 
-    return _node(out, (a, b), vjp)
-
-
-def div(a, b) -> Tensor:
-    a, b = lift(a), lift(b)
-    out = a.value / b.value
-
-    def vjp(g):
-        return (
-            (a, _unbroadcast(g / b.value, a.value.shape)),
-            (b, _unbroadcast(-g * out / b.value, b.value.shape)),
-        )
-
-    return _node(out, (a, b), vjp)
+    return node(out, (a, b), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -189,119 +174,20 @@ def matmul(a, b) -> Tensor:
     def vjp(g):
         return ((a, g @ b.value.T), (b, a.value.T @ g))
 
-    return _node(out, (a, b), vjp)
+    return node(out, (a, b), vjp)
 
 
-def transpose(a) -> Tensor:
+def tmean(a) -> Tensor:
+    """Mean over every entry."""
     a = lift(a)
+    count = a.value.size
+    # What `ndarray.mean` computes, without its Python-level wrapper.
+    out = a.value.sum() / count
 
     def vjp(g):
-        return ((a, g.T),)
+        return ((a, np.broadcast_to(g / count, a.value.shape).copy()),)
 
-    return _node(a.value.T, (a,), vjp)
-
-
-def tanh(a) -> Tensor:
-    a = lift(a)
-    out = np.tanh(a.value)
-
-    def vjp(g):
-        return ((a, g * (1.0 - out * out)),)
-
-    return _node(out, (a,), vjp)
-
-
-def exp(a) -> Tensor:
-    a = lift(a)
-    out = np.exp(a.value)
-
-    def vjp(g):
-        return ((a, g * out),)
-
-    return _node(out, (a,), vjp)
-
-
-def log(a) -> Tensor:
-    a = lift(a)
-
-    def vjp(g):
-        return ((a, g / a.value),)
-
-    return _node(np.log(a.value), (a,), vjp)
-
-
-def sqrt(a) -> Tensor:
-    a = lift(a)
-    out = np.sqrt(a.value)
-
-    def vjp(g):
-        return ((a, g * 0.5 / out),)
-
-    return _node(out, (a,), vjp)
-
-
-def square(a) -> Tensor:
-    a = lift(a)
-
-    def vjp(g):
-        return ((a, g * 2.0 * a.value),)
-
-    return _node(a.value * a.value, (a,), vjp)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = lift(a)
-    out = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return ((a, np.broadcast_to(gg, a.value.shape).copy()),)
-
-    return _node(out, (a,), vjp)
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = lift(a)
-    out = a.value.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.value.size
-    else:
-        count = a.value.shape[axis]
-
-    def vjp(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return ((a, np.broadcast_to(gg / count, a.value.shape).copy()),)
-
-    return _node(out, (a,), vjp)
-
-
-def concat_cols(a, b) -> Tensor:
-    a, b = lift(a), lift(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ParameterError("concat_cols expects 2-D operands")
-    out = np.concatenate([a.value, b.value], axis=1)
-    na = a.value.shape[1]
-
-    def vjp(g):
-        return ((a, g[:, :na]), (b, g[:, na:]))
-
-    return _node(out, (a, b), vjp)
-
-
-def cols(a, lo: int, hi: int) -> Tensor:
-    a = lift(a)
-    out = a.value[:, lo:hi]
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        full[:, lo:hi] = g
-        return ((a, full),)
-
-    return _node(out, (a,), vjp)
+    return node(out, (a,), vjp)
 
 
 def take_rows(a, idx) -> Tensor:
@@ -315,26 +201,86 @@ def take_rows(a, idx) -> Tensor:
         np.add.at(full, idx, g)
         return ((a, full),)
 
-    return _node(out, (a,), vjp)
+    return node(out, (a,), vjp)
+
+
+# ---------------------------------------------------------------------------
+# array-level algebra shared by the fused composites. `x.sum(axis, keepdims)
+# / n` is exactly what `ndarray.mean` computes, without its Python wrapper.
+
+
+def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:
+    """Affine -> tanh -> affine over the rows of `x`: (output, hidden rows)."""
+    if x.ndim != 2 or w1.ndim != 2 or w2.ndim != 2:
+        raise ParameterError("an MLP expects 2-D rows and weights")
+    hidden = np.tanh(x @ w1 + b1)
+    return hidden @ w2 + b2, hidden
+
+
+def mlp_vjp(g: Array, x: Array, hidden: Array, w1: Tensor, b1: Tensor, w2: Tensor,
+            b2: Tensor, need_x: bool) -> tuple[list[tuple[Tensor, Array]], Array | None]:
+    """Gradients of `mlp_forward` under the output gradient `g`: (tensor,
+    gradient) pairs for the live weights and biases, and the gradient
+    reaching `x` (None unless `need_x`)."""
+    grads = []
+    if w2.requires_grad:
+        grads.append((w2, hidden.T @ g))
+    if b2.requires_grad:
+        grads.append((b2, unbroadcast(g, b2.value.shape)))
+    gx = None
+    if need_x or w1.requires_grad or b1.requires_grad:
+        gh = (g @ w2.value.T) * (1.0 - hidden * hidden)
+        if w1.requires_grad:
+            grads.append((w1, x.T @ gh))
+        if b1.requires_grad:
+            grads.append((b1, unbroadcast(gh, b1.value.shape)))
+        if need_x:
+            gx = gh @ w1.value.T
+    return grads, gx
+
+
+def unit_rows(x: Array, min_norm: float = MIN_NORM) -> tuple[Array, Array]:
+    """Rows of `x` scaled to unit L2 norm, and the (n, 1) norms. Non-finite
+    or near-zero rows raise."""
+    norms = np.sqrt((x * x).sum(axis=1))
+    if not np.isfinite(x).all():
+        raise NumericalDegeneracyError("cannot normalize non-finite rows")
+    if (norms < min_norm).any():
+        bad = int(norms.argmin())
+        raise NumericalDegeneracyError(
+            f"cannot normalize a zero-length vector (row {bad}, norm {norms[bad]:.3e})"
+        )
+    norms = norms[:, None]
+    return x / norms, norms
+
+
+def unit_rows_vjp(g: Array, out: Array, norms: Array) -> Array:
+    """Gradient reaching `x` of `unit_rows(x)`, given its output and norms."""
+    return (g - out * (g * out).sum(axis=1, keepdims=True)) / norms
+
+
+def layer_norm_forward(x: Array, gain: Array, bias: Array,
+                       eps: float = LN_EPS) -> tuple[Array, Array, Array]:
+    """Feature-dimension LayerNorm of the rows of `x`: (output, normed rows, std)."""
+    n = x.shape[1]
+    centered = x - x.sum(axis=1, keepdims=True) / n
+    std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) / n + eps)
+    normed = centered / std
+    return normed * gain + bias, normed, std
+
+
+def layer_norm_vjp(g: Array, gain: Array, normed: Array, std: Array) -> Array:
+    """Gradient reaching `x` of `layer_norm_forward`."""
+    n = g.shape[1]
+    gn = g * gain
+    return (gn - gn.sum(axis=1, keepdims=True) / n
+            - normed * (gn * normed).sum(axis=1, keepdims=True) / n) / std
 
 
 # ---------------------------------------------------------------------------
 # fused composites: each is one tape node with a hand-written VJP. The value
 # is computed by the same numpy steps as the primitive chain it replaces, and
 # the gradient agrees with that chain's up to rounding.
-
-
-def affine(x, w, b) -> Tensor:
-    """x @ w + b: (n, k) rows, a (k, m) weight, a bias broadcast over rows."""
-    x, w, b = lift(x), lift(w), lift(b)
-    if x.value.ndim != 2 or w.value.ndim != 2:
-        raise ParameterError("affine expects 2-D operands")
-    out = x.value @ w.value + b.value
-
-    def vjp(g):
-        return ((x, g @ w.value.T), (w, x.value.T @ g), (b, _unbroadcast(g, b.value.shape)))
-
-    return _node(out, (x, w, b), vjp)
 
 
 def softmax_rows(x) -> Tensor:
@@ -346,80 +292,51 @@ def softmax_rows(x) -> Tensor:
     def vjp(g):
         return ((x, out * (g - (g * out).sum(axis=1, keepdims=True))),)
 
-    return _node(out, (x,), vjp)
+    return node(out, (x,), vjp)
 
 
 def l2normalize_rows(x, min_norm: float = MIN_NORM) -> Tensor:
     x = lift(x)
-    norms = np.sqrt((x.value * x.value).sum(axis=1))
-    if not np.all(np.isfinite(x.value)):
-        raise NumericalDegeneracyError("cannot normalize non-finite rows")
-    if np.any(norms < min_norm):
-        bad = int(np.argmin(norms))
-        raise NumericalDegeneracyError(
-            f"cannot normalize a zero-length vector (row {bad}, norm {norms[bad]:.3e})"
-        )
-    norms = norms[:, None]
-    out = x.value / norms
+    out, norms = unit_rows(x.value, min_norm)
 
     def vjp(g):
-        return ((x, (g - out * (g * out).sum(axis=1, keepdims=True)) / norms),)
+        return ((x, unit_rows_vjp(g, out, norms)),)
 
-    return _node(out, (x,), vjp)
-
-
-def layer_norm_rows(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Feature-dimension LayerNorm with learnable gain/bias."""
-    x, gain, bias = lift(x), lift(gain), lift(bias)
-    centered = x.value - x.value.mean(axis=1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps)
-    normed = centered / std
-    out = normed * gain.value + bias.value
-
-    def vjp(g):
-        gn = g * gain.value
-        gx = (gn - gn.mean(axis=1, keepdims=True)
-              - normed * (gn * normed).mean(axis=1, keepdims=True)) / std
-        return (
-            (x, _unbroadcast(gx, x.value.shape)),
-            (gain, _unbroadcast(g * normed, gain.value.shape)),
-            (bias, _unbroadcast(g, bias.value.shape)),
-        )
-
-    return _node(out, (x, gain, bias), vjp)
+    return node(out, (x,), vjp)
 
 
-def mlp_rows(x, w1, b1, w2, b2) -> Tensor:
-    """Affine -> tanh -> affine applied to each row."""
-    return affine(tanh(affine(x, w1, b1)), w2, b2)
-
-
-def cross_entropy_mean(logits, labels, num_classes: int | None = None) -> Tensor:
-    """Mean cross-entropy of integer labels under row logits."""
-    logits = lift(logits)
+def logit_cross_entropy(visual, rows, labels, scale: float) -> Tensor:
+    """Mean cross-entropy of integer `labels` under the logits
+    `scale * visual @ rows^T`, for (n, d) visual rows and (c, d) class rows."""
+    visual, rows = lift(visual), lift(rows)
+    v, r = visual.value, rows.value
+    if v.ndim != 2 or r.ndim != 2:
+        raise ParameterError("logit_cross_entropy expects (n, d) visual and (c, d) class rows")
     labels = np.asarray(labels, dtype=np.intp)
-    if logits.value.ndim != 2 or labels.ndim != 1:
-        raise ParameterError("cross_entropy_mean expects (n, c) logits and (n,) labels")
-    n, c = logits.value.shape
-    if num_classes is not None and c != num_classes:
-        raise ParameterError(f"expected {num_classes} logit columns, got {c}")
-    if labels.shape[0] != n:
-        raise ParameterError("labels do not match the logit batch")
-    if np.any(labels < 0) or np.any(labels >= c):
+    n, c = v.shape[0], r.shape[0]
+    if labels.shape != (n,):
+        raise ParameterError("labels do not match the visual batch")
+    if (labels < 0).any() or (labels >= c).any():
         raise ParameterError("label out of range")
-    x = logits.value
-    shift = x.max(axis=1, keepdims=True)
-    e = np.exp(x - shift)
+    logits = (v @ r.T) * scale
+    shift = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - shift)
     total = e.sum(axis=1, keepdims=True)
-    rows = np.arange(n)
-    out = ((shift + np.log(total)) - x[rows, labels][:, None]).mean()
+    picked = (np.arange(n), labels)
+    out = ((shift + np.log(total)) - logits[picked][:, None]).sum() / n
 
     def vjp(g):
-        grad = e / total
-        grad[rows, labels] -= 1.0
-        return ((logits, grad * (g / n)),)
+        glogits = e / total
+        glogits[picked] -= 1.0
+        glogits = (glogits * (g / n)) * scale
+        grads = []
+        if visual.requires_grad:
+            grads.append((visual, glogits @ r))
+        if rows.requires_grad:
+            grads.append((rows, (v.T @ glogits).T))
+        return grads
 
-    return _node(out, (logits,), vjp)
+    return node(out, (visual, rows), vjp)
 
 
 def cosine_rows(a, b, min_norm: float = MIN_NORM) -> Tensor:
@@ -427,7 +344,7 @@ def cosine_rows(a, b, min_norm: float = MIN_NORM) -> Tensor:
     a, b = lift(a), lift(b)
     na = np.sqrt((a.value * a.value).sum(axis=1))
     nb = np.sqrt((b.value * b.value).sum(axis=1))
-    if np.any(na < min_norm) or np.any(nb < min_norm):
+    if (na < min_norm).any() or (nb < min_norm).any():
         raise NumericalDegeneracyError("cosine of a zero-length vector")
     den = na * nb
     out = (a.value * b.value).sum(axis=1) / den
@@ -437,6 +354,22 @@ def cosine_rows(a, b, min_norm: float = MIN_NORM) -> Tensor:
         gc = (g * out)[:, None]
         ga = gd * b.value - gc * a.value / (na * na)[:, None]
         gb = gd * a.value - gc * b.value / (nb * nb)[:, None]
-        return ((a, _unbroadcast(ga, a.value.shape)), (b, _unbroadcast(gb, b.value.shape)))
+        return ((a, unbroadcast(ga, a.value.shape)), (b, unbroadcast(gb, b.value.shape)))
 
-    return _node(out, (a, b), vjp)
+    return node(out, (a, b), vjp)
+
+
+def weighted_sum(first, terms) -> Tensor:
+    """`first + w_1 * t_1 + w_2 * t_2 + ...` over the (t_i, w_i) pairs of
+    `terms`, added left to right, for float weights."""
+    first = lift(first)
+    terms = [(lift(t), w) for t, w in terms]
+    out = first.value
+    for t, w in terms:
+        out = out + t.value * w
+
+    def vjp(g):
+        grads = [(t, g * w) for t, w in terms if t.requires_grad]
+        return [(first, g), *grads] if first.requires_grad else grads
+
+    return node(out, (first, *(t for t, _ in terms)), vjp)

@@ -90,5 +90,18 @@ def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndar
 
 
 def head_graph(stats, w1, b1, w2, b2) -> ad.Tensor:
-    """Tape composite mapping (n, C) statistics rows to unit (n, d) rows."""
-    return ad.l2normalize_rows(ad.mlp_rows(stats, w1, b1, w2, b2))
+    """Tape composite, one node, mapping (n, C) statistics rows to unit (n, d)
+    rows: L2Norm(MLP(stats))."""
+    stats = ad.lift(stats)
+    w1, b1, w2, b2 = (ad.lift(p) for p in (w1, b1, w2, b2))
+    pre, hidden = ad.mlp_forward(stats.value, w1.value, b1.value, w2.value, b2.value)
+    out, norms = ad.unit_rows(pre)
+
+    def vjp(g):
+        grads, gstats = ad.mlp_vjp(ad.unit_rows_vjp(g, out, norms), stats.value, hidden,
+                                   w1, b1, w2, b2, stats.requires_grad)
+        if gstats is not None:
+            grads.append((stats, gstats))
+        return grads
+
+    return ad.node(out, (stats, w1, b1, w2, b2), vjp)

@@ -9,6 +9,7 @@ gradients, and retrieval differentiates only through the query.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,36 +68,42 @@ class SemanticBank:
         return "ema" if self.full else "filling"
 
 
-def _check_unit(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ParameterError("bank input must be a flat vector")
-    if not np.all(np.isfinite(vec)):
+def _check_unit_rows(rows: np.ndarray, dim: int) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ParameterError(f"bank input must be a 2-D stack of rows, got shape {rows.shape}")
+    if rows.shape[1] != dim:
+        raise ParameterError(f"input dim {rows.shape[1]} does not match bank dim {dim}")
+    if not np.isfinite(rows).all():
         raise NumericalDegeneracyError("bank input has non-finite values")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise ParameterError(f"bank input must be unit norm, got {norm:.6f}")
-    return vec
+    norms = np.linalg.norm(rows, axis=1)
+    off = np.abs(norms - 1.0) > _UNIT_TOL
+    if off.any():
+        bad = int(np.flatnonzero(off)[0])
+        raise ParameterError(f"bank input must be unit norm, got {norms[bad]:.6f} (row {bad})")
+    return rows
 
 
-def absorb(bank: SemanticBank, t_low: np.ndarray) -> SemanticBank:
-    """Fill the next slot, or EMA-update the nearest entry once full."""
-    vec = _check_unit(t_low)
-    if vec.shape[0] != bank.dim:
-        raise ParameterError(f"input dim {vec.shape[0]} does not match bank dim {bank.dim}")
-    if not bank.full:
-        bank.entries[bank.fill_count] = vec
-        bank.fill_count += 1
-        return bank
-    sims = bank.entries @ vec
-    slot = int(np.argmax(sims))  # first maximum wins ties
-    updated = (1.0 - bank.momentum) * bank.entries[slot] + bank.momentum * vec
-    norm = float(np.linalg.norm(updated))
-    if norm < ad.MIN_NORM:
-        raise NumericalDegeneracyError(
-            f"EMA update produced a zero-length entry at slot {slot}"
-        )
-    bank.entries[slot] = updated / norm
+def absorb(bank: SemanticBank, rows: np.ndarray) -> SemanticBank:
+    """Absorb an (n, d) stack of unit rows in row order: rows go to the free
+    slots while there are any, and each later row EMA-updates its nearest
+    entry. The stack is checked whole before any row is absorbed; the result
+    equals absorbing the rows one at a time."""
+    rows = _check_unit_rows(rows, bank.dim)
+    filled = min(bank.size - bank.fill_count, len(rows))
+    bank.entries[bank.fill_count : bank.fill_count + filled] = rows[:filled]
+    bank.fill_count += filled
+    keep = 1.0 - bank.momentum
+    for vec in rows[filled:]:
+        slot = int((bank.entries @ vec).argmax())  # first maximum wins ties
+        updated = keep * bank.entries[slot] + bank.momentum * vec
+        # What `np.linalg.norm` computes for a vector, without its wrapper.
+        norm = math.sqrt(updated.dot(updated))
+        if norm < ad.MIN_NORM:
+            raise NumericalDegeneracyError(
+                f"EMA update produced a zero-length entry at slot {slot}"
+            )
+        bank.entries[slot] = updated / norm
     return bank
 
 

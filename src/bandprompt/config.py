@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, ParameterError
-from .teacher import SyntheticSpec
+from .teacher import IDENTITY_BANDS, SyntheticSpec
 from .trainer import TrainConfig
 
 SEED_ENV_VAR = "SPECPL_SEED"
@@ -59,8 +59,26 @@ class RunConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        for name in ("num_classes", "n_per_class", "base_modes", "detail_modes", "grid_c",
+                     "shots", "diag_bands"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be >= 1")
+        if self.noise_std < 0:
+            raise ParameterError("noise_std must be >= 0")
+        if self.identity_band not in IDENTITY_BANDS:
+            raise ParameterError(f"identity_band must be one of {IDENTITY_BANDS}")
+        for name in ("grid_h", "grid_w"):
+            if getattr(self, name) < 4:
+                raise ParameterError(f"{name} must be >= 4")
         if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+            raise ParameterError(f"protocol must be one of {PROTOCOLS}")
+        for name in ("align_h", "align_w"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be >= 0 (0 turns alignment off)")
+        for name in ("cache_path", "checkpoint_path", "eval_report_path", "history_path",
+                     "diag_report_path", "bank_dump_path"):
+            if not getattr(self, name):
+                raise ParameterError(f"{name} must not be empty")
 
     def synthetic_spec(self) -> SyntheticSpec:
         return SyntheticSpec(

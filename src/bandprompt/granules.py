@@ -27,23 +27,59 @@ from .errors import ParameterError
 
 
 def fuse_rows(anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias) -> ad.Tensor:
-    """Tape composite: LayerNorm(anchors + MLP([anchors ; granules]))."""
-    anchors = ad.lift(anchors)
-    joint = ad.concat_cols(anchors, ad.lift(granules))
-    residual = ad.mlp_rows(joint, w1, b1, w2, b2)
-    return ad.layer_norm_rows(ad.add(anchors, residual), ln_gain, ln_bias)
+    """Tape composite, one node: LayerNorm(anchors + MLP([anchors ; granules]))."""
+    anchors, granules = ad.lift(anchors), ad.lift(granules)
+    w1, b1, w2, b2, ln_gain, ln_bias = (ad.lift(p) for p in (w1, b1, w2, b2, ln_gain, ln_bias))
+    a = anchors.value
+    if a.ndim != 2 or granules.value.ndim != 2:
+        raise ParameterError("fuse_rows expects (n, d) anchor and granule rows")
+    joint = np.concatenate([a, granules.value], axis=1)
+    residual, hidden = ad.mlp_forward(joint, w1.value, b1.value, w2.value, b2.value)
+    out, normed, std = ad.layer_norm_forward(a + residual, ln_gain.value, ln_bias.value)
+
+    def vjp(g):
+        gs = ad.layer_norm_vjp(g, ln_gain.value, normed, std)
+        need_joint = anchors.requires_grad or granules.requires_grad
+        grads, gjoint = ad.mlp_vjp(gs, joint, hidden, w1, b1, w2, b2, need_joint)
+        if ln_gain.requires_grad:
+            grads.append((ln_gain, ad.unbroadcast(g * normed, ln_gain.value.shape)))
+        if ln_bias.requires_grad:
+            grads.append((ln_bias, ad.unbroadcast(g, ln_bias.value.shape)))
+        na = a.shape[1]
+        if anchors.requires_grad:
+            grads.append((anchors, gs + gjoint[:, :na]))
+        if granules.requires_grad:
+            grads.append((granules, gjoint[:, na:]))
+        return grads
+
+    return ad.node(out, (anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias), vjp)
 
 
 def film_rows(codes, visual, w1, b1, w2, b2) -> ad.Tensor:
-    """Tape composite: unit-normalized (1 + tanh(gamma)) * v + beta."""
-    codes = ad.lift(codes)
-    visual = ad.lift(visual)
-    dim = visual.value.shape[1]
-    gb = ad.mlp_rows(codes, w1, b1, w2, b2)
-    gamma = ad.cols(gb, 0, dim)
-    beta = ad.cols(gb, dim, 2 * dim)
-    scaled = ad.add(ad.mul(ad.add(ad.tanh(gamma), 1.0), visual), beta)
-    return ad.l2normalize_rows(scaled)
+    """Tape composite, one node: unit-normalized (1 + tanh(gamma)) * v + beta."""
+    codes, visual = ad.lift(codes), ad.lift(visual)
+    w1, b1, w2, b2 = (ad.lift(p) for p in (w1, b1, w2, b2))
+    v = visual.value
+    dim = v.shape[1]
+    gb, hidden = ad.mlp_forward(codes.value, w1.value, b1.value, w2.value, b2.value)
+    t = np.tanh(gb[:, :dim])
+    scale = t + 1.0
+    out, norms = ad.unit_rows(scale * v + gb[:, dim : 2 * dim])
+
+    def vjp(g):
+        gs = ad.unit_rows_vjp(g, out, norms)
+        ggb = np.zeros_like(gb)
+        ggb[:, :dim] = (gs * v) * (1.0 - t * t)
+        ggb[:, dim : 2 * dim] = gs
+        grads, gcodes = ad.mlp_vjp(ggb, codes.value, hidden, w1, b1, w2, b2,
+                                   codes.requires_grad)
+        if gcodes is not None:
+            grads.append((codes, gcodes))
+        if visual.requires_grad:
+            grads.append((visual, gs * scale))
+        return grads
+
+    return ad.node(out, (codes, visual, w1, b1, w2, b2), vjp)
 
 
 def check_permutation(pi, n: int) -> np.ndarray:

@@ -63,17 +63,24 @@ def _labels(y, n: int) -> np.ndarray:
     return arr
 
 
-def class_logits(visual, text_rows, scale: float) -> ad.Tensor:
-    """scale * v @ rows^T for row batches of visual embeddings."""
+def _check_scale(scale: float) -> None:
     if scale <= 0.0:
         raise ParameterError(f"logit scale must be > 0, got {scale}")
-    return ad.mul(ad.matmul(_rows(visual), ad.transpose(ad.lift(text_rows))), scale)
+
+
+def class_logits(visual, text_rows, scale: float) -> np.ndarray:
+    """Detached scale * v @ rows^T for row batches of visual embeddings; the
+    logit terms compute the same values inside their one tape node."""
+    _check_scale(scale)
+    return (_rows(visual).value @ _rows(text_rows).value.T) * scale
 
 
 def loss_cls(visual, text_rows, labels, scale: float = DEFAULT_LOGIT_SCALE) -> ad.Tensor:
     """Mean cross-entropy of scaled logits; `text_rows` are the prediction rows."""
-    logits = class_logits(visual, text_rows, scale)
-    return ad.cross_entropy_mean(logits, _labels(labels, logits.value.shape[0]))
+    visual = _rows(visual)
+    _check_scale(scale)
+    return ad.logit_cross_entropy(visual, text_rows, _labels(labels, visual.value.shape[0]),
+                                  scale)
 
 
 def pseudo_labels(visual, text_rows, scale: float = DEFAULT_LOGIT_SCALE) -> np.ndarray:
@@ -82,7 +89,7 @@ def pseudo_labels(visual, text_rows, scale: float = DEFAULT_LOGIT_SCALE) -> np.n
     Returns a plain array on purpose: nothing downstream can backpropagate
     through it.
     """
-    logits = class_logits(visual, text_rows, scale).value
+    logits = class_logits(visual, text_rows, scale)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -113,8 +120,7 @@ def loss_granule(modulated, raw_rows, labels, scale: float = DEFAULT_LOGIT_SCALE
     Used twice: factual batches pair v_g with true labels, counterfactual
     batches pair v_gcf with donor labels y[pi].
     """
-    logits = class_logits(modulated, raw_rows, scale)
-    return ad.cross_entropy_mean(logits, _labels(labels, logits.value.shape[0]))
+    return loss_cls(modulated, raw_rows, labels, scale)
 
 
 def combine(cls_term: ad.Tensor,
@@ -126,13 +132,10 @@ def combine(cls_term: ad.Tensor,
             lambda_gcf: float = DEFAULT_LAMBDA,
             ) -> tuple[ad.Tensor, LossBreakdown]:
     """Weighted total as a tape scalar plus the float breakdown."""
-    total = cls_term
-    if sem_term is not None:
-        total = ad.add(total, ad.mul(sem_term, lambda_sem))
-    if gf_term is not None:
-        total = ad.add(total, ad.mul(gf_term, lambda_gf))
-    if gcf_term is not None:
-        total = ad.add(total, ad.mul(gcf_term, lambda_gcf))
+    weighted = [(term, weight) for term, weight in
+                ((sem_term, lambda_sem), (gf_term, lambda_gf), (gcf_term, lambda_gcf))
+                if term is not None]
+    total = ad.weighted_sum(cls_term, weighted) if weighted else cls_term
     parts = LossBreakdown(
         cls=cls_term.item(),
         sem=None if sem_term is None else sem_term.item(),

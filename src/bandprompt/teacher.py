@@ -60,6 +60,9 @@ class LatentTensor:
         return self.sample_id == other.sample_id and np.array_equal(self.data, other.data)
 
 
+IDENTITY_BANDS = ("low", "high")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic dataset; fully deterministic given `seed`."""
@@ -80,7 +83,7 @@ class SyntheticSpec:
             raise SpecificationError(f"grid {self.grid} too small; need C >= 1 and h, w >= 4")
         if self.base_modes < 1 or self.detail_modes < 1:
             raise SpecificationError("mode counts must be >= 1")
-        if self.identity_band not in ("low", "high"):
+        if self.identity_band not in IDENTITY_BANDS:
             raise SpecificationError(f"identity_band must be 'low' or 'high', got {self.identity_band!r}")
         if not (self.noise_std >= 0.0 and np.isfinite(self.noise_std)):
             raise SpecificationError("noise_std must be finite and >= 0")

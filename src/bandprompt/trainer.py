@@ -31,7 +31,7 @@ ANCHOR_POLICIES = ("raw_text_by_label", "refined_text_by_label")
 
 
 def _mlp(prefix: str, fan_in: int, hidden: int, out: int, final_init: str) -> dict:
-    # Affine -> tanh -> affine, keyed in `ad.mlp_rows` argument order.
+    # Affine -> tanh -> affine, keyed in `ad.mlp_forward` argument order.
     return {
         f"{prefix}.w1": ((fan_in, hidden), "uniform"),
         f"{prefix}.b1": ((hidden,), "zeros"),
@@ -451,15 +451,13 @@ def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState
             idx = order[start : start + cfg.batch_size]
             if cfg.use_bank and state.bank is not None and not state.bank.full:
                 # Fill phase: absorb only, no optimizer update.
-                for row in low_band_rows(state.params, feats.phi_base[idx]):
-                    absorb(state.bank, row)
+                absorb(state.bank, low_band_rows(state.params, feats.phi_base[idx]))
                 continue
             pi = rng_pi.permutation(len(idx)) if cfg.lambda_gcf > 0 else None
             epoch_parts.append(train_step(state, feats, idx, cfg, pi))
         if cfg.use_bank and cfg.bank_refresh and state.bank is not None and state.bank.full:
             sub = np.sort(rng_batch.choice(n, size=max(1, n // 2), replace=False))
-            for row in low_band_rows(state.params, feats.phi_base[sub]):
-                absorb(state.bank, row)
+            absorb(state.bank, low_band_rows(state.params, feats.phi_base[sub]))
         if epoch_parts:
             state.epoch_history.append(_mean_breakdown(epoch_parts))
         if epoch_callback is not None:
@@ -568,12 +566,9 @@ def fill_bank(state: TrainState, feats: CacheFeatures) -> None:
     """Absorb low-band embeddings (cycling over samples) until the bank fills."""
     if state.bank is None or state.bank.full:
         return
-    n = feats.phi_base.shape[0]
     rows = low_band_rows(state.params, feats.phi_base)
-    i = 0
-    while not state.bank.full:
-        absorb(state.bank, rows[i % n])
-        i += 1
+    free = state.bank.size - state.bank.fill_count
+    absorb(state.bank, rows[np.arange(free) % len(rows)])
 
 
 def run_gradient_check(cache: LatentCache, cfg: TrainConfig,
@@ -640,7 +635,10 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], Semant
             text = ln[1:].strip()
             if "=" in text:
                 k, _, v = text.partition("=")
-                header[k.strip()] = v.strip()
+                k = k.strip()
+                if k in header:
+                    raise ParameterError(f"{path}: header key {k!r} appears twice")
+                header[k] = v.strip()
             continue
         if ln.strip():
             body.append(ln)

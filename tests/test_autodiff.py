@@ -37,52 +37,202 @@ def check_scalar_fn(build, *arrays, step=1e-6, tol=1e-6):
         assert err < tol, f"gradient mismatch: {err}"
 
 
+# ---------------------------------------------------------------------------
+# Reference primitives. The program's tape keeps only the ops its own code
+# calls. The ones it no longer calls live on here, each one tape node, to
+# spell out the primitive chains the fused composites are checked against;
+# the tests below check each against finite differences.
+
+
+def add(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+
+    def vjp(g):
+        return ((a, ad.unbroadcast(g, a.value.shape)), (b, ad.unbroadcast(g, b.value.shape)))
+
+    return ad.node(a.value + b.value, (a, b), vjp)
+
+
+def div(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+    out = a.value / b.value
+
+    def vjp(g):
+        return (
+            (a, ad.unbroadcast(g / b.value, a.value.shape)),
+            (b, ad.unbroadcast(-g * out / b.value, b.value.shape)),
+        )
+
+    return ad.node(out, (a, b), vjp)
+
+
+def transpose(a):
+    a = ad.lift(a)
+    return ad.node(a.value.T, (a,), lambda g: ((a, g.T),))
+
+
+def tanh(a):
+    a = ad.lift(a)
+    out = np.tanh(a.value)
+    return ad.node(out, (a,), lambda g: ((a, g * (1.0 - out * out)),))
+
+
+def exp(a):
+    a = ad.lift(a)
+    out = np.exp(a.value)
+    return ad.node(out, (a,), lambda g: ((a, g * out),))
+
+
+def log(a):
+    a = ad.lift(a)
+    return ad.node(np.log(a.value), (a,), lambda g: ((a, g / a.value),))
+
+
+def sqrt(a):
+    a = ad.lift(a)
+    out = np.sqrt(a.value)
+    return ad.node(out, (a,), lambda g: ((a, g * 0.5 / out),))
+
+
+def square(a):
+    a = ad.lift(a)
+    return ad.node(a.value * a.value, (a,), lambda g: ((a, g * 2.0 * a.value),))
+
+
+def _spread(g, a, axis, keepdims):
+    """An (axis-)reduced gradient broadcast back over `a`."""
+    g = np.asarray(g)
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.value.shape).copy()
+
+
+def tsum(a, axis=None, keepdims=False):
+    a = ad.lift(a)
+    return ad.node(a.value.sum(axis=axis, keepdims=keepdims), (a,),
+                   lambda g: ((a, _spread(g, a, axis, keepdims)),))
+
+
+def tmean(a, axis=None, keepdims=False):
+    a = ad.lift(a)
+    count = a.value.size if axis is None else a.value.shape[axis]
+    return ad.node(a.value.mean(axis=axis, keepdims=keepdims), (a,),
+                   lambda g: ((a, _spread(g / count, a, axis, keepdims)),))
+
+
+def concat_cols(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+    na = a.value.shape[1]
+    return ad.node(np.concatenate([a.value, b.value], axis=1), (a, b),
+                   lambda g: ((a, g[:, :na]), (b, g[:, na:])))
+
+
+def cols(a, lo, hi):
+    a = ad.lift(a)
+
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        full[:, lo:hi] = g
+        return ((a, full),)
+
+    return ad.node(a.value[:, lo:hi], (a,), vjp)
+
+
+def affine(x, w, b):
+    """x @ w + b as one node."""
+    x, w, b = ad.lift(x), ad.lift(w), ad.lift(b)
+
+    def vjp(g):
+        return ((x, g @ w.value.T), (w, x.value.T @ g), (b, ad.unbroadcast(g, b.value.shape)))
+
+    return ad.node(x.value @ w.value + b.value, (x, w, b), vjp)
+
+
+# One-node wrappers of the program's array-level algebra, so each formula is
+# checked on its own against its chain and against finite differences.
+
+
+def mlp_rows(x, w1, b1, w2, b2):
+    """`ad.mlp_forward` / `ad.mlp_vjp` as one node."""
+    x, *params = (ad.lift(t) for t in (x, w1, b1, w2, b2))
+    out, hidden = ad.mlp_forward(x.value, *(p.value for p in params))
+
+    def vjp(g):
+        grads, gx = ad.mlp_vjp(g, x.value, hidden, *params, x.requires_grad)
+        return grads if gx is None else grads + [(x, gx)]
+
+    return ad.node(out, (x, *params), vjp)
+
+
+def layer_norm_rows(x, gain, bias):
+    """`ad.layer_norm_forward` / `ad.layer_norm_vjp` as one node."""
+    x, gain, bias = ad.lift(x), ad.lift(gain), ad.lift(bias)
+    out, normed, std = ad.layer_norm_forward(x.value, gain.value, bias.value)
+
+    def vjp(g):
+        return (
+            (x, ad.layer_norm_vjp(g, gain.value, normed, std)),
+            (gain, ad.unbroadcast(g * normed, gain.value.shape)),
+            (bias, ad.unbroadcast(g, bias.value.shape)),
+        )
+
+    return ad.node(out, (x, gain, bias), vjp)
+
+
+def cross_entropy_mean(logits, labels):
+    """`ad.logit_cross_entropy` against identity class rows at scale 1, which
+    leave the logits exact."""
+    logits = ad.lift(logits)
+    eye = ad.constant(np.eye(logits.value.shape[1]))
+    return ad.logit_cross_entropy(logits, eye, labels, 1.0)
+
+
 def test_add_mul_broadcasting_grads():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4,))
-    check_scalar_fn(lambda x, y: ad.tsum(ad.mul(ad.add(x, y), ad.add(x, 2.0))), a, b)
+    check_scalar_fn(lambda x, y: tsum(ad.mul(add(x, y), add(x, 2.0))), a, b)
 
 
 def test_matmul_transpose_grads():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
-    check_scalar_fn(lambda x, y: ad.tsum(ad.matmul(x, y)), a, b)
-    check_scalar_fn(lambda x, y: ad.tsum(ad.matmul(ad.transpose(y), ad.transpose(x))), a, b)
+    check_scalar_fn(lambda x, y: tsum(ad.matmul(x, y)), a, b)
+    check_scalar_fn(lambda x, y: tsum(ad.matmul(transpose(y), transpose(x))), a, b)
 
 
 def test_unary_grads():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(2, 5))
     pos = np.abs(a) + 0.5
-    check_scalar_fn(lambda x: ad.tsum(ad.tanh(x)), a)
-    check_scalar_fn(lambda x: ad.tsum(ad.exp(x)), a)
-    check_scalar_fn(lambda x: ad.tsum(ad.log(x)), pos)
-    check_scalar_fn(lambda x: ad.tsum(ad.sqrt(x)), pos)
-    check_scalar_fn(lambda x: ad.tsum(ad.square(x)), a)
-    check_scalar_fn(lambda x: ad.tmean(ad.div(1.0, x)), pos)
+    check_scalar_fn(lambda x: tsum(tanh(x)), a)
+    check_scalar_fn(lambda x: tsum(exp(x)), a)
+    check_scalar_fn(lambda x: tsum(log(x)), pos)
+    check_scalar_fn(lambda x: tsum(sqrt(x)), pos)
+    check_scalar_fn(lambda x: tsum(square(x)), a)
+    check_scalar_fn(lambda x: tmean(div(1.0, x)), pos)
 
 
 def test_reduction_axis_grads():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 3))
-    check_scalar_fn(lambda x: ad.tsum(ad.square(ad.tsum(x, axis=1))), a)
-    check_scalar_fn(lambda x: ad.tsum(ad.square(ad.tmean(x, axis=0, keepdims=True))), a)
+    check_scalar_fn(lambda x: tsum(square(tsum(x, axis=1))), a)
+    check_scalar_fn(lambda x: tsum(square(tmean(x, axis=0, keepdims=True))), a)
 
 
 def test_concat_cols_and_cols_grads():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(3, 2))
     b = rng.normal(size=(3, 3))
-    check_scalar_fn(lambda x, y: ad.tsum(ad.square(ad.concat_cols(x, y))), a, b)
-    check_scalar_fn(lambda x, y: ad.tsum(ad.cols(ad.concat_cols(x, y), 1, 4)), a, b)
+    check_scalar_fn(lambda x, y: tsum(square(concat_cols(x, y))), a, b)
+    check_scalar_fn(lambda x, y: tsum(cols(concat_cols(x, y), 1, 4)), a, b)
 
 
 def test_take_rows_accumulates_duplicates():
     a = ad.parameter(np.arange(6.0).reshape(3, 2))
     picked = ad.take_rows(a, [0, 0, 2])
-    root = ad.tsum(picked)
+    root = tsum(picked)
     ad.backward(root)
     assert np.array_equal(a.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -94,7 +244,7 @@ def test_softmax_rows_matches_oracle_and_grads():
     e = np.exp(a - a.max(axis=1, keepdims=True))
     assert np.allclose(s, e / e.sum(axis=1, keepdims=True), atol=1e-12)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
-    check_scalar_fn(lambda x: ad.tsum(ad.square(ad.softmax_rows(x))), a)
+    check_scalar_fn(lambda x: tsum(square(ad.softmax_rows(x))), a)
     # shift invariance: adding a constant per row changes nothing
     shifted = ad.softmax_rows(ad.constant(a + 7.5)).value
     assert np.allclose(s, shifted, atol=1e-12)
@@ -105,7 +255,7 @@ def test_l2normalize_rows_grads_and_degeneracy():
     a = rng.normal(size=(3, 4)) + 0.1
     out = ad.l2normalize_rows(ad.constant(a)).value
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
-    check_scalar_fn(lambda x: ad.tsum(ad.square(ad.l2normalize_rows(x))), a)
+    check_scalar_fn(lambda x: tsum(square(ad.l2normalize_rows(x))), a)
     with pytest.raises(NumericalDegeneracyError):
         ad.l2normalize_rows(ad.constant(np.zeros((2, 3))))
 
@@ -115,13 +265,13 @@ def test_layer_norm_rows_oracle_and_grads():
     x = rng.normal(size=(3, 5))
     gain = rng.normal(size=5) + 1.0
     bias = rng.normal(size=5)
-    out = ad.layer_norm_rows(ad.constant(x), ad.constant(gain), ad.constant(bias)).value
+    out = layer_norm_rows(ad.constant(x), ad.constant(gain), ad.constant(bias)).value
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
     expect = (x - mu) / np.sqrt(var + 1e-5) * gain + bias
     assert np.allclose(out, expect, atol=1e-12)
     check_scalar_fn(
-        lambda a, g, b: ad.tsum(ad.square(ad.layer_norm_rows(a, g, b))), x, gain, bias
+        lambda a, g, b: tsum(square(layer_norm_rows(a, g, b))), x, gain, bias
     )
 
 
@@ -129,13 +279,13 @@ def test_cross_entropy_matches_log_softmax():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(6, 4)) * 2.0
     y = rng.integers(0, 4, size=6)
-    val = ad.cross_entropy_mean(ad.constant(logits), y).value
+    val = cross_entropy_mean(ad.constant(logits), y).value
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     assert np.allclose(val, -logp[np.arange(6), y].mean(), atol=1e-12)
-    check_scalar_fn(lambda x: ad.cross_entropy_mean(x, y), logits)
+    check_scalar_fn(lambda x: cross_entropy_mean(x, y), logits)
     with pytest.raises(ParameterError):
-        ad.cross_entropy_mean(ad.constant(logits), np.array([0, 1, 2, 3, 4, 9]))
+        cross_entropy_mean(ad.constant(logits), np.array([0, 1, 2, 3, 4, 9]))
 
 
 def test_cosine_rows_grads():
@@ -145,7 +295,7 @@ def test_cosine_rows_grads():
     cos = ad.cosine_rows(ad.constant(a), ad.constant(b)).value
     expect = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
     assert np.allclose(cos, expect, atol=1e-12)
-    check_scalar_fn(lambda x, y: ad.tsum(ad.cosine_rows(x, y)), a, b)
+    check_scalar_fn(lambda x, y: tsum(ad.cosine_rows(x, y)), a, b)
 
 
 def test_mlp_rows_gradients():
@@ -156,7 +306,7 @@ def test_mlp_rows_gradients():
     w2 = rng.normal(size=(4, 2))
     b2 = rng.normal(size=2)
     check_scalar_fn(
-        lambda a, c, d, e, f: ad.tsum(ad.square(ad.mlp_rows(a, c, d, e, f))),
+        lambda a, c, d, e, f: tsum(square(mlp_rows(a, c, d, e, f))),
         x, w1, b1, w2, b2,
     )
 
@@ -164,7 +314,7 @@ def test_mlp_rows_gradients():
 def test_constant_results_collapse():
     # ops on constants produce constants: no gradient path can exist
     c = ad.constant(np.ones((2, 2)))
-    out = ad.matmul(ad.tanh(c), c)
+    out = ad.matmul(tanh(c), c)
     assert not out.requires_grad
     p = ad.parameter(np.ones((2, 2)))
     mixed = ad.matmul(p, c)
@@ -174,7 +324,7 @@ def test_constant_results_collapse():
 def test_constants_never_receive_gradients():
     c = ad.constant(np.ones((2, 3)))
     p = ad.parameter(np.full((2, 3), 2.0))
-    root = ad.tsum(ad.mul(p, c))
+    root = tsum(ad.mul(p, c))
     ad.backward(root)
     assert c.grad is None
     assert np.array_equal(p.grad, np.ones((2, 3)))
@@ -183,20 +333,20 @@ def test_constants_never_receive_gradients():
 def test_backward_requires_scalar():
     p = ad.parameter(np.ones((2, 2)))
     with pytest.raises(ParameterError):
-        ad.backward(ad.square(p))
+        ad.backward(square(p))
 
 
 def test_grad_accumulates_across_shared_subgraphs():
     p = ad.parameter(np.array([3.0]))
-    sq = ad.square(p)
-    root = ad.tsum(ad.add(sq, sq))
+    sq = square(p)
+    root = tsum(add(sq, sq))
     ad.backward(root)
     assert np.allclose(p.grad, [12.0])
 
 
 def test_zero_grads_resets():
     p = ad.parameter(np.array([1.0, 1.0]))
-    ad.backward(ad.tsum(ad.square(p)))
+    ad.backward(tsum(square(p)))
     assert p.grad is not None
     ad.zero_grads([p])
     assert p.grad is None
@@ -207,8 +357,8 @@ def test_deep_chain_does_not_recurse():
     p = ad.parameter(np.array([0.5]))
     node = p
     for _ in range(5000):
-        node = ad.add(node, 0.0)
-    ad.backward(ad.tsum(node))
+        node = add(node, 0.0)
+    ad.backward(tsum(node))
     assert np.allclose(p.grad, [1.0])
 
 
@@ -220,31 +370,31 @@ FUSED_RTOL = 1e-12
 
 
 def chain_affine(x, w, b):
-    return ad.add(ad.matmul(x, w), b)
+    return add(ad.matmul(x, w), b)
 
 
 def chain_softmax_rows(x):
     x = ad.lift(x)
     shift = ad.constant(x.value.max(axis=1, keepdims=True))
-    e = ad.exp(ad.sub(x, shift))
-    return ad.div(e, ad.tsum(e, axis=1, keepdims=True))
+    e = exp(ad.sub(x, shift))
+    return div(e, tsum(e, axis=1, keepdims=True))
 
 
 def chain_l2normalize_rows(x):
     x = ad.lift(x)
-    return ad.div(x, ad.sqrt(ad.tsum(ad.square(x), axis=1, keepdims=True)))
+    return div(x, sqrt(tsum(square(x), axis=1, keepdims=True)))
 
 
 def chain_layer_norm_rows(x, gain, bias, eps=1e-5):
     x = ad.lift(x)
-    centered = ad.sub(x, ad.tmean(x, axis=1, keepdims=True))
-    var = ad.tmean(ad.square(centered), axis=1, keepdims=True)
-    normed = ad.div(centered, ad.sqrt(ad.add(var, eps)))
-    return ad.add(ad.mul(normed, gain), bias)
+    centered = ad.sub(x, tmean(x, axis=1, keepdims=True))
+    var = tmean(square(centered), axis=1, keepdims=True)
+    normed = div(centered, sqrt(add(var, eps)))
+    return add(ad.mul(normed, gain), bias)
 
 
 def chain_mlp_rows(x, w1, b1, w2, b2):
-    hidden = ad.tanh(chain_affine(ad.lift(x), w1, b1))
+    hidden = tanh(chain_affine(ad.lift(x), w1, b1))
     return chain_affine(hidden, w2, b2)
 
 
@@ -254,29 +404,48 @@ def chain_cross_entropy_mean(logits, labels):
     n, c = logits.value.shape
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    picked = ad.tsum(ad.mul(logits, ad.constant(onehot)), axis=1, keepdims=True)
+    picked = tsum(ad.mul(logits, ad.constant(onehot)), axis=1, keepdims=True)
     shift = ad.constant(logits.value.max(axis=1, keepdims=True))
-    lse = ad.add(shift, ad.log(ad.tsum(ad.exp(ad.sub(logits, shift)), axis=1, keepdims=True)))
-    return ad.tmean(ad.sub(lse, picked))
+    lse = add(shift, log(tsum(exp(ad.sub(logits, shift)), axis=1, keepdims=True)))
+    return tmean(ad.sub(lse, picked))
 
 
 def chain_cosine_rows(a, b):
     a, b = ad.lift(a), ad.lift(b)
-    num = ad.tsum(ad.mul(a, b), axis=1)
-    na = ad.sqrt(ad.tsum(ad.square(a), axis=1))
-    nb = ad.sqrt(ad.tsum(ad.square(b), axis=1))
-    return ad.div(num, ad.mul(na, nb))
+    num = tsum(ad.mul(a, b), axis=1)
+    na = sqrt(tsum(square(a), axis=1))
+    nb = sqrt(tsum(square(b), axis=1))
+    return div(num, ad.mul(na, nb))
 
 
-CHAINS = {
-    "affine": chain_affine,
-    "softmax_rows": chain_softmax_rows,
-    "l2normalize_rows": chain_l2normalize_rows,
-    "layer_norm_rows": chain_layer_norm_rows,
-    "mlp_rows": chain_mlp_rows,
-    "cross_entropy_mean": chain_cross_entropy_mean,
-    "cosine_rows": chain_cosine_rows,
-}
+def chain_logit_cross_entropy(visual, rows, labels, scale):
+    logits = ad.mul(ad.matmul(visual, transpose(rows)), scale)
+    return chain_cross_entropy_mean(logits, labels)
+
+
+def chain_weighted_sum(first, terms):
+    total = first
+    for term, weight in terms:
+        total = add(total, ad.mul(term, weight))
+    return total
+
+
+def chain_head_graph(stats, w1, b1, w2, b2):
+    return chain_l2normalize_rows(chain_mlp_rows(stats, w1, b1, w2, b2))
+
+
+def chain_fuse_rows(anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias):
+    anchors = ad.lift(anchors)
+    residual = chain_mlp_rows(concat_cols(anchors, granules), w1, b1, w2, b2)
+    return chain_layer_norm_rows(add(anchors, residual), ln_gain, ln_bias)
+
+
+def chain_film_rows(codes, visual, w1, b1, w2, b2):
+    visual = ad.lift(visual)
+    dim = visual.value.shape[1]
+    gb = chain_mlp_rows(codes, w1, b1, w2, b2)
+    gamma, beta = cols(gb, 0, dim), cols(gb, dim, 2 * dim)
+    return chain_l2normalize_rows(add(ad.mul(add(tanh(gamma), 1.0), visual), beta))
 
 
 def assert_matches(got, want):
@@ -291,45 +460,118 @@ def value_and_vjp(op, arrays):
     params = [ad.parameter(a) for a in arrays]
     out = op(*params)
     c = np.random.default_rng(0).normal(size=out.shape)
-    ad.backward(ad.tsum(ad.mul(out, ad.constant(c))))
+    ad.backward(tsum(ad.mul(out, ad.constant(c))))
     return out.value, [p.grad for p in params]
+
+
+def mlp_arrays(rng, fan_in, hidden, out):
+    return [rng.normal(size=(fan_in, hidden)), rng.normal(size=hidden),
+            rng.normal(size=(hidden, out)), rng.normal(size=out)]
 
 
 def fused_cases():
     """(id, fused op, chain, arrays): random shapes, one-row batches,
-    broadcast gain/bias and duplicate labels."""
+    broadcast gain/bias, duplicate labels and constant data inputs."""
     rng = np.random.default_rng(11)
     for n, d in [(1, 1), (1, 5), (2, 3), (7, 4), (16, 16), (5, 33)]:
         k, h = (int(v) for v in rng.integers(1, 9, size=2))
         x = rng.normal(size=(n, d)) * 2.0
         tag = f"{n}x{d}"
         for bias_shape in [(k,), (1, k)]:
-            yield (f"affine-{tag}-bias{bias_shape}", ad.affine, chain_affine,
+            yield (f"affine-{tag}-bias{bias_shape}", affine, chain_affine,
                    [x, rng.normal(size=(d, k)), rng.normal(size=bias_shape)])
         yield f"softmax-{tag}", ad.softmax_rows, chain_softmax_rows, [5.0 * x]
         yield f"l2normalize-{tag}", ad.l2normalize_rows, chain_l2normalize_rows, [x + 0.1]
         yield (f"cosine-{tag}", ad.cosine_rows, chain_cosine_rows,
                [x + 0.1, rng.normal(size=(n, d))])
-        yield (f"mlp-{tag}", ad.mlp_rows, chain_mlp_rows,
+        yield (f"mlp-{tag}", mlp_rows, chain_mlp_rows,
                [x, rng.normal(size=(d, h)), rng.normal(size=h),
                 rng.normal(size=(h, k)), rng.normal(size=k)])
         if d > 1:
             for gain_shape, bias_shape in [((d,), (d,)), ((1, d), (d,)),
                                            ((d,), (n, d)), ((), (1, d))]:
                 yield (f"layer_norm-{tag}-gain{gain_shape}-bias{bias_shape}",
-                       ad.layer_norm_rows, chain_layer_norm_rows,
+                       layer_norm_rows, chain_layer_norm_rows,
                        [x, rng.normal(size=gain_shape) + 1.0, rng.normal(size=bias_shape)])
         # n labels over d + 1 classes: any batch of more than d + 1 rows repeats one
         labels = rng.integers(0, d + 1, size=n)
         yield (f"cross_entropy-{tag}",
-               lambda a, y=labels: ad.cross_entropy_mean(a, y),
+               lambda a, y=labels: cross_entropy_mean(a, y),
                lambda a, y=labels: chain_cross_entropy_mean(a, y),
                [3.0 * rng.normal(size=(n, d + 1))])
     same = np.zeros(6, dtype=np.intp)
     yield ("cross_entropy-one-label",
-           lambda a: ad.cross_entropy_mean(a, same),
+           lambda a: cross_entropy_mean(a, same),
            lambda a: chain_cross_entropy_mean(a, same),
            [rng.normal(size=(6, 3))])
+    yield from model_cases(np.random.default_rng(12))
+
+
+def model_cases(rng):
+    """The model's one-node composites. A "-const" case holds the data rows
+    (statistics, anchors and granules, visual rows) as constants, as
+    training does."""
+    from bandprompt.bands import head_graph
+    from bandprompt.granules import film_rows, fuse_rows
+
+    for n, d in [(1, 3), (1, 5), (3, 4), (6, 5), (16, 8)]:
+        tag = f"{n}x{d}"
+        h = int(rng.integers(1, 9))
+        c = d + 1  # more than d + 1 rows repeat a label
+        labels = rng.integers(0, c, size=n)
+        visual, rows = rng.normal(size=(n, d)), rng.normal(size=(c, d))
+        scale = float(rng.uniform(1.0, 20.0))
+        yield (f"logit_ce-{tag}",
+               lambda v, r, y=labels, s=scale: ad.logit_cross_entropy(v, r, y, s),
+               lambda v, r, y=labels, s=scale: chain_logit_cross_entropy(v, r, y, s),
+               [visual, rows])
+        yield (f"logit_ce-{tag}-const",
+               lambda r, v=visual, y=labels, s=scale:
+                   ad.logit_cross_entropy(ad.constant(v), r, y, s),
+               lambda r, v=visual, y=labels, s=scale:
+                   chain_logit_cross_entropy(ad.constant(v), r, y, s),
+               [rows])
+
+        stats = np.abs(rng.normal(size=(n, d))) + 0.1
+        head = mlp_arrays(rng, d, h, d)
+        yield f"head-{tag}", head_graph, chain_head_graph, [stats, *head]
+        yield (f"head-{tag}-const",
+               lambda *p, x=stats: head_graph(ad.constant(x), *p),
+               lambda *p, x=stats: chain_head_graph(ad.constant(x), *p), head)
+
+        anchors, granules = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        fuse = mlp_arrays(rng, 2 * d, h, d) + [rng.normal(size=d) + 1.0, rng.normal(size=d)]
+        yield f"fuse-{tag}", fuse_rows, chain_fuse_rows, [anchors, granules, *fuse]
+        yield (f"fuse-{tag}-const",
+               lambda *p, a=anchors, g=granules: fuse_rows(ad.constant(a), ad.constant(g), *p),
+               lambda *p, a=anchors, g=granules:
+                   chain_fuse_rows(ad.constant(a), ad.constant(g), *p),
+               fuse)
+
+        codes = rng.normal(size=(n, d))
+        film = mlp_arrays(rng, d, h, 2 * d)
+        yield f"film-{tag}", film_rows, chain_film_rows, [codes, visual, *film]
+        yield (f"film-{tag}-const",
+               lambda codes, *p, v=visual: film_rows(codes, ad.constant(v), *p),
+               lambda codes, *p, v=visual: chain_film_rows(codes, ad.constant(v), *p),
+               [codes, *film])
+
+    same = np.zeros(6, dtype=np.intp)
+    yield ("logit_ce-one-label",
+           lambda v, r: ad.logit_cross_entropy(v, r, same, 3.0),
+           lambda v, r: chain_logit_cross_entropy(v, r, same, 3.0),
+           [rng.normal(size=(6, 4)), rng.normal(size=(3, 4))])
+    terms = rng.normal(size=4)
+    weights = [0.1, 2.5, 0.0]
+    for k in (1, 2, 3):
+        yield (f"weighted_sum-{k}",
+               lambda first, *t, w=weights: ad.weighted_sum(first, zip(t, w)),
+               lambda first, *t, w=weights: chain_weighted_sum(first, zip(t, w)),
+               [np.asarray(v) for v in terms[: k + 1]])
+    yield ("weighted_sum-const",
+           lambda a, b, t=terms[3]: ad.weighted_sum(a, [(ad.constant(t), 0.3), (b, 0.7)]),
+           lambda a, b, t=terms[3]: chain_weighted_sum(a, [(ad.constant(t), 0.3), (b, 0.7)]),
+           [np.asarray(terms[0]), np.asarray(terms[1])])
 
 
 FUSED_CASES = list(fused_cases())
@@ -345,14 +587,49 @@ def test_fused_op_matches_its_primitive_chain(fused, chain, arrays):
         assert_matches(got, want)
 
 
+def test_fused_vjps_skip_constant_inputs():
+    """A fused node's VJP hands out gradients for its live parents only, so
+    none is computed for a constant input such as band statistics or visual
+    rows."""
+    from bandprompt.bands import head_graph
+    from bandprompt.granules import film_rows, fuse_rows
+
+    rng = np.random.default_rng(13)
+    n, d, h = 4, 3, 5
+
+    def live(*shape):
+        return ad.parameter(rng.normal(size=shape))
+
+    def const(*shape):
+        return ad.constant(rng.normal(size=shape))
+
+    def mlp(fan_in, out):
+        return live(fan_in, h), live(h), live(h, out), live(out)
+
+    nodes = [
+        head_graph(const(n, d), *mlp(d, d)),
+        fuse_rows(const(n, d), const(n, d), *mlp(2 * d, d), live(d), live(d)),
+        fuse_rows(const(n, d), live(n, d), *mlp(2 * d, d), live(d), live(d)),
+        film_rows(live(n, d), const(n, d), *mlp(d, 2 * d)),
+        ad.logit_cross_entropy(const(n, d), live(2, d), [0, 1, 1, 0], 10.0),
+        ad.logit_cross_entropy(live(n, d), const(2, d), [0, 1, 1, 0], 10.0),
+        ad.weighted_sum(const(), [(live(), 0.1), (const(), 0.2)]),
+    ]
+    for out in nodes:
+        handed = [id(p) for p, _ in out._vjp(np.ones_like(out.value))]
+        assert sorted(handed) == sorted(id(p) for p in out._parents if p.requires_grad)
+
+
 def test_training_graph_matches_the_chains(monkeypatch):
     """The whole objective and every parameter gradient, fused against chains.
 
-    `agg.ln_bias` is compared in absolute terms: the bias is shared by every
-    class row, so it shifts all logits of the one term that sees the refined
-    rows equally, and its true gradient is 0. Both sides read rounding noise.
+    Every composite a training step calls is swapped for its chain where the
+    step looks it up. `agg.ln_bias` is compared in absolute terms: the bias
+    is shared by every class row, so it shifts all logits of the one term
+    that sees the refined rows equally, and its true gradient is 0. Both
+    sides read rounding noise.
     """
-    from bandprompt import trainer
+    from bandprompt import refine, trainer
     from bandprompt.teacher import SyntheticSpec, generate_dataset
 
     cache = generate_dataset(SyntheticSpec(num_classes=4, seed=0), n_per_class=8)
@@ -369,14 +646,25 @@ def test_training_graph_matches_the_chains(monkeypatch):
         total, _ = trainer.forward_batch(state.params, feats, idx, state.bank, cfg, pi)
         ad.zero_grads(state.params.values())
         ad.backward(total)
-        return total.value, {k: p.grad for k, p in state.params.items()}
+        return total, {k: p.grad for k, p in state.params.items()}
 
     fused_total, fused = objective_and_grads()
-    for name, chain in CHAINS.items():
-        monkeypatch.setattr(ad, name, chain)
+    for owner, name, chain in [
+        (trainer, "head_graph", chain_head_graph),
+        (trainer, "fuse_rows", chain_fuse_rows),
+        (refine, "fuse_rows", chain_fuse_rows),
+        (trainer, "film_rows", chain_film_rows),
+        (ad, "logit_cross_entropy", chain_logit_cross_entropy),
+        (ad, "weighted_sum", chain_weighted_sum),
+        (ad, "softmax_rows", chain_softmax_rows),
+        (ad, "l2normalize_rows", chain_l2normalize_rows),
+        (ad, "cosine_rows", chain_cosine_rows),
+    ]:
+        monkeypatch.setattr(owner, name, chain)
     chain_total, chained = objective_and_grads()
 
-    assert_matches(fused_total, chain_total)
+    assert len(tape_nodes(chain_total)) > 3 * len(tape_nodes(fused_total))
+    assert_matches(fused_total.value, chain_total.value)
     for name, want in chained.items():
         if name == "agg.ln_bias":
             assert np.max(np.abs(want)) <= FUSED_RTOL
@@ -474,15 +762,15 @@ def test_diamond_runs_each_vjp_once(short_first):
     """s feeds a long branch (s -> u -> v) and a short one (s -> w); the
     root's parent order puts whichever branch was made later first."""
     p = ad.parameter(np.array([[0.3, -0.7]]))
-    s = ad.tanh(p)
+    s = tanh(p)
     if short_first:
         w = ad.mul(s, 3.0)
-        v = ad.square(ad.add(s, 1.0))
-        root = ad.tsum(ad.add(v, w))
+        v = square(add(s, 1.0))
+        root = tsum(add(v, w))
     else:
-        v = ad.square(ad.add(s, 1.0))
+        v = square(add(s, 1.0))
         w = ad.mul(s, 3.0)
-        root = ad.tsum(ad.add(w, v))
+        root = tsum(add(w, v))
     calls = {}
 
     def counted(node):

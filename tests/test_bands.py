@@ -7,6 +7,7 @@ import bandprompt.autodiff as ad
 from bandprompt.bands import band_stats, factorize, head_graph, smooth_lowpass, uniform_init
 from bandprompt.errors import NumericalDegeneracyError, ParameterError
 from bandprompt.trainer import init_group
+from test_autodiff import tsum
 
 
 def brute_force_box_mean(arr, k):
@@ -149,7 +150,7 @@ def test_head_jacobian_matches_finite_differences():
     probe = ad.constant(rng.normal(size=(2, 5)))
 
     def scalar():
-        return ad.tsum(ad.mul(head_graph(ad.constant(stats), *params), probe))
+        return tsum(ad.mul(head_graph(ad.constant(stats), *params), probe))
 
     root = scalar()
     ad.backward(root)

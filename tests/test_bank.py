@@ -16,6 +16,7 @@ from bandprompt.bank import (
 from bandprompt.errors import BankStateError, NumericalDegeneracyError, ParameterError
 from bandprompt.refine import build_text_features
 from bandprompt.trainer import init_group
+from test_autodiff import square, tsum
 
 
 def unit(v):
@@ -28,17 +29,56 @@ def test_fill_phase_is_sequential_and_ordered():
     vecs = [unit([1.0, 0.0]), unit([0.0, 1.0]), unit([1.0, 1.0])]
     assert bank.mode == "filling"
     for i, v in enumerate(vecs):
-        absorb(bank, v)
+        absorb(bank, v[None])
         assert bank.fill_count == i + 1
     assert bank.mode == "ema"
     assert bank.full
     assert np.array_equal(bank.entries, np.stack(vecs))
 
 
+def absorb_reference(bank, vec):
+    """The single-row absorb that the stacked one replaced."""
+    if not bank.full:
+        bank.entries[bank.fill_count] = vec
+        bank.fill_count += 1
+        return
+    slot = int(np.argmax(bank.entries @ vec))
+    updated = (1.0 - bank.momentum) * bank.entries[slot] + bank.momentum * vec
+    bank.entries[slot] = updated / float(np.linalg.norm(updated))
+
+
+@pytest.mark.parametrize("splits", [(11,), (2, 9), (3, 1, 7), (1,) * 11])
+def test_stacked_absorb_equals_row_by_row(splits):
+    # 11 rows into a bank of 5 holding 2: the first stack straddles the
+    # fill -> EMA boundary unless it is a single row; repeats hit ties.
+    rng = np.random.default_rng(7)
+    rows = np.stack([unit(rng.normal(size=4)) for _ in range(9)])
+    rows = np.concatenate([rows, rows[[3, 3]]])
+    bank = SemanticBank.create(size=5, dim=4, momentum=0.3)
+    absorb(bank, rows[:2])
+    ref = SemanticBank(entries=bank.entries.copy(), momentum=0.3, fill_count=2)
+    start = 0
+    for n in splits:
+        absorb(bank, rows[start : start + n])
+        start += n
+    for vec in rows:
+        absorb_reference(ref, vec)
+    assert bank.fill_count == ref.fill_count == 5
+    assert np.array_equal(bank.entries, ref.entries)
+
+
+def test_a_bad_row_leaves_the_bank_untouched():
+    bank = SemanticBank.create(size=2, dim=2)
+    stack = np.array([unit([1.0, 0.0]), unit([0.0, 1.0]), [2.0, 0.0]])
+    with pytest.raises(ParameterError, match="row 2"):
+        absorb(bank, stack)
+    assert bank.fill_count == 0 and not bank.entries.any()
+
+
 def test_ema_update_pinned_values():
     bank = SemanticBank(entries=np.array([[1.0, 0.0], [0.0, 1.0]]),
                         momentum=0.1, fill_count=2)
-    absorb(bank, np.array([2.0, 1.0]) / np.sqrt(5.0))
+    absorb(bank, np.array([[2.0, 1.0]]) / np.sqrt(5.0))
     # nearest is slot 0; blend 0.9*e + 0.1*v then renormalize
     blended = 0.9 * np.array([1.0, 0.0]) + 0.1 * np.array([2.0, 1.0]) / np.sqrt(5.0)
     assert np.allclose(bank.entries[0], blended / np.linalg.norm(blended), atol=1e-12)
@@ -48,7 +88,7 @@ def test_ema_update_pinned_values():
 def test_ema_ties_update_the_lowest_slot():
     bank = SemanticBank(entries=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                         momentum=0.5, fill_count=3)
-    absorb(bank, unit([1.0, 1e-8]))
+    absorb(bank, unit([1.0, 1e-8])[None])
     assert not np.array_equal(bank.entries[0], [1.0, 0.0])
     assert np.array_equal(bank.entries[1], [1.0, 0.0])
 
@@ -57,7 +97,7 @@ def test_entries_stay_unit_under_absorption():
     rng = np.random.default_rng(0)
     bank = SemanticBank.create(size=4, dim=8, momentum=0.3)
     for _ in range(40):
-        absorb(bank, unit(rng.normal(size=8)))
+        absorb(bank, unit(rng.normal(size=8))[None])
     norms = np.linalg.norm(bank.entries, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
@@ -65,23 +105,23 @@ def test_entries_stay_unit_under_absorption():
 def test_momentum_one_replaces_the_nearest_entry():
     bank = SemanticBank(entries=np.eye(2), momentum=1.0, fill_count=2)
     v = unit([3.0, 1.0])
-    absorb(bank, v)
+    absorb(bank, v[None])
     assert np.allclose(bank.entries[0], v, atol=1e-12)
 
 
 def test_opposed_ema_collapse_is_detected():
     bank = SemanticBank(entries=np.array([[1.0, 0.0]]), momentum=0.5, fill_count=1)
     with pytest.raises(NumericalDegeneracyError):
-        absorb(bank, np.array([-1.0, 0.0]))
+        absorb(bank, np.array([[-1.0, 0.0]]))
 
 
 def test_singleton_bank_tracks_the_stream():
     bank = SemanticBank.create(size=1, dim=2, momentum=0.2)
-    absorb(bank, unit([1.0, 0.0]))
+    absorb(bank, unit([1.0, 0.0])[None])
     target = unit([0.0, 1.0])
     gaps = []
     for _ in range(30):
-        absorb(bank, target)
+        absorb(bank, target[None])
         gaps.append(float(np.linalg.norm(bank.entries[0] - target)))
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-2
@@ -123,7 +163,7 @@ def test_retrieval_differentiates_queries_not_entries():
     entries = np.stack([unit(rng.normal(size=3)) for _ in range(4)])
     q = ad.parameter(np.stack([unit(rng.normal(size=3)) for _ in range(2)]))
     weights, context = retrieve_rows(entries, q, 0.5)
-    ad.backward(ad.tsum(ad.square(context)))
+    ad.backward(tsum(square(context)))
     assert q.grad is not None and q.grad.shape == (2, 3)
     assert np.any(q.grad != 0.0)
     # numeric check on one query coordinate
@@ -140,7 +180,7 @@ def test_retrieval_differentiates_queries_not_entries():
 def test_retrieval_requires_a_full_bank():
     # retrieve_rows is a bare composite; its callers check the fill
     bank = SemanticBank.create(size=4, dim=2)
-    absorb(bank, unit([1.0, 0.0]))
+    absorb(bank, unit([1.0, 0.0])[None])
     agg = tuple(init_group("agg", 0, 0, 2, np.random.default_rng(0)).values())
     with pytest.raises(BankStateError, match=r"1/4 filled"):
         build_text_features(unit([1.0, 0.0])[None, :], bank, agg, eta=1.0)
@@ -149,13 +189,13 @@ def test_retrieval_requires_a_full_bank():
 def test_absorb_validates_inputs():
     bank = SemanticBank.create(size=2, dim=3)
     with pytest.raises(ParameterError):
-        absorb(bank, np.array([1.0, 1.0, 1.0]))  # not unit
+        absorb(bank, np.array([[1.0, 1.0, 1.0]]))  # not unit
     with pytest.raises(ParameterError):
-        absorb(bank, unit([1.0, 0.0]))  # wrong dim
+        absorb(bank, unit([1.0, 0.0])[None])  # wrong dim
     with pytest.raises(ParameterError):
-        absorb(bank, np.eye(3))  # not flat
+        absorb(bank, unit([1.0, 0.0, 0.0]))  # not a 2-D stack
     with pytest.raises(NumericalDegeneracyError):
-        absorb(bank, np.array([np.nan, 0.0, 0.0]))
+        absorb(bank, np.array([[np.nan, 0.0, 0.0]]))
 
 
 def test_constructor_validation():
@@ -177,7 +217,7 @@ def test_dump_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
     bank = SemanticBank.create(size=3, dim=4, momentum=0.1, temperature=0.07)
     for _ in range(3):
-        absorb(bank, unit(rng.normal(size=4)))
+        absorb(bank, unit(rng.normal(size=4))[None])
     text = format_bank(bank)
     head = text.splitlines()[0].split()
     assert head[:2] == ["3", "4"]

@@ -121,7 +121,7 @@ def test_eval_config_precedence(ws, tmp_path, monkeypatch):
         key = ln[1:].partition("=")[0].strip() if ln.startswith("#") else None
         lines.append(f"# {key} = {stamped[key]}" if key in stamped else ln)
     # foreign header comments are skipped, not rejected
-    lines[1:1] = ["# trained_on = lab machine", "# protocol = bogus", "# seed = many"]
+    lines[1:1] = ["# trained_on = lab machine"]
     ckpt = tmp_path / "stamped.txt"
     ckpt.write_text("\n".join(lines) + "\n")
     cfg = tmp_path / "eval.cfg"
@@ -349,6 +349,13 @@ OUT_OF_RANGE = [
     ("lambda_gcf", "-0.1"), ("eta", "1.5"), ("logit_scale", "0"), ("epochs", "-1"),
     ("batch_size", "0"), ("learning_rate", "-1e-3"), ("bank_size", "0"),
     ("bank_tau", "0"), ("bank_momentum", "1.5"), ("anchor", "image_embedding"),
+    # the keys only RunConfig declares, which train does not otherwise read
+    ("num_classes", "0"), ("n_per_class", "0"), ("base_modes", "0"), ("detail_modes", "0"),
+    ("noise_std", "-1"), ("identity_band", "bogus"), ("grid_c", "0"), ("grid_h", "3"),
+    ("grid_w", "3"), ("shots", "0"), ("protocol", "bogus"), ("diag_bands", "0"),
+    ("align_h", "-3"), ("align_w", "-1"), ("cache_path", ""), ("checkpoint_path", ""),
+    ("eval_report_path", ""), ("history_path", ""), ("diag_report_path", ""),
+    ("bank_dump_path", ""),
 ]
 
 
@@ -401,6 +408,22 @@ def test_eval_skips_header_lines_that_are_not_config_keys(ws, tmp_path, key, val
     assert main(["eval", "--checkpoint", ckpt, "--cache", ws["cache"],
                  "--report", str(out)]) == 0
     assert f"# {key} = " not in out.read_text()
+
+
+@pytest.mark.parametrize("key, value", [("protocol", "bogus"), ("eta", "0.5")])
+def test_eval_repeated_header_key_exits_two(ws, tmp_path, capsys, key, value):
+    # a second line for a stamped key is an edited file, not a precedence rule
+    lines = open(ws["all_ckpt"]).read().splitlines()
+    lines.insert(1, f"# {key} = {value}")
+    ckpt = tmp_path / "repeated.txt"
+    ckpt.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.txt"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--cache", ws["cache"],
+                 "--report", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err and repr(key) in err
+    assert not out.exists()
 
 
 def test_empty_cache_exits_two(ws, capsys):

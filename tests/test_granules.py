@@ -8,6 +8,7 @@ import bandprompt.autodiff as ad
 from bandprompt.errors import ParameterError
 from bandprompt.granules import check_permutation, film_rows, fuse_rows
 from bandprompt.trainer import init_group
+from test_autodiff import square, tsum
 
 
 def unit(v):
@@ -90,7 +91,7 @@ def test_fusion_gradients_match_finite_differences():
     params = tuple(ad.parameter(v) for v in values)
     g_in = ad.parameter(granules)
     out = fuse_rows(ad.constant(anchors), g_in, *params)
-    ad.backward(ad.tsum(ad.square(out)))
+    ad.backward(tsum(square(out)))
     eps = 1e-6
     for pi_, p in enumerate(params):
         flat = p.value.reshape(-1)

@@ -14,6 +14,7 @@ from bandprompt.refine import (
     refined_text_graph,
 )
 from bandprompt.trainer import init_group
+from test_autodiff import square, tsum
 
 
 def unit(v):
@@ -181,7 +182,7 @@ def test_aggregator_gradients_match_finite_differences():
 
     params = tuple(ad.parameter(v) for v in values)
     out = refined_text_graph(ad.constant(raw), bank.entries, bank.temperature, params)
-    ad.backward(ad.tsum(ad.square(out)))
+    ad.backward(tsum(square(out)))
     eps = 1e-6
     for pi, p in enumerate(params):
         flat = p.value.reshape(-1)
