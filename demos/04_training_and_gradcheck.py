@@ -2,13 +2,13 @@
 
 fit() trains the text rows, both projection heads, the aggregator, and the
 fusion/FiLM nets with Adam on the combined objective; the visual encoder and
-the bank entries are inputs, not parameters. The gradient check perturbs one
-coordinate per parameter on the exact training graph and compares the
-analytic gradient against a central difference.
+the bank entries are inputs, not parameters. The gradient check perturbs
+every coordinate of every parameter on the exact training graph and compares
+the analytic gradient against a five-point difference at step FD_STEP.
 """
 
 from bandprompt.teacher import SyntheticSpec, generate_dataset
-from bandprompt.trainer import FROZEN_INPUTS, TrainConfig, fit, run_gradient_check
+from bandprompt.trainer import FD_STEP, FROZEN_INPUTS, TrainConfig, fit, run_gradient_check
 
 
 def main() -> None:
@@ -40,7 +40,7 @@ def main() -> None:
     for name in sorted(report.per_param):
         print(f"  {name:14s} {report.per_param[name]:.2e}")
     print(f"worst {report.worst_error:.2e} at {report.worst_param} "
-          f"(step {report.step:g}, passed={report.passed})")
+          f"(step {FD_STEP:g}, passed={report.passed})")
 
 
 if __name__ == "__main__":

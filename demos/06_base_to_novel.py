@@ -49,7 +49,7 @@ def main() -> None:
     print("variant |  base | novel |    hm |   gap | granule-source")
     for name, flags in VARIANTS.items():
         cfg = replace(base_cfg, **flags)
-        proto = run_base_to_novel(cache, cfg, shots=16)
+        proto = run_base_to_novel(cache, cfg, shots=16, select_by_base_val=False)
         r = proto.result
 
         probe = "     -"

@@ -239,13 +239,13 @@ def mlp_vjp(g: Array, x: Array, hidden: Array, w1: Tensor, b1: Tensor, w2: Tenso
     return grads, gx
 
 
-def unit_rows(x: Array, min_norm: float = MIN_NORM) -> tuple[Array, Array]:
+def unit_rows(x: Array) -> tuple[Array, Array]:
     """Rows of `x` scaled to unit L2 norm, and the (n, 1) norms. Non-finite
     or near-zero rows raise."""
     norms = np.sqrt((x * x).sum(axis=1))
     if not np.isfinite(x).all():
         raise NumericalDegeneracyError("cannot normalize non-finite rows")
-    if (norms < min_norm).any():
+    if (norms < MIN_NORM).any():
         bad = int(norms.argmin())
         raise NumericalDegeneracyError(
             f"cannot normalize a zero-length vector (row {bad}, norm {norms[bad]:.3e})"
@@ -259,12 +259,11 @@ def unit_rows_vjp(g: Array, out: Array, norms: Array) -> Array:
     return (g - out * (g * out).sum(axis=1, keepdims=True)) / norms
 
 
-def layer_norm_forward(x: Array, gain: Array, bias: Array,
-                       eps: float = LN_EPS) -> tuple[Array, Array, Array]:
+def layer_norm_forward(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
     """Feature-dimension LayerNorm of the rows of `x`: (output, normed rows, std)."""
     n = x.shape[1]
     centered = x - x.sum(axis=1, keepdims=True) / n
-    std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) / n + eps)
+    std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) / n + LN_EPS)
     normed = centered / std
     return normed * gain + bias, normed, std
 
@@ -295,9 +294,9 @@ def softmax_rows(x) -> Tensor:
     return node(out, (x,), vjp)
 
 
-def l2normalize_rows(x, min_norm: float = MIN_NORM) -> Tensor:
+def l2normalize_rows(x) -> Tensor:
     x = lift(x)
-    out, norms = unit_rows(x.value, min_norm)
+    out, norms = unit_rows(x.value)
 
     def vjp(g):
         return ((x, unit_rows_vjp(g, out, norms)),)
@@ -339,12 +338,12 @@ def logit_cross_entropy(visual, rows, labels, scale: float) -> Tensor:
     return node(out, (visual, rows), vjp)
 
 
-def cosine_rows(a, b, min_norm: float = MIN_NORM) -> Tensor:
+def cosine_rows(a, b) -> Tensor:
     """Row-wise cosine similarity; degenerate rows raise."""
     a, b = lift(a), lift(b)
     na = np.sqrt((a.value * a.value).sum(axis=1))
     nb = np.sqrt((b.value * b.value).sum(axis=1))
-    if (na < min_norm).any() or (nb < min_norm).any():
+    if (na < MIN_NORM).any() or (nb < MIN_NORM).any():
         raise NumericalDegeneracyError("cosine of a zero-length vector")
     den = na * nb
     out = (a.value * b.value).sum(axis=1) / den

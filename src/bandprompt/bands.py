@@ -17,12 +17,9 @@ from scipy.ndimage import uniform_filter
 
 from . import autodiff as ad
 from .errors import ParameterError
-from .teacher import LatentTensor
 
 
 def _as_latent_array(z) -> np.ndarray:
-    if isinstance(z, LatentTensor):
-        z = z.data
     arr = np.asarray(z)
     if arr.ndim != 3:
         raise ParameterError(f"expected a (C, h, w) latent, got shape {arr.shape}")

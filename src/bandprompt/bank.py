@@ -17,19 +17,15 @@ import numpy as np
 from . import autodiff as ad
 from .errors import NumericalDegeneracyError, ParameterError
 
-DEFAULT_SIZE = 64
-DEFAULT_MOMENTUM = 0.1
-DEFAULT_TEMPERATURE = 0.07
-
 _UNIT_TOL = 1e-5
 
 
 @dataclass
 class SemanticBank:
     entries: np.ndarray
-    momentum: float = DEFAULT_MOMENTUM
-    temperature: float = DEFAULT_TEMPERATURE
-    fill_count: int = 0
+    momentum: float
+    temperature: float
+    fill_count: int
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
@@ -43,9 +39,8 @@ class SemanticBank:
             raise ParameterError("fill_count out of range")
 
     @classmethod
-    def create(cls, size: int = DEFAULT_SIZE, dim: int = 16,
-               momentum: float = DEFAULT_MOMENTUM,
-               temperature: float = DEFAULT_TEMPERATURE) -> "SemanticBank":
+    def create(cls, size: int, dim: int, momentum: float,
+               temperature: float) -> "SemanticBank":
         if size < 1 or dim < 1:
             raise ParameterError("bank size and dim must be >= 1")
         return cls(entries=np.zeros((size, dim)), momentum=momentum,

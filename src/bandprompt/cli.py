@@ -4,8 +4,10 @@ Every command resolves one flat RunConfig through `resolve_config` (defaults,
 or for `eval` the checkpoint's stamped header < config file < --set <
 SPECPL_SEED < command flags) and stamps the resolved values as a comment
 header on whatever report it writes, so runs are reproducible from their own
-output. `eval` skips stamped lines whose key is not a config key; a bad value
-of a config key there is a checkpoint error.
+output. `eval` skips stamped lines whose key is not a config key, such as
+the `use_bank` switch older versions stamped; a bad value of a config key
+there is a checkpoint error. In `eval` the checkpoint's BANK block decides
+whether the model has a bank.
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 """
 

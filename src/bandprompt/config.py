@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, ParameterError
 from .teacher import IDENTITY_BANDS, SyntheticSpec
-from .trainer import TrainConfig
+from .trainer import TrainConfig, format_header
 
 SEED_ENV_VAR = "SPECPL_SEED"
 
@@ -29,18 +29,19 @@ _FALSE = {"0", "false", "no", "off"}
 
 @dataclass(frozen=True)
 class RunConfig(TrainConfig):
-    """The `TrainConfig` fields, then the keys that only the commands read."""
+    """The `TrainConfig` fields, then the keys that only the commands read.
+    The dataset recipe defaults are `SyntheticSpec`'s."""
 
     # dataset
     num_classes: int = 8
     n_per_class: int = 32
-    base_modes: int = 3
-    detail_modes: int = 3
-    noise_std: float = 0.05
-    identity_band: str = "low"
-    grid_c: int = 4
-    grid_h: int = 16
-    grid_w: int = 16
+    base_modes: int = SyntheticSpec.base_modes
+    detail_modes: int = SyntheticSpec.detail_modes
+    noise_std: float = SyntheticSpec.noise_std
+    identity_band: str = SyntheticSpec.identity_band
+    grid_c: int = SyntheticSpec.grid[0]
+    grid_h: int = SyntheticSpec.grid[1]
+    grid_w: int = SyntheticSpec.grid[2]
     # protocol
     shots: int = 16
     select_by_base_val: bool = False
@@ -96,10 +97,7 @@ class RunConfig(TrainConfig):
         return out
 
     def header_lines(self) -> list[str]:
-        lines = ["# resolved-config"]
-        items = self.items()
-        lines.extend(f"# {k} = {items[k]}" for k in sorted(items))
-        return lines
+        return format_header(self.items())
 
 
 FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -20,9 +20,8 @@ import numpy as np
 
 from .bands import factorize
 from .errors import ParameterError
-from .teacher import LatentCache, LatentTensor
+from .teacher import LatentCache
 
-DEFAULT_BINS = 10
 # Threshold on the mean squared amplitude of a band's spatial field.
 ENERGY_EPS = 1e-12
 # Latents per stacked align/FFT/binning pass in `diagnose`. A chunk bounds
@@ -33,7 +32,7 @@ CHUNK_SIZE = 256
 
 def _as_band_array(z) -> np.ndarray:
     """A (C, h, w) latent or an (n, C, h, w) stack, as float64."""
-    arr = np.asarray(z.data if isinstance(z, LatentTensor) else z, dtype=np.float64)
+    arr = np.asarray(z, dtype=np.float64)
     if arr.ndim not in (3, 4):
         raise ParameterError(
             f"expected a (C, h, w) latent or an (n, C, h, w) stack, got shape {arr.shape}"
@@ -112,7 +111,7 @@ def _radial_bins(h: int, w: int, num_bins: int) -> np.ndarray:
     return np.clip(bins, 1, num_bins) - 1
 
 
-def radial_spectrum(z, num_bins: int = DEFAULT_BINS) -> RadialSpectrum:
+def radial_spectrum(z, num_bins: int) -> RadialSpectrum:
     """Channel-mean power spectrum folded into radial bins, normalized to 1."""
     if num_bins < 1:
         raise ParameterError(f"num_bins must be >= 1, got {num_bins}")
@@ -182,7 +181,7 @@ class OverlapReport:
         return np.minimum(self.mean_base, self.mean_detail)
 
 
-def diagnose(cache: LatentCache, kernel: int = 7, num_bins: int = DEFAULT_BINS,
+def diagnose(cache: LatentCache, kernel: int, num_bins: int,
              align: tuple[int, int] | None = None) -> OverlapReport:
     """Factorize every cached latent and score base/detail spectral overlap.
 

@@ -32,8 +32,6 @@ from .trainer import (
     seed_streams,
 )
 
-DEFAULT_SHOTS = 16
-
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -71,22 +69,18 @@ class EvalResult:
 # inference
 
 
-def predict(visual, text, scale: float = 100.0):
-    """Scaled similarities against mixed text rows; argmax, ties to the lowest
-    class index. Accepts a single embedding or a batch of rows."""
+def predict(visual, text, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled similarities of (n, d) visual rows against the text rows (the
+    mixed rows of a `TextFeatureSet`); argmax per row, ties to the lowest
+    class index."""
     rows = text.mixed if isinstance(text, TextFeatureSet) else np.asarray(text, dtype=np.float64)
     if rows.ndim != 2:
         raise ParameterError("text rows must be a (C, d) matrix")
     v = np.asarray(visual, dtype=np.float64)
-    single = v.ndim == 1
-    v2 = v[None, :] if single else v
-    if v2.ndim != 2 or v2.shape[1] != rows.shape[1]:
-        raise ParameterError("visual embeddings do not match the text dim")
-    logits = scale * (v2 @ rows.T)
-    labels = np.argmax(logits, axis=1)
-    if single:
-        return logits[0], int(labels[0])
-    return logits, labels
+    if v.ndim != 2 or v.shape[1] != rows.shape[1]:
+        raise ParameterError("visual embeddings must be (n, d) rows matching the text dim")
+    logits = scale * (v @ rows.T)
+    return logits, np.argmax(logits, axis=1)
 
 
 def accuracy_percent(predicted: np.ndarray, labels: np.ndarray) -> float:
@@ -137,9 +131,8 @@ def _subsample_shots(labels: np.ndarray, shots: int,
     return shot_idx, eval_idx
 
 
-def run_base_to_novel(cache: LatentCache, cfg: TrainConfig,
-                      shots: int = DEFAULT_SHOTS,
-                      select_by_base_val: bool = False) -> ProtocolOutput:
+def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
+                      select_by_base_val: bool) -> ProtocolOutput:
     """Split, train on base shots, score held-out base and novel samples.
 
     With `select_by_base_val` a quarter of each base class's shots becomes a
@@ -186,7 +179,7 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig,
 
         def callback(state: TrainState, epoch: int) -> None:
             nonlocal best, val_visual
-            if cfg.use_bank and (state.bank is None or not state.bank.full):
+            if state.bank is not None and not state.bank.full:
                 return  # still in the fill phase; nothing comparable yet
             if val_visual is None:
                 val_visual = state.encoder.encode_batch(arrays[v_val])
@@ -247,24 +240,22 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig,
 
 def granule_source_accuracy(state: TrainState, cfg: TrainConfig,
                             arrays: np.ndarray, labels: np.ndarray,
-                            num_batches: int = 8, batch_size: int | None = None,
-                            seed: int | None = None) -> float:
+                            num_batches: int = 8) -> float:
     """How often swapped-granule embeddings classify as their donor's class.
 
-    Batches are drawn and permuted by a seeded generator; each position i
-    keeps its own anchor but receives the high-band granule of donor pi(i),
-    and a hit means the modulated embedding lands on the donor's label under
-    the raw text rows. High accuracy means the modulation actually carries
-    granule content instead of echoing the anchor.
+    Batches of `cfg.batch_size` are drawn and permuted by a generator seeded
+    from `cfg.seed`; each position i keeps its own anchor but receives the
+    high-band granule of donor pi(i), and a hit means the modulated embedding
+    lands on the donor's label under the raw text rows. High accuracy means
+    the modulation actually carries granule content instead of echoing the
+    anchor.
     """
     if num_batches < 1:
         raise ParameterError("num_batches must be >= 1")
     labels = np.asarray(labels, dtype=np.intp)
     feats = compute_features(state.encoder, arrays, labels, cfg.kernel)
-    bs = min(batch_size or cfg.batch_size, len(labels))
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed if seed is not None else cfg.seed, 0xCF])
-    )
+    bs = min(cfg.batch_size, len(labels))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCF]))
     text_raw = state.params["text_raw"].value
     high_params = group(state.params, "proj_high", constant=True)
     fuse_params = group(state.params, "fuse", constant=True)

@@ -24,21 +24,16 @@ import numpy as np
 from . import autodiff as ad
 from .errors import DivergenceError, ParameterError
 
-DEFAULT_LOGIT_SCALE = 100.0
-DEFAULT_LAMBDA = 0.1
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Scalar values of the built terms (weight > 0) plus their weights and the total."""
+    """Scalar values of the built terms (weight > 0; None when absent) and the
+    weighted total."""
 
     cls: float
     sem: float | None
     granule_f: float | None
     granule_cf: float | None
-    lambda_sem: float
-    lambda_gf: float
-    lambda_gcf: float
     total: float
 
     def check_finite(self) -> "LossBreakdown":
@@ -75,7 +70,7 @@ def class_logits(visual, text_rows, scale: float) -> np.ndarray:
     return (_rows(visual).value @ _rows(text_rows).value.T) * scale
 
 
-def loss_cls(visual, text_rows, labels, scale: float = DEFAULT_LOGIT_SCALE) -> ad.Tensor:
+def loss_cls(visual, text_rows, labels, scale: float) -> ad.Tensor:
     """Mean cross-entropy of scaled logits; `text_rows` are the prediction rows."""
     visual = _rows(visual)
     _check_scale(scale)
@@ -83,7 +78,7 @@ def loss_cls(visual, text_rows, labels, scale: float = DEFAULT_LOGIT_SCALE) -> a
                                   scale)
 
 
-def pseudo_labels(visual, text_rows, scale: float = DEFAULT_LOGIT_SCALE) -> np.ndarray:
+def pseudo_labels(visual, text_rows, scale: float) -> np.ndarray:
     """Detached per-sample class posteriors from the current logits.
 
     Returns a plain array on purpose: nothing downstream can backpropagate
@@ -114,7 +109,7 @@ def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
     return ad.tmean(ad.sub(1.0, ad.cosine_rows(t_exp, t_low)))
 
 
-def loss_granule(modulated, raw_rows, labels, scale: float = DEFAULT_LOGIT_SCALE) -> ad.Tensor:
+def loss_granule(modulated, raw_rows, labels, scale: float) -> ad.Tensor:
     """Cross-entropy of modulated embeddings against the raw text rows.
 
     Used twice: factual batches pair v_g with true labels, counterfactual
@@ -127,9 +122,7 @@ def combine(cls_term: ad.Tensor,
             sem_term: ad.Tensor | None,
             gf_term: ad.Tensor | None,
             gcf_term: ad.Tensor | None,
-            lambda_sem: float = DEFAULT_LAMBDA,
-            lambda_gf: float = DEFAULT_LAMBDA,
-            lambda_gcf: float = DEFAULT_LAMBDA,
+            lambda_sem: float, lambda_gf: float, lambda_gcf: float,
             ) -> tuple[ad.Tensor, LossBreakdown]:
     """Weighted total as a tape scalar plus the float breakdown."""
     weighted = [(term, weight) for term, weight in
@@ -141,9 +134,6 @@ def combine(cls_term: ad.Tensor,
         sem=None if sem_term is None else sem_term.item(),
         granule_f=None if gf_term is None else gf_term.item(),
         granule_cf=None if gcf_term is None else gcf_term.item(),
-        lambda_sem=lambda_sem,
-        lambda_gf=lambda_gf,
-        lambda_gcf=lambda_gcf,
         total=total.item(),
     )
     return total, parts.check_finite()

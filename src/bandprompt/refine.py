@@ -5,10 +5,11 @@ aggregator folds the pair back into the row:
 
     refined_c = LayerNorm(t_c + Agg([t_c ; r_c]))
 
-That is `granules.fuse_rows` run with the `agg` parameter group. The mixed
-rows used for prediction are a convex combination (1 - eta) * raw +
-eta * refined. No further normalization is applied after the LayerNorm; the
-mixed rows are consumed as-is by the logit layer.
+That is `granules.fuse_rows` run with the `agg` parameter group. Without a
+bank the refined rows are the raw rows. The mixed rows used for prediction
+are a convex combination (1 - eta) * raw + eta * refined. No further
+normalization is applied after the LayerNorm; the mixed rows are consumed
+as-is by the logit layer.
 """
 
 from __future__ import annotations
@@ -45,11 +46,17 @@ class TextFeatureSet:
         return self.raw.shape[0]
 
 
-def refined_text_graph(raw_rows, bank_entries: np.ndarray, temperature: float,
-                       agg_params) -> ad.Tensor:
-    """Retrieval plus refinement for every class row at once."""
+def refined_text_graph(raw_rows, bank: SemanticBank | None, agg_params) -> ad.Tensor:
+    """The class rows a prediction reads: `raw_rows` themselves without a
+    bank, else retrieval plus refinement (`agg_params` in `fuse_rows` order)
+    for every row at once. A bank that is not full raises BankStateError."""
     raw_rows = ad.lift(raw_rows)
-    _, contexts = retrieve_rows(bank_entries, raw_rows, temperature)
+    if bank is None:
+        return raw_rows
+    if not bank.full:
+        raise BankStateError(
+            f"refinement needs a full bank ({bank.fill_count}/{bank.size} filled)")
+    _, contexts = retrieve_rows(bank.entries, raw_rows, bank.temperature)
     return fuse_rows(raw_rows, contexts, *agg_params)
 
 
@@ -65,19 +72,15 @@ def mix(raw: np.ndarray, refined: np.ndarray, eta: float) -> np.ndarray:
 
 
 def build_text_features(raw: np.ndarray, bank: SemanticBank | None, agg_params,
-                        eta: float, use_bank: bool = True) -> TextFeatureSet:
+                        eta: float) -> TextFeatureSet:
     """Fresh feature set from current rows, bank and aggregator group
     (`agg_params`, in `fuse_rows` order).
 
-    With the bank disabled the refined rows are defined to equal the raw rows,
-    so every downstream consumer collapses to the raw-text baseline.
+    Without a bank the refined and mixed rows are copies of the raw rows, so
+    every downstream consumer collapses to the raw-text baseline.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if not use_bank:
-        return TextFeatureSet(raw=raw.copy(), refined=raw.copy(), mixed=raw.copy(), eta=eta)
-    if bank is None or not bank.full:
-        filled = "no bank" if bank is None else f"{bank.fill_count}/{bank.size} filled"
-        raise BankStateError(f"refinement needs a full bank ({filled})")
-    refined = refined_text_graph(ad.constant(raw), bank.entries, bank.temperature,
-                                 agg_params).value
-    return TextFeatureSet(raw=raw.copy(), refined=refined, mixed=mix(raw, refined, eta), eta=eta)
+    raw = np.array(raw, dtype=np.float64)
+    refined = np.array(refined_text_graph(ad.constant(raw), bank, agg_params).value)
+    # A convex mix of two equal rows need not round back to the row itself.
+    mixed = refined.copy() if bank is None else mix(raw, refined, eta)
+    return TextFeatureSet(raw=raw, refined=refined, mixed=mixed, eta=eta)

@@ -5,7 +5,8 @@ normalization; it never trains. Trainable state is exactly the tensors of
 `param_table`: the raw class text rows, both band projection heads, the
 refinement aggregator, and the granule fusion/modulation nets. The bank and
 all teacher latents are frozen inputs. Each auxiliary loss term is built
-exactly when its `TrainConfig` weight is > 0; there is no separate switch.
+exactly when its `TrainConfig` weight is > 0, and the bank exists exactly
+when `bank_size` is > 0; there is no separate switch.
 
 Every forward pass is built on the autodiff tape in float64, so seeded runs
 are bitwise reproducible and the finite-difference harness below can check
@@ -14,14 +15,14 @@ the analytic gradient of every trainable scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .bands import band_stats, factorize, head_graph, uniform_init
 from .bank import SemanticBank, absorb, format_bank, parse_bank
-from .errors import BankStateError, NumericalDegeneracyError, ParameterError
+from .errors import NumericalDegeneracyError, ParameterError
 from .granules import check_permutation, film_rows, fuse_rows
 from .losses import LossBreakdown, combine, loss_cls, loss_granule, loss_sem, pseudo_labels
 from .refine import TextFeatureSet, build_text_features, refined_text_graph
@@ -102,7 +103,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     seed: int = 0
-    use_bank: bool = True
     anchor: str = "raw_text_by_label"
 
     def __post_init__(self):
@@ -123,8 +123,8 @@ class TrainConfig:
             raise ParameterError("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ParameterError("learning_rate must be >= 0")
-        if self.bank_size < 1:
-            raise ParameterError("bank_size must be >= 1")
+        if self.bank_size < 0:
+            raise ParameterError("bank_size must be >= 0 (0 turns the bank off)")
         if self.bank_tau <= 0:
             raise ParameterError("bank_tau must be > 0")
         if not 0 < self.bank_momentum <= 1:
@@ -169,7 +169,6 @@ class TrainState:
     optimizer: "Adam"
     num_classes: int
     step: int = 0
-    step_history: list[LossBreakdown] = field(default_factory=list)
     epoch_history: list[LossBreakdown] = field(default_factory=list)
 
     def param_values(self) -> dict[str, np.ndarray]:
@@ -185,7 +184,7 @@ class TrainState:
         if raw is None:
             raw = self.params["text_raw"].value
         return build_text_features(raw, self.bank, group(self.params, "agg", constant=True),
-                                   cfg.eta, use_bank=cfg.use_bank)
+                                   cfg.eta)
 
 
 class Adam:
@@ -196,11 +195,13 @@ class Adam:
     The update is elementwise, so it equals a per-tensor loop bitwise.
     """
 
-    def __init__(self, params: dict[str, ad.Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, ad.Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         size = sum(p.value.size for p in params.values())
         self.m = np.zeros(size)
@@ -208,17 +209,18 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1, b2 = self.BETA1, self.BETA2
+        b1c = 1.0 - b1**self.t
+        b2c = 1.0 - b2**self.t
         params = self.params.values()
         g = np.concatenate([p.grad.ravel() if p.grad is not None else np.zeros(p.value.size)
                             for p in params])
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * (g * g)
+        self.m = b1 * self.m + (1.0 - b1) * g
+        self.v = b2 * self.v + (1.0 - b2) * (g * g)
         m_hat = self.m / b1c
         v_hat = self.v / b2c
         flat = np.concatenate([p.value.ravel() for p in params])
-        flat = flat - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        flat = flat - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
         # Each parameter's new value is a view of its span of `flat`.
         start = 0
         for p in params:
@@ -319,7 +321,7 @@ def init_state(cache: LatentCache, cfg: TrainConfig) -> TrainState:
                          means, np.random.default_rng(streams["init"]))
     bank = (
         SemanticBank.create(cfg.bank_size, cfg.embed_dim, cfg.bank_momentum, cfg.bank_tau)
-        if cfg.use_bank else None
+        if cfg.bank_size > 0 else None
     )
     return TrainState(
         params=params, bank=bank, encoder=encoder,
@@ -351,15 +353,7 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
     y = feats.labels[idx]
     visual = ad.constant(feats.visual[idx])
     text_raw = params["text_raw"]
-
-    if cfg.use_bank:
-        if bank is None or not bank.full:
-            raise BankStateError("forward pass needs a full bank when use_bank is on")
-        text_pred = refined_text_graph(text_raw, bank.entries, bank.temperature,
-                                       group(params, "agg"))
-    else:
-        text_pred = text_raw
-
+    text_pred = refined_text_graph(text_raw, bank, group(params, "agg"))
     cls_term = loss_cls(visual, text_pred, y, cfg.logit_scale)
 
     sem_term = None
@@ -395,14 +389,13 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
 def train_step(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
                cfg: TrainConfig, pi: np.ndarray | None) -> LossBreakdown:
     """One optimizer update on the batch `idx` of `feats`, with granule
-    permutation `pi`. The bank must already be full when enabled; `fit`
-    handles the fill phase."""
+    permutation `pi`. A bank must already be full; `fit` handles the fill
+    phase."""
     total, parts = forward_batch(state.params, feats, idx, state.bank, cfg, pi)
     ad.zero_grads(state.params.values())
     ad.backward(total)
     state.optimizer.step()
     state.step += 1
-    state.step_history.append(parts)
     return parts
 
 
@@ -421,18 +414,12 @@ def _stratified_order(labels: np.ndarray, rng: np.random.Generator) -> np.ndarra
 
 
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
-    def avg(name):
-        vals = [getattr(p, name) for p in parts]
-        if any(v is None for v in vals):
-            return None
-        return float(np.mean(vals))
-
-    first = parts[0]
-    return LossBreakdown(
-        cls=avg("cls"), sem=avg("sem"), granule_f=avg("granule_f"),
-        granule_cf=avg("granule_cf"), lambda_sem=first.lambda_sem,
-        lambda_gf=first.lambda_gf, lambda_gcf=first.lambda_gcf, total=avg("total"),
-    )
+    """Each term's mean over `parts`; a term absent from them stays None."""
+    means = {}
+    for f in fields(LossBreakdown):
+        vals = [getattr(p, f.name) for p in parts]
+        means[f.name] = None if None in vals else float(np.mean(vals))
+    return LossBreakdown(**means)
 
 
 def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState:
@@ -449,13 +436,13 @@ def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState
         epoch_parts: list[LossBreakdown] = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            if cfg.use_bank and state.bank is not None and not state.bank.full:
+            if state.bank is not None and not state.bank.full:
                 # Fill phase: absorb only, no optimizer update.
                 absorb(state.bank, low_band_rows(state.params, feats.phi_base[idx]))
                 continue
             pi = rng_pi.permutation(len(idx)) if cfg.lambda_gcf > 0 else None
             epoch_parts.append(train_step(state, feats, idx, cfg, pi))
-        if cfg.use_bank and cfg.bank_refresh and state.bank is not None and state.bank.full:
+        if cfg.bank_refresh and state.bank is not None and state.bank.full:
             sub = np.sort(rng_batch.choice(n, size=max(1, n // 2), replace=False))
             absorb(state.bank, low_band_rows(state.params, feats.phi_base[sub]))
         if epoch_parts:
@@ -476,6 +463,9 @@ FD_TOLERANCE = 1e-4
 # near-dead coordinates cannot read as a mismatch; systematic errors on live
 # coordinates are orders of magnitude above both.
 _REL_FLOOR = 1e-5
+# Optimizer steps `run_gradient_check` takes before it checks, so the
+# zero-initialized residual paths carry signal.
+WARMUP_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -484,7 +474,6 @@ class GradCheckReport:
     worst_param: str
     worst_error: float
     excluded: tuple[str, ...]
-    step: float
 
     @property
     def passed(self) -> bool:
@@ -492,13 +481,14 @@ class GradCheckReport:
 
 
 def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
-                   cfg: TrainConfig, step: float = FD_STEP) -> GradCheckReport:
+                   cfg: TrainConfig) -> GradCheckReport:
     """Analytic vs finite-difference gradients for every trainable scalar.
 
     The numeric side is the fourth-order five-point stencil
-    (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h. A central difference
-    at the same step has an O(h^2) truncation error that alone exceeds the
-    tolerance on coordinates with a small gradient and a large curvature.
+    (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h at h = FD_STEP. A
+    central difference at the same step has an O(h^2) truncation error that
+    alone exceeds the tolerance on coordinates with a small gradient and a
+    large curvature.
 
     The batch, permutation, and bank are held fixed across evaluations. Bank
     entries, teacher latents, and the encoder are reported as excluded: they
@@ -512,15 +502,9 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
     # comparison honor the stop-gradient.
     probs = None
     if cfg.lambda_sem > 0:
-        visual = feats.visual[idx]
-        if cfg.use_bank:
-            text_pred = refined_text_graph(
-                state.params["text_raw"], state.bank.entries, state.bank.temperature,
-                group(state.params, "agg"),
-            ).value
-        else:
-            text_pred = state.params["text_raw"].value
-        probs = pseudo_labels(visual, text_pred, cfg.logit_scale)
+        text_pred = refined_text_graph(state.params["text_raw"], state.bank,
+                                       group(state.params, "agg")).value
+        probs = pseudo_labels(feats.visual[idx], text_pred, cfg.logit_scale)
 
     def objective() -> float:
         total, _ = forward_batch(state.params, feats, idx, state.bank, cfg, pi,
@@ -547,10 +531,10 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
         worst = 0.0
         for j in range(flat.size):
             keep = flat[j]
-            f_p1, f_m1, f_p2, f_m2 = (objective_at(flat, j, keep + m * step)
+            f_p1, f_m1, f_p2, f_m2 = (objective_at(flat, j, keep + m * FD_STEP)
                                       for m in (1, -1, 2, -2))
             flat[j] = keep
-            numeric = (8.0 * (f_p1 - f_m1) - (f_p2 - f_m2)) / (12.0 * step)
+            numeric = (8.0 * (f_p1 - f_m1) - (f_p2 - f_m2)) / (12.0 * FD_STEP)
             denom = max(abs(grad_flat[j]), abs(numeric), _REL_FLOOR)
             worst = max(worst, abs(grad_flat[j] - numeric) / denom)
         per_param[name] = worst
@@ -558,7 +542,7 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
     worst_param = max(per_param, key=per_param.get)
     return GradCheckReport(
         per_param=per_param, worst_param=worst_param,
-        worst_error=per_param[worst_param], excluded=FROZEN_INPUTS, step=step,
+        worst_error=per_param[worst_param], excluded=FROZEN_INPUTS,
     )
 
 
@@ -571,22 +555,20 @@ def fill_bank(state: TrainState, feats: CacheFeatures) -> None:
     absorb(state.bank, rows[np.arange(free) % len(rows)])
 
 
-def run_gradient_check(cache: LatentCache, cfg: TrainConfig,
-                       warmup_steps: int = 2, step: float = FD_STEP) -> GradCheckReport:
-    """End-to-end harness: init, fill the bank, take a few warmup steps so the
-    zero-initialized residual paths carry signal, then check one batch."""
+def run_gradient_check(cache: LatentCache, cfg: TrainConfig) -> GradCheckReport:
+    """End-to-end harness: init, fill the bank, take `WARMUP_STEPS` steps on
+    one batch, then check that batch."""
     state = init_state(cache, cfg)
     feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
-    if cfg.use_bank:
-        fill_bank(state, feats)
+    fill_bank(state, feats)
     rng_batch = np.random.default_rng(seed_streams(cfg.seed)["batch"])
     rng_pi = np.random.default_rng(seed_streams(cfg.seed)["pi"])
     order = _stratified_order(feats.labels, rng_batch)
     idx = order[: cfg.batch_size]
-    for _ in range(warmup_steps):
+    for _ in range(WARMUP_STEPS):
         pi = rng_pi.permutation(len(idx)) if cfg.lambda_gcf > 0 else None
         train_step(state, feats, idx, cfg, pi)
-    return gradient_check(state, feats, idx, cfg, step=step)
+    return gradient_check(state, feats, idx, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +578,14 @@ def run_gradient_check(cache: LatentCache, cfg: TrainConfig,
 # the older form, written before the fill count was kept; it loads as full.
 
 
+def format_header(items: dict[str, str]) -> list[str]:
+    """The "# resolved-config" comment header: one "# key = value" line per
+    item, sorted by key. `load_checkpoint` reads it back."""
+    return ["# resolved-config", *(f"# {k} = {items[k]}" for k in sorted(items))]
+
+
 def format_checkpoint(state: TrainState, header: dict[str, str] | None = None) -> str:
-    lines: list[str] = []
-    if header:
-        lines.append("# resolved-config")
-        for k in sorted(header):
-            lines.append(f"# {k} = {header[k]}")
+    lines = format_header(header) if header else []
     if state.bank is not None:
         lines.append(f"BANK {state.bank.fill_count}")
         lines.append(format_bank(state.bank).rstrip("\n"))

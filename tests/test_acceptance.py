@@ -343,7 +343,7 @@ def test_6_mechanism_efficacy():
         "gf":     dict(lambda_sem=0.0, lambda_gcf=0.0),
     }.items():
         cfg = replace(base_cfg, **flags)
-        proto = run_base_to_novel(cache, cfg, shots=16)
+        proto = run_base_to_novel(cache, cfg, shots=16, select_by_base_val=False)
         novel[name] = proto.result.novel_acc
         if cfg.lambda_gf > 0:
             mask = np.isin(labels, proto.base_classes)
@@ -379,8 +379,7 @@ def test_7_inference_parity():
     logits_eta0, pred_eta0 = predict(
         visual, state.text_features(replace(cfg, eta=0.0)), cfg.logit_scale)
     raw_only = build_text_features(state.params["text_raw"].value, None,
-                                   group(state.params, "agg", constant=True), 0.0,
-                                   use_bank=False)
+                                   group(state.params, "agg", constant=True), 0.0)
     logits_raw, pred_raw = predict(visual, raw_only, cfg.logit_scale)
     eta0_ok = np.array_equal(logits_eta0, logits_raw) and np.array_equal(pred_eta0, pred_raw)
 
@@ -414,8 +413,8 @@ def test_8_determinism_and_io(tmp_path):
     repro_ok = all(
         np.array_equal(s1.params[k].value, s2.params[k].value) for k in s1.params
     ) and np.array_equal(s1.bank.entries, s2.bank.entries)
-    r1 = run_base_to_novel(cache, cfg, shots=8).result
-    r2 = run_base_to_novel(cache, cfg, shots=8).result
+    r1 = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False).result
+    r2 = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False).result
     repro_ok &= r1 == r2
 
     path = tmp_path / "roundtrip.bpc"

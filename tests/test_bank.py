@@ -25,7 +25,7 @@ def unit(v):
 
 
 def test_fill_phase_is_sequential_and_ordered():
-    bank = SemanticBank.create(size=3, dim=2)
+    bank = SemanticBank.create(size=3, dim=2, momentum=0.1, temperature=0.07)
     vecs = [unit([1.0, 0.0]), unit([0.0, 1.0]), unit([1.0, 1.0])]
     assert bank.mode == "filling"
     for i, v in enumerate(vecs):
@@ -54,9 +54,9 @@ def test_stacked_absorb_equals_row_by_row(splits):
     rng = np.random.default_rng(7)
     rows = np.stack([unit(rng.normal(size=4)) for _ in range(9)])
     rows = np.concatenate([rows, rows[[3, 3]]])
-    bank = SemanticBank.create(size=5, dim=4, momentum=0.3)
+    bank = SemanticBank.create(size=5, dim=4, momentum=0.3, temperature=0.07)
     absorb(bank, rows[:2])
-    ref = SemanticBank(entries=bank.entries.copy(), momentum=0.3, fill_count=2)
+    ref = SemanticBank(entries=bank.entries.copy(), momentum=0.3, fill_count=2, temperature=0.07)
     start = 0
     for n in splits:
         absorb(bank, rows[start : start + n])
@@ -68,7 +68,7 @@ def test_stacked_absorb_equals_row_by_row(splits):
 
 
 def test_a_bad_row_leaves_the_bank_untouched():
-    bank = SemanticBank.create(size=2, dim=2)
+    bank = SemanticBank.create(size=2, dim=2, momentum=0.1, temperature=0.07)
     stack = np.array([unit([1.0, 0.0]), unit([0.0, 1.0]), [2.0, 0.0]])
     with pytest.raises(ParameterError, match="row 2"):
         absorb(bank, stack)
@@ -77,7 +77,7 @@ def test_a_bad_row_leaves_the_bank_untouched():
 
 def test_ema_update_pinned_values():
     bank = SemanticBank(entries=np.array([[1.0, 0.0], [0.0, 1.0]]),
-                        momentum=0.1, fill_count=2)
+                        momentum=0.1, fill_count=2, temperature=0.07)
     absorb(bank, np.array([[2.0, 1.0]]) / np.sqrt(5.0))
     # nearest is slot 0; blend 0.9*e + 0.1*v then renormalize
     blended = 0.9 * np.array([1.0, 0.0]) + 0.1 * np.array([2.0, 1.0]) / np.sqrt(5.0)
@@ -87,7 +87,7 @@ def test_ema_update_pinned_values():
 
 def test_ema_ties_update_the_lowest_slot():
     bank = SemanticBank(entries=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                        momentum=0.5, fill_count=3)
+                        momentum=0.5, fill_count=3, temperature=0.07)
     absorb(bank, unit([1.0, 1e-8])[None])
     assert not np.array_equal(bank.entries[0], [1.0, 0.0])
     assert np.array_equal(bank.entries[1], [1.0, 0.0])
@@ -95,7 +95,7 @@ def test_ema_ties_update_the_lowest_slot():
 
 def test_entries_stay_unit_under_absorption():
     rng = np.random.default_rng(0)
-    bank = SemanticBank.create(size=4, dim=8, momentum=0.3)
+    bank = SemanticBank.create(size=4, dim=8, momentum=0.3, temperature=0.07)
     for _ in range(40):
         absorb(bank, unit(rng.normal(size=8))[None])
     norms = np.linalg.norm(bank.entries, axis=1)
@@ -103,20 +103,21 @@ def test_entries_stay_unit_under_absorption():
 
 
 def test_momentum_one_replaces_the_nearest_entry():
-    bank = SemanticBank(entries=np.eye(2), momentum=1.0, fill_count=2)
+    bank = SemanticBank(entries=np.eye(2), momentum=1.0, fill_count=2, temperature=0.07)
     v = unit([3.0, 1.0])
     absorb(bank, v[None])
     assert np.allclose(bank.entries[0], v, atol=1e-12)
 
 
 def test_opposed_ema_collapse_is_detected():
-    bank = SemanticBank(entries=np.array([[1.0, 0.0]]), momentum=0.5, fill_count=1)
+    bank = SemanticBank(entries=np.array([[1.0, 0.0]]), momentum=0.5, temperature=0.07,
+                        fill_count=1)
     with pytest.raises(NumericalDegeneracyError):
         absorb(bank, np.array([[-1.0, 0.0]]))
 
 
 def test_singleton_bank_tracks_the_stream():
-    bank = SemanticBank.create(size=1, dim=2, momentum=0.2)
+    bank = SemanticBank.create(size=1, dim=2, momentum=0.2, temperature=0.07)
     absorb(bank, unit([1.0, 0.0])[None])
     target = unit([0.0, 1.0])
     gaps = []
@@ -179,7 +180,7 @@ def test_retrieval_differentiates_queries_not_entries():
 
 def test_retrieval_requires_a_full_bank():
     # retrieve_rows is a bare composite; its callers check the fill
-    bank = SemanticBank.create(size=4, dim=2)
+    bank = SemanticBank.create(size=4, dim=2, momentum=0.1, temperature=0.07)
     absorb(bank, unit([1.0, 0.0])[None])
     agg = tuple(init_group("agg", 0, 0, 2, np.random.default_rng(0)).values())
     with pytest.raises(BankStateError, match=r"1/4 filled"):
@@ -187,7 +188,7 @@ def test_retrieval_requires_a_full_bank():
 
 
 def test_absorb_validates_inputs():
-    bank = SemanticBank.create(size=2, dim=3)
+    bank = SemanticBank.create(size=2, dim=3, momentum=0.1, temperature=0.07)
     with pytest.raises(ParameterError):
         absorb(bank, np.array([[1.0, 1.0, 1.0]]))  # not unit
     with pytest.raises(ParameterError):
@@ -200,17 +201,17 @@ def test_absorb_validates_inputs():
 
 def test_constructor_validation():
     with pytest.raises(ParameterError):
-        SemanticBank.create(size=0, dim=4)
+        SemanticBank.create(size=0, dim=4, momentum=0.1, temperature=0.07)
     with pytest.raises(ParameterError):
-        SemanticBank.create(size=4, dim=0)
+        SemanticBank.create(size=4, dim=0, momentum=0.1, temperature=0.07)
     with pytest.raises(ParameterError):
-        SemanticBank(entries=np.eye(2), momentum=0.0)
+        SemanticBank(entries=np.eye(2), momentum=0.0, temperature=0.07, fill_count=2)
     with pytest.raises(ParameterError):
-        SemanticBank(entries=np.eye(2), momentum=1.5)
+        SemanticBank(entries=np.eye(2), momentum=1.5, temperature=0.07, fill_count=2)
     with pytest.raises(ParameterError):
-        SemanticBank(entries=np.eye(2), temperature=0.0)
+        SemanticBank(entries=np.eye(2), temperature=0.0, momentum=0.1, fill_count=2)
     with pytest.raises(ParameterError):
-        SemanticBank(entries=np.eye(2), fill_count=3)
+        SemanticBank(entries=np.eye(2), fill_count=3, momentum=0.1, temperature=0.07)
 
 
 def test_dump_round_trip_is_bit_exact(tmp_path):

@@ -10,7 +10,8 @@ from bandprompt.bank import read_bank
 from bandprompt.cli import main
 from bandprompt.config import RunConfig
 from bandprompt.teacher import LatentCache, read_cache, write_cache
-from bandprompt.trainer import load_checkpoint
+from bandprompt.evaluate import accuracy_percent
+from bandprompt.trainer import ToyVisualEncoder, load_checkpoint
 
 SMALL_CFG = """
 num_classes = 4
@@ -319,15 +320,55 @@ def test_bank_dump_round_trip(ws):
     assert np.array_equal(dumped.entries, bank.entries)
 
 
-def test_bank_dump_requires_a_bank(ws):
+@pytest.fixture(scope="module")
+def nobank(ws):
+    """A protocol=all checkpoint trained with `bank_size = 0`."""
     root = ws["root"]
     ckpt = str(root / "nobank.txt")
-    assert main(["train", "--config", ws["cfg"], "--set", "use_bank=false",
+    assert main(["train", "--config", ws["cfg"], "--set", "bank_size=0",
                  "--set", "lambda_sem=0", "--set", "protocol=all",
                  "--set", "epochs=2", "--cache", ws["cache"],
                  "--checkpoint", ckpt, "--history", str(root / "nb_h.txt"),
                  "--report", str(root / "nb_r.txt")]) == 0
-    assert main(["bank", "dump", "--checkpoint", ckpt]) == 2
+    return ckpt
+
+
+def test_bank_dump_requires_a_bank(nobank):
+    assert "BANK none" in open(nobank).read().splitlines()
+    assert main(["bank", "dump", "--checkpoint", nobank]) == 2
+
+
+def _raw_row_accuracy(ckpt, cache_path) -> float:
+    """Accuracy of argmax(v @ text_raw^T) under the checkpoint's text rows."""
+    header, params, _ = load_checkpoint(ckpt)
+    cache = read_cache(cache_path)
+    encoder = ToyVisualEncoder.create(int(header["embed_dim"]), cache.grid, int(header["seed"]))
+    visual = encoder.encode_batch(cache.arrays())
+    return accuracy_percent(np.argmax(visual @ params["text_raw"].T, axis=1), cache.labels())
+
+
+def _eval_accuracy(ckpt, cache_path, out) -> str:
+    assert main(["eval", "--checkpoint", str(ckpt), "--cache", cache_path,
+                 "--report", str(out)]) == 0
+    return next(ln.split()[1] for ln in open(out) if ln.startswith("accuracy "))
+
+
+def test_eval_without_a_bank_scores_the_raw_rows(ws, nobank, tmp_path):
+    got = _eval_accuracy(nobank, ws["cache"], tmp_path / "nb_eval.txt")
+    assert got == f"{_raw_row_accuracy(nobank, ws['cache']):.6f}"
+
+
+def test_eval_of_a_checkpoint_stamped_use_bank_false(ws, nobank, tmp_path):
+    # older versions switched the bank off with `use_bank = false` and still
+    # stamped a bank size; eval skips that key and reads the BANK none block
+    lines = ["# bank_size = 6" if ln == "# bank_size = 0" else ln
+             for ln in open(nobank).read().splitlines()]
+    lines.insert(1, "# use_bank = false")
+    ckpt = tmp_path / "old_nobank.txt"
+    ckpt.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "old_eval.txt"
+    assert _eval_accuracy(ckpt, ws["cache"], out) == f"{_raw_row_accuracy(ckpt, ws['cache']):.6f}"
+    assert "# use_bank = " not in out.read_text()
 
 
 def test_env_seed_wins(ws, monkeypatch):
@@ -347,7 +388,7 @@ def test_gradcheck_passes_on_a_small_config(ws):
 OUT_OF_RANGE = [
     ("embed_dim", "0"), ("kernel", "4"), ("lambda_sem", "-0.1"), ("lambda_gf", "-0.1"),
     ("lambda_gcf", "-0.1"), ("eta", "1.5"), ("logit_scale", "0"), ("epochs", "-1"),
-    ("batch_size", "0"), ("learning_rate", "-1e-3"), ("bank_size", "0"),
+    ("batch_size", "0"), ("learning_rate", "-1e-3"), ("bank_size", "-1"),
     ("bank_tau", "0"), ("bank_momentum", "1.5"), ("anchor", "image_embedding"),
     # the keys only RunConfig declares, which train does not otherwise read
     ("num_classes", "0"), ("n_per_class", "0"), ("base_modes", "0"), ("detail_modes", "0"),

@@ -23,7 +23,7 @@ def test_defaults_are_complete_and_typed():
     assert cfg.lambda_sem == cfg.lambda_gf == cfg.lambda_gcf == 0.1
     assert cfg.bank_size == 64 and cfg.bank_tau == 0.07
     assert cfg.eta == 1.0 and cfg.logit_scale == 100.0
-    assert cfg.use_bank and cfg.lambda_sem > 0 and cfg.lambda_gf > 0 and cfg.lambda_gcf > 0
+    assert cfg.bank_size > 0 and cfg.lambda_sem > 0 and cfg.lambda_gf > 0 and cfg.lambda_gcf > 0
     assert cfg.protocol == "base_to_novel"
     assert cfg.identity_band == "low"
 
@@ -55,7 +55,7 @@ def test_unknown_keys_and_bad_values_are_hard_errors():
     with pytest.raises(ConfigError, match="invalid value"):
         parse_config_text("epochs = five")
     with pytest.raises(ConfigError, match="invalid value"):
-        parse_config_text("use_bank = maybe")
+        parse_config_text("bank_refresh = maybe")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("epochs 5")
     with pytest.raises(ConfigError, match="protocol"):
@@ -65,7 +65,7 @@ def test_unknown_keys_and_bad_values_are_hard_errors():
 def test_boolean_spellings():
     for raw, want in (("true", True), ("1", True), ("on", True), ("YES", True),
                       ("false", False), ("0", False), ("off", False), ("No", False)):
-        assert apply_setting(RunConfig(), "use_bank", raw).use_bank is want
+        assert apply_setting(RunConfig(), "bank_refresh", raw).bank_refresh is want
 
 
 def test_precedence_defaults_file_set_env(tmp_path):
@@ -93,7 +93,7 @@ def test_header_lines_are_sorted_and_lowercase_bools():
     keys = [ln.split()[1] for ln in lines[1:]]
     assert keys == sorted(keys)
     assert "# select_by_base_val = true" in lines
-    assert "# use_bank = true" in lines
+    assert "# bank_refresh = false" in lines
     items = cfg.items()
     assert items["bank_refresh"] == "false" and items["epochs"] == "30"
 
@@ -135,9 +135,13 @@ def test_out_of_range_values_fail_when_applied():
     with pytest.raises(ConfigError, match="kernel"):
         parse_config_text("kernel = 4\nkernel = 5")
     assert parse_config_text("kernel = 5\nepochs = 0").epochs == 0
+    # bank_size = 0 turns the bank off; below that is out of range
+    assert parse_config_text("bank_size = 0").bank_size == 0
+    with pytest.raises(ConfigError, match="bank_size"):
+        parse_config_text("bank_size = -1")
 
 
 def test_removed_keys_are_unknown():
-    for key in ("use_sem", "use_gf", "use_gcf"):
+    for key in ("use_sem", "use_gf", "use_gcf", "use_bank"):
         with pytest.raises(ConfigError, match="unknown config key"):
             apply_setting(RunConfig(), key, "false")

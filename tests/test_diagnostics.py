@@ -6,7 +6,6 @@ import pytest
 from bandprompt.bands import factorize
 from bandprompt.diagnostics import (
     CHUNK_SIZE,
-    DEFAULT_BINS,
     OverlapReport,
     RadialSpectrum,
     _overlap_weights,
@@ -133,7 +132,7 @@ def test_diagnose_skips_degenerate_bands():
     assert np.isnan(report.overlap_mean) and np.isnan(report.overlap_std)
     assert np.array_equal(report.mean_base, np.zeros(5))
     with pytest.raises(ParameterError):
-        diagnose(LatentCache(records=[]))
+        diagnose(LatentCache(records=[]), kernel=7, num_bins=10)
 
 
 def test_diagnose_separated_dataset_has_low_overlap():

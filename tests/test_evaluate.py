@@ -40,21 +40,22 @@ def test_generalization_gap_pinned_values():
 
 def test_predict_orthogonal_rows_and_tie_breaking():
     rows = np.eye(3)
-    logits, label = predict(np.array([0.0, 1.0, 0.0]), rows)
-    assert label == 1 and logits.shape == (3,)
+    logits, labels = predict(np.eye(3)[[1, 2, 0]], rows, 100.0)
+    assert np.array_equal(logits, 100.0 * np.eye(3)[[1, 2, 0]])
+    assert np.array_equal(labels, [1, 2, 0])
     # exactly equidistant: argmax takes the lowest class index
-    _, tie = predict(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), rows)
-    assert tie == 0
-    batch_logits, batch_labels = predict(np.eye(3)[[2, 0]], rows)
-    assert batch_logits.shape == (2, 3)
-    assert np.array_equal(batch_labels, [2, 0])
+    ties = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]) / np.sqrt(2.0)
+    _, tie = predict(ties, rows, 100.0)
+    assert np.array_equal(tie, [0, 1, 0])
     feats = TextFeatureSet(raw=rows, refined=rows[::-1].copy(), mixed=rows[::-1].copy(), eta=1.0)
-    _, flipped = predict(np.array([1.0, 0.0, 0.0]), feats)
-    assert flipped == 2  # predictions read the mixed rows
+    _, flipped = predict(np.eye(3)[[0, 2]], feats, 100.0)
+    assert np.array_equal(flipped, [2, 0])  # predictions read the mixed rows
     with pytest.raises(ParameterError):
-        predict(np.zeros(2), rows)
+        predict(np.zeros((2, 2)), rows, 100.0)  # visual dim differs from the text dim
     with pytest.raises(ParameterError):
-        predict(np.zeros(3), rows[0])
+        predict(np.zeros((2, 3)), rows[0], 100.0)  # text rows are not a matrix
+    with pytest.raises(ParameterError):
+        predict(np.zeros(3), rows, 100.0)  # one embedding is not a batch of rows
 
 
 def test_accuracy_percent():
@@ -83,7 +84,7 @@ def proto_setup():
 
 def test_protocol_structure_and_bookkeeping(proto_setup):
     cache, cfg = proto_setup
-    out = run_base_to_novel(cache, cfg, shots=8)
+    out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False)
     assert out.base_classes == (0, 2) and out.novel_classes == (1, 3)
     labels = cache.labels()
     for c in range(4):
@@ -102,8 +103,8 @@ def test_protocol_structure_and_bookkeeping(proto_setup):
 
 def test_protocol_is_deterministic(proto_setup):
     cache, cfg = proto_setup
-    a = run_base_to_novel(cache, cfg, shots=8)
-    b = run_base_to_novel(cache, cfg, shots=8)
+    a = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False)
+    b = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False)
     assert a.result == b.result
     for name in a.state.params:
         assert np.array_equal(a.state.params[name].value, b.state.params[name].value)
@@ -112,9 +113,9 @@ def test_protocol_is_deterministic(proto_setup):
 def test_protocol_needs_a_held_out_pool(proto_setup):
     cache, cfg = proto_setup
     with pytest.raises(ProtocolError, match="held-out"):
-        run_base_to_novel(cache, cfg, shots=12)
+        run_base_to_novel(cache, cfg, shots=12, select_by_base_val=False)
     with pytest.raises(ParameterError):
-        run_base_to_novel(cache, cfg, shots=0)
+        run_base_to_novel(cache, cfg, shots=0, select_by_base_val=False)
 
 
 def test_validation_selection_tracks_and_restores(proto_setup):
@@ -127,7 +128,7 @@ def test_validation_selection_tracks_and_restores(proto_setup):
 
 def test_granule_source_accuracy_bounds_and_determinism(proto_setup):
     cache, cfg = proto_setup
-    out = run_base_to_novel(cache, cfg, shots=8)
+    out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False)
     arrays = cache.arrays()
     labels = cache.labels()
     # score on base-class samples in the trained label space

@@ -105,17 +105,16 @@ def test_combine_weighted_total_pinned():
     sem = ad.constant(2.0)
     gf = ad.constant(3.0)
     gcf = ad.constant(4.0)
-    total, parts = combine(cls, sem, gf, gcf, 0.1, 0.1, 0.1)
-    assert total.item() == pytest.approx(1.9, abs=1e-12)
-    assert parts.total == pytest.approx(1.9, abs=1e-12)
-    recombined = (parts.cls + parts.lambda_sem * parts.sem + parts.lambda_gf * parts.granule_f
-                  + parts.lambda_gcf * parts.granule_cf)
+    total, parts = combine(cls, sem, gf, gcf, 0.1, 0.2, 0.3)
+    assert total.item() == pytest.approx(3.0, abs=1e-12)
+    assert parts.total == pytest.approx(3.0, abs=1e-12)
+    recombined = parts.cls + 0.1 * parts.sem + 0.2 * parts.granule_f + 0.3 * parts.granule_cf
     assert recombined == pytest.approx(parts.total, abs=1e-12)
 
 
 def test_absent_terms_leave_total_equal_to_cls():
     cls = ad.constant(1.2345)
-    total, parts = combine(cls, None, None, None)
+    total, parts = combine(cls, None, None, None, 0.1, 0.1, 0.1)
     assert total is cls  # reuses the tensor: zero contribution is structural
     assert parts.sem is None and parts.granule_f is None and parts.granule_cf is None
     assert parts.total == parts.cls
@@ -124,14 +123,13 @@ def test_absent_terms_leave_total_equal_to_cls():
 def test_zero_lambda_matches_absent_term_in_value():
     cls = ad.constant(0.5)
     sem = ad.constant(9.0)
-    total, parts = combine(cls, sem, None, None, lambda_sem=0.0)
+    total, parts = combine(cls, sem, None, None, 0.0, 0.1, 0.1)
     assert total.item() == 0.5
     assert parts.sem == 9.0  # still reported even though weighted to zero
 
 
 def test_non_finite_losses_are_named():
-    parts = LossBreakdown(cls=np.inf, sem=None, granule_f=None, granule_cf=None,
-                          lambda_sem=0.1, lambda_gf=0.1, lambda_gcf=0.1, total=np.inf)
+    parts = LossBreakdown(cls=np.inf, sem=None, granule_f=None, granule_cf=None, total=np.inf)
     with pytest.raises(DivergenceError, match="cls"):
         parts.check_finite()
 
@@ -151,15 +149,15 @@ def test_losses_take_row_batches_only():
     rows = np.eye(2)
     for visual in (np.array([1.0, 0.0]), ad.parameter(np.array([1.0, 0.0]))):
         with pytest.raises(ParameterError):
-            loss_cls(visual, rows, [0])
+            loss_cls(visual, rows, [0], 100.0)
         with pytest.raises(ParameterError):
-            loss_granule(visual, rows, [0])
+            loss_granule(visual, rows, [0], 100.0)
         with pytest.raises(ParameterError):
             loss_sem(np.array([[1.0, 0.0]]), rows, visual)
     with pytest.raises(ParameterError):
         expected_text(np.array([0.5, 0.5]), rows)
     with pytest.raises(ParameterError):
-        loss_cls(np.zeros((1, 1, 2)), rows, [0])
+        loss_cls(np.zeros((1, 1, 2)), rows, [0], 100.0)
 
 
 def test_cls_gradient_matches_finite_differences():

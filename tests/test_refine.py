@@ -75,7 +75,8 @@ def test_mix_endpoints_return_exact_copies():
 def full_bank(dim, size=4, seed=3, temperature=0.07):
     rng = np.random.default_rng(seed)
     entries = np.stack([unit(rng.normal(size=dim)) for _ in range(size)])
-    return SemanticBank(entries=entries, temperature=temperature, fill_count=size)
+    return SemanticBank(entries=entries, momentum=0.1, temperature=temperature,
+                        fill_count=size)
 
 
 def test_batch_refinement_matches_per_row():
@@ -87,13 +88,11 @@ def test_batch_refinement_matches_per_row():
     bank = full_bank(dim)
     raw = rng.normal(size=(3, dim))
     batch = refined_text_graph(
-        ad.constant(raw), bank.entries, bank.temperature,
-        tuple(ad.constant(p) for p in agg.values()),
+        ad.constant(raw), bank, tuple(ad.constant(p) for p in agg.values()),
     ).value
     for i in range(3):
         single = refined_text_graph(
-            ad.constant(raw[i : i + 1]), bank.entries, bank.temperature,
-            tuple(ad.constant(p) for p in agg.values()),
+            ad.constant(raw[i : i + 1]), bank, tuple(ad.constant(p) for p in agg.values()),
         ).value
         assert np.allclose(batch[i], single[0], atol=1e-12)
 
@@ -107,8 +106,8 @@ def test_refinement_is_row_permutation_equivariant():
     raw = rng.normal(size=(4, dim))
     perm = np.array([2, 0, 3, 1])
     params = tuple(ad.constant(p) for p in agg.values())
-    a = refined_text_graph(ad.constant(raw), bank.entries, bank.temperature, params).value
-    b = refined_text_graph(ad.constant(raw[perm]), bank.entries, bank.temperature, params).value
+    a = refined_text_graph(ad.constant(raw), bank, params).value
+    b = refined_text_graph(ad.constant(raw[perm]), bank, params).value
     assert np.allclose(a[perm], b, atol=1e-12)
 
 
@@ -142,20 +141,24 @@ def test_bank_disabled_collapses_to_raw():
     rng = np.random.default_rng(8)
     raw = rng.normal(size=(3, 4))
     agg = tuple(fresh_aggregator(4, rng).values())
-    feats = build_text_features(raw, None, agg, eta=1.0, use_bank=False)
-    assert np.array_equal(feats.refined, raw)
-    assert np.array_equal(feats.mixed, raw)
+    rows = ad.parameter(raw)
+    assert refined_text_graph(rows, None, agg) is rows
+    assert np.array_equal(refined_text_graph(raw, None, agg).value, raw)
+    for eta in (0.0, 0.3, 1.0):
+        feats = build_text_features(raw, None, agg, eta=eta)
+        assert np.array_equal(feats.refined, raw)
+        assert np.array_equal(feats.mixed, raw)
 
 
 def test_refinement_requires_a_full_bank():
     rng = np.random.default_rng(9)
     agg = tuple(fresh_aggregator(4, rng).values())
     raw = rng.normal(size=(2, 4))
-    empty = SemanticBank.create(size=3, dim=4)
+    empty = SemanticBank.create(size=3, dim=4, momentum=0.1, temperature=0.07)
+    with pytest.raises(BankStateError, match="0/3 filled"):
+        refined_text_graph(raw, empty, agg)
     with pytest.raises(BankStateError):
         build_text_features(raw, empty, agg, eta=1.0)
-    with pytest.raises(BankStateError):
-        build_text_features(raw, None, agg, eta=1.0)
 
 
 def test_feature_set_validation():
@@ -177,11 +180,11 @@ def test_aggregator_gradients_match_finite_differences():
 
     def objective(vals):
         params = tuple(ad.constant(v) for v in vals)
-        out = refined_text_graph(ad.constant(raw), bank.entries, bank.temperature, params)
+        out = refined_text_graph(ad.constant(raw), bank, params)
         return float(np.sum(out.value ** 2))
 
     params = tuple(ad.parameter(v) for v in values)
-    out = refined_text_graph(ad.constant(raw), bank.entries, bank.temperature, params)
+    out = refined_text_graph(ad.constant(raw), bank, params)
     ad.backward(tsum(square(out)))
     eps = 1e-6
     for pi, p in enumerate(params):

@@ -100,6 +100,26 @@ def test_train_step_requires_a_full_bank(cache):
         train_step(state, feats, idx, cfg, pi)
 
 
+def test_text_features_require_a_full_bank(cache):
+    cfg = small_cfg()
+    state = init_state(cache, cfg)
+    with pytest.raises(BankStateError, match="full bank"):
+        state.text_features(cfg)
+    feats, _, _ = first_batch(state, cache, cfg)
+    fill_bank(state, feats)
+    assert state.bank.full
+    assert state.text_features(cfg).mixed.shape == (4, 8)
+
+
+def test_bank_size_zero_trains_on_the_raw_rows(cache):
+    cfg = small_cfg(bank_size=0, eta=0.3, anchor="refined_text_by_label", bank_refresh=True)
+    state = fit(cache, cfg)
+    assert state.bank is None and state.step == 2 * 7  # no fill phase
+    text = state.text_features(cfg)
+    raw = state.params["text_raw"].value
+    assert np.array_equal(text.refined, raw) and np.array_equal(text.mixed, raw)
+
+
 def test_zero_learning_rate_leaves_parameters_fixed(cache):
     cfg = small_cfg(learning_rate=0.0)
     state = init_state(cache, cfg)
@@ -179,7 +199,6 @@ def test_fit_fill_phase_consumes_whole_batches(cache):
     assert state.bank.full
     assert state.step == 3 * 7 - 2
     assert len(state.epoch_history) == 3
-    assert len(state.step_history) == state.step
 
 
 def test_fit_trend_decreases_cls(cache):
@@ -208,8 +227,8 @@ def test_counterfactual_flag_changes_film_training(cache):
     on = fit(cache, small_cfg(epochs=3))
     off = fit(cache, small_cfg(epochs=3, lambda_gcf=0.0))
     assert not np.array_equal(on.params["film.w2"].value, off.params["film.w2"].value)
-    assert off.step_history[-1].granule_cf is None
-    assert on.step_history[-1].granule_cf is not None
+    assert off.epoch_history[-1].granule_cf is None
+    assert on.epoch_history[-1].granule_cf is not None
 
 
 def test_bank_refresh_differs_only_in_entries(cache):
@@ -240,10 +259,12 @@ def test_checkpoint_round_trip_is_exact(cache, tmp_path):
 
 
 def test_checkpoint_without_bank(cache, tmp_path):
-    cfg = small_cfg(use_bank=False)
+    cfg = small_cfg(bank_size=0)
     state = fit(cache, cfg)
+    assert state.bank is None
     path = tmp_path / "nobank.txt"
     save_checkpoint(path, state)
+    assert "BANK none" in path.read_text().splitlines()
     header, values, bank = load_checkpoint(path)
     assert header == {} and bank is None
     assert "text_raw" in values
