@@ -26,7 +26,7 @@ def main() -> None:
 
     first, last = state.epoch_history[0], state.epoch_history[-1]
     print(f"\ntotal loss {first.total:.4f} -> {last.total:.4f} over {cfg.epochs} epochs "
-          f"({state.step} optimizer steps, bank mode {state.bank.mode})")
+          f"({state.optimizer.t} optimizer steps, bank mode {state.bank.mode})")
 
     # frozen inputs never move; all trainables do
     groups = sorted({k.split(".")[0] for k in state.params})

@@ -55,8 +55,8 @@ def main() -> None:
         probe = "     -"
         if cfg.lambda_gf > 0:
             # score the swap probe on base-class samples with remapped labels
-            mask = np.isin(labels, proto.base_classes)
-            remap = {c: i for i, c in enumerate(proto.base_classes)}
+            mask = np.isin(labels, r.base_classes)
+            remap = {c: i for i, c in enumerate(r.base_classes)}
             base_labels = np.array([remap[c] for c in labels[mask]])
             acc = granule_source_accuracy(proto.state, cfg, arrays[mask],
                                           base_labels, num_batches=8)
@@ -64,7 +64,7 @@ def main() -> None:
         print(f"{name:7s} | {r.base_acc:5.1f} | {r.novel_acc:5.1f} | "
               f"{r.hm:5.1f} | {r.gap_percent:5.1f} | {probe}")
 
-    print(f"\nsplit: base classes {proto.base_classes}, novel {proto.novel_classes}; "
+    print(f"\nsplit: base classes {r.base_classes}, novel {r.novel_classes}; "
           f"{r.base_count} base / {r.novel_count} novel eval samples")
     print("reading the table: the counterfactual term is what makes swapped")
     print("granules classify as their donor (last column, 100% vs 30%); the")

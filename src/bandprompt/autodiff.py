@@ -226,14 +226,14 @@ def mlp_vjp(g: Array, x: Array, hidden: Array, w1: Tensor, b1: Tensor, w2: Tenso
     if w2.requires_grad:
         grads.append((w2, hidden.T @ g))
     if b2.requires_grad:
-        grads.append((b2, unbroadcast(g, b2.value.shape)))
+        grads.append((b2, g.sum(axis=0)))
     gx = None
     if need_x or w1.requires_grad or b1.requires_grad:
         gh = (g @ w2.value.T) * (1.0 - hidden * hidden)
         if w1.requires_grad:
             grads.append((w1, x.T @ gh))
         if b1.requires_grad:
-            grads.append((b1, unbroadcast(gh, b1.value.shape)))
+            grads.append((b1, gh.sum(axis=0)))
         if need_x:
             gx = gh @ w1.value.T
     return grads, gx

@@ -2,7 +2,8 @@
 
 A stride-1 k x k box mean with replicate padding splits a latent into a
 smooth base band and the residual detail band; the residual definition makes
-reconstruction exact. Band statistics reduce each band to a per-channel mean
+reconstruction exact. The split and the statistics also take an (n, C, h, w)
+stack, and treat each latent of it exactly as they treat it alone. Band statistics reduce each band to a per-channel mean
 absolute activation, and small tanh MLP heads map those statistics onto the
 unit sphere of the text embedding space. Latents are frozen inputs: only head
 parameters ever receive gradients.
@@ -20,9 +21,12 @@ from .errors import ParameterError
 
 
 def _as_latent_array(z) -> np.ndarray:
+    """A (C, h, w) latent or an (n, C, h, w) stack; each latent splits alone."""
     arr = np.asarray(z)
-    if arr.ndim != 3:
-        raise ParameterError(f"expected a (C, h, w) latent, got shape {arr.shape}")
+    if arr.ndim not in (3, 4):
+        raise ParameterError(
+            f"expected a (C, h, w) latent or an (n, C, h, w) stack, got shape {arr.shape}"
+        )
     return arr
 
 
@@ -42,7 +46,7 @@ class BandPair:
 def smooth_lowpass(z, k: int) -> np.ndarray:
     """Stride-1 k x k mean per channel, replicate (edge) padding, float64 out."""
     arr = _as_latent_array(z)
-    _, h, w = arr.shape
+    h, w = arr.shape[-2:]
     if k < 1 or k % 2 == 0:
         raise ParameterError(f"kernel must be odd and >= 1, got {k}")
     if k > min(h, w):
@@ -50,7 +54,7 @@ def smooth_lowpass(z, k: int) -> np.ndarray:
     arr = arr.astype(np.float64)
     if k == 1:
         return arr.copy()
-    return uniform_filter(arr, size=(1, k, k), mode="nearest")
+    return uniform_filter(arr, size=(1,) * (arr.ndim - 2) + (k, k), mode="nearest")
 
 
 def factorize(z, k: int) -> BandPair:
@@ -75,9 +79,10 @@ def factorize(z, k: int) -> BandPair:
 
 
 def band_stats(z) -> np.ndarray:
-    """Per-channel mean absolute activation: a length-C vector."""
+    """Per-channel mean absolute activation: a length-C vector, or (n, C)
+    rows for a stack."""
     arr = _as_latent_array(z).astype(np.float64)
-    return np.abs(arr).mean(axis=(1, 2))
+    return np.abs(arr).mean(axis=(-2, -1))
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

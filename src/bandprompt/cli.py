@@ -5,9 +5,11 @@ or for `eval` the checkpoint's stamped header < config file < --set <
 SPECPL_SEED < command flags) and stamps the resolved values as a comment
 header on whatever report it writes, so runs are reproducible from their own
 output. `eval` skips stamped lines whose key is not a config key, such as
-the `use_bank` switch older versions stamped; a bad value of a config key
-there is a checkpoint error. In `eval` the checkpoint's BANK block decides
-whether the model has a bank.
+the `use_bank` and `bank_dump_path` keys older versions stamped; a bad value
+of a config key there is a checkpoint error. In `eval` the checkpoint's BANK block decides
+whether the model has a bank, and its size, temperature and momentum replace
+the resolved `bank_size`, `bank_tau` and `bank_momentum` (`BANK none` gives
+`bank_size = 0`), so the report stamps the bank it scored with.
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .bank import write_bank
 from .config import FIELD_TYPES, RunConfig, apply_setting, resolve_config
@@ -80,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     bank_sub = bank.add_subparsers(dest="bank_command", required=True)
     dump = bank_sub.add_parser("dump", help="write a checkpoint's bank as text")
     dump.add_argument("--checkpoint", required=True, help="checkpoint to read")
-    dump.add_argument("--out", default=None, help="dump output path")
+    dump.add_argument("--out", default="bank_dump.txt", help="dump output path")
     dump.set_defaults(func=cmd_bank_dump)
 
     gc = sub.add_parser("gradcheck",
@@ -164,6 +167,12 @@ def cmd_eval(args) -> int:
         except ConfigError as exc:
             raise ParameterError(f"{args.checkpoint}: stamped {exc}") from None
     cfg = _resolve(args, base=stamped, cache_path=args.cache, eval_report_path=args.report)
+    # The checkpoint's bank is the one scored with, so its settings are stamped.
+    if bank is None:
+        cfg = replace(cfg, bank_size=0)
+    else:
+        cfg = replace(cfg, bank_size=bank.size, bank_tau=bank.temperature,
+                      bank_momentum=bank.momentum)
     cache = read_cache(cfg.cache_path)
     encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
     state = state_from_values(param_values, bank, encoder, cfg)
@@ -199,9 +208,8 @@ def cmd_bank_dump(args) -> int:
     _, _, bank = load_checkpoint(args.checkpoint)
     if bank is None:
         raise BandpromptError(f"{args.checkpoint}: checkpoint carries no bank")
-    out = args.out if args.out is not None else RunConfig().bank_dump_path
-    write_bank(bank, out)
-    print(f"wrote {bank.size}x{bank.dim} bank to {out}")
+    write_bank(bank, args.out)
+    print(f"wrote {bank.size}x{bank.dim} bank to {args.out}")
     return 0
 
 

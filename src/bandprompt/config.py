@@ -56,7 +56,6 @@ class RunConfig(TrainConfig):
     eval_report_path: str = "eval_report.txt"
     history_path: str = "loss_history.txt"
     diag_report_path: str = "diag_report.txt"
-    bank_dump_path: str = "bank_dump.txt"
 
     def __post_init__(self):
         super().__post_init__()
@@ -77,7 +76,7 @@ class RunConfig(TrainConfig):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0 (0 turns alignment off)")
         for name in ("cache_path", "checkpoint_path", "eval_report_path", "history_path",
-                     "diag_report_path", "bank_dump_path"):
+                     "diag_report_path"):
             if not getattr(self, name):
                 raise ParameterError(f"{name} must not be empty")
 

@@ -107,8 +107,6 @@ def split_base_novel(num_classes: int) -> tuple[tuple[int, ...], tuple[int, ...]
 class ProtocolOutput:
     state: TrainState
     result: EvalResult
-    base_classes: tuple[int, ...]
-    novel_classes: tuple[int, ...]
     shot_indices: dict[int, np.ndarray]
     eval_indices: dict[int, np.ndarray]
     val_history: list[float]
@@ -131,6 +129,23 @@ def _subsample_shots(labels: np.ndarray, shots: int,
     return shot_idx, eval_idx
 
 
+def _gather(classes: tuple[int, ...],
+            per_class: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The samples `per_class[c]` of each class of `classes`, in that order,
+    and their labels in the label space of `classes` (`classes[i]` is i)."""
+    idx = np.concatenate([per_class[c] for c in classes])
+    labels = np.concatenate([np.full(len(per_class[c]), i) for i, c in enumerate(classes)])
+    return idx, labels
+
+
+def _score(state: TrainState, cfg: TrainConfig, arrays: np.ndarray, labels: np.ndarray,
+           raw: np.ndarray | None = None) -> float:
+    """Accuracy on the latents `arrays` against `state.text_features(cfg, raw)`."""
+    visual = state.encoder.encode_batch(arrays)
+    _, pred = predict(visual, state.text_features(cfg, raw), cfg.logit_scale)
+    return accuracy_percent(pred, labels)
+
+
 def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
                       select_by_base_val: bool) -> ProtocolOutput:
     """Split, train on base shots, score held-out base and novel samples.
@@ -148,43 +163,22 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
 
     rng = np.random.default_rng(seed_streams(cfg.seed)["shots"])
     shot_idx, eval_idx = _subsample_shots(labels, shots, rng)
-    base_map = {c: i for i, c in enumerate(base_classes)}
-
-    val_idx: dict[int, np.ndarray] = {}
-    train_idx: dict[int, np.ndarray] = {}
-    for c in base_classes:
-        if select_by_base_val:
-            n_val = max(1, shots // 4)
-            val_idx[c] = shot_idx[c][:n_val]
-            train_idx[c] = shot_idx[c][n_val:]
-        else:
-            train_idx[c] = shot_idx[c]
-
-    train_records = [
-        replace(cache.records[j], class_label=base_map[c])
-        for c in base_classes
-        for j in train_idx[c]
-    ]
-    train_cache = LatentCache(train_records)
+    n_val = max(1, shots // 4) if select_by_base_val else 0
+    train_idx, train_labels = _gather(base_classes, {c: shot_idx[c][n_val:] for c in base_classes})
+    train_cache = LatentCache([replace(cache.records[j], class_label=int(y))
+                               for j, y in zip(train_idx, train_labels)])
 
     val_history: list[float] = []
     best: tuple[float, dict[str, np.ndarray], np.ndarray | None] | None = None
     callback = None
     if select_by_base_val:
-        v_val = np.concatenate([val_idx[c] for c in base_classes])
-        val_visual = None
-        val_labels = np.concatenate(
-            [np.full(len(val_idx[c]), base_map[c]) for c in base_classes]
-        )
+        val_idx, val_labels = _gather(base_classes, {c: shot_idx[c][:n_val] for c in base_classes})
 
         def callback(state: TrainState, epoch: int) -> None:
-            nonlocal best, val_visual
+            nonlocal best
             if state.bank is not None and not state.bank.full:
                 return  # still in the fill phase; nothing comparable yet
-            if val_visual is None:
-                val_visual = state.encoder.encode_batch(arrays[v_val])
-            _, pred = predict(val_visual, state.text_features(cfg), cfg.logit_scale)
-            acc = accuracy_percent(pred, val_labels)
+            acc = _score(state, cfg, arrays[val_idx], val_labels)
             val_history.append(acc)
             if best is None or acc > best[0]:
                 bank_copy = state.bank.entries.copy() if state.bank is not None else None
@@ -193,17 +187,12 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
     state = fit(train_cache, cfg, epoch_callback=callback)
     if best is not None:
         state.set_param_values(best[1])
-        if state.bank is not None and best[2] is not None:
+        if state.bank is not None:
             state.bank.entries = best[2]
 
     # Base accuracy: held-out base samples against the trained mixed rows.
-    base_eval = np.concatenate([eval_idx[c] for c in base_classes])
-    base_labels = np.concatenate(
-        [np.full(len(eval_idx[c]), base_map[c]) for c in base_classes]
-    )
-    base_visual = state.encoder.encode_batch(arrays[base_eval])
-    _, base_pred = predict(base_visual, state.text_features(cfg), cfg.logit_scale)
-    base_acc = accuracy_percent(base_pred, base_labels)
+    base_idx, base_labels = _gather(base_classes, eval_idx)
+    base_acc = _score(state, cfg, arrays[base_idx], base_labels)
 
     # Novel accuracy: frozen prototype rows from novel shots, refined through
     # the same bank/aggregator, scored on the remaining novel samples.
@@ -211,27 +200,18 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
         state.encoder.encode_batch(arrays[shot_idx[c]]).mean(axis=0)
         for c in novel_classes
     ])
-    novel_text = state.text_features(cfg, raw=proto)
-    novel_eval = np.concatenate([eval_idx[c] for c in novel_classes])
-    novel_labels = np.concatenate(
-        [np.full(len(eval_idx[c]), i) for i, c in enumerate(novel_classes)]
-    )
-    novel_visual = state.encoder.encode_batch(arrays[novel_eval])
-    _, novel_pred = predict(novel_visual, novel_text, cfg.logit_scale)
-    novel_acc = accuracy_percent(novel_pred, novel_labels)
+    novel_idx, novel_labels = _gather(novel_classes, eval_idx)
+    novel_acc = _score(state, cfg, arrays[novel_idx], novel_labels, raw=proto)
 
     result = EvalResult(
         base_acc=base_acc, novel_acc=novel_acc,
         hm=harmonic_mean(base_acc, novel_acc),
         gap_percent=generalization_gap(base_acc, novel_acc) if base_acc > 0 else float("nan"),
         base_classes=base_classes, novel_classes=novel_classes,
-        base_count=len(base_eval), novel_count=len(novel_eval),
+        base_count=len(base_idx), novel_count=len(novel_idx),
     )
-    return ProtocolOutput(
-        state=state, result=result, base_classes=base_classes,
-        novel_classes=novel_classes, shot_indices=shot_idx,
-        eval_indices=eval_idx, val_history=val_history,
-    )
+    return ProtocolOutput(state=state, result=result, shot_indices=shot_idx,
+                          eval_indices=eval_idx, val_history=val_history)
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,11 @@ class TrainState:
     bank: SemanticBank | None
     encoder: ToyVisualEncoder
     optimizer: "Adam"
-    num_classes: int
-    step: int = 0
     epoch_history: list[LossBreakdown] = field(default_factory=list)
+
+    @property
+    def num_classes(self) -> int:
+        return self.params["text_raw"].value.shape[0]
 
     def param_values(self) -> dict[str, np.ndarray]:
         return {k: np.array(v.value, copy=True) for k, v in self.params.items()}
@@ -292,14 +294,10 @@ class CacheFeatures:
 
 def compute_features(encoder: ToyVisualEncoder, arrays: np.ndarray,
                      labels: np.ndarray, kernel: int) -> CacheFeatures:
-    visual = encoder.encode_batch(arrays)
-    phi_base = np.empty((len(arrays), arrays.shape[1]))
-    phi_detail = np.empty_like(phi_base)
-    for i, arr in enumerate(arrays):
-        pair = factorize(arr, kernel)
-        phi_base[i] = band_stats(pair.base)
-        phi_detail[i] = band_stats(pair.detail)
-    return CacheFeatures(visual=visual, phi_base=phi_base, phi_detail=phi_detail,
+    """Encode an (n, C, h, w) stack and split it into bands in one pass each."""
+    pair = factorize(arrays, kernel)
+    return CacheFeatures(visual=encoder.encode_batch(arrays), phi_base=band_stats(pair.base),
+                         phi_detail=band_stats(pair.detail),
                          labels=np.asarray(labels, dtype=np.intp))
 
 
@@ -309,13 +307,14 @@ def seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
     return dict(zip(("init", "batch", "pi", "shots"), children))
 
 
-def init_state(cache: LatentCache, cfg: TrainConfig) -> TrainState:
+def init_state(cache: LatentCache, cfg: TrainConfig) -> tuple[TrainState, CacheFeatures]:
+    """A fresh state for `cache` and the cache's frozen features, computed
+    once; the text rows start at the features' per-class visual means."""
     labels = cache.labels()
     num_classes = check_labels(labels)
     encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
-    arrays = cache.arrays()
-    visual = encoder.encode_batch(arrays)
-    means = np.stack([visual[labels == c].mean(axis=0) for c in range(num_classes)])
+    feats = compute_features(encoder, cache.arrays(), labels, cfg.kernel)
+    means = np.stack([feats.visual[labels == c].mean(axis=0) for c in range(num_classes)])
     streams = seed_streams(cfg.seed)
     params = init_params(num_classes, cache.grid[0], cfg.embed_dim,
                          means, np.random.default_rng(streams["init"]))
@@ -323,10 +322,9 @@ def init_state(cache: LatentCache, cfg: TrainConfig) -> TrainState:
         SemanticBank.create(cfg.bank_size, cfg.embed_dim, cfg.bank_momentum, cfg.bank_tau)
         if cfg.bank_size > 0 else None
     )
-    return TrainState(
-        params=params, bank=bank, encoder=encoder,
-        optimizer=Adam(params, cfg.learning_rate), num_classes=num_classes,
-    )
+    state = TrainState(params=params, bank=bank, encoder=encoder,
+                       optimizer=Adam(params, cfg.learning_rate))
+    return state, feats
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +393,6 @@ def train_step(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
     ad.zero_grads(state.params.values())
     ad.backward(total)
     state.optimizer.step()
-    state.step += 1
     return parts
 
 
@@ -424,8 +421,7 @@ def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
 
 def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState:
     """Full training loop: fill the bank, then stratified mini-batch updates."""
-    state = init_state(cache, cfg)
-    feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    state, feats = init_state(cache, cfg)
     streams = seed_streams(cfg.seed)
     rng_batch = np.random.default_rng(streams["batch"])
     rng_pi = np.random.default_rng(streams["pi"])
@@ -558,8 +554,7 @@ def fill_bank(state: TrainState, feats: CacheFeatures) -> None:
 def run_gradient_check(cache: LatentCache, cfg: TrainConfig) -> GradCheckReport:
     """End-to-end harness: init, fill the bank, take `WARMUP_STEPS` steps on
     one batch, then check that batch."""
-    state = init_state(cache, cfg)
-    feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    state, feats = init_state(cache, cfg)
     fill_bank(state, feats)
     rng_batch = np.random.default_rng(seed_streams(cfg.seed)["batch"])
     rng_pi = np.random.default_rng(seed_streams(cfg.seed)["pi"])
@@ -700,4 +695,4 @@ def state_from_values(param_values: dict[str, np.ndarray], bank: SemanticBank | 
             raise ParameterError(f"parameter {name!r} has non-finite values")
         params[name] = ad.parameter(value)
     return TrainState(params=params, bank=bank, encoder=encoder,
-                      optimizer=Adam(params, cfg.learning_rate), num_classes=num_classes)
+                      optimizer=Adam(params, cfg.learning_rate))

@@ -346,8 +346,8 @@ def test_6_mechanism_efficacy():
         proto = run_base_to_novel(cache, cfg, shots=16, select_by_base_val=False)
         novel[name] = proto.result.novel_acc
         if cfg.lambda_gf > 0:
-            mask = np.isin(labels, proto.base_classes)
-            remap = {c: i for i, c in enumerate(proto.base_classes)}
+            mask = np.isin(labels, proto.result.base_classes)
+            remap = {c: i for i, c in enumerate(proto.result.base_classes)}
             base_labels = np.array([remap[c] for c in labels[mask]])
             source[name] = granule_source_accuracy(
                 proto.state, cfg, arrays[mask], base_labels, num_batches=8)

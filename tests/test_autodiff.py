@@ -634,8 +634,7 @@ def test_training_graph_matches_the_chains(monkeypatch):
 
     cache = generate_dataset(SyntheticSpec(num_classes=4, seed=0), n_per_class=8)
     cfg = trainer.TrainConfig(embed_dim=8, bank_size=6, seed=0)
-    state = trainer.init_state(cache, cfg)
-    feats = trainer.compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    state, feats = trainer.init_state(cache, cfg)
     trainer.fill_bank(state, feats)
     idx = np.arange(0, 32, 2)
     pi = np.random.default_rng(0).permutation(len(idx))
@@ -731,8 +730,7 @@ def test_training_step_gradients_match_the_post_order_reference():
 
     cache = generate_dataset(SyntheticSpec(num_classes=4, seed=0), n_per_class=8)
     cfg = trainer.TrainConfig(embed_dim=8, bank_size=6, seed=0)
-    state = trainer.init_state(cache, cfg)
-    feats = trainer.compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    state, feats = trainer.init_state(cache, cfg)
     trainer.fill_bank(state, feats)
     idx = np.arange(0, 32, 2)
     pi = np.random.default_rng(0).permutation(len(idx))

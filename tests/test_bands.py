@@ -100,6 +100,48 @@ def test_factorize_handles_near_zero_box_means():
     assert np.array_equal(pair.base + pair.detail, z)
 
 
+def tiny_base_latent(k):
+    """A (2, 8, 8) latent whose (0, 3, 3) box mean is -2^-53 against a cell
+    of 1: the residual subtraction cannot be exact, so `factorize` zeroes
+    that base cell."""
+    z = np.zeros((2, 8, 8))
+    z[0, 3, 3], z[0, 4, 3], z[0, 4, 4] = 1.0, -1.0, -(k * k) * 2.0**-53
+    return z
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_stacked_split_equals_the_per_latent_split(k):
+    rng = np.random.default_rng(10)
+    stack = rng.normal(size=(5, 2, 8, 8)).astype(np.float32).astype(np.float64)
+    stack[2] = tiny_base_latent(k)
+    if k > 1:
+        rounded = smooth_lowpass(stack[2], k).astype(np.float32).astype(np.float64)
+        assert rounded[0, 3, 3] != 0.0 and factorize(stack[2], k).base[0, 3, 3] == 0.0
+    pair = factorize(stack, k)
+    assert pair.kernel == k and np.array_equal(pair.base + pair.detail, stack)
+    smooth = smooth_lowpass(stack, k)
+    stats = band_stats(stack)
+    assert stats.shape == (5, 2)
+    for i, z in enumerate(stack):
+        one = factorize(z, k)
+        assert np.array_equal(pair.base[i], one.base), i
+        assert np.array_equal(pair.detail[i], one.detail), i
+        assert np.array_equal(smooth[i], smooth_lowpass(z, k)), i
+        assert np.array_equal(stats[i], band_stats(z)), i
+    single = factorize(stack[2:3], k)
+    assert np.array_equal(single.base[0], pair.base[2])
+    assert np.array_equal(single.detail[0], pair.detail[2])
+    assert np.array_equal(band_stats(stack[2:3]), stats[2:3])
+
+
+def test_band_split_rejects_other_ranks():
+    for shape in ((8, 8), (1, 2, 2, 8, 8)):
+        z = np.zeros(shape)
+        for split in (lambda a: factorize(a, 3), lambda a: smooth_lowpass(a, 3), band_stats):
+            with pytest.raises(ParameterError, match="stack"):
+                split(z)
+
+
 def test_band_stats_values_and_symmetry():
     z = np.array([[[1.0, -1.0], [2.0, -2.0]]])
     assert np.allclose(band_stats(z), [1.5], atol=1e-12)

@@ -347,8 +347,9 @@ def _raw_row_accuracy(ckpt, cache_path) -> float:
     return accuracy_percent(np.argmax(visual @ params["text_raw"].T, axis=1), cache.labels())
 
 
-def _eval_accuracy(ckpt, cache_path, out) -> str:
-    assert main(["eval", "--checkpoint", str(ckpt), "--cache", cache_path,
+def _eval_accuracy(ckpt, cache_path, out, *settings) -> str:
+    sets = [arg for pair in settings for arg in ("--set", pair)]
+    assert main(["eval", "--checkpoint", str(ckpt), *sets, "--cache", cache_path,
                  "--report", str(out)]) == 0
     return next(ln.split()[1] for ln in open(out) if ln.startswith("accuracy "))
 
@@ -369,6 +370,23 @@ def test_eval_of_a_checkpoint_stamped_use_bank_false(ws, nobank, tmp_path):
     out = tmp_path / "old_eval.txt"
     assert _eval_accuracy(ckpt, ws["cache"], out) == f"{_raw_row_accuracy(ckpt, ws['cache']):.6f}"
     assert "# use_bank = " not in out.read_text()
+
+
+def test_eval_stamps_the_bank_it_scored_with(ws, nobank, tmp_path):
+    # the checkpoint's BANK block is what eval scores with, so a --set of a
+    # bank key changes neither the accuracy nor the stamped value
+    _, _, bank = load_checkpoint(ws["all_ckpt"])
+    stamps = [f"# bank_size = {bank.size}", f"# bank_tau = {bank.temperature}",
+              f"# bank_momentum = {bank.momentum}"]
+    plain = _eval_accuracy(ws["all_ckpt"], ws["cache"], tmp_path / "plain.txt")
+    for setting in ("bank_tau=5.0", "bank_size=0", "bank_momentum=0.5"):
+        out = tmp_path / "set.txt"
+        assert _eval_accuracy(ws["all_ckpt"], ws["cache"], out, setting) == plain
+        lines = out.read_text().splitlines()
+        assert all(stamp in lines for stamp in stamps), setting
+    out = tmp_path / "nobank.txt"
+    _eval_accuracy(nobank, ws["cache"], out, "bank_size=6")
+    assert "# bank_size = 0" in out.read_text().splitlines()
 
 
 def test_env_seed_wins(ws, monkeypatch):
@@ -396,6 +414,7 @@ OUT_OF_RANGE = [
     ("grid_w", "3"), ("shots", "0"), ("protocol", "bogus"), ("diag_bands", "0"),
     ("align_h", "-3"), ("align_w", "-1"), ("cache_path", ""), ("checkpoint_path", ""),
     ("eval_report_path", ""), ("history_path", ""), ("diag_report_path", ""),
+    # a deleted key is unknown, and train rejects it the same way
     ("bank_dump_path", ""),
 ]
 

@@ -142,6 +142,6 @@ def test_out_of_range_values_fail_when_applied():
 
 
 def test_removed_keys_are_unknown():
-    for key in ("use_sem", "use_gf", "use_gcf", "use_bank"):
+    for key in ("use_sem", "use_gf", "use_gcf", "use_bank", "bank_dump_path"):
         with pytest.raises(ConfigError, match="unknown config key"):
             apply_setting(RunConfig(), key, "false")

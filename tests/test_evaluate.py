@@ -85,7 +85,7 @@ def proto_setup():
 def test_protocol_structure_and_bookkeeping(proto_setup):
     cache, cfg = proto_setup
     out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False)
-    assert out.base_classes == (0, 2) and out.novel_classes == (1, 3)
+    assert out.result.base_classes == (0, 2) and out.result.novel_classes == (1, 3)
     labels = cache.labels()
     for c in range(4):
         shots = out.shot_indices[c]
@@ -132,8 +132,8 @@ def test_granule_source_accuracy_bounds_and_determinism(proto_setup):
     arrays = cache.arrays()
     labels = cache.labels()
     # score on base-class samples in the trained label space
-    base_eval = np.concatenate([out.eval_indices[c] for c in out.base_classes])
-    remap = {c: i for i, c in enumerate(out.base_classes)}
+    base_eval = np.concatenate([out.eval_indices[c] for c in out.result.base_classes])
+    remap = {c: i for i, c in enumerate(out.result.base_classes)}
     y = np.array([remap[labels[j]] for j in base_eval])
     a = granule_source_accuracy(out.state, cfg, arrays[base_eval], y, num_batches=4)
     b = granule_source_accuracy(out.state, cfg, arrays[base_eval], y, num_batches=4)

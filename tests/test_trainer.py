@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bandprompt.autodiff as ad
+from bandprompt.bands import band_stats, factorize
 from bandprompt.errors import BankStateError, ParameterError
 from bandprompt.teacher import LatentCache, SyntheticSpec, generate_dataset
 from bandprompt.trainer import (
@@ -68,8 +69,8 @@ def test_encoder_validates_input(cache):
 
 def test_init_state_is_seeded_and_bitwise_repeatable(cache):
     cfg = small_cfg()
-    a = init_state(cache, cfg)
-    b = init_state(cache, cfg)
+    a, _ = init_state(cache, cfg)
+    b, _ = init_state(cache, cfg)
     assert sorted(a.params) == sorted(b.params)
     for name in a.params:
         assert np.array_equal(a.params[name].value, b.params[name].value), name
@@ -85,27 +86,47 @@ def test_init_rejects_gapped_labels(cache):
         init_state(LatentCache(records=[]), small_cfg())
 
 
-def first_batch(state, cache, cfg):
-    """Features of the cache, the first five samples and a permutation."""
-    feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+def first_batch(cfg):
+    """The first five samples and a permutation."""
     pi = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9C])).permutation(5)
-    return feats, np.arange(5), pi
+    return np.arange(5), pi
+
+
+def test_init_state_returns_the_cache_features(cache):
+    cfg = small_cfg()
+    state, feats = init_state(cache, cfg)
+    ref = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    for name in ("visual", "phi_base", "phi_detail", "labels"):
+        assert np.array_equal(getattr(feats, name), getattr(ref, name)), name
+    means = np.stack([feats.visual[feats.labels == c].mean(axis=0) for c in range(4)])
+    assert np.max(np.abs(state.params["text_raw"].value - means)) < 0.1
+
+
+def test_compute_features_matches_a_per_latent_loop(cache):
+    encoder = ToyVisualEncoder.create(8, GRID, seed=0)
+    arrays = cache.arrays()
+    feats = compute_features(encoder, arrays, cache.labels(), 5)
+    for i, z in enumerate(arrays):
+        pair = factorize(z, 5)
+        assert np.array_equal(feats.phi_base[i], band_stats(pair.base)), i
+        assert np.array_equal(feats.phi_detail[i], band_stats(pair.detail)), i
+    assert np.array_equal(feats.visual, encoder.encode_batch(arrays))
+    assert np.array_equal(feats.labels, cache.labels())
 
 
 def test_train_step_requires_a_full_bank(cache):
     cfg = small_cfg()
-    state = init_state(cache, cfg)
-    feats, idx, pi = first_batch(state, cache, cfg)
+    state, feats = init_state(cache, cfg)
+    idx, pi = first_batch(cfg)
     with pytest.raises(BankStateError):
         train_step(state, feats, idx, cfg, pi)
 
 
 def test_text_features_require_a_full_bank(cache):
     cfg = small_cfg()
-    state = init_state(cache, cfg)
+    state, feats = init_state(cache, cfg)
     with pytest.raises(BankStateError, match="full bank"):
         state.text_features(cfg)
-    feats, _, _ = first_batch(state, cache, cfg)
     fill_bank(state, feats)
     assert state.bank.full
     assert state.text_features(cfg).mixed.shape == (4, 8)
@@ -114,7 +135,7 @@ def test_text_features_require_a_full_bank(cache):
 def test_bank_size_zero_trains_on_the_raw_rows(cache):
     cfg = small_cfg(bank_size=0, eta=0.3, anchor="refined_text_by_label", bank_refresh=True)
     state = fit(cache, cfg)
-    assert state.bank is None and state.step == 2 * 7  # no fill phase
+    assert state.bank is None and state.optimizer.t == 2 * 7  # no fill phase
     text = state.text_features(cfg)
     raw = state.params["text_raw"].value
     assert np.array_equal(text.refined, raw) and np.array_equal(text.mixed, raw)
@@ -122,8 +143,8 @@ def test_bank_size_zero_trains_on_the_raw_rows(cache):
 
 def test_zero_learning_rate_leaves_parameters_fixed(cache):
     cfg = small_cfg(learning_rate=0.0)
-    state = init_state(cache, cfg)
-    feats, idx, pi = first_batch(state, cache, cfg)
+    state, feats = init_state(cache, cfg)
+    idx, pi = first_batch(cfg)
     fill_bank(state, feats)
     before = state.param_values()
     parts = train_step(state, feats, idx, cfg, pi)
@@ -134,8 +155,8 @@ def test_zero_learning_rate_leaves_parameters_fixed(cache):
 
 def test_disabled_terms_collapse_total_onto_cls(cache):
     cfg = small_cfg(lambda_sem=0.0, lambda_gf=0.0, lambda_gcf=0.0)
-    state = init_state(cache, cfg)
-    feats, idx, _ = first_batch(state, cache, cfg)
+    state, feats = init_state(cache, cfg)
+    idx, _ = first_batch(cfg)
     fill_bank(state, feats)
     parts = train_step(state, feats, idx, cfg, None)
     assert parts.sem is None and parts.granule_f is None and parts.granule_cf is None
@@ -159,8 +180,7 @@ def test_default_objective_tape_size(cache):
     # constants. The primitive chains they replaced made the same objective
     # reach 215 tensors, and the earlier partly fused step 116.
     cfg = TrainConfig()
-    state = init_state(cache, cfg)
-    feats = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    state, feats = init_state(cache, cfg)
     fill_bank(state, feats)
     idx = np.arange(cfg.batch_size)
     pi = np.random.default_rng(0).permutation(cfg.batch_size)
@@ -197,7 +217,7 @@ def test_fit_fill_phase_consumes_whole_batches(cache):
     cfg = small_cfg(epochs=3)
     state = fit(cache, cfg)
     assert state.bank.full
-    assert state.step == 3 * 7 - 2
+    assert state.optimizer.t == 3 * 7 - 2
     assert len(state.epoch_history) == 3
 
 
@@ -220,7 +240,7 @@ def test_fit_is_bitwise_deterministic(cache):
 
 def test_epochs_zero_is_an_initialized_no_op(cache):
     state = fit(cache, small_cfg(epochs=0))
-    assert state.step == 0 and state.epoch_history == []
+    assert state.optimizer.t == 0 and state.epoch_history == []
 
 
 def test_counterfactual_flag_changes_film_training(cache):
@@ -327,7 +347,7 @@ def test_gradient_check_passes_and_reports_frozen_inputs(cache):
     report = run_gradient_check(cache, cfg)
     assert report.passed, (report.worst_param, report.worst_error)
     assert report.excluded == FROZEN_INPUTS
-    assert set(report.per_param) == set(init_state(cache, cfg).params)
+    assert set(report.per_param) == set(init_state(cache, cfg)[0].params)
 
 
 def test_gradient_check_passes_on_a_high_curvature_coordinate():
