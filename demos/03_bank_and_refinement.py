@@ -58,8 +58,8 @@ def main() -> None:
     # retrieval: weights softmax to 1; sharper for queries near an entry
     near, _ = retrieve_rows(bank.entries, bank.entries[1:2], bank.temperature)
     far, _ = retrieve_rows(bank.entries, unit(rng, d)[None, :], bank.temperature)
-    print(f"retrieval near entry 1: weights {np.round(near.value[0], 3).tolist()}")
-    print(f"retrieval far query:    weights {np.round(far.value[0], 3).tolist()}")
+    print(f"retrieval near entry 1: weights {np.round(near[0], 3).tolist()}")
+    print(f"retrieval far query:    weights {np.round(far[0], 3).tolist()}")
 
     # ------------------------------------------------------------------
     # refinement: LayerNorm(t + MLP([t ; r])). The final affine starts at

@@ -51,7 +51,6 @@ from .evaluate import (
 from .losses import (
     LossBreakdown,
     class_logits,
-    expected_text,
     loss_cls,
     loss_granule,
     loss_sem,

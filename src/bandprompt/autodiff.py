@@ -6,12 +6,15 @@ enter the graph as constants, so no gradient can reach them by construction;
 the trainer's finite-difference harness checks the analytic side of every
 op used here.
 
-Ops that combine only constants collapse back to constants, which keeps the
-tape small and makes "this path carries no gradient" a structural fact rather
-than a convention. `node` is the one way onto the tape: the model's
-composites (`bands.head_graph`, `granules.fuse_rows`, `granules.film_rows`)
-build their single nodes with it from the array-level MLP, row-L2 and
-LayerNorm algebra below, so each formula is written once.
+Nodes whose parents are all constants collapse back to constants, which
+keeps the tape small and makes "this path carries no gradient" a structural
+fact rather than a convention. `node` is the one way onto the tape, and
+every op a training step records is one node with a hand-written VJP: the
+row gather `take_rows`, the two fused composites below, and the model's
+composites (`bands.head_graph`, `bank.retrieve_rows`, `granules.fuse_rows`,
+`granules.film_rows`, `losses.loss_sem`), which build their nodes from the
+array-level MLP, row-L2 and LayerNorm algebra here, so each formula is
+written once. This module defines only what the program calls.
 """
 
 from __future__ import annotations
@@ -91,19 +94,6 @@ def node(value, parents, vjp) -> Tensor:
     return Tensor(value, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
 
 
-def unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a broadcast gradient back down to `shape`."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 def backward(root: Tensor) -> None:
     """Accumulate gradients of a scalar `root` into every reachable tensor."""
     if root.value.size != 1:
@@ -139,55 +129,7 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# primitive ops
-
-
-def sub(a, b) -> Tensor:
-    a, b = lift(a), lift(b)
-    out = a.value - b.value
-
-    def vjp(g):
-        return ((a, unbroadcast(g, a.value.shape)), (b, unbroadcast(-g, b.value.shape)))
-
-    return node(out, (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = lift(a), lift(b)
-    out = a.value * b.value
-
-    def vjp(g):
-        return (
-            (a, unbroadcast(g * b.value, a.value.shape)),
-            (b, unbroadcast(g * a.value, b.value.shape)),
-        )
-
-    return node(out, (a, b), vjp)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = lift(a), lift(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ParameterError("matmul expects 2-D operands")
-    out = a.value @ b.value
-
-    def vjp(g):
-        return ((a, g @ b.value.T), (b, a.value.T @ g))
-
-    return node(out, (a, b), vjp)
-
-
-def tmean(a) -> Tensor:
-    """Mean over every entry."""
-    a = lift(a)
-    count = a.value.size
-    # What `ndarray.mean` computes, without its Python-level wrapper.
-    out = a.value.sum() / count
-
-    def vjp(g):
-        return ((a, np.broadcast_to(g / count, a.value.shape).copy()),)
-
-    return node(out, (a,), vjp)
+# row gather
 
 
 def take_rows(a, idx) -> Tensor:
@@ -282,28 +224,6 @@ def layer_norm_vjp(g: Array, gain: Array, normed: Array, std: Array) -> Array:
 # the gradient agrees with that chain's up to rounding.
 
 
-def softmax_rows(x) -> Tensor:
-    x = lift(x)
-    # Shifting by the row max keeps exp() in range; softmax is shift invariant.
-    e = np.exp(x.value - x.value.max(axis=1, keepdims=True))
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return ((x, out * (g - (g * out).sum(axis=1, keepdims=True))),)
-
-    return node(out, (x,), vjp)
-
-
-def l2normalize_rows(x) -> Tensor:
-    x = lift(x)
-    out, norms = unit_rows(x.value)
-
-    def vjp(g):
-        return ((x, unit_rows_vjp(g, out, norms)),)
-
-    return node(out, (x,), vjp)
-
-
 def logit_cross_entropy(visual, rows, labels, scale: float) -> Tensor:
     """Mean cross-entropy of integer `labels` under the logits
     `scale * visual @ rows^T`, for (n, d) visual rows and (c, d) class rows."""
@@ -336,26 +256,6 @@ def logit_cross_entropy(visual, rows, labels, scale: float) -> Tensor:
         return grads
 
     return node(out, (visual, rows), vjp)
-
-
-def cosine_rows(a, b) -> Tensor:
-    """Row-wise cosine similarity; degenerate rows raise."""
-    a, b = lift(a), lift(b)
-    na = np.sqrt((a.value * a.value).sum(axis=1))
-    nb = np.sqrt((b.value * b.value).sum(axis=1))
-    if (na < MIN_NORM).any() or (nb < MIN_NORM).any():
-        raise NumericalDegeneracyError("cosine of a zero-length vector")
-    den = na * nb
-    out = (a.value * b.value).sum(axis=1) / den
-
-    def vjp(g):
-        gd = (g / den)[:, None]
-        gc = (g * out)[:, None]
-        ga = gd * b.value - gc * a.value / (na * na)[:, None]
-        gb = gd * a.value - gc * b.value / (nb * nb)[:, None]
-        return ((a, unbroadcast(ga, a.value.shape)), (b, unbroadcast(gb, b.value.shape)))
-
-    return node(out, (a, b), vjp)
 
 
 def weighted_sum(first, terms) -> Tensor:

@@ -102,16 +102,26 @@ def absorb(bank: SemanticBank, rows: np.ndarray) -> SemanticBank:
     return bank
 
 
-def retrieval_scores(entries: np.ndarray, queries: ad.Tensor, temperature: float) -> ad.Tensor:
-    """(n, M) inner-product scores over frozen entries, divided by temperature."""
-    return ad.mul(ad.matmul(queries, ad.constant(entries.T)), 1.0 / temperature)
+def retrieve_rows(entries: np.ndarray, queries,
+                  temperature: float) -> tuple[np.ndarray, ad.Tensor]:
+    """Softmax weights over the frozen `entries` for a batch of query rows, and
+    the contexts `weights @ entries`: the weights as a detached array, the
+    contexts as one tape node that differentiates only through the queries."""
+    queries, frozen = ad.lift(queries), ad.constant(entries)
+    if queries.value.ndim != 2:
+        raise ParameterError(f"retrieval expects (n, d) query rows, got {queries.shape}")
+    inv_t = 1.0 / temperature
+    scores = (queries.value @ frozen.value.T) * inv_t
+    # Shifting by the row max keeps exp() in range; softmax is shift invariant.
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)
 
+    def vjp(g):
+        gw = g @ frozen.value.T
+        gscores = weights * (gw - (gw * weights).sum(axis=1, keepdims=True))
+        return ((queries, (gscores * inv_t) @ frozen.value),)
 
-def retrieve_rows(entries: np.ndarray, queries, temperature: float) -> tuple[ad.Tensor, ad.Tensor]:
-    """Softmax weights and contexts for a batch of query rows (tape composite)."""
-    weights = ad.softmax_rows(retrieval_scores(entries, ad.lift(queries), temperature))
-    context = ad.matmul(weights, ad.constant(entries))
-    return weights, context
+    return weights, ad.node(weights @ frozen.value, (queries, frozen), vjp)
 
 
 # ---------------------------------------------------------------------------

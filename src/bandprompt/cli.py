@@ -23,7 +23,7 @@ from .bank import write_bank
 from .config import FIELD_TYPES, RunConfig, apply_setting, resolve_config
 from .diagnostics import diagnose, write_report
 from .errors import BandpromptError, ConfigError, ParameterError, ProtocolError
-from .evaluate import accuracy_percent, predict, run_base_to_novel
+from .evaluate import accuracy_percent, check_shots, predict, run_base_to_novel
 from .teacher import generate_dataset, read_cache, write_cache
 from .trainer import (
     FD_TOLERANCE,
@@ -129,6 +129,11 @@ def _write_history(path, header: list[str], history) -> None:
 def cmd_train(args) -> int:
     cfg = _resolve(args, cache_path=args.cache, checkpoint_path=args.checkpoint,
                    history_path=args.history, eval_report_path=args.report)
+    if cfg.protocol == "base_to_novel":
+        try:
+            check_shots(cfg.shots, cfg.select_by_base_val)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
     cache = read_cache(cfg.cache_path)
     header = cfg.header_lines()
     if cfg.protocol == "base_to_novel":

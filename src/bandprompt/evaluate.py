@@ -146,6 +146,16 @@ def _score(state: TrainState, cfg: TrainConfig, arrays: np.ndarray, labels: np.n
     return accuracy_percent(pred, labels)
 
 
+def check_shots(shots: int, select_by_base_val: bool) -> None:
+    """Raise ParameterError unless `shots` leaves every base class a training
+    shot; a validation split takes `max(1, shots // 4)` of them."""
+    if shots < 1:
+        raise ParameterError("shots must be >= 1")
+    if select_by_base_val and shots < 2:
+        raise ParameterError(f"shots must be >= 2 with select_by_base_val, got {shots}: "
+                             "the validation split would take every base shot")
+
+
 def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
                       select_by_base_val: bool) -> ProtocolOutput:
     """Split, train on base shots, score held-out base and novel samples.
@@ -154,8 +164,7 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
     validation split; the parameters with the best (earliest on ties) post-fill
     validation accuracy are restored before scoring.
     """
-    if shots < 1:
-        raise ParameterError("shots must be >= 1")
+    check_shots(shots, select_by_base_val)
     labels = cache.labels()
     num_classes = check_labels(labels)
     base_classes, novel_classes = split_base_novel(num_classes)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, NumericalDegeneracyError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -90,23 +90,41 @@ def pseudo_labels(visual, text_rows, scale: float) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def expected_text(probs: np.ndarray, raw_rows) -> ad.Tensor:
-    """Pseudo-label mixture over L2-normalized raw rows."""
+def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
+    """Mean (1 - cos) between the expected text vectors and the low-band
+    embeddings `t_low`, as one tape node. An expected text vector is the
+    pseudo-label mixture `probs @ unit(raw_rows)` over the L2-normalized raw
+    rows; `probs` is a detached array with one distribution per row."""
     probs = np.asarray(probs, dtype=np.float64)
     if (probs.ndim != 2 or np.any(probs < -1e-12)
             or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9)):
         raise ParameterError("pseudo-labels must be a distribution per row")
-    rows = ad.l2normalize_rows(_rows(raw_rows))
-    return ad.matmul(ad.constant(probs), rows)
-
-
-def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
-    """Mean (1 - cos) between expected text vectors and low-band embeddings."""
-    t_exp = expected_text(probs, raw_rows)
-    t_low = _rows(t_low)
-    if t_low.value.shape != t_exp.value.shape:
+    raw_rows, t_low = _rows(raw_rows), _rows(t_low)
+    rows, norms = ad.unit_rows(raw_rows.value)
+    t_exp, low = probs @ rows, t_low.value
+    if low.shape != t_exp.shape:
         raise ParameterError("low-band embeddings do not match the batch")
-    return ad.tmean(ad.sub(1.0, ad.cosine_rows(t_exp, t_low)))
+    na = np.sqrt((t_exp * t_exp).sum(axis=1))
+    nb = np.sqrt((low * low).sum(axis=1))
+    if (na < ad.MIN_NORM).any() or (nb < ad.MIN_NORM).any():
+        raise NumericalDegeneracyError("cosine of a zero-length vector")
+    den = na * nb
+    cos = (t_exp * low).sum(axis=1) / den
+    n = cos.size
+
+    def vjp(g):
+        gcos = -np.broadcast_to(g / n, cos.shape)
+        gd = (gcos / den)[:, None]
+        gc = (gcos * cos)[:, None]
+        grads = []
+        if raw_rows.requires_grad:
+            gexp = gd * low - gc * t_exp / (na * na)[:, None]
+            grads.append((raw_rows, ad.unit_rows_vjp(probs.T @ gexp, rows, norms)))
+        if t_low.requires_grad:
+            grads.append((t_low, gd * t_exp - gc * low / (nb * nb)[:, None]))
+        return grads
+
+    return ad.node((1.0 - cos).sum() / n, (raw_rows, t_low), vjp)
 
 
 def loss_granule(modulated, raw_rows, labels, scale: float) -> ad.Tensor:

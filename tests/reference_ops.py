@@ -1,0 +1,223 @@
+"""Reference primitives for the tests.
+
+The program's tape keeps only the ops its own code calls. The primitive ops
+it no longer calls live on here, each one tape node, to spell out the chains
+the fused composites are checked against. `test_autodiff` checks each of
+them against finite differences.
+"""
+
+import numpy as np
+
+import bandprompt.autodiff as ad
+from bandprompt.errors import NumericalDegeneracyError, ParameterError
+
+
+def unbroadcast(g, shape):
+    """Sum a broadcast gradient back down to `shape`."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+
+    def vjp(g):
+        return ((a, unbroadcast(g, a.value.shape)), (b, unbroadcast(g, b.value.shape)))
+
+    return ad.node(a.value + b.value, (a, b), vjp)
+
+
+def sub(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+
+    def vjp(g):
+        return ((a, unbroadcast(g, a.value.shape)), (b, unbroadcast(-g, b.value.shape)))
+
+    return ad.node(a.value - b.value, (a, b), vjp)
+
+
+def mul(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+
+    def vjp(g):
+        return (
+            (a, unbroadcast(g * b.value, a.value.shape)),
+            (b, unbroadcast(g * a.value, b.value.shape)),
+        )
+
+    return ad.node(a.value * b.value, (a, b), vjp)
+
+
+def div(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+    out = a.value / b.value
+
+    def vjp(g):
+        return (
+            (a, unbroadcast(g / b.value, a.value.shape)),
+            (b, unbroadcast(-g * out / b.value, b.value.shape)),
+        )
+
+    return ad.node(out, (a, b), vjp)
+
+
+def matmul(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise ParameterError("matmul expects 2-D operands")
+
+    def vjp(g):
+        return ((a, g @ b.value.T), (b, a.value.T @ g))
+
+    return ad.node(a.value @ b.value, (a, b), vjp)
+
+
+def transpose(a):
+    a = ad.lift(a)
+    return ad.node(a.value.T, (a,), lambda g: ((a, g.T),))
+
+
+def tanh(a):
+    a = ad.lift(a)
+    out = np.tanh(a.value)
+    return ad.node(out, (a,), lambda g: ((a, g * (1.0 - out * out)),))
+
+
+def exp(a):
+    a = ad.lift(a)
+    out = np.exp(a.value)
+    return ad.node(out, (a,), lambda g: ((a, g * out),))
+
+
+def log(a):
+    a = ad.lift(a)
+    return ad.node(np.log(a.value), (a,), lambda g: ((a, g / a.value),))
+
+
+def sqrt(a):
+    a = ad.lift(a)
+    out = np.sqrt(a.value)
+    return ad.node(out, (a,), lambda g: ((a, g * 0.5 / out),))
+
+
+def square(a):
+    a = ad.lift(a)
+    return ad.node(a.value * a.value, (a,), lambda g: ((a, g * 2.0 * a.value),))
+
+
+def _spread(g, a, axis, keepdims):
+    """An (axis-)reduced gradient broadcast back over `a`."""
+    g = np.asarray(g)
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.value.shape).copy()
+
+
+def tsum(a, axis=None, keepdims=False):
+    a = ad.lift(a)
+    return ad.node(a.value.sum(axis=axis, keepdims=keepdims), (a,),
+                   lambda g: ((a, _spread(g, a, axis, keepdims)),))
+
+
+def tmean(a, axis=None, keepdims=False):
+    """Mean over every entry, or over `axis`. The full mean is `sum() / size`,
+    which is what `ndarray.mean` computes."""
+    a = ad.lift(a)
+    if axis is None:
+        count = a.value.size
+        out = a.value.sum() / count
+    else:
+        count = a.value.shape[axis]
+        out = a.value.mean(axis=axis, keepdims=keepdims)
+    return ad.node(out, (a,), lambda g: ((a, _spread(g / count, a, axis, keepdims)),))
+
+
+def concat_cols(a, b):
+    a, b = ad.lift(a), ad.lift(b)
+    na = a.value.shape[1]
+    return ad.node(np.concatenate([a.value, b.value], axis=1), (a, b),
+                   lambda g: ((a, g[:, :na]), (b, g[:, na:])))
+
+
+def cols(a, lo, hi):
+    a = ad.lift(a)
+
+    def vjp(g):
+        full = np.zeros_like(a.value)
+        full[:, lo:hi] = g
+        return ((a, full),)
+
+    return ad.node(a.value[:, lo:hi], (a,), vjp)
+
+
+def affine(x, w, b):
+    """x @ w + b as one node."""
+    x, w, b = ad.lift(x), ad.lift(w), ad.lift(b)
+
+    def vjp(g):
+        return ((x, g @ w.value.T), (w, x.value.T @ g), (b, unbroadcast(g, b.value.shape)))
+
+    return ad.node(x.value @ w.value + b.value, (x, w, b), vjp)
+
+
+def softmax_rows(x):
+    x = ad.lift(x)
+    # Shifting by the row max keeps exp() in range; softmax is shift invariant.
+    e = np.exp(x.value - x.value.max(axis=1, keepdims=True))
+    out = e / e.sum(axis=1, keepdims=True)
+
+    def vjp(g):
+        return ((x, out * (g - (g * out).sum(axis=1, keepdims=True))),)
+
+    return ad.node(out, (x,), vjp)
+
+
+def l2normalize_rows(x):
+    x = ad.lift(x)
+    out, norms = ad.unit_rows(x.value)
+    return ad.node(out, (x,), lambda g: ((x, ad.unit_rows_vjp(g, out, norms)),))
+
+
+def cosine_rows(a, b):
+    """Row-wise cosine similarity; degenerate rows raise."""
+    a, b = ad.lift(a), ad.lift(b)
+    na = np.sqrt((a.value * a.value).sum(axis=1))
+    nb = np.sqrt((b.value * b.value).sum(axis=1))
+    if (na < ad.MIN_NORM).any() or (nb < ad.MIN_NORM).any():
+        raise NumericalDegeneracyError("cosine of a zero-length vector")
+    den = na * nb
+    out = (a.value * b.value).sum(axis=1) / den
+
+    def vjp(g):
+        gd = (g / den)[:, None]
+        gc = (g * out)[:, None]
+        ga = gd * b.value - gc * a.value / (na * na)[:, None]
+        gb = gd * a.value - gc * b.value / (nb * nb)[:, None]
+        return ((a, unbroadcast(ga, a.value.shape)), (b, unbroadcast(gb, b.value.shape)))
+
+    return ad.node(out, (a, b), vjp)
+
+
+# The primitive chains `bank.retrieve_rows` and `losses.loss_sem` replaced.
+# Each fused node runs the chain's numpy steps in the chain's order, so the
+# two agree bitwise in value and gradient.
+
+
+def chain_retrieve_rows(entries, queries, temperature):
+    """Four nodes: scores, scaled scores, softmax weights, contexts."""
+    scores = mul(matmul(ad.lift(queries), ad.constant(entries.T)), 1.0 / temperature)
+    weights = softmax_rows(scores)
+    return weights.value, matmul(weights, ad.constant(entries))
+
+
+def chain_loss_sem(probs, raw_rows, t_low):
+    """Five nodes: unit raw rows, expected text, cosine, `1 -`, mean."""
+    t_exp = matmul(ad.constant(probs), l2normalize_rows(raw_rows))
+    return tmean(sub(1.0, cosine_rows(t_exp, t_low)))

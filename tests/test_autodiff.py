@@ -1,10 +1,38 @@
 """Finite-difference and structural checks for the reverse-mode tape."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import bandprompt.autodiff as ad
 from bandprompt.errors import NumericalDegeneracyError, ParameterError
+from reference_ops import (
+    add,
+    affine,
+    chain_loss_sem,
+    chain_retrieve_rows,
+    concat_cols,
+    cols,
+    cosine_rows,
+    div,
+    exp,
+    l2normalize_rows,
+    log,
+    matmul,
+    mul,
+    softmax_rows,
+    sqrt,
+    square,
+    sub,
+    tanh,
+    tmean,
+    transpose,
+    tsum,
+    unbroadcast,
+)
 
 
 def numeric_grad(f, x, step=1e-6):
@@ -37,117 +65,6 @@ def check_scalar_fn(build, *arrays, step=1e-6, tol=1e-6):
         assert err < tol, f"gradient mismatch: {err}"
 
 
-# ---------------------------------------------------------------------------
-# Reference primitives. The program's tape keeps only the ops its own code
-# calls. The ones it no longer calls live on here, each one tape node, to
-# spell out the primitive chains the fused composites are checked against;
-# the tests below check each against finite differences.
-
-
-def add(a, b):
-    a, b = ad.lift(a), ad.lift(b)
-
-    def vjp(g):
-        return ((a, ad.unbroadcast(g, a.value.shape)), (b, ad.unbroadcast(g, b.value.shape)))
-
-    return ad.node(a.value + b.value, (a, b), vjp)
-
-
-def div(a, b):
-    a, b = ad.lift(a), ad.lift(b)
-    out = a.value / b.value
-
-    def vjp(g):
-        return (
-            (a, ad.unbroadcast(g / b.value, a.value.shape)),
-            (b, ad.unbroadcast(-g * out / b.value, b.value.shape)),
-        )
-
-    return ad.node(out, (a, b), vjp)
-
-
-def transpose(a):
-    a = ad.lift(a)
-    return ad.node(a.value.T, (a,), lambda g: ((a, g.T),))
-
-
-def tanh(a):
-    a = ad.lift(a)
-    out = np.tanh(a.value)
-    return ad.node(out, (a,), lambda g: ((a, g * (1.0 - out * out)),))
-
-
-def exp(a):
-    a = ad.lift(a)
-    out = np.exp(a.value)
-    return ad.node(out, (a,), lambda g: ((a, g * out),))
-
-
-def log(a):
-    a = ad.lift(a)
-    return ad.node(np.log(a.value), (a,), lambda g: ((a, g / a.value),))
-
-
-def sqrt(a):
-    a = ad.lift(a)
-    out = np.sqrt(a.value)
-    return ad.node(out, (a,), lambda g: ((a, g * 0.5 / out),))
-
-
-def square(a):
-    a = ad.lift(a)
-    return ad.node(a.value * a.value, (a,), lambda g: ((a, g * 2.0 * a.value),))
-
-
-def _spread(g, a, axis, keepdims):
-    """An (axis-)reduced gradient broadcast back over `a`."""
-    g = np.asarray(g)
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, a.value.shape).copy()
-
-
-def tsum(a, axis=None, keepdims=False):
-    a = ad.lift(a)
-    return ad.node(a.value.sum(axis=axis, keepdims=keepdims), (a,),
-                   lambda g: ((a, _spread(g, a, axis, keepdims)),))
-
-
-def tmean(a, axis=None, keepdims=False):
-    a = ad.lift(a)
-    count = a.value.size if axis is None else a.value.shape[axis]
-    return ad.node(a.value.mean(axis=axis, keepdims=keepdims), (a,),
-                   lambda g: ((a, _spread(g / count, a, axis, keepdims)),))
-
-
-def concat_cols(a, b):
-    a, b = ad.lift(a), ad.lift(b)
-    na = a.value.shape[1]
-    return ad.node(np.concatenate([a.value, b.value], axis=1), (a, b),
-                   lambda g: ((a, g[:, :na]), (b, g[:, na:])))
-
-
-def cols(a, lo, hi):
-    a = ad.lift(a)
-
-    def vjp(g):
-        full = np.zeros_like(a.value)
-        full[:, lo:hi] = g
-        return ((a, full),)
-
-    return ad.node(a.value[:, lo:hi], (a,), vjp)
-
-
-def affine(x, w, b):
-    """x @ w + b as one node."""
-    x, w, b = ad.lift(x), ad.lift(w), ad.lift(b)
-
-    def vjp(g):
-        return ((x, g @ w.value.T), (w, x.value.T @ g), (b, ad.unbroadcast(g, b.value.shape)))
-
-    return ad.node(x.value @ w.value + b.value, (x, w, b), vjp)
-
-
 # One-node wrappers of the program's array-level algebra, so each formula is
 # checked on its own against its chain and against finite differences.
 
@@ -172,8 +89,8 @@ def layer_norm_rows(x, gain, bias):
     def vjp(g):
         return (
             (x, ad.layer_norm_vjp(g, gain.value, normed, std)),
-            (gain, ad.unbroadcast(g * normed, gain.value.shape)),
-            (bias, ad.unbroadcast(g, bias.value.shape)),
+            (gain, unbroadcast(g * normed, gain.value.shape)),
+            (bias, unbroadcast(g, bias.value.shape)),
         )
 
     return ad.node(out, (x, gain, bias), vjp)
@@ -191,15 +108,15 @@ def test_add_mul_broadcasting_grads():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4,))
-    check_scalar_fn(lambda x, y: tsum(ad.mul(add(x, y), add(x, 2.0))), a, b)
+    check_scalar_fn(lambda x, y: tsum(mul(add(x, y), add(x, 2.0))), a, b)
 
 
 def test_matmul_transpose_grads():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
-    check_scalar_fn(lambda x, y: tsum(ad.matmul(x, y)), a, b)
-    check_scalar_fn(lambda x, y: tsum(ad.matmul(transpose(y), transpose(x))), a, b)
+    check_scalar_fn(lambda x, y: tsum(matmul(x, y)), a, b)
+    check_scalar_fn(lambda x, y: tsum(matmul(transpose(y), transpose(x))), a, b)
 
 
 def test_unary_grads():
@@ -240,24 +157,24 @@ def test_take_rows_accumulates_duplicates():
 def test_softmax_rows_matches_oracle_and_grads():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 5)) * 3.0
-    s = ad.softmax_rows(ad.constant(a)).value
+    s = softmax_rows(ad.constant(a)).value
     e = np.exp(a - a.max(axis=1, keepdims=True))
     assert np.allclose(s, e / e.sum(axis=1, keepdims=True), atol=1e-12)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
-    check_scalar_fn(lambda x: tsum(square(ad.softmax_rows(x))), a)
+    check_scalar_fn(lambda x: tsum(square(softmax_rows(x))), a)
     # shift invariance: adding a constant per row changes nothing
-    shifted = ad.softmax_rows(ad.constant(a + 7.5)).value
+    shifted = softmax_rows(ad.constant(a + 7.5)).value
     assert np.allclose(s, shifted, atol=1e-12)
 
 
 def test_l2normalize_rows_grads_and_degeneracy():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(3, 4)) + 0.1
-    out = ad.l2normalize_rows(ad.constant(a)).value
+    out = l2normalize_rows(ad.constant(a)).value
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
-    check_scalar_fn(lambda x: tsum(square(ad.l2normalize_rows(x))), a)
+    check_scalar_fn(lambda x: tsum(square(l2normalize_rows(x))), a)
     with pytest.raises(NumericalDegeneracyError):
-        ad.l2normalize_rows(ad.constant(np.zeros((2, 3))))
+        l2normalize_rows(ad.constant(np.zeros((2, 3))))
 
 
 def test_layer_norm_rows_oracle_and_grads():
@@ -292,10 +209,10 @@ def test_cosine_rows_grads():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(4, 3))
-    cos = ad.cosine_rows(ad.constant(a), ad.constant(b)).value
+    cos = cosine_rows(ad.constant(a), ad.constant(b)).value
     expect = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
     assert np.allclose(cos, expect, atol=1e-12)
-    check_scalar_fn(lambda x, y: tsum(ad.cosine_rows(x, y)), a, b)
+    check_scalar_fn(lambda x, y: tsum(cosine_rows(x, y)), a, b)
 
 
 def test_mlp_rows_gradients():
@@ -314,17 +231,17 @@ def test_mlp_rows_gradients():
 def test_constant_results_collapse():
     # ops on constants produce constants: no gradient path can exist
     c = ad.constant(np.ones((2, 2)))
-    out = ad.matmul(tanh(c), c)
+    out = matmul(tanh(c), c)
     assert not out.requires_grad
     p = ad.parameter(np.ones((2, 2)))
-    mixed = ad.matmul(p, c)
+    mixed = matmul(p, c)
     assert mixed.requires_grad
 
 
 def test_constants_never_receive_gradients():
     c = ad.constant(np.ones((2, 3)))
     p = ad.parameter(np.full((2, 3), 2.0))
-    root = tsum(ad.mul(p, c))
+    root = tsum(mul(p, c))
     ad.backward(root)
     assert c.grad is None
     assert np.array_equal(p.grad, np.ones((2, 3)))
@@ -352,6 +269,34 @@ def test_zero_grads_resets():
     assert p.grad is None
 
 
+def test_autodiff_defines_only_what_the_program_calls():
+    """Each public function of `bandprompt.autodiff` is used by another src
+    module (the package's re-exports do not count): an op only the tests use
+    belongs in `reference_ops`."""
+    src = Path(ad.__file__).parent
+    defined = {name for name, f in inspect.getmembers(ad, inspect.isfunction)
+               if f.__module__ == ad.__name__ and not name.startswith("_")}
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name in ("autodiff.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == "autodiff":
+                    used.update(a.name for a in node.names)
+                elif node.module is None:
+                    aliases.update(a.asname or a.name for a in node.names
+                                   if a.name == "autodiff")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                used.add(node.attr)
+    assert "take_rows" in defined
+    assert not defined - used, f"defined in autodiff but unused in src: {sorted(defined - used)}"
+
+
 def test_deep_chain_does_not_recurse():
     # iterative traversal must survive graphs deeper than the recursion limit
     p = ad.parameter(np.array([0.5]))
@@ -364,19 +309,21 @@ def test_deep_chain_does_not_recurse():
 
 # ---------------------------------------------------------------------------
 # The fused composites against the primitive chains they replaced. The chains
-# live on here only, as references.
+# live on here only, as references. The softmax, row-L2 and cosine cases check
+# the one-node references that `chain_retrieve_rows` and `chain_loss_sem` are
+# built from against their own primitive chains.
 
 FUSED_RTOL = 1e-12
 
 
 def chain_affine(x, w, b):
-    return add(ad.matmul(x, w), b)
+    return add(matmul(x, w), b)
 
 
 def chain_softmax_rows(x):
     x = ad.lift(x)
     shift = ad.constant(x.value.max(axis=1, keepdims=True))
-    e = exp(ad.sub(x, shift))
+    e = exp(sub(x, shift))
     return div(e, tsum(e, axis=1, keepdims=True))
 
 
@@ -387,10 +334,10 @@ def chain_l2normalize_rows(x):
 
 def chain_layer_norm_rows(x, gain, bias, eps=1e-5):
     x = ad.lift(x)
-    centered = ad.sub(x, tmean(x, axis=1, keepdims=True))
+    centered = sub(x, tmean(x, axis=1, keepdims=True))
     var = tmean(square(centered), axis=1, keepdims=True)
     normed = div(centered, sqrt(add(var, eps)))
-    return add(ad.mul(normed, gain), bias)
+    return add(mul(normed, gain), bias)
 
 
 def chain_mlp_rows(x, w1, b1, w2, b2):
@@ -404,29 +351,29 @@ def chain_cross_entropy_mean(logits, labels):
     n, c = logits.value.shape
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    picked = tsum(ad.mul(logits, ad.constant(onehot)), axis=1, keepdims=True)
+    picked = tsum(mul(logits, ad.constant(onehot)), axis=1, keepdims=True)
     shift = ad.constant(logits.value.max(axis=1, keepdims=True))
-    lse = add(shift, log(tsum(exp(ad.sub(logits, shift)), axis=1, keepdims=True)))
-    return tmean(ad.sub(lse, picked))
+    lse = add(shift, log(tsum(exp(sub(logits, shift)), axis=1, keepdims=True)))
+    return tmean(sub(lse, picked))
 
 
 def chain_cosine_rows(a, b):
     a, b = ad.lift(a), ad.lift(b)
-    num = tsum(ad.mul(a, b), axis=1)
+    num = tsum(mul(a, b), axis=1)
     na = sqrt(tsum(square(a), axis=1))
     nb = sqrt(tsum(square(b), axis=1))
-    return div(num, ad.mul(na, nb))
+    return div(num, mul(na, nb))
 
 
 def chain_logit_cross_entropy(visual, rows, labels, scale):
-    logits = ad.mul(ad.matmul(visual, transpose(rows)), scale)
+    logits = mul(matmul(visual, transpose(rows)), scale)
     return chain_cross_entropy_mean(logits, labels)
 
 
 def chain_weighted_sum(first, terms):
     total = first
     for term, weight in terms:
-        total = add(total, ad.mul(term, weight))
+        total = add(total, mul(term, weight))
     return total
 
 
@@ -445,7 +392,7 @@ def chain_film_rows(codes, visual, w1, b1, w2, b2):
     dim = visual.value.shape[1]
     gb = chain_mlp_rows(codes, w1, b1, w2, b2)
     gamma, beta = cols(gb, 0, dim), cols(gb, dim, 2 * dim)
-    return chain_l2normalize_rows(add(ad.mul(add(tanh(gamma), 1.0), visual), beta))
+    return chain_l2normalize_rows(add(mul(add(tanh(gamma), 1.0), visual), beta))
 
 
 def assert_matches(got, want):
@@ -460,7 +407,7 @@ def value_and_vjp(op, arrays):
     params = [ad.parameter(a) for a in arrays]
     out = op(*params)
     c = np.random.default_rng(0).normal(size=out.shape)
-    ad.backward(tsum(ad.mul(out, ad.constant(c))))
+    ad.backward(tsum(mul(out, ad.constant(c))))
     return out.value, [p.grad for p in params]
 
 
@@ -480,9 +427,9 @@ def fused_cases():
         for bias_shape in [(k,), (1, k)]:
             yield (f"affine-{tag}-bias{bias_shape}", affine, chain_affine,
                    [x, rng.normal(size=(d, k)), rng.normal(size=bias_shape)])
-        yield f"softmax-{tag}", ad.softmax_rows, chain_softmax_rows, [5.0 * x]
-        yield f"l2normalize-{tag}", ad.l2normalize_rows, chain_l2normalize_rows, [x + 0.1]
-        yield (f"cosine-{tag}", ad.cosine_rows, chain_cosine_rows,
+        yield f"softmax-{tag}", softmax_rows, chain_softmax_rows, [5.0 * x]
+        yield f"l2normalize-{tag}", l2normalize_rows, chain_l2normalize_rows, [x + 0.1]
+        yield (f"cosine-{tag}", cosine_rows, chain_cosine_rows,
                [x + 0.1, rng.normal(size=(n, d))])
         yield (f"mlp-{tag}", mlp_rows, chain_mlp_rows,
                [x, rng.normal(size=(d, h)), rng.normal(size=h),
@@ -505,6 +452,7 @@ def fused_cases():
            lambda a: chain_cross_entropy_mean(a, same),
            [rng.normal(size=(6, 3))])
     yield from model_cases(np.random.default_rng(12))
+    yield from retrieval_and_sem_cases(np.random.default_rng(14))
 
 
 def model_cases(rng):
@@ -574,6 +522,36 @@ def model_cases(rng):
            [np.asarray(terms[0]), np.asarray(terms[1])])
 
 
+def retrieval_and_sem_cases(rng):
+    """`bank.retrieve_rows` (its contexts) over frozen unit entries, and
+    `losses.loss_sem` over pinned pseudo-labels. The "-const" case holds the
+    raw rows as a constant."""
+    from bandprompt.bank import retrieve_rows
+    from bandprompt.losses import loss_sem
+
+    for n, d in [(1, 1), (1, 3), (3, 4), (6, 5), (16, 8)]:
+        tag = f"{n}x{d}"
+        m, c = (int(v) for v in rng.integers(1, 9, size=2))
+        entries = rng.normal(size=(m, d))
+        entries /= np.linalg.norm(entries, axis=1, keepdims=True)
+        temperature = float(rng.uniform(0.05, 1.0))
+        yield (f"retrieve-{tag}",
+               lambda q, e=entries, t=temperature: retrieve_rows(e, q, t)[1],
+               lambda q, e=entries, t=temperature: chain_retrieve_rows(e, q, t)[1],
+               [rng.normal(size=(n, d))])
+        logits = rng.normal(size=(n, c))
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        raw, t_low = rng.normal(size=(c, d)) + 0.1, rng.normal(size=(n, d)) + 0.1
+        yield (f"sem-{tag}",
+               lambda r, lo, p=probs: loss_sem(p, r, lo),
+               lambda r, lo, p=probs: chain_loss_sem(p, r, lo),
+               [raw, t_low])
+        yield (f"sem-{tag}-const",
+               lambda lo, p=probs, r=raw: loss_sem(p, ad.constant(r), lo),
+               lambda lo, p=probs, r=raw: chain_loss_sem(p, ad.constant(r), lo),
+               [t_low])
+
+
 FUSED_CASES = list(fused_cases())
 
 
@@ -589,10 +567,12 @@ def test_fused_op_matches_its_primitive_chain(fused, chain, arrays):
 
 def test_fused_vjps_skip_constant_inputs():
     """A fused node's VJP hands out gradients for its live parents only, so
-    none is computed for a constant input such as band statistics or visual
-    rows."""
+    none is computed for a constant input such as band statistics, visual
+    rows or bank entries."""
     from bandprompt.bands import head_graph
+    from bandprompt.bank import retrieve_rows
     from bandprompt.granules import film_rows, fuse_rows
+    from bandprompt.losses import loss_sem
 
     rng = np.random.default_rng(13)
     n, d, h = 4, 3, 5
@@ -614,6 +594,9 @@ def test_fused_vjps_skip_constant_inputs():
         ad.logit_cross_entropy(const(n, d), live(2, d), [0, 1, 1, 0], 10.0),
         ad.logit_cross_entropy(live(n, d), const(2, d), [0, 1, 1, 0], 10.0),
         ad.weighted_sum(const(), [(live(), 0.1), (const(), 0.2)]),
+        retrieve_rows(rng.normal(size=(5, d)), live(n, d), 0.5)[1],
+        loss_sem(np.full((n, 2), 0.5), const(2, d), live(n, d)),
+        loss_sem(np.full((n, 2), 0.5), live(2, d), const(n, d)),
     ]
     for out in nodes:
         handed = [id(p) for p, _ in out._vjp(np.ones_like(out.value))]
@@ -655,9 +638,8 @@ def test_training_graph_matches_the_chains(monkeypatch):
         (trainer, "film_rows", chain_film_rows),
         (ad, "logit_cross_entropy", chain_logit_cross_entropy),
         (ad, "weighted_sum", chain_weighted_sum),
-        (ad, "softmax_rows", chain_softmax_rows),
-        (ad, "l2normalize_rows", chain_l2normalize_rows),
-        (ad, "cosine_rows", chain_cosine_rows),
+        (refine, "retrieve_rows", chain_retrieve_rows),
+        (trainer, "loss_sem", chain_loss_sem),
     ]:
         monkeypatch.setattr(owner, name, chain)
     chain_total, chained = objective_and_grads()
@@ -762,12 +744,12 @@ def test_diamond_runs_each_vjp_once(short_first):
     p = ad.parameter(np.array([[0.3, -0.7]]))
     s = tanh(p)
     if short_first:
-        w = ad.mul(s, 3.0)
+        w = mul(s, 3.0)
         v = square(add(s, 1.0))
         root = tsum(add(v, w))
     else:
         v = square(add(s, 1.0))
-        w = ad.mul(s, 3.0)
+        w = mul(s, 3.0)
         root = tsum(add(w, v))
     calls = {}
 

@@ -7,7 +7,7 @@ import bandprompt.autodiff as ad
 from bandprompt.bands import band_stats, factorize, head_graph, smooth_lowpass, uniform_init
 from bandprompt.errors import NumericalDegeneracyError, ParameterError
 from bandprompt.trainer import init_group
-from test_autodiff import tsum
+from reference_ops import mul, tsum
 
 
 def brute_force_box_mean(arr, k):
@@ -89,14 +89,19 @@ def test_factorize_reconstructs_bitwise():
     assert factorize(z, 3).detail[0, 1, 1] == 0.0
 
 
-def test_factorize_handles_near_zero_box_means():
-    # rows alternating +-v have exact zero interior means; offsetting one cell
-    # by a tiny amount produces means far below the cell scale, which the
-    # factorization must still reconstruct bitwise
+def test_factorize_reconstructs_near_zero_box_means_without_the_fix_up():
+    # rows alternating +-1 have exact zero interior means; offsetting one cell
+    # by 3e-7 gives box means far below the cell scale. Their float32-rounded
+    # base already subtracts exactly, so this checks the plain split and never
+    # reaches the tiny-base fix-up of `factorize`;
+    # `test_stacked_split_equals_the_per_latent_split` builds a latent that does
     z = np.tile(np.array([1.0, -1.0], dtype=np.float32), (1, 8, 8))
     z[0, 3, 3] += np.float32(3e-7)
     z = z.astype(np.float64)
+    rounded = smooth_lowpass(z, 3).astype(np.float32).astype(np.float64)
+    assert np.array_equal(rounded + (z - rounded), z)
     pair = factorize(z, 3)
+    assert np.array_equal(pair.base, rounded)
     assert np.array_equal(pair.base + pair.detail, z)
 
 
@@ -192,7 +197,7 @@ def test_head_jacobian_matches_finite_differences():
     probe = ad.constant(rng.normal(size=(2, 5)))
 
     def scalar():
-        return tsum(ad.mul(head_graph(ad.constant(stats), *params), probe))
+        return tsum(mul(head_graph(ad.constant(stats), *params), probe))
 
     root = scalar()
     ad.backward(root)

@@ -16,7 +16,7 @@ from bandprompt.bank import (
 from bandprompt.errors import BankStateError, NumericalDegeneracyError, ParameterError
 from bandprompt.refine import build_text_features
 from bandprompt.trainer import init_group
-from test_autodiff import square, tsum
+from reference_ops import chain_retrieve_rows, mul, square, tsum
 
 
 def unit(v):
@@ -130,7 +130,7 @@ def test_singleton_bank_tracks_the_stream():
 
 def test_soft_retrieve_pinned_two_entry_weights():
     weights, context = retrieve_rows(np.eye(2), np.array([[1.0, 0.0]]), 1.0)
-    weights, context = weights.value[0], context.value[0]
+    weights, context = weights[0], context.value[0]
     expected = np.exp([1.0, 0.0])
     expected /= expected.sum()
     assert np.allclose(weights, expected, atol=1e-12)
@@ -146,7 +146,7 @@ def test_cold_retrieval_sharpens_to_the_argmax():
     hot = int(np.argmax(entries @ q))
     onehot = np.zeros(6)
     onehot[hot] = 1.0
-    assert np.max(np.abs(weights.value[0] - onehot)) <= 1e-3
+    assert np.max(np.abs(weights[0] - onehot)) <= 1e-3
     assert np.max(np.abs(context.value[0] - entries[hot])) <= 1e-3
 
 
@@ -156,7 +156,7 @@ def test_context_stays_inside_the_unit_ball():
     for _ in range(20):
         weights, context = retrieve_rows(entries, unit(rng.normal(size=5))[None, :], 0.07)
         assert np.linalg.norm(context.value[0]) <= 1.0 + 1e-12
-        assert abs(weights.value[0].sum() - 1.0) <= 1e-12
+        assert abs(weights[0].sum() - 1.0) <= 1e-12
 
 
 def test_retrieval_differentiates_queries_not_entries():
@@ -176,6 +176,33 @@ def test_retrieval_differentiates_queries_not_entries():
     qm = q.value.copy(); qm[0, 1] -= eps
     fd = (total(qp) - total(qm)) / (2 * eps)
     assert fd == pytest.approx(q.grad[0, 1], rel=1e-5, abs=1e-8)
+
+
+def test_retrieval_is_one_node_equal_to_its_chain():
+    """One tape node over the queries and the frozen entries, whose weights,
+    contexts and query gradient equal the four-node chain's bitwise."""
+    rng = np.random.default_rng(5)
+    entries = np.stack([unit(rng.normal(size=6)) for _ in range(9)])
+    queries = rng.normal(size=(4, 6))
+    probe = rng.normal(size=(4, 6))
+
+    def run(op):
+        q = ad.parameter(queries)
+        weights, context = op(entries, q, 0.07)
+        ad.backward(tsum(mul(context, ad.constant(probe))))
+        return weights, context, q
+
+    weights, context, q = run(retrieve_rows)
+    want_weights, want_context, want_q = run(chain_retrieve_rows)
+    assert isinstance(weights, np.ndarray)
+    assert np.array_equal(weights, want_weights)
+    assert np.array_equal(context.value, want_context.value)
+    assert np.array_equal(q.grad, want_q.grad)
+    frozen = [p for p in context._parents if p is not q]
+    assert len(context._parents) == 2 and len(frozen) == 1
+    assert not frozen[0].requires_grad and np.shares_memory(frozen[0].value, entries)
+    with pytest.raises(ParameterError):
+        retrieve_rows(entries, queries[0], 0.07)
 
 
 def test_retrieval_requires_a_full_bank():

@@ -434,6 +434,21 @@ def test_out_of_range_settings_exit_one(ws, capsys, key, value):
     assert not any(os.path.exists(f"{out}_{s}.txt") for s in ("ckpt", "hist", "eval"))
 
 
+def test_base_validation_with_one_shot_exits_one(ws, capsys):
+    # checked before the (missing) cache is read; protocol=all reads no shots
+    out = ws["root"] / "one_shot"
+    paths = ["--checkpoint", f"{out}_ckpt.txt", "--history", f"{out}_hist.txt",
+             "--report", f"{out}_eval.txt", "--cache", str(ws["root"] / "missing.bin")]
+    flags = ["--config", ws["cfg"], "--set", "shots=1", "--set", "select_by_base_val=true"]
+    capsys.readouterr()
+    assert main(["train", *flags, *paths]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "shots" in err
+    assert main(["train", *flags, "--set", "protocol=all", *paths]) == 2
+    assert "missing.bin" in capsys.readouterr().err
+    assert not any(os.path.exists(f"{out}_{s}.txt") for s in ("ckpt", "hist", "eval"))
+
+
 def _restamp(ws, tmp_path, key, value):
     """The protocol=all checkpoint with its `key` header line set to `value`,
     or with `# key = value` added when the header has no such line."""

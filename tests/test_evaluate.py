@@ -118,6 +118,16 @@ def test_protocol_needs_a_held_out_pool(proto_setup):
         run_base_to_novel(cache, cfg, shots=0, select_by_base_val=False)
 
 
+def test_base_validation_needs_two_shots(proto_setup):
+    # one shot per class would all go to the validation split
+    cache, cfg = proto_setup
+    with pytest.raises(ParameterError, match="shots must be >= 2 with select_by_base_val"):
+        run_base_to_novel(cache, cfg, shots=1, select_by_base_val=True)
+    out = run_base_to_novel(cache, cfg, shots=2, select_by_base_val=True)
+    assert out.val_history and np.isfinite(out.result.hm)
+    assert run_base_to_novel(cache, cfg, shots=1, select_by_base_val=False).result.base_count == 22
+
+
 def test_validation_selection_tracks_and_restores(proto_setup):
     cache, cfg = proto_setup
     out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=True)

@@ -8,7 +8,7 @@ import bandprompt.autodiff as ad
 from bandprompt.errors import ParameterError
 from bandprompt.granules import check_permutation, film_rows, fuse_rows
 from bandprompt.trainer import init_group
-from test_autodiff import square, tsum
+from reference_ops import square, tsum
 
 
 def unit(v):

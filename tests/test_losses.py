@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 import bandprompt.autodiff as ad
-from bandprompt.errors import DivergenceError, ParameterError
+from bandprompt.errors import DivergenceError, NumericalDegeneracyError, ParameterError
 from bandprompt.losses import (
     LossBreakdown,
     class_logits,
     combine,
-    expected_text,
     loss_cls,
     loss_granule,
     loss_sem,
     pseudo_labels,
 )
+from reference_ops import chain_loss_sem, mul, tsum
 
 
 def unit(v):
@@ -56,14 +56,18 @@ def test_pseudo_labels_pinned_and_detached():
 
 
 def test_expected_text_validates_distributions():
+    # the semantic term's pseudo-labels must be one distribution per row
     rows = np.eye(2)
+    t_low = np.array([[0.25, 0.75]])
     with pytest.raises(ParameterError):
-        expected_text(np.array([[0.5, 0.4]]), rows)
+        loss_sem(np.array([[0.5, 0.4]]), rows, t_low)
     with pytest.raises(ParameterError):
-        expected_text(np.array([[1.2, -0.2]]), rows)
-    out = expected_text(np.array([[0.25, 0.75]]), 2.0 * rows)
-    # raw rows are normalized before mixing
-    assert np.allclose(out.value, [[0.25, 0.75]], atol=1e-12)
+        loss_sem(np.array([[1.2, -0.2]]), rows, t_low)
+    # raw rows are normalized before mixing: the expected text vector is
+    # [0.25, 0.75], aligned with t_low and orthogonal to [0.75, -0.25]
+    probs = np.array([[0.25, 0.75]])
+    assert loss_sem(probs, 2.0 * rows, t_low).item() == pytest.approx(0.0, abs=1e-12)
+    assert loss_sem(probs, 2.0 * rows, [[0.75, -0.25]]).item() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sem_loss_alignment_extremes():
@@ -88,7 +92,29 @@ def test_sem_gradient_reaches_the_low_band_only_through_t_low():
     loss = loss_sem(probs, rows, t_low)
     ad.backward(loss)
     assert t_low.grad is not None and np.any(t_low.grad != 0.0)
-    assert rows.grad is not None  # rows appear inside expected_text
+    assert rows.grad is not None  # rows enter through the expected text vectors
+
+
+def test_sem_term_is_one_node_equal_to_its_chain():
+    """One tape node over the raw rows and t_low, whose value and gradients
+    equal the five-node chain's bitwise."""
+    rng = np.random.default_rng(3)
+    raw, low = rng.normal(size=(3, 5)), rng.normal(size=(6, 5))
+    probs = pseudo_labels(rng.normal(size=(6, 5)), raw, 10.0)
+
+    def run(term):
+        rows, t_low = ad.parameter(raw), ad.parameter(low)
+        loss = term(probs, rows, t_low)
+        ad.backward(tsum(mul(loss, 0.7)))
+        return loss, rows.grad, t_low.grad
+
+    loss, g_rows, g_low = run(loss_sem)
+    want, want_rows, want_low = run(chain_loss_sem)
+    assert len(loss._parents) == 2
+    assert np.array_equal(loss.value, want.value)
+    assert np.array_equal(g_rows, want_rows) and np.array_equal(g_low, want_low)
+    with pytest.raises(NumericalDegeneracyError):
+        loss_sem(probs, raw, np.zeros_like(low))
 
 
 def test_granule_loss_uniform_when_codes_are_uninformative():
@@ -155,7 +181,7 @@ def test_losses_take_row_batches_only():
         with pytest.raises(ParameterError):
             loss_sem(np.array([[1.0, 0.0]]), rows, visual)
     with pytest.raises(ParameterError):
-        expected_text(np.array([0.5, 0.5]), rows)
+        loss_sem(np.array([0.5, 0.5]), rows, np.array([[1.0, 0.0]]))
     with pytest.raises(ParameterError):
         loss_cls(np.zeros((1, 1, 2)), rows, [0], 100.0)
 

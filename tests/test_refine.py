@@ -14,7 +14,7 @@ from bandprompt.refine import (
     refined_text_graph,
 )
 from bandprompt.trainer import init_group
-from test_autodiff import square, tsum
+from reference_ops import square, tsum
 
 
 def unit(v):
@@ -70,6 +70,25 @@ def test_mix_endpoints_return_exact_copies():
         mix(raw, refined, -0.1)
     with pytest.raises(ParameterError):
         mix(raw, refined, 1.1)
+
+
+def test_interior_eta_mixes_raw_and_refined_rows():
+    # (1 - eta) * raw + eta * refined, pinned away from eta = 1/2, where
+    # swapping the two weights would give the same rows
+    mixed = mix(np.array([[4.0, 0.0]]), np.array([[0.0, 8.0]]), 0.25)
+    assert np.array_equal(mixed, [[3.0, 2.0]])
+    rng = np.random.default_rng(10)
+    dim = 4
+    agg = fresh_aggregator(dim, rng)
+    agg["agg.w2"] = rng.normal(size=(dim, dim)) * 0.2
+    raw = rng.normal(size=(3, dim))
+    feats = build_text_features(raw, full_bank(dim), tuple(agg.values()), eta=0.25)
+    assert not np.allclose(feats.raw, feats.refined)
+    expected = np.empty_like(raw)
+    for i in range(3):
+        for j in range(dim):
+            expected[i, j] = 0.75 * raw[i, j] + 0.25 * feats.refined[i, j]
+    assert np.allclose(feats.mixed, expected, rtol=0.0, atol=1e-15)
 
 
 def full_bank(dim, size=4, seed=3, temperature=0.07):

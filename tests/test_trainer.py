@@ -165,27 +165,31 @@ def test_disabled_terms_collapse_total_onto_cls(cache):
 
 def reachable_tensors(root):
     """Distinct tensors reachable from `root` through parent links."""
-    seen = {id(root)}
+    seen = {id(root): root}
     stack = [root]
     while stack:
         for parent in stack.pop()._parents:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(seen.values())
 
 
 def test_default_objective_tape_size(cache):
-    # One node per composite a step calls: 22 op nodes over 33 parameters and
-    # constants. The primitive chains they replaced made the same objective
-    # reach 215 tensors, and the earlier partly fused step 116.
+    # One node per composite a step calls: 15 op nodes over 25 parameters and
+    # 4 constants. The primitive chains they replaced made the same objective
+    # reach 215 tensors, and the earlier partly fused steps 116 and 55.
     cfg = TrainConfig()
     state, feats = init_state(cache, cfg)
     fill_bank(state, feats)
     idx = np.arange(cfg.batch_size)
     pi = np.random.default_rng(0).permutation(cfg.batch_size)
     total, _ = forward_batch(state.params, feats, idx, state.bank, cfg, pi)
-    assert reachable_tensors(total) == 55
+    tensors = reachable_tensors(total)
+    ops = [t for t in tensors if t._vjp is not None]
+    params = [t for t in tensors if t.requires_grad and t._vjp is None]
+    assert (len(tensors), len(ops), len(params)) == (44, 15, 25)
+    assert {id(p) for p in params} == {id(p) for p in state.params.values()}
 
 
 def test_adam_flat_step_equals_the_per_tensor_loop():
@@ -249,6 +253,38 @@ def test_counterfactual_flag_changes_film_training(cache):
     assert not np.array_equal(on.params["film.w2"].value, off.params["film.w2"].value)
     assert off.epoch_history[-1].granule_cf is None
     assert on.epoch_history[-1].granule_cf is not None
+
+
+def test_bank_refresh_absorbs_half_the_cache_each_epoch(cache, monkeypatch):
+    # two fill batches of 5 (the second fills the last slot and EMA-updates
+    # with the other 4), then max(1, 32 // 2) rows after every epoch
+    from bandprompt import trainer
+
+    sizes = []
+    absorb = trainer.absorb
+
+    def counted(bank, rows):
+        sizes.append(len(rows))
+        return absorb(bank, rows)
+
+    monkeypatch.setattr(trainer, "absorb", counted)
+    fit(cache, small_cfg(epochs=3, bank_refresh=True))
+    assert sizes == [5, 5, 16, 16, 16]
+    sizes.clear()
+    fit(cache, small_cfg(epochs=3))
+    assert sizes == [5, 5]
+
+
+def test_stratified_order_shuffles_the_class_order_of_each_round():
+    # each round of four draws every class once, in a freshly permuted order
+    from bandprompt.trainer import _stratified_order
+
+    labels = np.repeat(np.arange(4), 8)
+    order = _stratified_order(labels, np.random.default_rng(0))
+    assert sorted(order.tolist()) == list(range(32))
+    rounds = labels[order].reshape(8, 4).tolist()
+    assert all(sorted(r) == [0, 1, 2, 3] for r in rounds)
+    assert len({tuple(r) for r in rounds}) > 1
 
 
 def test_bank_refresh_differs_only_in_entries(cache):
