@@ -123,11 +123,6 @@ def backward(root: Tensor) -> None:
                 parent.grad += g
 
 
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
-
-
 # ---------------------------------------------------------------------------
 # row gather
 
@@ -229,8 +224,9 @@ def logit_cross_entropy(visual, rows, labels, scale: float) -> Tensor:
     `scale * visual @ rows^T`, for (n, d) visual rows and (c, d) class rows."""
     visual, rows = lift(visual), lift(rows)
     v, r = visual.value, rows.value
-    if v.ndim != 2 or r.ndim != 2:
-        raise ParameterError("logit_cross_entropy expects (n, d) visual and (c, d) class rows")
+    if v.ndim != 2 or r.ndim != 2 or v.shape[1] != r.shape[1]:
+        raise ParameterError("logit_cross_entropy expects (n, d) visual and (c, d) class "
+                             f"rows, got {v.shape} and {r.shape}")
     labels = np.asarray(labels, dtype=np.intp)
     n, c = v.shape[0], r.shape[0]
     if labels.shape != (n,):

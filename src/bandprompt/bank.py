@@ -108,8 +108,9 @@ def retrieve_rows(entries: np.ndarray, queries,
     the contexts `weights @ entries`: the weights as a detached array, the
     contexts as one tape node that differentiates only through the queries."""
     queries, frozen = ad.lift(queries), ad.constant(entries)
-    if queries.value.ndim != 2:
-        raise ParameterError(f"retrieval expects (n, d) query rows, got {queries.shape}")
+    if queries.value.ndim != 2 or queries.shape[1:] != frozen.shape[1:]:
+        raise ParameterError(f"retrieval expects (n, d) query rows matching the (M, d) "
+                             f"entries {frozen.shape}, got {queries.shape}")
     inv_t = 1.0 / temperature
     scores = (queries.value @ frozen.value.T) * inv_t
     # Shifting by the row max keeps exp() in range; softmax is shift invariant.

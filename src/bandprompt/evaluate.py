@@ -138,10 +138,9 @@ def _gather(classes: tuple[int, ...],
     return idx, labels
 
 
-def _score(state: TrainState, cfg: TrainConfig, arrays: np.ndarray, labels: np.ndarray,
+def _score(state: TrainState, cfg: TrainConfig, visual: np.ndarray, labels: np.ndarray,
            raw: np.ndarray | None = None) -> float:
-    """Accuracy on the latents `arrays` against `state.text_features(cfg, raw)`."""
-    visual = state.encoder.encode_batch(arrays)
+    """Accuracy of the embeddings `visual` against `state.text_features(cfg, raw)`."""
     _, pred = predict(visual, state.text_features(cfg, raw), cfg.logit_scale)
     return accuracy_percent(pred, labels)
 
@@ -179,15 +178,17 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
 
     val_history: list[float] = []
     best: tuple[float, dict[str, np.ndarray], np.ndarray | None] | None = None
-    callback = None
+    callback = val_visual = None
     if select_by_base_val:
         val_idx, val_labels = _gather(base_classes, {c: shot_idx[c][:n_val] for c in base_classes})
 
         def callback(state: TrainState, epoch: int) -> None:
-            nonlocal best
+            nonlocal best, val_visual
             if state.bank is not None and not state.bank.full:
                 return  # still in the fill phase; nothing comparable yet
-            acc = _score(state, cfg, arrays[val_idx], val_labels)
+            if val_visual is None:  # the encoder is frozen: encode once per run
+                val_visual = state.encoder.encode_batch(arrays[val_idx])
+            acc = _score(state, cfg, val_visual, val_labels)
             val_history.append(acc)
             if best is None or acc > best[0]:
                 bank_copy = state.bank.entries.copy() if state.bank is not None else None
@@ -201,16 +202,14 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
 
     # Base accuracy: held-out base samples against the trained mixed rows.
     base_idx, base_labels = _gather(base_classes, eval_idx)
-    base_acc = _score(state, cfg, arrays[base_idx], base_labels)
+    encode = state.encoder.encode_batch
+    base_acc = _score(state, cfg, encode(arrays[base_idx]), base_labels)
 
     # Novel accuracy: frozen prototype rows from novel shots, refined through
     # the same bank/aggregator, scored on the remaining novel samples.
-    proto = np.stack([
-        state.encoder.encode_batch(arrays[shot_idx[c]]).mean(axis=0)
-        for c in novel_classes
-    ])
+    proto = np.stack([encode(arrays[shot_idx[c]]).mean(axis=0) for c in novel_classes])
     novel_idx, novel_labels = _gather(novel_classes, eval_idx)
-    novel_acc = _score(state, cfg, arrays[novel_idx], novel_labels, raw=proto)
+    novel_acc = _score(state, cfg, encode(arrays[novel_idx]), novel_labels, raw=proto)
 
     result = EvalResult(
         base_acc=base_acc, novel_acc=novel_acc,

@@ -96,10 +96,11 @@ def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
     pseudo-label mixture `probs @ unit(raw_rows)` over the L2-normalized raw
     rows; `probs` is a detached array with one distribution per row."""
     probs = np.asarray(probs, dtype=np.float64)
-    if (probs.ndim != 2 or np.any(probs < -1e-12)
-            or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9)):
-        raise ParameterError("pseudo-labels must be a distribution per row")
     raw_rows, t_low = _rows(raw_rows), _rows(t_low)
+    if (probs.ndim != 2 or probs.shape[1] != raw_rows.shape[0] or np.any(probs < -1e-12)
+            or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9)):
+        raise ParameterError(f"pseudo-labels {probs.shape} must be a distribution per row "
+                             f"over the class rows {raw_rows.shape}")
     rows, norms = ad.unit_rows(raw_rows.value)
     t_exp, low = probs @ rows, t_low.value
     if low.shape != t_exp.shape:

@@ -177,8 +177,12 @@ class TrainState:
         return {k: np.array(v.value, copy=True) for k, v in self.params.items()}
 
     def set_param_values(self, values: dict[str, np.ndarray]) -> None:
+        for k, v in values.items():  # check every shape before writing any value
+            if np.shape(v) != self.params[k].shape:
+                raise ParameterError(f"parameter {k!r} has shape {np.shape(v)}, "
+                                     f"expected {self.params[k].shape}")
         for k, v in values.items():
-            self.params[k].value = np.array(v, dtype=np.float64, copy=True)
+            self.params[k].value[...] = v
 
     def text_features(self, cfg: TrainConfig, raw: np.ndarray | None = None) -> TextFeatureSet:
         """Prediction rows from the trained text rows, or from `raw` rows
@@ -190,12 +194,11 @@ class TrainState:
 
 
 class Adam:
-    """Standard Adam; a missing gradient counts as exactly zero.
-
-    The moments of all parameters live in two flat buffers, laid out in
-    `params` order, and one step updates every entry in one vectorized pass.
-    The update is elementwise, so it equals a per-tensor loop bitwise.
-    """
+    """Standard Adam, which owns the parameters: all values live in one float64
+    vector and all gradients in another, in `params` order, and each `.value`
+    and `.grad` is a view of its span. `backward` adds into `grads` and `step`
+    updates `values` in place, so write into a parameter, never rebind it. The
+    update is elementwise, so it equals a per-tensor loop bitwise."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -205,30 +208,29 @@ class Adam:
         self.params = params
         self.lr = lr
         self.t = 0
-        size = sum(p.value.size for p in params.values())
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.values = np.concatenate([p.value.ravel() for p in params.values()])
+        self.grads = np.zeros_like(self.values)
+        start = 0
+        for p in params.values():
+            stop = start + p.value.size
+            p.value = self.values[start:stop].reshape(p.value.shape)
+            p.grad = self.grads[start:stop].reshape(p.value.shape)
+            start = stop
+        self.m, self.v = np.zeros_like(self.values), np.zeros_like(self.values)
+
+    def zero_grad(self) -> None:
+        self.grads.fill(0.0)
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.BETA1, self.BETA2
-        b1c = 1.0 - b1**self.t
-        b2c = 1.0 - b2**self.t
-        params = self.params.values()
-        g = np.concatenate([p.grad.ravel() if p.grad is not None else np.zeros(p.value.size)
-                            for p in params])
-        self.m = b1 * self.m + (1.0 - b1) * g
-        self.v = b2 * self.v + (1.0 - b2) * (g * g)
-        m_hat = self.m / b1c
-        v_hat = self.v / b2c
-        flat = np.concatenate([p.value.ravel() for p in params])
-        flat = flat - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
-        # Each parameter's new value is a view of its span of `flat`.
-        start = 0
-        for p in params:
-            stop = start + p.value.size
-            p.value = flat[start:stop].reshape(p.value.shape)
-            start = stop
+        b1, b2, g = self.BETA1, self.BETA2, self.grads
+        self.m *= b1
+        self.m += (1.0 - b1) * g
+        self.v *= b2
+        self.v += (1.0 - b2) * (g * g)
+        m_hat = self.m / (1.0 - b1**self.t)
+        v_hat = self.v / (1.0 - b2**self.t)
+        self.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,7 @@ def train_step(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
     permutation `pi`. A bank must already be full; `fit` handles the fill
     phase."""
     total, parts = forward_batch(state.params, feats, idx, state.bank, cfg, pi)
-    ad.zero_grads(state.params.values())
+    state.optimizer.zero_grad()
     ad.backward(total)
     state.optimizer.step()
     return parts
@@ -507,33 +509,32 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
                                  probs_override=probs)
         return total.item()
 
-    def objective_at(flat: np.ndarray, j: int, value: float) -> float:
+    flat = state.optimizer.values  # every parameter is a view of it
+
+    def objective_at(j: int, value: float) -> float:
         flat[j] = value
         return objective()
 
     total, _ = forward_batch(state.params, feats, idx, state.bank, cfg, pi,
                              probs_override=probs)
-    ad.zero_grads(state.params.values())
+    state.optimizer.zero_grad()
     ad.backward(total)
-    analytic = {
-        k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.value))
-        for k, p in state.params.items()
-    }
+    analytic = state.optimizer.grads.copy()
 
     per_param: dict[str, float] = {}
+    start = 0
     for name, p in state.params.items():
-        flat = p.value.reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
         worst = 0.0
-        for j in range(flat.size):
+        for j in range(start, start + p.value.size):
             keep = flat[j]
-            f_p1, f_m1, f_p2, f_m2 = (objective_at(flat, j, keep + m * FD_STEP)
+            f_p1, f_m1, f_p2, f_m2 = (objective_at(j, keep + m * FD_STEP)
                                       for m in (1, -1, 2, -2))
             flat[j] = keep
             numeric = (8.0 * (f_p1 - f_m1) - (f_p2 - f_m2)) / (12.0 * FD_STEP)
-            denom = max(abs(grad_flat[j]), abs(numeric), _REL_FLOOR)
-            worst = max(worst, abs(grad_flat[j] - numeric) / denom)
+            denom = max(abs(analytic[j]), abs(numeric), _REL_FLOOR)
+            worst = max(worst, abs(analytic[j] - numeric) / denom)
         per_param[name] = worst
+        start += p.value.size
 
     worst_param = max(per_param, key=per_param.get)
     return GradCheckReport(

@@ -3,7 +3,8 @@
 The program's tape keeps only the ops its own code calls. The primitive ops
 it no longer calls live on here, each one tape node, to spell out the chains
 the fused composites are checked against. `test_autodiff` checks each of
-them against finite differences.
+them against finite differences. So do the per-tensor `zero_grads` and the
+concatenating Adam step that the optimizer's flat buffers replaced.
 """
 
 import numpy as np
@@ -221,3 +222,36 @@ def chain_loss_sem(probs, raw_rows, t_low):
     """Five nodes: unit raw rows, expected text, cosine, `1 -`, mean."""
     t_exp = matmul(ad.constant(probs), l2normalize_rows(raw_rows))
     return tmean(sub(1.0, cosine_rows(t_exp, t_low)))
+
+
+def zero_grads(params):
+    """Drop each tensor's gradient: the per-tensor reset for tapes over loose
+    parameters. An optimizer's parameters are reset with `Adam.zero_grad`
+    instead, which keeps their gradient views."""
+    for p in params:
+        p.grad = None
+
+
+def concatenating_adam_step(self):
+    """`trainer.Adam.step` as it was before the parameters moved into flat
+    buffers: concatenate every gradient (a missing one as zeros) and value,
+    update the copies, and rebind each parameter's value to its span. Patched
+    over the in-place step, it must train bitwise the same."""
+    self.t += 1
+    b1, b2 = self.BETA1, self.BETA2
+    b1c = 1.0 - b1**self.t
+    b2c = 1.0 - b2**self.t
+    params = self.params.values()
+    g = np.concatenate([p.grad.ravel() if p.grad is not None else np.zeros(p.value.size)
+                        for p in params])
+    self.m = b1 * self.m + (1.0 - b1) * g
+    self.v = b2 * self.v + (1.0 - b2) * (g * g)
+    m_hat = self.m / b1c
+    v_hat = self.v / b2c
+    flat = np.concatenate([p.value.ravel() for p in params])
+    flat = flat - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+    start = 0
+    for p in params:
+        stop = start + p.value.size
+        p.value = flat[start:stop].reshape(p.value.shape)
+        start = stop

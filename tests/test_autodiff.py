@@ -32,6 +32,7 @@ from reference_ops import (
     transpose,
     tsum,
     unbroadcast,
+    zero_grads,
 )
 
 
@@ -265,7 +266,7 @@ def test_zero_grads_resets():
     p = ad.parameter(np.array([1.0, 1.0]))
     ad.backward(tsum(square(p)))
     assert p.grad is not None
-    ad.zero_grads([p])
+    zero_grads([p])
     assert p.grad is None
 
 
@@ -626,9 +627,11 @@ def test_training_graph_matches_the_chains(monkeypatch):
 
     def objective_and_grads():
         total, _ = trainer.forward_batch(state.params, feats, idx, state.bank, cfg, pi)
-        ad.zero_grads(state.params.values())
+        state.optimizer.zero_grad()
         ad.backward(total)
-        return total, {k: p.grad for k, p in state.params.items()}
+        # Copies: every `p.grad` is a view of the optimizer's one gradient
+        # buffer, which the next backward pass overwrites.
+        return total, {k: p.grad.copy() for k, p in state.params.items()}
 
     fused_total, fused = objective_and_grads()
     for owner, name, chain in [
@@ -721,15 +724,19 @@ def test_training_step_gradients_match_the_post_order_reference():
 
     def grads(run_backward):
         total, _ = trainer.forward_batch(state.params, feats, idx, state.bank, cfg, pi)
-        for node in tape_nodes(total):
+        nodes = tape_nodes(total)
+        for node in nodes:
             assert all(node._stamp > p._stamp for p in node._parents)
-        ad.zero_grads(state.params.values())
+        # Every parameter is on the tape, so a gradient reaches each of them.
+        assert {id(p) for p in state.params.values()} <= {id(n) for n in nodes}
+        state.optimizer.zero_grad()
         run_backward(total)
-        return {k: p.grad for k, p in state.params.items()}
+        # Copies: the gradients are views of the optimizer's one buffer.
+        return {k: p.grad.copy() for k, p in state.params.items()}
 
     got = grads(ad.backward)
     want = grads(backward_post_order)
-    assert len(want) == 25 and all(g is not None for g in want.values())
+    assert len(want) == 25 and all(g.any() for g in want.values())
     for name, g in want.items():
         if name == "agg.ln_bias":
             assert np.max(np.abs(got[name] - g)) <= FUSED_RTOL

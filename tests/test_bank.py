@@ -205,6 +205,11 @@ def test_retrieval_is_one_node_equal_to_its_chain():
         retrieve_rows(entries, queries[0], 0.07)
 
 
+def test_retrieval_rejects_queries_of_another_width():
+    with pytest.raises(ParameterError, match=r"\(3, 3\).*\(2, 2\)"):
+        retrieve_rows(np.eye(3), np.ones((2, 2)), 0.1)
+
+
 def test_retrieval_requires_a_full_bank():
     # retrieve_rows is a bare composite; its callers check the fill
     bank = SemanticBank.create(size=4, dim=2, momentum=0.1, temperature=0.07)

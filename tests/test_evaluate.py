@@ -16,7 +16,7 @@ from bandprompt.evaluate import (
 )
 from bandprompt.refine import TextFeatureSet
 from bandprompt.teacher import SyntheticSpec, generate_dataset
-from bandprompt.trainer import TrainConfig
+from bandprompt.trainer import ToyVisualEncoder, TrainConfig
 
 
 def test_harmonic_mean_pinned_values():
@@ -134,6 +134,26 @@ def test_validation_selection_tracks_and_restores(proto_setup):
     assert len(out.val_history) >= 1
     assert all(0.0 <= v <= 100.0 for v in out.val_history)
     assert np.isfinite(out.result.hm)
+
+
+def test_validation_latents_are_encoded_once_per_run(proto_setup, monkeypatch):
+    cache, cfg = proto_setup
+    rows = []
+    encode = ToyVisualEncoder.encode_batch
+
+    def counted(self, arrays):
+        rows.append(len(arrays))
+        return encode(self, arrays)
+
+    monkeypatch.setattr(ToyVisualEncoder, "encode_batch", counted)
+    run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False)
+    without_val = len(rows)
+    rows.clear()
+    out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=True)
+    # Scored every epoch after the fill, yet the 2 x 2 validation shots are
+    # encoded once.
+    assert len(out.val_history) == cfg.epochs
+    assert len(rows) == without_val + 1 and rows.count(4) == 1
 
 
 def test_granule_source_accuracy_bounds_and_determinism(proto_setup):

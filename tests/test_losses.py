@@ -186,6 +186,16 @@ def test_losses_take_row_batches_only():
         loss_cls(np.zeros((1, 1, 2)), rows, [0], 100.0)
 
 
+def test_sem_term_rejects_pseudo_labels_of_another_class_count():
+    with pytest.raises(ParameterError, match=r"\(1, 3\).*\(2, 2\)"):
+        loss_sem(np.full((1, 3), 1 / 3), np.eye(2), [[1.0, 0.0]])
+
+
+def test_cls_term_rejects_rows_of_another_width():
+    with pytest.raises(ParameterError, match=r"\(2, 3\).*\(4, 2\)"):
+        loss_cls(np.ones((2, 3)), np.ones((4, 2)), [0, 1], 1.0)
+
+
 def test_cls_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     n, c, d = 4, 3, 5

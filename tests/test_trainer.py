@@ -16,6 +16,7 @@ from bandprompt.trainer import (
     fill_bank,
     fit,
     forward_batch,
+    gradient_check,
     init_state,
     load_checkpoint,
     run_gradient_check,
@@ -23,6 +24,7 @@ from bandprompt.trainer import (
     state_from_values,
     train_step,
 )
+from reference_ops import concatenating_adam_step
 
 GRID = (4, 16, 16)
 
@@ -194,25 +196,123 @@ def test_default_objective_tape_size(cache):
 
 def test_adam_flat_step_equals_the_per_tensor_loop():
     rng = np.random.default_rng(4)
-    shapes = {"a": (3, 4), "b": (4,), "c": (2, 1), "d": (5,)}
+    shapes = {"a": (3, 4), "b": (4,), "c": (2, 1), "d": (5,), "e": (2,)}
     params = {k: ad.parameter(rng.normal(size=s)) for k, s in shapes.items()}
     opt = Adam(params, lr=1e-2)
     ref = {k: p.value.copy() for k, p in params.items()}
     m = {k: np.zeros(s) for k, s in shapes.items()}
     v = {k: np.zeros(s) for k, s in shapes.items()}
     for t in range(1, 5):
+        opt.zero_grad()
+        grads = {k: np.zeros(s) for k, s in shapes.items()}
         for k, p in params.items():
-            # "d" never gets a gradient: it counts as exactly zero
-            p.grad = None if k == "d" else rng.normal(size=shapes[k])
+            # No gradient reaches "d", nor "e" on even steps: after `zero_grad`
+            # each steps as with an exactly-zero gradient.
+            if k != "d" and (k != "e" or t % 2):
+                grads[k] = rng.normal(size=shapes[k])
+                p.grad[...] = grads[k]
         opt.step()
         for k, p in params.items():
-            g = p.grad if p.grad is not None else np.zeros(shapes[k])
+            g = grads[k]
             m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
             v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
             m_hat = m[k] / (1.0 - 0.9**t)
             v_hat = v[k] / (1.0 - 0.999**t)
             ref[k] = ref[k] - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
             assert np.array_equal(p.value, ref[k]), (t, k)
+
+
+def assert_views(state):
+    """Each parameter's `.value` and `.grad` are the views of its span of the
+    optimizer's value and gradient vectors, spans laid out in `params` order."""
+    opt = state.optimizer
+    assert opt.params is state.params
+    start = 0
+    for p in state.params.values():
+        for view, flat in ((p.value, opt.values), (p.grad, opt.grads)):
+            assert np.shares_memory(view, flat) and view.flags.c_contiguous
+            offset = view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+            assert offset == start * flat.itemsize
+        start += p.value.size
+    assert start == opt.values.size == opt.grads.size
+
+
+def test_parameters_stay_views_of_the_optimizer_buffers(cache):
+    cfg = small_cfg(embed_dim=2)
+    state, feats = init_state(cache, cfg)
+    assert_views(state)
+    snapshot = state.param_values()
+    kept = {k: v.copy() for k, v in snapshot.items()}
+
+    fill_bank(state, feats)
+    idx = np.arange(cfg.batch_size)
+    train_step(state, feats, idx, cfg, np.random.default_rng(0).permutation(len(idx)))
+    assert_views(state)
+    assert any(not np.array_equal(p.value, kept[k]) for k, p in state.params.items())
+
+    values = state.optimizer.values.copy()
+    gradient_check(state, feats, idx, cfg)
+    assert_views(state)
+    assert state.optimizer.values.tobytes() == values.tobytes()
+
+    state.set_param_values(snapshot)
+    assert_views(state)
+    assert all(np.array_equal(p.value, kept[k]) for k, p in state.params.items())
+
+    loaded = state_from_values(snapshot, state.bank, state.encoder, cfg)
+    assert_views(loaded)
+    assert not any(np.shares_memory(loaded.optimizer.values, v) for v in snapshot.values())
+    # The snapshot was copied out: steps and writes since did not reach it.
+    assert all(snapshot[k].tobytes() == kept[k].tobytes() for k in kept)
+
+
+def test_set_param_values_rejects_a_shape_mismatch_before_writing(cache):
+    state, _ = init_state(cache, small_cfg())
+    before = state.optimizer.values.copy()
+    bad = {"text_raw": np.zeros(state.params["text_raw"].shape),
+           "film.b2": np.zeros(state.params["film.b2"].value.size + 1)}
+    with pytest.raises(ParameterError, match=r"film\.b2.*\(17,\).*\(16,\)"):
+        state.set_param_values(bad)
+    assert state.optimizer.values.tobytes() == before.tobytes()
+    assert_views(state)
+
+
+def test_train_step_starts_from_zero_gradients(cache):
+    # `backward` adds into the gradient buffer, so a step that skipped
+    # `zero_grad` would train on whatever the buffer held before.
+    cfg = small_cfg()
+
+    def stepped(stale: float):
+        state, feats = init_state(cache, cfg)
+        fill_bank(state, feats)
+        state.optimizer.grads.fill(stale)
+        idx = np.arange(cfg.batch_size)
+        train_step(state, feats, idx, cfg, np.random.default_rng(0).permutation(len(idx)))
+        return state.optimizer.values.tobytes(), state.optimizer.grads.tobytes()
+
+    assert stepped(1e3) == stepped(0.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(bank_size=6, bank_refresh=True),
+    dict(bank_size=0),
+    dict(anchor="refined_text_by_label"),
+], ids=["bank-refresh", "no-bank", "refined-anchor"])
+def test_in_place_step_trains_bitwise_like_the_concatenating_step(cache, monkeypatch,
+                                                                   overrides):
+    cfg = small_cfg(epochs=3, **overrides)
+
+    def run():
+        state = fit(cache, cfg)
+        assert state.optimizer.t == 3 * 7 - (2 if cfg.bank_size else 0)
+        bank = None if state.bank is None else state.bank.entries.tobytes()
+        values = {k: v.tobytes() for k, v in state.param_values().items()}
+        return values, bank, state.epoch_history
+
+    got = run()
+    monkeypatch.setattr(Adam, "step", concatenating_adam_step)
+    want = run()
+    assert got == want
 
 
 def test_fit_fill_phase_consumes_whole_batches(cache):
