@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .errors import ParameterError
 
 
-def _as_latent_array(z) -> np.ndarray:
+def as_latent_array(z) -> np.ndarray:
     """A (C, h, w) latent or an (n, C, h, w) stack; each latent splits alone."""
     arr = np.asarray(z)
     if arr.ndim not in (3, 4):
@@ -45,7 +45,7 @@ class BandPair:
 
 def smooth_lowpass(z, k: int) -> np.ndarray:
     """Stride-1 k x k mean per channel, replicate (edge) padding, float64 out."""
-    arr = _as_latent_array(z)
+    arr = as_latent_array(z)
     h, w = arr.shape[-2:]
     if k < 1 or k % 2 == 0:
         raise ParameterError(f"kernel must be odd and >= 1, got {k}")
@@ -65,7 +65,7 @@ def factorize(z, k: int) -> BandPair:
     residual subtraction is exact, making base + detail == z bitwise. A full
     53-bit base at a higher exponent than z could not subtract exactly.
     """
-    arr = _as_latent_array(z).astype(np.float64)
+    arr = as_latent_array(z).astype(np.float64)
     base = smooth_lowpass(arr, k).astype(np.float32).astype(np.float64)
     detail = arr - base
     bad = (base + detail) != arr
@@ -81,7 +81,7 @@ def factorize(z, k: int) -> BandPair:
 def band_stats(z) -> np.ndarray:
     """Per-channel mean absolute activation: a length-C vector, or (n, C)
     rows for a stack."""
-    arr = _as_latent_array(z).astype(np.float64)
+    arr = as_latent_array(z).astype(np.float64)
     return np.abs(arr).mean(axis=(-2, -1))
 
 

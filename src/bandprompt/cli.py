@@ -23,7 +23,7 @@ from .bank import write_bank
 from .config import FIELD_TYPES, RunConfig, apply_setting, resolve_config
 from .diagnostics import diagnose, write_report
 from .errors import BandpromptError, ConfigError, ParameterError, ProtocolError
-from .evaluate import accuracy_percent, check_shots, predict, run_base_to_novel
+from .evaluate import check_shots, run_base_to_novel, score
 from .teacher import generate_dataset, read_cache, write_cache
 from .trainer import (
     FD_TOLERANCE,
@@ -187,9 +187,7 @@ def cmd_eval(args) -> int:
             f"cache labels go up to {labels.max()} but the checkpoint "
             f"trained {state.num_classes} classes"
         )
-    visual = encoder.encode_batch(cache.arrays())
-    _, pred = predict(visual, state.text_features(cfg), cfg.logit_scale)
-    acc = accuracy_percent(pred, labels)
+    acc = score(state, cfg, encoder.encode_batch(cache.arrays()), labels)
     lines = cfg.header_lines() + [f"accuracy {acc:.6f}", f"samples {len(cache)}"]
     with open(cfg.eval_report_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import factorize
+from .bands import as_latent_array, factorize
 from .errors import ParameterError
 from .teacher import LatentCache
 
@@ -28,16 +28,6 @@ ENERGY_EPS = 1e-12
 # the float64 band stack and its spectra to about 11 MiB for 4x16x16 latents;
 # one pass over a whole 2048-latent cache took a scan from 110 to 169 MiB peak RSS.
 CHUNK_SIZE = 256
-
-
-def _as_band_array(z) -> np.ndarray:
-    """A (C, h, w) latent or an (n, C, h, w) stack, as float64."""
-    arr = np.asarray(z, dtype=np.float64)
-    if arr.ndim not in (3, 4):
-        raise ParameterError(
-            f"expected a (C, h, w) latent or an (n, C, h, w) stack, got shape {arr.shape}"
-        )
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +55,7 @@ def _overlap_weights(n_in: int, n_out: int) -> np.ndarray:
 def align_grid(z, target: tuple[int, int]) -> np.ndarray:
     """Area-average resample of a (C, h, w) latent onto (C, H, W), or of an
     (n, C, h, w) stack onto (n, C, H, W)."""
-    arr = _as_band_array(z)
+    arr = as_latent_array(z).astype(np.float64, copy=False)
     th, tw = target
     if th < 1 or tw < 1:
         raise ParameterError(f"target grid must be positive, got {target}")
@@ -115,7 +105,7 @@ def radial_spectrum(z, num_bins: int) -> RadialSpectrum:
     """Channel-mean power spectrum folded into radial bins, normalized to 1."""
     if num_bins < 1:
         raise ParameterError(f"num_bins must be >= 1, got {num_bins}")
-    arr = _as_band_array(z)
+    arr = as_latent_array(z).astype(np.float64, copy=False)
     h, w = arr.shape[-2:]
     # Channel by channel, so a stack's complex spectra take one channel's
     # share of memory at a time; the sum runs in np.mean's order.

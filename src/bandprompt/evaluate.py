@@ -20,6 +20,7 @@ from . import autodiff as ad
 from .bands import head_graph
 from .errors import ParameterError, ProtocolError
 from .granules import check_permutation, film_rows, fuse_rows
+from .losses import class_logits
 from .refine import TextFeatureSet
 from .teacher import LatentCache
 from .trainer import (
@@ -73,13 +74,7 @@ def predict(visual, text, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Scaled similarities of (n, d) visual rows against the text rows (the
     mixed rows of a `TextFeatureSet`); argmax per row, ties to the lowest
     class index."""
-    rows = text.mixed if isinstance(text, TextFeatureSet) else np.asarray(text, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ParameterError("text rows must be a (C, d) matrix")
-    v = np.asarray(visual, dtype=np.float64)
-    if v.ndim != 2 or v.shape[1] != rows.shape[1]:
-        raise ParameterError("visual embeddings must be (n, d) rows matching the text dim")
-    logits = scale * (v @ rows.T)
+    logits = class_logits(visual, text.mixed if isinstance(text, TextFeatureSet) else text, scale)
     return logits, np.argmax(logits, axis=1)
 
 
@@ -138,8 +133,8 @@ def _gather(classes: tuple[int, ...],
     return idx, labels
 
 
-def _score(state: TrainState, cfg: TrainConfig, visual: np.ndarray, labels: np.ndarray,
-           raw: np.ndarray | None = None) -> float:
+def score(state: TrainState, cfg: TrainConfig, visual: np.ndarray, labels: np.ndarray,
+          raw: np.ndarray | None = None) -> float:
     """Accuracy of the embeddings `visual` against `state.text_features(cfg, raw)`."""
     _, pred = predict(visual, state.text_features(cfg, raw), cfg.logit_scale)
     return accuracy_percent(pred, labels)
@@ -160,8 +155,8 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
     """Split, train on base shots, score held-out base and novel samples.
 
     With `select_by_base_val` a quarter of each base class's shots becomes a
-    validation split; the parameters with the best (earliest on ties) post-fill
-    validation accuracy are restored before scoring.
+    validation split; the parameters and bank entries with the best (earliest
+    on ties) post-fill validation accuracy are restored before scoring.
     """
     check_shots(shots, select_by_base_val)
     labels = cache.labels()
@@ -177,7 +172,7 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
                                for j, y in zip(train_idx, train_labels)])
 
     val_history: list[float] = []
-    best: tuple[float, dict[str, np.ndarray], np.ndarray | None] | None = None
+    best: tuple[float, np.ndarray, np.ndarray | None] | None = None
     callback = val_visual = None
     if select_by_base_val:
         val_idx, val_labels = _gather(base_classes, {c: shot_idx[c][:n_val] for c in base_classes})
@@ -188,28 +183,28 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
                 return  # still in the fill phase; nothing comparable yet
             if val_visual is None:  # the encoder is frozen: encode once per run
                 val_visual = state.encoder.encode_batch(arrays[val_idx])
-            acc = _score(state, cfg, val_visual, val_labels)
+            acc = score(state, cfg, val_visual, val_labels)
             val_history.append(acc)
             if best is None or acc > best[0]:
                 bank_copy = state.bank.entries.copy() if state.bank is not None else None
-                best = (acc, state.param_values(), bank_copy)
+                best = (acc, state.optimizer.values.copy(), bank_copy)
 
     state = fit(train_cache, cfg, epoch_callback=callback)
     if best is not None:
-        state.set_param_values(best[1])
+        state.optimizer.values[...] = best[1]  # in place: parameters view it
         if state.bank is not None:
             state.bank.entries = best[2]
 
     # Base accuracy: held-out base samples against the trained mixed rows.
     base_idx, base_labels = _gather(base_classes, eval_idx)
     encode = state.encoder.encode_batch
-    base_acc = _score(state, cfg, encode(arrays[base_idx]), base_labels)
+    base_acc = score(state, cfg, encode(arrays[base_idx]), base_labels)
 
     # Novel accuracy: frozen prototype rows from novel shots, refined through
     # the same bank/aggregator, scored on the remaining novel samples.
     proto = np.stack([encode(arrays[shot_idx[c]]).mean(axis=0) for c in novel_classes])
     novel_idx, novel_labels = _gather(novel_classes, eval_idx)
-    novel_acc = _score(state, cfg, encode(arrays[novel_idx]), novel_labels, raw=proto)
+    novel_acc = score(state, cfg, encode(arrays[novel_idx]), novel_labels, raw=proto)
 
     result = EvalResult(
         base_acc=base_acc, novel_acc=novel_acc,

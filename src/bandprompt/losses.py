@@ -64,10 +64,14 @@ def _check_scale(scale: float) -> None:
 
 
 def class_logits(visual, text_rows, scale: float) -> np.ndarray:
-    """Detached scale * v @ rows^T for row batches of visual embeddings; the
-    logit terms compute the same values inside their one tape node."""
+    """Detached scale * v @ rows^T for (n, d) visual rows and (c, d) class
+    rows; the logit terms compute the same values inside their one tape node."""
     _check_scale(scale)
-    return (_rows(visual).value @ _rows(text_rows).value.T) * scale
+    v, rows = _rows(visual).value, _rows(text_rows).value
+    if v.shape[1] != rows.shape[1]:
+        raise ParameterError(f"visual rows {v.shape} and class rows {rows.shape} "
+                             "differ in width")
+    return (v @ rows.T) * scale
 
 
 def loss_cls(visual, text_rows, labels, scale: float) -> ad.Tensor:

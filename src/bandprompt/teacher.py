@@ -213,6 +213,15 @@ def _stack_patterns(grid, modes) -> np.ndarray:
     return np.stack([_mode_pattern(grid, m) for m in modes])
 
 
+def _class_and_instance_modes(spec: SyntheticSpec) -> tuple[list, list]:
+    """(class_modes, instance_modes): the `identity_band` modes carry the
+    per-class pattern, the other band's modes the per-instance one."""
+    c, h, w = spec.grid
+    low = low_mode_pool(c, h, w)[: spec.base_modes]
+    high = high_mode_pool(c, h, w)[: spec.detail_modes]
+    return (low, high) if spec.identity_band == "low" else (high, low)
+
+
 # ---------------------------------------------------------------------------
 # generation
 
@@ -221,15 +230,9 @@ def generate_dataset(spec: SyntheticSpec, n_per_class: int) -> LatentCache:
     """Build `num_classes * n_per_class` latents, class-major, deterministically."""
     if n_per_class < 1:
         raise ParameterError("n_per_class must be >= 1")
-    c, h, w = spec.grid
-    low = low_mode_pool(c, h, w)[: spec.base_modes]
-    high = high_mode_pool(c, h, w)[: spec.detail_modes]
-    if spec.identity_band == "low":
-        class_patterns = _stack_patterns(spec.grid, low)
-        inst_patterns = _stack_patterns(spec.grid, high)
-    else:
-        class_patterns = _stack_patterns(spec.grid, high)
-        inst_patterns = _stack_patterns(spec.grid, low)
+    class_modes, inst_modes = _class_and_instance_modes(spec)
+    class_patterns = _stack_patterns(spec.grid, class_modes)
+    inst_patterns = _stack_patterns(spec.grid, inst_modes)
 
     rng = np.random.default_rng(spec.seed)
     k_class = class_patterns.shape[0]
@@ -255,12 +258,7 @@ def generate_dataset(spec: SyntheticSpec, n_per_class: int) -> LatentCache:
 
 def class_mode_patterns(spec: SyntheticSpec) -> np.ndarray:
     """The identity-band mode patterns, stacked (K, C, h, w). Test oracle hook."""
-    c, h, w = spec.grid
-    if spec.identity_band == "low":
-        modes = low_mode_pool(c, h, w)[: spec.base_modes]
-    else:
-        modes = high_mode_pool(c, h, w)[: spec.detail_modes]
-    return _stack_patterns(spec.grid, modes)
+    return _stack_patterns(spec.grid, _class_and_instance_modes(spec)[0])
 
 
 # ---------------------------------------------------------------------------

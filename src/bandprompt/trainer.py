@@ -139,7 +139,6 @@ class ToyVisualEncoder:
 
     weight: np.ndarray
     grid: tuple[int, int, int]
-    seed: int
 
     @classmethod
     def create(cls, dim: int, grid: tuple[int, int, int], seed: int) -> "ToyVisualEncoder":
@@ -147,7 +146,7 @@ class ToyVisualEncoder:
         n_in = c * h * w
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE11C]))
         weight = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(dim, n_in))
-        return cls(weight=weight, grid=(c, h, w), seed=seed)
+        return cls(weight=weight, grid=(c, h, w))
 
     def encode_batch(self, arrays) -> np.ndarray:
         x = np.asarray(arrays, dtype=np.float64)
@@ -176,14 +175,6 @@ class TrainState:
     def param_values(self) -> dict[str, np.ndarray]:
         return {k: np.array(v.value, copy=True) for k, v in self.params.items()}
 
-    def set_param_values(self, values: dict[str, np.ndarray]) -> None:
-        for k, v in values.items():  # check every shape before writing any value
-            if np.shape(v) != self.params[k].shape:
-                raise ParameterError(f"parameter {k!r} has shape {np.shape(v)}, "
-                                     f"expected {self.params[k].shape}")
-        for k, v in values.items():
-            self.params[k].value[...] = v
-
     def text_features(self, cfg: TrainConfig, raw: np.ndarray | None = None) -> TextFeatureSet:
         """Prediction rows from the trained text rows, or from `raw` rows
         (novel-class prototypes) refined through the same bank/aggregator."""
@@ -196,9 +187,10 @@ class TrainState:
 class Adam:
     """Standard Adam, which owns the parameters: all values live in one float64
     vector and all gradients in another, in `params` order, and each `.value`
-    and `.grad` is a view of its span. `backward` adds into `grads` and `step`
-    updates `values` in place, so write into a parameter, never rebind it. The
-    update is elementwise, so it equals a per-tensor loop bitwise."""
+    and `.grad` is a view of its span (`spans`, name -> slice). `backward`
+    adds into `grads` and `step` updates `values` in place, so write into a
+    parameter or into `values`, never rebind either. The update is
+    elementwise, so it equals a per-tensor loop bitwise."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -210,12 +202,13 @@ class Adam:
         self.t = 0
         self.values = np.concatenate([p.value.ravel() for p in params.values()])
         self.grads = np.zeros_like(self.values)
+        self.spans: dict[str, slice] = {}
         start = 0
-        for p in params.values():
-            stop = start + p.value.size
-            p.value = self.values[start:stop].reshape(p.value.shape)
-            p.grad = self.grads[start:stop].reshape(p.value.shape)
-            start = stop
+        for name, p in params.items():
+            span = self.spans[name] = slice(start, start + p.value.size)
+            p.value = self.values[span].reshape(p.value.shape)
+            p.grad = self.grads[span].reshape(p.value.shape)
+            start = span.stop
         self.m, self.v = np.zeros_like(self.values), np.zeros_like(self.values)
 
     def zero_grad(self) -> None:
@@ -522,10 +515,9 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
     analytic = state.optimizer.grads.copy()
 
     per_param: dict[str, float] = {}
-    start = 0
-    for name, p in state.params.items():
+    for name, span in state.optimizer.spans.items():
         worst = 0.0
-        for j in range(start, start + p.value.size):
+        for j in range(span.start, span.stop):
             keep = flat[j]
             f_p1, f_m1, f_p2, f_m2 = (objective_at(j, keep + m * FD_STEP)
                                       for m in (1, -1, 2, -2))
@@ -534,7 +526,6 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
             denom = max(abs(analytic[j]), abs(numeric), _REL_FLOOR)
             worst = max(worst, abs(analytic[j] - numeric) / denom)
         per_param[name] = worst
-        start += p.value.size
 
     worst_param = max(per_param, key=per_param.get)
     return GradCheckReport(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bandprompt import evaluate
 from bandprompt.errors import ParameterError, ProtocolError
 from bandprompt.evaluate import (
     EvalResult,
@@ -17,6 +18,7 @@ from bandprompt.evaluate import (
 from bandprompt.refine import TextFeatureSet
 from bandprompt.teacher import SyntheticSpec, generate_dataset
 from bandprompt.trainer import ToyVisualEncoder, TrainConfig
+from test_trainer import assert_views
 
 
 def test_harmonic_mean_pinned_values():
@@ -128,12 +130,29 @@ def test_base_validation_needs_two_shots(proto_setup):
     assert run_base_to_novel(cache, cfg, shots=1, select_by_base_val=False).result.base_count == 22
 
 
-def test_validation_selection_tracks_and_restores(proto_setup):
+def test_validation_selection_tracks_and_restores(proto_setup, monkeypatch):
     cache, cfg = proto_setup
+    snapshots = []  # (values, bank entries) of each post-fill epoch
+    fit = evaluate.fit
+
+    def recording_fit(train_cache, train_cfg, epoch_callback=None):
+        def callback(state, epoch):
+            epoch_callback(state, epoch)
+            if state.bank.full:
+                snapshots.append((state.optimizer.values.copy(), state.bank.entries.copy()))
+        return fit(train_cache, train_cfg, epoch_callback=callback)
+
+    monkeypatch.setattr(evaluate, "fit", recording_fit)
     out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=True)
-    assert len(out.val_history) >= 1
+    assert len(out.val_history) == len(snapshots) >= 1
     assert all(0.0 <= v <= 100.0 for v in out.val_history)
     assert np.isfinite(out.result.hm)
+    best = int(np.argmax(out.val_history))  # the earliest of equal accuracies
+    assert best < len(snapshots) - 1  # the last epoch is not the one restored
+    values, entries = snapshots[best]
+    assert out.state.optimizer.values.tobytes() == values.tobytes()
+    assert out.state.bank.entries.tobytes() == entries.tobytes()
+    assert_views(out.state)
 
 
 def test_validation_latents_are_encoded_once_per_run(proto_setup, monkeypatch):

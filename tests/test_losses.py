@@ -167,6 +167,8 @@ def test_class_logits_validation_and_shape():
     assert isinstance(logits, np.ndarray) and logits.shape == (2, 3)
     with pytest.raises(ParameterError):
         class_logits(v, rows, 0.0)
+    with pytest.raises(ParameterError, match=r"\(2, 3\).*\(4, 2\)"):
+        class_logits(np.ones((2, 3)), np.ones((4, 2)), 1.0)  # widths differ
     with pytest.raises(ParameterError):
         loss_cls(v, rows, [0], scale=100.0)  # one label for two rows
 
