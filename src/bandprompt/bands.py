@@ -2,19 +2,20 @@
 
 A stride-1 k x k box mean with replicate padding splits a latent into a
 smooth base band and the residual detail band; the residual definition makes
-reconstruction exact. The split and the statistics also take an (n, C, h, w)
-stack, and treat each latent of it exactly as they treat it alone. Band statistics reduce each band to a per-channel mean
-absolute activation, and small tanh MLP heads map those statistics onto the
-unit sphere of the text embedding space. Latents are frozen inputs: only head
-parameters ever receive gradients.
+reconstruction exact. The box sum is exact and the mean rounded once, so the
+split and the statistics also take an (n, C, h, w) stack and treat each
+latent of it exactly as they treat it alone. Band statistics reduce each band
+to a per-channel mean absolute activation, and small tanh MLP heads map those
+statistics onto the unit sphere of the text embedding space. Latents are
+frozen inputs: only head parameters ever receive gradients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from . import autodiff as ad
 from .errors import ParameterError
@@ -43,18 +44,34 @@ class BandPair:
             raise ParameterError("band shapes disagree")
 
 
+@lru_cache(maxsize=None)
+def _tap_counts(n: int, k: int) -> np.ndarray:
+    """Read-only (n, n) counts: row i holds how often each cell falls in the
+    replicate-padded k-window centred on i, so every row sums to k."""
+    window = np.clip(np.arange(n)[:, None] + np.arange(k) - k // 2, 0, n - 1)
+    taps = (window[..., None] == np.arange(n)).sum(axis=1, dtype=np.float64)
+    taps.setflags(write=False)
+    return taps
+
+
 def smooth_lowpass(z, k: int) -> np.ndarray:
-    """Stride-1 k x k mean per channel, replicate (edge) padding, float64 out."""
+    """Stride-1 k x k mean per channel, replicate (edge) padding, float64 out.
+
+    The window sum `T_h @ z @ T_w.T` weighs cells by small-integer tap counts,
+    so for a float32-valued latent whose windows span less than about 2^26 it
+    is exact in float64, and the one division by k * k is the only rounding:
+    each cell is the correctly rounded mean, in any summation order.
+    """
     arr = as_latent_array(z)
     h, w = arr.shape[-2:]
     if k < 1 or k % 2 == 0:
         raise ParameterError(f"kernel must be odd and >= 1, got {k}")
     if k > min(h, w):
         raise ParameterError(f"kernel {k} exceeds spatial extent {min(h, w)}")
-    arr = arr.astype(np.float64)
+    arr = arr.astype(np.float64, copy=False)
     if k == 1:
         return arr.copy()
-    return uniform_filter(arr, size=(1,) * (arr.ndim - 2) + (k, k), mode="nearest")
+    return (_tap_counts(h, k) @ arr @ _tap_counts(w, k).T) / (k * k)
 
 
 def factorize(z, k: int) -> BandPair:

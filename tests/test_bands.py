@@ -1,5 +1,7 @@
 """Box-filter factorization and band projection heads."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,33 @@ def test_smooth_matches_brute_force_oracle():
         assert np.allclose(got, brute_force_box_mean(z, k), atol=1e-12)
 
 
+def exact_box_mean(arr, k):
+    """Oracle: each cell's edge-replicated k x k mean in exact rational
+    arithmetic, rounded once to float64."""
+    pad = k // 2
+    out = np.empty(arr.shape)
+    for ch in range(arr.shape[0]):
+        padded = np.pad(arr[ch], pad, mode="edge")
+        for i, j in np.ndindex(arr.shape[1:]):
+            window = padded[i : i + k, j : j + k].ravel().tolist()
+            out[ch, i, j] = float(sum(map(Fraction, window)) / (k * k))
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_smooth_is_the_correctly_rounded_box_mean(k):
+    # float32-valued cells over several binades: the tap-count sum is exact,
+    # so every cell, borders included, is the exact mean rounded once
+    rng = np.random.default_rng(11)
+    scale = 2.0 ** rng.integers(-6, 7, size=(3, 2, 7, 9))
+    stack = (rng.normal(size=(3, 2, 7, 9)) * scale).astype(np.float32).astype(np.float64)
+    smooth = smooth_lowpass(stack, k)
+    for i, z in enumerate(stack):
+        want = exact_box_mean(z, k)
+        assert np.array_equal(smooth_lowpass(z, k), want), i
+        assert np.array_equal(smooth[i], want), i
+
+
 def test_smooth_pinned_3x3_values():
     z = np.arange(1.0, 10.0).reshape(1, 3, 3)
     got = smooth_lowpass(z, 3)
@@ -45,9 +74,9 @@ def test_smooth_identity_and_constant_cases():
     assert np.array_equal(smooth_lowpass(z, 1), z)
     const = np.full((2, 8, 8), 3.25)
     for k in (3, 5, 7):
-        sm = smooth_lowpass(const, k)
-        assert np.max(np.abs(sm - 3.25)) <= 1e-6
-        assert np.max(np.abs(factorize(const, k).detail)) <= 1e-6
+        # the box sum of a constant is exact, so its mean is the constant
+        assert np.array_equal(smooth_lowpass(const, k), const)
+        assert np.array_equal(factorize(const, k).detail, np.zeros_like(const))
 
 
 def test_smooth_is_linear():
@@ -106,9 +135,10 @@ def test_factorize_reconstructs_near_zero_box_means_without_the_fix_up():
 
 
 def tiny_base_latent(k):
-    """A (2, 8, 8) latent whose (0, 3, 3) box mean is -2^-53 against a cell
-    of 1: the residual subtraction cannot be exact, so `factorize` zeroes
-    that base cell."""
+    """A (2, 8, 8) latent whose (0, 3, 3) window sums exactly to
+    -(k * k) 2^-53, so its box mean is exactly -2^-53 (also after rounding to
+    float32) against a cell of 1: the residual subtraction cannot be exact,
+    so `factorize` zeroes that base cell."""
     z = np.zeros((2, 8, 8))
     z[0, 3, 3], z[0, 4, 3], z[0, 4, 4] = 1.0, -1.0, -(k * k) * 2.0**-53
     return z
