@@ -7,6 +7,9 @@ minima, so 0 means disjoint spectral support and 1 means identical spectra.
 Samples where either band carries (numerically) no energy are skipped rather
 than scored.
 
+A spectrum takes two real matmuls per channel with cached DFT rows that fold
+in the area weights, so `diagnose` never builds an aligned copy of a band.
+
 `align_grid`, `radial_spectrum` and `band_overlap` take one (C, h, w) latent
 or an (n, C, h, w) stack of them; `diagnose` factorizes latent by latent and
 runs the rest once per chunk of `CHUNK_SIZE` latents.
@@ -15,6 +18,7 @@ runs the rest once per chunk of `CHUNK_SIZE` latents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,9 +28,9 @@ from .teacher import LatentCache
 
 # Threshold on the mean squared amplitude of a band's spatial field.
 ENERGY_EPS = 1e-12
-# Latents per stacked align/FFT/binning pass in `diagnose`. A chunk bounds
-# the float64 band stack and its spectra to about 11 MiB for 4x16x16 latents;
-# one pass over a whole 2048-latent cache took a scan from 110 to 169 MiB peak RSS.
+# Latents per stacked spectrum pass in `diagnose`. A chunk bounds the band
+# stack and one channel's transforms to about 10 MiB for 4x16x16 latents on
+# 14x14; one pass over a 2048-latent cache took a scan from 110 to 169 MiB RSS.
 CHUNK_SIZE = 256
 
 
@@ -38,6 +42,8 @@ def _overlap_weights(n_in: int, n_out: int) -> np.ndarray:
     """(n_out, n_in) area weights: output cell i averages input over
     [i*n_in/n_out, (i+1)*n_in/n_out). Rows sum to 1, columns to n_out/n_in,
     so both row means and the global mean are preserved exactly."""
+    if n_out < 1:
+        raise ParameterError(f"target grid sides must be positive, got {n_out}")
     w = np.zeros((n_out, n_in))
     scale = n_in / n_out
     for i in range(n_out):
@@ -57,8 +63,6 @@ def align_grid(z, target: tuple[int, int]) -> np.ndarray:
     (n, C, h, w) stack onto (n, C, H, W)."""
     arr = as_latent_array(z).astype(np.float64, copy=False)
     th, tw = target
-    if th < 1 or tw < 1:
-        raise ParameterError(f"target grid must be positive, got {target}")
     h, w = arr.shape[-2:]
     wr = _overlap_weights(h, th)
     wc = _overlap_weights(w, tw)
@@ -89,35 +93,70 @@ class RadialSpectrum:
         return self.total_energy < ENERGY_EPS
 
 
-def _radial_bins(h: int, w: int, num_bins: int) -> np.ndarray:
-    """Bin index per FFT cell. Radii use cycles-per-sample frequencies
-    normalized by the Nyquist-corner radius; bins are equal width over (0, 1]
-    and the DC cell lands in bin 1 (stored as index 0)."""
+@lru_cache(maxsize=None)
+def _dft_rows(n_in: int, n_out: int, keep: int) -> np.ndarray:
+    """Read-only (2*keep, n_in): the cos rows, then the sin rows, of the
+    first `keep` frequencies of an n_out-point DFT, times the area weights
+    that resample n_in cells onto n_out (the identity when n_in == n_out)."""
+    weights = _overlap_weights(n_in, n_out)
+    # (u*x) % n_out reduces each angle exactly before it is scaled.
+    angle = (2.0 * np.pi / n_out) * (np.outer(np.arange(keep), np.arange(n_out)) % n_out)
+    rows = np.concatenate([np.cos(angle), np.sin(angle)]) @ weights
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _radial_bins(h: int, w: int, num_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only bin index per cell of the (h, w // 2 + 1) half plane, and
+    column weights: 2 where a column stands for its dropped mirror too.
+    Radii are cycles-per-sample frequencies over the Nyquist-corner radius
+    (0 on a one-cell grid); bins are equal width over (0, 1] and the DC cell
+    lands in bin 1 (stored as index 0)."""
+    keep = w // 2 + 1
     fu = np.fft.fftfreq(h)[:, None]
-    fv = np.fft.fftfreq(w)[None, :]
+    fv = np.fft.fftfreq(w)[None, :keep]
     r_max = np.sqrt(np.max(np.abs(fu)) ** 2 + np.max(np.abs(fv)) ** 2)
-    r = np.sqrt(fu * fu + fv * fv) / r_max
-    bins = np.ceil(r * num_bins).astype(np.intp)
-    return np.clip(bins, 1, num_bins) - 1
+    r = np.sqrt(fu * fu + fv * fv) / r_max if r_max > 0 else np.zeros((h, keep))
+    bins = np.clip(np.ceil(r * num_bins).astype(np.intp), 1, num_bins) - 1
+    v = np.arange(keep)
+    weights = np.where((v == 0) | (2 * v == w), 1.0, 2.0)
+    bins.setflags(write=False)
+    weights.setflags(write=False)
+    return bins, weights
 
 
-def radial_spectrum(z, num_bins: int) -> RadialSpectrum:
-    """Channel-mean power spectrum folded into radial bins, normalized to 1."""
+def radial_spectrum(z, num_bins: int, grid: tuple[int, int] | None = None) -> RadialSpectrum:
+    """Channel-mean power spectrum folded into radial bins, normalized to 1.
+
+    With a `grid` it is the spectrum of `align_grid(z, grid)`, without the
+    aligned copy. Each channel's DFT is two real matmuls over the half plane
+    of non-negative column frequencies; power and radius are point-symmetric,
+    so the weighted half plane gives each bin and the Parseval total.
+    """
     if num_bins < 1:
         raise ParameterError(f"num_bins must be >= 1, got {num_bins}")
     arr = as_latent_array(z).astype(np.float64, copy=False)
     h, w = arr.shape[-2:]
-    # Channel by channel, so a stack's complex spectra take one channel's
-    # share of memory at a time; the sum runs in np.mean's order.
-    power = np.zeros(arr.shape[:-3] + (h, w))
+    th, tw = (h, w) if grid is None else grid
+    keep = tw // 2 + 1
+    rows, cols = _dft_rows(h, th, th), _dft_rows(w, tw, keep)
+    # Channel by channel, so a stack's transforms take one channel's share of
+    # memory at a time; the sum runs in np.mean's order.
+    power = np.zeros(arr.shape[:-3] + (th, keep))
     for c in range(arr.shape[-3]):
-        power += np.abs(np.fft.fft2(arr[..., c, :, :])) ** 2
-    power = (power / arr.shape[-3]).reshape(-1, h * w)
+        plane = arr[..., c, :, :]
+        y = rows @ (plane.reshape(-1, w) @ cols.T).reshape(plane.shape[:-1] + (2 * keep,))
+        # y's blocks: [cos; sin] rows by [cos | sin] columns.
+        re = y[..., :th, :keep] - y[..., th:, keep:]
+        im = y[..., :th, keep:] + y[..., th:, :keep]
+        power += re * re + im * im
+    bins, weights = _radial_bins(th, tw, num_bins)
+    power = (power * weights / arr.shape[-3]).reshape(-1, th * keep)
     total = power.sum(axis=1)
-    msa = total / float(h * w) ** 2  # Parseval: mean |z|^2 over pixels
+    msa = total / float(th * tw) ** 2  # Parseval: mean |z|^2 over pixels
     # Row r's cells go to bins r*num_bins + bin; bincount sums them in order.
-    rows = np.arange(len(power))[:, None]
-    index = rows * num_bins + _radial_bins(h, w, num_bins).reshape(-1)
+    index = np.arange(len(power))[:, None] * num_bins + bins.reshape(-1)
     energies = np.bincount(index.reshape(-1), weights=power.reshape(-1),
                            minlength=len(power) * num_bins).reshape(len(power), num_bins)
     live = msa >= ENERGY_EPS
@@ -193,9 +232,7 @@ def diagnose(cache: LatentCache, kernel: int, num_bins: int,
         for i, record in enumerate(records):
             pair = factorize(record.latent.data, kernel)
             bands[i], bands[n + i] = pair.base, pair.detail
-        if align is not None:
-            bands = align_grid(bands, align)
-        spectra = radial_spectrum(bands, num_bins)
+        spectra = radial_spectrum(bands, num_bins, align)
         sb = RadialSpectrum(spectra.energies[:n], spectra.total_energy[:n])
         sd = RadialSpectrum(spectra.energies[n:], spectra.total_energy[n:])
         keep = ~(sb.degenerate | sd.degenerate)

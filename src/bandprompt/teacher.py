@@ -312,7 +312,10 @@ def read_cache(path) -> LatentCache:
             raise CacheCorruptionError(f"{path}: truncated latent payload", index)
         data = np.frombuffer(blob, dtype="<f4", count=cc * hh * ww, offset=offset)
         offset += nbytes
-        records.append(CacheRecord(sid, int(label), LatentTensor(data.reshape(cc, hh, ww).copy(), sid)))
+        try:
+            records.append(CacheRecord(sid, int(label), LatentTensor(data.reshape(cc, hh, ww).copy(), sid)))
+        except ParameterError as exc:  # a non-finite payload or an empty id
+            raise CacheCorruptionError(f"{path}: {exc}", index) from None
     if offset != len(blob):
         raise CacheCorruptionError(f"{path}: {len(blob) - offset} trailing bytes after last record", count)
     return LatentCache(records)

@@ -12,6 +12,7 @@ from bandprompt.config import RunConfig
 from bandprompt.teacher import LatentCache, read_cache, write_cache
 from bandprompt.evaluate import accuracy_percent
 from bandprompt.trainer import ToyVisualEncoder, load_checkpoint
+from test_teacher import bad_record_cache
 
 SMALL_CFG = """
 num_classes = 4
@@ -310,6 +311,26 @@ def test_diag_grid_zero_disables_alignment(ws):
     header = {ln.split()[1]: ln.split()[3] for ln in lines
               if ln.startswith("#") and "=" in ln}
     assert header["align_h"] == "0"
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "empty-id"])
+def test_diag_names_a_broken_record_and_exits_two(ws, capsys, fault):
+    path = ws["root"] / f"bad_{fault}.bin"
+    path.write_bytes(bad_record_cache(fault))
+    capsys.readouterr()
+    assert main(["diag", "--config", ws["cfg"], "--cache", str(path),
+                 "--report", str(ws["root"] / f"bad_{fault}.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "record 1" in err
+    assert "Traceback" not in err
+
+
+def test_diag_on_a_one_cell_grid_puts_all_energy_in_bin_one(ws):
+    out = str(ws["root"] / "diag_one_cell.txt")
+    assert main(["diag", "--config", ws["cfg"], "--cache", ws["cache"],
+                 "--bands", "3", "--grid", "1", "--report", out]) == 0
+    rows = [ln.split() for ln in open(out) if ln[0].isdigit()]
+    assert [r[1] for r in rows] == ["1.000000", "0.000000", "0.000000"]
 
 
 def test_bank_dump_round_trip(ws):

@@ -1,8 +1,12 @@
 """Radial spectra, grid alignment, and band-overlap reports."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from bandprompt import diagnostics
 from bandprompt.bands import factorize
 from bandprompt.diagnostics import (
     CHUNK_SIZE,
@@ -266,3 +270,106 @@ def test_stack_rank_is_validated():
         align_grid(np.zeros((2, 2, 1, 4, 4)), (2, 2))
     with pytest.raises(ParameterError):
         radial_spectrum(np.zeros((4, 4)), 3)
+
+
+# ---------------------------------------------------------------------------
+# spectra on a target grid: DFT matrices with the area weights folded in
+
+
+@pytest.mark.parametrize("shape, grid", [
+    ((2, 16, 16), (14, 14)),  # the benchmark's downsampling
+    ((3, 5, 5), (8, 8)),      # upsampling
+    ((2, 9, 7), (7, 5)),      # odd onto odd
+    ((2, 12, 10), (6, 8)),    # even onto even, non-square
+    ((1, 11, 6), (8, 9)),     # even onto odd
+    ((2, 1, 12), (1, 7)),     # 1 x N
+    ((2, 12, 1), (5, 1)),     # N x 1
+    ((2, 10, 10), (10, 10)),  # the same grid resamples nothing
+])
+def test_spectrum_on_a_grid_matches_the_aligned_brute_force_oracle(shape, grid):
+    rng = np.random.default_rng(sum(shape) + sum(grid))
+    z = rng.normal(size=shape)
+    aligned = align_grid(z, grid)
+    for num_bins in (1, 6, 10):
+        spec = radial_spectrum(z, num_bins, grid)
+        np.testing.assert_allclose(spec.energies, brute_force_radial(aligned, num_bins),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spec.total_energy, np.mean(aligned ** 2), rtol=1e-12)
+        plain = radial_spectrum(aligned, num_bins)
+        np.testing.assert_allclose(spec.energies, plain.energies, rtol=0, atol=1e-12)
+    with pytest.raises(ParameterError):
+        radial_spectrum(z, 6, (0, grid[1]))
+
+
+def test_one_cell_grid_puts_all_energy_in_bin_one():
+    diagnostics._radial_bins.cache_clear()
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (radial_spectrum(rng.normal(size=(3, 1, 1)), 4),
+                     radial_spectrum(rng.normal(size=(3, 6, 5)), 4, (1, 1)),
+                     radial_spectrum(rng.normal(size=(2, 3, 1, 1)), 4)):
+            assert not np.any(spec.degenerate)
+            np.testing.assert_array_equal(spec.energies[..., 0], 1.0)
+            np.testing.assert_array_equal(spec.energies[..., 1:], 0.0)
+
+
+@pytest.mark.parametrize("grid", [(7, 9), (14, 14), (12, 1)])
+def test_stacked_spectrum_on_a_grid_equals_its_singles_bitwise(grid):
+    rng = np.random.default_rng(6)
+    stack = rng.normal(size=(5, 3, 12, 10))
+    stack[2] = 0.0  # a degenerate member
+    spectra = radial_spectrum(stack, 6, grid)
+    singles = [radial_spectrum(z, 6, grid) for z in stack]
+    assert np.array_equal(spectra.energies, np.stack([s.energies for s in singles]))
+    assert np.array_equal(spectra.total_energy, [s.total_energy for s in singles])
+    assert spectra.degenerate.tolist() == [False, False, True, False, False]
+
+
+def test_dft_and_bin_tables_are_cached_and_read_only():
+    rows = diagnostics._dft_rows(16, 14, 8)
+    assert rows.shape == (16, 16) and not rows.flags.writeable
+    assert diagnostics._dft_rows(16, 14, 8) is rows
+    bins, weights = diagnostics._radial_bins(14, 14, 10)
+    assert bins.shape == (14, 8) and weights.tolist() == [1.0] + [2.0] * 6 + [1.0]
+    assert not bins.flags.writeable and not weights.flags.writeable
+    assert diagnostics._radial_bins(3, 7, 2)[1].tolist() == [1.0, 2.0, 2.0, 2.0]
+    # the identity weights of an unchanged grid leave the plain DFT rows
+    x = np.arange(10)
+    angle = 2.0 * np.pi * ((np.arange(6)[:, None] * x) % 10) / 10
+    assert np.array_equal(diagnostics._dft_rows(10, 10, 6), np.concatenate([np.cos(angle), np.sin(angle)]))
+
+
+def test_aligned_diagnose_never_builds_an_aligned_stack(monkeypatch):
+    cache, _ = straddling_cache()
+    expected = per_latent_diagnose(cache, 3, 7, (6, 11))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagnose called align_grid")
+
+    monkeypatch.setattr(diagnostics, "align_grid", refuse)
+    report = diagnose(cache, kernel=3, num_bins=7, align=(6, 11))
+    np.testing.assert_allclose(report.overlaps, expected[0], rtol=0, atol=1e-12)
+
+
+def test_aligned_diagnose_transient_memory_is_bounded():
+    """What `diagnose` allocates beyond its input, for 2 * CHUNK_SIZE
+    (4, 16, 16) latents aligned to 14 x 14, stays under 12 MiB. A chunk's
+    band stack takes 4 MiB and one channel's transforms about 5 MiB more (it
+    peaks at 9.9 MiB; building the aligned stack took 10.7 MiB); transforming
+    all channels at once would need about 20 MiB."""
+    rng = np.random.default_rng(7)
+    records = []
+    for i in range(2 * CHUNK_SIZE):
+        data = rng.normal(size=(4, 16, 16)).astype(np.float32)
+        records.append(CacheRecord(sample_id=f"m{i}", class_label=0,
+                                   latent=LatentTensor(data=data, sample_id=f"m{i}")))
+    cache = LatentCache(records=records)
+    diagnose(cache, kernel=7, num_bins=10, align=(14, 14))  # fill the table caches
+    tracemalloc.start()
+    try:
+        diagnose(cache, kernel=7, num_bins=10, align=(14, 14))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.0 * 2**20, f"diagnose peaked at {peak / 2**20:.1f} MiB"

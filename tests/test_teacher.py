@@ -257,6 +257,34 @@ def test_trailing_bytes_are_corruption_at_count(tmp_path):
     assert exc.value.record_index == len(cache)
 
 
+def bad_record_cache(fault):
+    """Bytes of a three-record 2x4x4 cache whose record 1 carries `fault`, a
+    NaN or inf payload value or an empty sample id: the file a writer that
+    skipped `LatentTensor`'s checks would leave."""
+    rng = np.random.default_rng(8)
+    parts = [b"SPLC", struct.pack("<II", 1, 3)]
+    for i in range(3):
+        sid = b"" if (i, fault) == (1, "empty-id") else f"r{i}".encode()
+        data = rng.normal(size=(2, 4, 4)).astype("<f4")
+        if i == 1 and fault != "empty-id":
+            data[1, 2, 3] = {"nan": np.nan, "inf": -np.inf}[fault]
+        parts += [struct.pack("<H", len(sid)), sid, struct.pack("<IIII", i, 2, 4, 4), data.tobytes()]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("nan", "non-finite"), ("inf", "non-finite"), ("empty-id", "sample_id must be non-empty"),
+])
+def test_a_record_the_latent_checks_reject_is_corruption_naming_it(tmp_path, fault, message):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bad_record_cache(fault))
+    with pytest.raises(CacheCorruptionError) as exc:
+        read_cache(path)
+    assert exc.value.record_index == 1
+    assert "record 1" in str(exc.value) and message in str(exc.value)
+    assert str(path) in str(exc.value)
+
+
 def test_every_single_byte_flip_fails_inside_the_taxonomy(tmp_path):
     rng = np.random.default_rng(4)
     records = []
