@@ -28,7 +28,7 @@ def describe(tag: str, spec: SyntheticSpec) -> None:
     labels = cache.labels()
     print(f"\n== identity_band={tag} ==")
     print(f"cache: {len(cache)} records, grid {cache.grid}, "
-          f"ids {cache.records[0].sample_id} .. {cache.records[-1].sample_id}")
+          f"ids {cache.ids[0]} .. {cache.ids[-1]}")
 
     # within-class spread vs between-class spread of the raw latents
     per_class = np.stack([arrays[labels == c].mean(axis=0) for c in range(spec.num_classes)])
@@ -65,7 +65,7 @@ def main() -> None:
         again = read_cache(path)
         print(f"\nround-trip: {len(blob)} bytes, equal={again == cache}")
 
-        # chop the file inside record 3; the reader names the culprit
+        # chop the end off the last record; the reader names the culprit
         path.write_bytes(blob[: len(blob) - cache.grid[0] * cache.grid[1] * 2])
         try:
             read_cache(path)

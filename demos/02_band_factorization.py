@@ -18,7 +18,7 @@ from bandprompt.trainer import init_group
 def main() -> None:
     cache = generate_dataset(SyntheticSpec(num_classes=4, identity_band="high", seed=1),
                              n_per_class=4)
-    z = cache.records[0].latent.data  # (4, 16, 16) float32
+    z = cache.arrays()[0]  # (4, 16, 16) float32
 
     print("kernel | max |z - (base+detail)| | base share of energy")
     for k in (1, 3, 5, 7, 9):

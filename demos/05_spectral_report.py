@@ -18,7 +18,7 @@ def main() -> None:
     # one latent end to end
     cache = generate_dataset(SyntheticSpec(num_classes=4, identity_band="low", seed=2),
                              n_per_class=8)
-    z = cache.records[0].latent.data
+    z = cache.arrays()[0]
     pair = factorize(z, 7)
     sp_base = radial_spectrum(pair.base, num_bins=10)
     sp_detail = radial_spectrum(pair.detail, num_bins=10)

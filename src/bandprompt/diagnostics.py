@@ -225,12 +225,12 @@ def diagnose(cache: LatentCache, kernel: int, num_bins: int,
     detail_acc: list[np.ndarray] = []
     skipped = 0
     for start in range(0, len(cache), CHUNK_SIZE):
-        records = cache.records[start:start + CHUNK_SIZE]
-        n = len(records)
+        latents = cache.arrays()[start:start + CHUNK_SIZE]
+        n = len(latents)
         # Bases in rows [0, n), details in rows [n, 2n) of one stack.
         bands = np.empty((2 * n, *cache.grid))
-        for i, record in enumerate(records):
-            pair = factorize(record.latent.data, kernel)
+        for i, z in enumerate(latents):
+            pair = factorize(z, kernel)
             bands[i], bands[n + i] = pair.base, pair.detail
         spectra = radial_spectrum(bands, num_bins, align)
         sb = RadialSpectrum(spectra.energies[:n], spectra.total_energy[:n])

@@ -12,7 +12,7 @@ their own label spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,8 +168,7 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
     shot_idx, eval_idx = _subsample_shots(labels, shots, rng)
     n_val = max(1, shots // 4) if select_by_base_val else 0
     train_idx, train_labels = _gather(base_classes, {c: shot_idx[c][n_val:] for c in base_classes})
-    train_cache = LatentCache([replace(cache.records[j], class_label=int(y))
-                               for j, y in zip(train_idx, train_labels)])
+    train_cache = cache.subset(train_idx, train_labels)
 
     val_history: list[float] = []
     best: tuple[float, np.ndarray, np.ndarray | None] | None = None

@@ -7,6 +7,10 @@ noise sits on top. Which band carries class identity is the `identity_band`
 switch, so datasets can be built where class evidence is smooth structure or
 where it is fine texture.
 
+A `LatentCache` holds one read-only float32 (n, C, h, w) block, an int64
+label vector and the sample ids. `CacheRecord` and `LatentTensor` are only
+the input of `LatentCache(records)` and the views `.records` builds.
+
 Cache files are little-endian: magic "SPLC", format version, record count,
 then per record a length-prefixed UTF-8 sample id, a u32 class label, u32
 C/h/w dims, and C*h*w float32 values in channel-major, row-major order.
@@ -14,8 +18,10 @@ C/h/w dims, and C*h*w float32 values in channel-major, row-major order.
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,11 +59,6 @@ class LatentTensor:
     @property
     def grid(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatentTensor):
-            return NotImplemented
-        return self.sample_id == other.sample_id and np.array_equal(self.data, other.data)
 
 
 IDENTITY_BANDS = ("low", "high")
@@ -106,48 +107,67 @@ class CacheRecord:
             raise ParameterError("record id and latent id disagree")
 
 
-@dataclass
 class LatentCache:
-    """Ordered list of (sample_id, class_label, latent) records."""
+    """Latents as columns: a read-only float32 (n, C, h, w) block, an int64
+    class label and a unique sample id per row. `records` builds row views."""
 
-    records: list[CacheRecord] = field(default_factory=list)
+    __slots__ = ("_block", "_labels", "ids")
 
-    def __post_init__(self):
-        ids = [r.sample_id for r in self.records]
-        if len(set(ids)) != len(ids):
-            raise ParameterError("sample ids must be unique within a cache")
-        grids = {r.latent.grid for r in self.records}
+    def __init__(self, records: Sequence[CacheRecord] = ()):
+        grids = {r.latent.grid for r in records}
         if len(grids) > 1:
             raise ParameterError(f"mixed grids in one cache: {sorted(grids)}")
+        data = [r.latent.data for r in records]
+        self._set(np.stack(data) if data else np.empty((0, 0, 0, 0), dtype=np.float32),
+                  np.array([r.class_label for r in records], dtype=np.int64),
+                  [r.sample_id for r in records])
+
+    @classmethod
+    def _of(cls, block: np.ndarray, labels: np.ndarray, ids) -> LatentCache:
+        """A cache over `block` (frozen in place, not copied), `labels` and `ids`."""
+        cache = cls.__new__(cls)
+        cache._set(block, labels, ids)
+        return cache
+
+    def _set(self, block: np.ndarray, labels: np.ndarray, ids) -> None:
+        self.ids = tuple(ids)
+        if len(set(self.ids)) != len(self.ids):
+            raise ParameterError("sample ids must be unique within a cache")
+        block.flags.writeable = False
+        self._block, self._labels = block, labels
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.records)
+    @property
+    def records(self) -> list[CacheRecord]:
+        return [CacheRecord(sid, int(y), LatentTensor(z, sid))
+                for sid, y, z in zip(self.ids, self._labels, self._block)]
 
     @property
     def grid(self) -> tuple[int, int, int]:
-        if not self.records:
+        if not self.ids:
             raise ParameterError("empty cache has no grid")
-        return self.records[0].latent.grid
+        return self._block.shape[1:]  # type: ignore[return-value]
 
     def labels(self) -> np.ndarray:
-        return np.array([r.class_label for r in self.records], dtype=np.int64)
+        """A copy of the int64 labels, shape (n,)."""
+        return self._labels.copy()
 
     def arrays(self) -> np.ndarray:
-        """Stacked float32 latents, shape (n, C, h, w)."""
-        return np.stack([r.latent.data for r in self.records])
+        """The read-only float32 (n, C, h, w) block itself, on every call."""
+        return self._block
+
+    def subset(self, index: np.ndarray, labels: np.ndarray) -> LatentCache:
+        """Rows `index` of this cache, relabelled with `labels`."""
+        return LatentCache._of(self._block[index], np.asarray(labels, dtype=np.int64),
+                               [self.ids[i] for i in index])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatentCache):
             return NotImplemented
-        return len(self) == len(other) and all(
-            a.sample_id == b.sample_id
-            and a.class_label == b.class_label
-            and a.latent == b.latent
-            for a, b in zip(self.records, other.records)
-        )
+        return (self.ids == other.ids and np.array_equal(self._labels, other._labels)
+                and np.array_equal(self._block, other._block))
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +261,22 @@ def generate_dataset(spec: SyntheticSpec, n_per_class: int) -> LatentCache:
     # expected per-cell mean square of amp^2.
     class_coef = rng.normal(0.0, CLASS_AMPLITUDE / np.sqrt(k_class), size=(spec.num_classes, k_class))
 
-    records: list[CacheRecord] = []
     flat_class = class_patterns.reshape(k_class, -1)
     flat_inst = inst_patterns.reshape(k_inst, -1)
+    # Each instance takes its k_inst coefficients, then its noise cells, from
+    # one row of a per-class draw: the stream order of a per-latent loop.
+    cells = flat_inst.shape[1] if spec.noise_std > 0.0 else 0
+    block = np.empty((spec.num_classes, n_per_class, flat_inst.shape[1]), dtype=np.float32)
     for label in range(spec.num_classes):
-        class_field = (class_coef[label] @ flat_class).reshape(spec.grid)
-        for i in range(n_per_class):
-            inst_coef = rng.normal(0.0, INSTANCE_AMPLITUDE / np.sqrt(k_inst), size=k_inst)
-            data = class_field + (inst_coef @ flat_inst).reshape(spec.grid)
-            if spec.noise_std > 0.0:
-                data = data + rng.normal(0.0, spec.noise_std, size=spec.grid)
-            sid = f"c{label:03d}_s{i:05d}"
-            records.append(CacheRecord(sid, label, LatentTensor(data.astype(np.float32), sid)))
-    return LatentCache(records)
+        draws = rng.standard_normal((n_per_class, k_inst + cells))
+        inst_coef = INSTANCE_AMPLITUDE / np.sqrt(k_inst) * draws[:, :k_inst]
+        data = class_coef[label] @ flat_class + inst_coef @ flat_inst
+        if cells:
+            data += spec.noise_std * draws[:, k_inst:]
+        block[label] = data
+    ids = [f"c{label:03d}_s{i:05d}" for label in range(spec.num_classes) for i in range(n_per_class)]
+    return LatentCache._of(block.reshape(-1, *spec.grid),
+                           np.repeat(np.arange(spec.num_classes, dtype=np.int64), n_per_class), ids)
 
 
 def class_mode_patterns(spec: SyntheticSpec) -> np.ndarray:
@@ -266,23 +289,24 @@ def class_mode_patterns(spec: SyntheticSpec) -> np.ndarray:
 
 
 def write_cache(cache: LatentCache, path) -> None:
-    parts = [CACHE_MAGIC, struct.pack("<I", CACHE_VERSION), struct.pack("<I", len(cache))]
-    for rec in cache.records:
-        sid = rec.sample_id.encode("utf-8")
-        if len(sid) > 0xFFFF:
-            raise ParameterError(f"sample id too long: {rec.sample_id!r}")
-        cc, hh, ww = rec.latent.grid
-        parts.append(struct.pack("<H", len(sid)))
-        parts.append(sid)
-        parts.append(struct.pack("<IIII", rec.class_label, cc, hh, ww))
-        parts.append(np.ascontiguousarray(rec.latent.data, dtype="<f4").tobytes())
+    block = np.ascontiguousarray(cache.arrays(), dtype="<f4")
+    parts = [CACHE_MAGIC, struct.pack("<II", CACHE_VERSION, len(cache))]
+    for sid, label, row in zip(cache.ids, cache.labels().tolist(), block):
+        raw = sid.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ParameterError(f"sample id too long: {sid!r}")
+        parts += [struct.pack("<H", len(raw)), raw, struct.pack("<IIII", label, *row.shape), row]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
 def read_cache(path) -> LatentCache:
+    """Check each record's structure and move its payload down over the headers
+    read, then check the block once for non-finite values. Sizes come from the
+    records present, never from the header's count."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
     if len(blob) < 12 or blob[:4] != CACHE_MAGIC:
         raise CacheFormatError(f"{path}: not a latent cache (bad magic)")
     (version,) = struct.unpack_from("<I", blob, 4)
@@ -290,7 +314,8 @@ def read_cache(path) -> LatentCache:
         raise CacheFormatError(f"{path}: unsupported cache version {version}")
     (count,) = struct.unpack_from("<I", blob, 8)
     offset = 12
-    records: list[CacheRecord] = []
+    labels: dict[str, int] = {}  # sample id -> label, in file order
+    grid = (0, 0, 0)
     for index in range(count):
         if offset + 2 > len(blob):
             raise CacheCorruptionError(f"{path}: truncated before id length", index)
@@ -305,17 +330,25 @@ def read_cache(path) -> LatentCache:
         offset += id_len
         label, cc, hh, ww = struct.unpack_from("<IIII", blob, offset)
         offset += 16
+        if not sid:
+            raise CacheCorruptionError(f"{path}: sample_id must be non-empty", index)
+        if sid in labels:
+            raise CacheCorruptionError(f"{path}: duplicate sample id {sid!r}", index)
         if min(cc, hh, ww) < 1:
             raise CacheCorruptionError(f"{path}: record has empty dims {(cc, hh, ww)}", index)
+        grid = grid if index else (cc, hh, ww)
+        if (cc, hh, ww) != grid:
+            raise CacheCorruptionError(f"{path}: grid {(cc, hh, ww)} differs from record 0's {grid}", index)
         nbytes = cc * hh * ww * 4
         if offset + nbytes > len(blob):
             raise CacheCorruptionError(f"{path}: truncated latent payload", index)
-        data = np.frombuffer(blob, dtype="<f4", count=cc * hh * ww, offset=offset)
+        labels[sid] = label
+        blob[index * nbytes:(index + 1) * nbytes] = blob[offset:offset + nbytes]
         offset += nbytes
-        try:
-            records.append(CacheRecord(sid, int(label), LatentTensor(data.reshape(cc, hh, ww).copy(), sid)))
-        except ParameterError as exc:  # a non-finite payload or an empty id
-            raise CacheCorruptionError(f"{path}: {exc}", index) from None
     if offset != len(blob):
         raise CacheCorruptionError(f"{path}: {len(blob) - offset} trailing bytes after last record", count)
-    return LatentCache(records)
+    block = np.frombuffer(blob, "<f4", count * grid[0] * grid[1] * grid[2]).reshape(count, *grid)
+    if count and not (np.isfinite(block.min()) and np.isfinite(block.max())):
+        index = int(np.argmin(np.isfinite(block).all(axis=(1, 2, 3))))
+        raise CacheCorruptionError(f"{path}: latent {list(labels)[index]!r} has non-finite values", index)
+    return LatentCache._of(block, np.fromiter(labels.values(), np.int64, count), labels)

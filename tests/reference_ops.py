@@ -255,3 +255,31 @@ def concatenating_adam_step(self):
         stop = start + p.value.size
         p.value = flat[start:stop].reshape(p.value.shape)
         start = stop
+
+
+def per_record_dataset(spec, n_per_class):
+    """`teacher.generate_dataset` as a loop over latents, as it was before the
+    columnar cache: per instance, one `normal` draw of its coefficients, one
+    of its noise cells (when `noise_std > 0`), and a float32 cast. Returns
+    the (ids, labels, latents) it would have stored."""
+    from bandprompt import teacher
+
+    class_modes, inst_modes = teacher._class_and_instance_modes(spec)
+    flat_class = teacher._stack_patterns(spec.grid, class_modes).reshape(len(class_modes), -1)
+    flat_inst = teacher._stack_patterns(spec.grid, inst_modes).reshape(len(inst_modes), -1)
+    k_class, k_inst = len(class_modes), len(inst_modes)
+    rng = np.random.default_rng(spec.seed)
+    class_coef = rng.normal(0.0, teacher.CLASS_AMPLITUDE / np.sqrt(k_class),
+                            size=(spec.num_classes, k_class))
+    ids, labels, latents = [], [], []
+    for label in range(spec.num_classes):
+        class_field = (class_coef[label] @ flat_class).reshape(spec.grid)
+        for i in range(n_per_class):
+            inst_coef = rng.normal(0.0, teacher.INSTANCE_AMPLITUDE / np.sqrt(k_inst), size=k_inst)
+            data = class_field + (inst_coef @ flat_inst).reshape(spec.grid)
+            if spec.noise_std > 0.0:
+                data = data + rng.normal(0.0, spec.noise_std, size=spec.grid)
+            ids.append(f"c{label:03d}_s{i:05d}")
+            labels.append(label)
+            latents.append(data.astype(np.float32))
+    return ids, np.array(labels, dtype=np.int64), np.stack(latents)

@@ -12,7 +12,7 @@ from bandprompt.config import RunConfig
 from bandprompt.teacher import LatentCache, read_cache, write_cache
 from bandprompt.evaluate import accuracy_percent
 from bandprompt.trainer import ToyVisualEncoder, load_checkpoint
-from test_teacher import bad_record_cache
+from test_teacher import BAD_RECORD_FAULTS, bad_record_cache
 
 SMALL_CFG = """
 num_classes = 4
@@ -313,7 +313,7 @@ def test_diag_grid_zero_disables_alignment(ws):
     assert header["align_h"] == "0"
 
 
-@pytest.mark.parametrize("fault", ["nan", "inf", "empty-id"])
+@pytest.mark.parametrize("fault", [fault for fault, _ in BAD_RECORD_FAULTS])
 def test_diag_names_a_broken_record_and_exits_two(ws, capsys, fault):
     path = ws["root"] / f"bad_{fault}.bin"
     path.write_bytes(bad_record_cache(fault))

@@ -187,8 +187,8 @@ def per_latent_diagnose(cache, kernel, num_bins, align):
     alignments, two spectra and one overlap per latent."""
     overlaps, base_acc, detail_acc = [], [], []
     skipped = 0
-    for record in cache:
-        pair = factorize(record.latent.data, kernel)
+    for z in cache.arrays():
+        pair = factorize(z, kernel)
         base, detail = pair.base, pair.detail
         if align is not None:
             base = align_grid(base, align)

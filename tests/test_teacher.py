@@ -1,11 +1,13 @@
 """Synthetic latent generator and cache file format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bandprompt.bands import factorize
+from bandprompt.diagnostics import diagnose
 from bandprompt.errors import (
     BandpromptError,
     CacheCorruptionError,
@@ -13,6 +15,7 @@ from bandprompt.errors import (
     ParameterError,
     SpecificationError,
 )
+from bandprompt.evaluate import run_base_to_novel
 from bandprompt.teacher import (
     CacheRecord,
     LatentCache,
@@ -25,6 +28,8 @@ from bandprompt.teacher import (
     read_cache,
     write_cache,
 )
+from bandprompt.trainer import TrainConfig
+from reference_ops import per_record_dataset
 
 
 def small_spec(**kw):
@@ -148,6 +153,19 @@ def test_identity_band_high_moves_class_signal():
     assert not np.allclose(coefs[0][0], coefs[1][0], atol=1e-3)
 
 
+@pytest.mark.parametrize("identity_band", ["low", "high"])
+@pytest.mark.parametrize("noise_std", [0.0, 0.05])
+def test_generation_is_bitwise_the_per_latent_loop(identity_band, noise_std):
+    for seed, grid in ((7, (2, 16, 16)), (12345, (3, 8, 12))):
+        spec = small_spec(seed=seed, grid=grid, identity_band=identity_band, noise_std=noise_std)
+        ids, labels, latents = per_record_dataset(spec, 5)
+        cache = generate_dataset(spec, 5)
+        assert cache.ids == tuple(ids)
+        assert np.array_equal(cache.labels(), labels)
+        assert cache.arrays().dtype == np.float32
+        assert cache.arrays().tobytes() == latents.tobytes()
+
+
 def test_generate_rejects_bad_count():
     with pytest.raises(ParameterError):
         generate_dataset(small_spec(), 0)
@@ -179,6 +197,58 @@ def test_cache_rejects_duplicates_and_mixed_grids():
         LatentCache([a, other])
     with pytest.raises(ParameterError):
         CacheRecord("a", 0, LatentTensor(np.zeros((1, 4, 4)), "mismatch"))
+
+
+def test_the_block_is_a_frozen_input():
+    cache = generate_dataset(small_spec(), 3)
+    block = cache.arrays()
+    assert cache.arrays() is block and not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cache.records[0].latent.data[0, 0, 0] = 1.0
+    labels = cache.labels()
+    labels[:] = 99
+    assert np.array_equal(cache.labels(), np.repeat(np.arange(3), 3))
+
+
+def test_subset_takes_rows_and_relabels():
+    cache = generate_dataset(small_spec(), 3)
+    sub = cache.subset(np.array([4, 0]), np.array([1, 0]))
+    assert sub.ids == (cache.ids[4], cache.ids[0])
+    assert np.array_equal(sub.labels(), [1, 0])
+    assert np.array_equal(sub.arrays(), cache.arrays()[[4, 0]])
+    assert not sub.arrays().flags.writeable
+
+
+@pytest.mark.parametrize("per_class", [0, 3])
+def test_records_generation_and_the_file_give_equal_caches(tmp_path, per_class):
+    cache = generate_dataset(small_spec(), per_class) if per_class else LatentCache([])
+    path = tmp_path / "c.bin"
+    write_cache(cache, path)
+    for other in (LatentCache(cache.records), read_cache(path)):
+        assert other == cache
+        assert other.ids == cache.ids
+        assert other.arrays().shape == cache.arrays().shape
+        assert other.arrays().dtype == np.float32 and not other.arrays().flags.writeable
+
+
+def test_no_hot_path_builds_per_record_objects(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"built a per-record {type(self).__name__}")
+
+    spec = SyntheticSpec(num_classes=4, grid=(2, 8, 8), seed=0)
+    monkeypatch.setattr(LatentTensor, "__post_init__", refuse)
+    monkeypatch.setattr(CacheRecord, "__post_init__", refuse)
+    cache = generate_dataset(spec, 6)
+    path = tmp_path / "c.bin"
+    write_cache(cache, path)
+    assert read_cache(path) == cache
+    diagnose(cache, kernel=3, num_bins=4)
+    cfg = TrainConfig(embed_dim=4, bank_size=4, batch_size=4, epochs=2, seed=0)
+    run_base_to_novel(cache, cfg, shots=4, select_by_base_val=True)
+    with pytest.raises(AssertionError, match="per-record"):
+        cache.records
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +328,33 @@ def test_trailing_bytes_are_corruption_at_count(tmp_path):
 
 
 def bad_record_cache(fault):
-    """Bytes of a three-record 2x4x4 cache whose record 1 carries `fault`, a
-    NaN or inf payload value or an empty sample id: the file a writer that
-    skipped `LatentTensor`'s checks would leave."""
+    """Bytes of a three-record 2x4x4 cache whose record 1 carries `fault`: a
+    NaN or inf payload value, an empty sample id, record 0's id again, or a
+    2x4x5 grid. The file a writer that skipped the cache's checks would leave."""
     rng = np.random.default_rng(8)
     parts = [b"SPLC", struct.pack("<II", 1, 3)]
     for i in range(3):
-        sid = b"" if (i, fault) == (1, "empty-id") else f"r{i}".encode()
-        data = rng.normal(size=(2, 4, 4)).astype("<f4")
-        if i == 1 and fault != "empty-id":
+        sid = f"r{i}".encode()
+        if i == 1:
+            sid = {"empty-id": b"", "duplicate-id": b"r0"}.get(fault, sid)
+        grid = (2, 4, 5) if (i, fault) == (1, "mixed-grid") else (2, 4, 4)
+        data = rng.normal(size=grid).astype("<f4")
+        if i == 1 and fault in ("nan", "inf"):
             data[1, 2, 3] = {"nan": np.nan, "inf": -np.inf}[fault]
-        parts += [struct.pack("<H", len(sid)), sid, struct.pack("<IIII", i, 2, 4, 4), data.tobytes()]
+        parts += [struct.pack("<H", len(sid)), sid, struct.pack("<IIII", i, *grid), data.tobytes()]
     return b"".join(parts)
 
 
-@pytest.mark.parametrize("fault, message", [
-    ("nan", "non-finite"), ("inf", "non-finite"), ("empty-id", "sample_id must be non-empty"),
-])
+BAD_RECORD_FAULTS = [
+    ("nan", "non-finite"),
+    ("inf", "non-finite"),
+    ("empty-id", "sample_id must be non-empty"),
+    ("duplicate-id", "duplicate sample id 'r0'"),
+    ("mixed-grid", "grid (2, 4, 5) differs from record 0's (2, 4, 4)"),
+]
+
+
+@pytest.mark.parametrize("fault, message", BAD_RECORD_FAULTS)
 def test_a_record_the_latent_checks_reject_is_corruption_naming_it(tmp_path, fault, message):
     path = tmp_path / "bad.bin"
     path.write_bytes(bad_record_cache(fault))
@@ -283,6 +363,26 @@ def test_a_record_the_latent_checks_reject_is_corruption_naming_it(tmp_path, fau
     assert exc.value.record_index == 1
     assert "record 1" in str(exc.value) and message in str(exc.value)
     assert str(path) in str(exc.value)
+
+
+def test_a_huge_record_count_is_truncation_not_an_allocation(tmp_path):
+    # Sizes must come from the records present: a block sized from this
+    # header's count would ask for tens of GiB before finding the truncation.
+    path = tmp_path / "c.bin"
+    write_cache(generate_dataset(small_spec(), 1), path)
+    blob = bytearray(path.read_bytes())
+    end_of_record_0 = 12 + (len(blob) - 12) // 3
+    blob[8:12] = struct.pack("<I", 0xFFFFFFFF)
+    path.write_bytes(bytes(blob[:end_of_record_0]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacheCorruptionError) as exc:
+            read_cache(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.record_index == 1 and "truncated" in str(exc.value)
+    assert peak < 1 << 20
 
 
 def test_every_single_byte_flip_fails_inside_the_taxonomy(tmp_path):
