@@ -61,7 +61,7 @@ class Tensor:
         return self.value.shape
 
     def item(self) -> float:
-        return float(self.value)
+        return self.value.item()
 
     def __repr__(self) -> str:
         tag = "param" if self.requires_grad and not self._parents else "node"
@@ -219,9 +219,10 @@ def layer_norm_vjp(g: Array, gain: Array, normed: Array, std: Array) -> Array:
 # the gradient agrees with that chain's up to rounding.
 
 
-def logit_cross_entropy(visual, rows, labels, scale: float) -> Tensor:
-    """Mean cross-entropy of integer `labels` under the logits
-    `scale * visual @ rows^T`, for (n, d) visual rows and (c, d) class rows."""
+def logit_cross_entropy(visual, rows, labels, scale: float, weights=None) -> Tensor:
+    """Cross-entropy of integer `labels` under the logits `scale * visual @
+    rows^T`, for (n, d) visual and (c, d) class rows: the batch mean, or with
+    (k, n) `weights` the k sums `weights @ losses` of the per-row losses."""
     visual, rows = lift(visual), lift(rows)
     v, r = visual.value, rows.value
     if v.ndim != 2 or r.ndim != 2 or v.shape[1] != r.shape[1]:
@@ -229,21 +230,23 @@ def logit_cross_entropy(visual, rows, labels, scale: float) -> Tensor:
                              f"rows, got {v.shape} and {r.shape}")
     labels = np.asarray(labels, dtype=np.intp)
     n, c = v.shape[0], r.shape[0]
-    if labels.shape != (n,):
-        raise ParameterError("labels do not match the visual batch")
+    if labels.shape != (n,) or (weights is not None and weights.shape[1:] != (n,)):
+        raise ParameterError("labels or weights do not match the visual batch")
     if (labels < 0).any() or (labels >= c).any():
         raise ParameterError("label out of range")
     logits = (v @ r.T) * scale
-    shift = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - shift)
-    total = e.sum(axis=1, keepdims=True)
+    shift = logits.max(axis=1)
+    e = np.exp(logits - shift[:, None])
+    total = e.sum(axis=1)
     picked = (np.arange(n), labels)
-    out = ((shift + np.log(total)) - logits[picked][:, None]).sum() / n
+    losses = (shift + np.log(total)) - logits[picked]
+    out = losses.sum() / n if weights is None else weights @ losses
 
     def vjp(g):
-        glogits = e / total
+        glogits = e / total[:, None]
         glogits[picked] -= 1.0
-        glogits = (glogits * (g / n)) * scale
+        row_g = g / n if weights is None else (g @ weights)[:, None]
+        glogits = (glogits * row_g) * scale
         grads = []
         if visual.requires_grad:
             grads.append((visual, glogits @ r))
@@ -256,12 +259,13 @@ def logit_cross_entropy(visual, rows, labels, scale: float) -> Tensor:
 
 def weighted_sum(first, terms) -> Tensor:
     """`first + w_1 * t_1 + w_2 * t_2 + ...` over the (t_i, w_i) pairs of
-    `terms`, added left to right, for float weights."""
+    `terms`, added left to right, for float weights; a vector term takes a
+    vector of weights and adds the dot product."""
     first = lift(first)
     terms = [(lift(t), w) for t, w in terms]
     out = first.value
     for t, w in terms:
-        out = out + t.value * w
+        out = out + (t.value @ w if t.value.ndim else t.value * w)
 
     def vjp(g):
         grads = [(t, g * w) for t, w in terms if t.requires_grad]

@@ -11,8 +11,11 @@ and a modulation net emits feature-wise scale/shift from the fused code,
 Final layers of both nets start at zero (`trainer.param_table`), so training
 begins at identity modulation. Counterfactual batches swap granules by a batch permutation while
 anchors and visual embeddings stay in place; the target for position i
-becomes the label of the granule donor pi(i). Granule conditioning is
-training-time only; `evaluate` uses it solely to score granule sources.
+becomes the label of the granule donor pi(i). Training stacks the factual
+and counterfactual batches into one pass of 2B rows: the anchors and visual
+rows repeat per block and the granules come from donors [0..B-1 ; pi].
+Granule conditioning is training-time only; `evaluate` uses it solely to
+score granule sources.
 
 `fuse_rows` is the model's one residual composite: `refine` runs it with the
 `agg` parameter group to anchor class-text rows to their bank contexts.

@@ -12,7 +12,8 @@ Four terms, reduced by batch mean in a fixed order:
 
 Total = cls + l_sem * sem + l_gf * granule_f + l_gcf * granule_cf. A term is
 built only when its weight is > 0; a term with weight 0 is absent (None) and
-contributes exactly zero to value and gradient.
+contributes exactly zero to value and gradient. The built granule terms are
+one tape node over their stacked batches.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ def _rows(x) -> ad.Tensor:
     return t
 
 
-def _labels(y, n: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(y, dtype=np.intp))
-    if arr.shape != (n,):
-        raise ParameterError(f"expected {n} labels, got shape {arr.shape}")
-    return arr
-
-
 def _check_scale(scale: float) -> None:
     if scale <= 0.0:
         raise ParameterError(f"logit scale must be > 0, got {scale}")
@@ -74,12 +68,11 @@ def class_logits(visual, text_rows, scale: float) -> np.ndarray:
     return (v @ rows.T) * scale
 
 
-def loss_cls(visual, text_rows, labels, scale: float) -> ad.Tensor:
-    """Mean cross-entropy of scaled logits; `text_rows` are the prediction rows."""
-    visual = _rows(visual)
+def loss_cls(visual, text_rows, labels, scale: float, weights=None) -> ad.Tensor:
+    """Mean cross-entropy of scaled logits, or its (k, n) `weights` sums as in
+    `ad.logit_cross_entropy`; `text_rows` are the prediction rows."""
     _check_scale(scale)
-    return ad.logit_cross_entropy(visual, text_rows, _labels(labels, visual.value.shape[0]),
-                                  scale)
+    return ad.logit_cross_entropy(visual, text_rows, labels, scale, weights)
 
 
 def pseudo_labels(visual, text_rows, scale: float) -> np.ndarray:
@@ -132,31 +125,34 @@ def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
     return ad.node((1.0 - cos).sum() / n, (raw_rows, t_low), vjp)
 
 
-def loss_granule(modulated, raw_rows, labels, scale: float) -> ad.Tensor:
-    """Cross-entropy of modulated embeddings against the raw text rows.
-
-    Used twice: factual batches pair v_g with true labels, counterfactual
-    batches pair v_gcf with donor labels y[pi].
-    """
-    return loss_cls(modulated, raw_rows, labels, scale)
+def loss_granule(modulated, raw_rows, labels, scale: float, blocks: int = 1) -> ad.Tensor:
+    """Cross-entropy of modulated embeddings against the raw text rows, as the
+    vector of its means over `blocks` equal consecutive row blocks. Training
+    stacks a block per built term: factual (v_g, true labels y) before
+    counterfactual (v_gcf, donor labels y[pi])."""
+    size = _rows(modulated).value.shape[0] // blocks
+    weights = np.repeat(np.eye(blocks), size, axis=1) / size
+    return loss_cls(modulated, raw_rows, labels, scale, weights)
 
 
 def combine(cls_term: ad.Tensor,
             sem_term: ad.Tensor | None,
-            gf_term: ad.Tensor | None,
-            gcf_term: ad.Tensor | None,
+            granule_terms: ad.Tensor | None,
             lambda_sem: float, lambda_gf: float, lambda_gcf: float,
             ) -> tuple[ad.Tensor, LossBreakdown]:
-    """Weighted total as a tape scalar plus the float breakdown."""
-    weighted = [(term, weight) for term, weight in
-                ((sem_term, lambda_sem), (gf_term, lambda_gf), (gcf_term, lambda_gcf))
-                if term is not None]
+    """Weighted total as a tape scalar plus the float breakdown; `granule_terms`
+    is `loss_granule`'s value over the built granule terms."""
+    weighted = [] if sem_term is None else [(sem_term, lambda_sem)]
+    granule = dict.fromkeys(("granule_f", "granule_cf"))
+    if granule_terms is not None:
+        built = {name: w for name, w in zip(granule, (lambda_gf, lambda_gcf)) if w > 0}
+        granule.update(zip(built, granule_terms.value.tolist()))
+        weighted.append((granule_terms, list(built.values())))
     total = ad.weighted_sum(cls_term, weighted) if weighted else cls_term
     parts = LossBreakdown(
         cls=cls_term.item(),
         sem=None if sem_term is None else sem_term.item(),
-        granule_f=None if gf_term is None else gf_term.item(),
-        granule_cf=None if gcf_term is None else gcf_term.item(),
         total=total.item(),
+        **granule,
     )
     return total, parts.check_finite()

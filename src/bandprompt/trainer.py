@@ -358,24 +358,24 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
         t_low = head_graph(ad.constant(feats.phi_base[idx]), *group(params, "proj_low"))
         sem_term = loss_sem(probs, text_raw, t_low)
 
-    gf_term = gcf_term = None
+    granule_terms = None
     if cfg.lambda_gf > 0 or cfg.lambda_gcf > 0:
-        t_high = head_graph(ad.constant(feats.phi_detail[idx]), *group(params, "proj_high"))
-        anchor_rows = text_pred if cfg.anchor == "refined_text_by_label" else text_raw
-        anchors = ad.take_rows(anchor_rows, y)
-        if cfg.lambda_gf > 0:
-            codes = fuse_rows(anchors, t_high, *group(params, "fuse"))
-            v_mod = film_rows(codes, visual, *group(params, "film"))
-            gf_term = loss_granule(v_mod, text_raw, y, cfg.logit_scale)
+        # One stacked pass; each block pairs the anchors with donor granules.
+        donors = [np.arange(len(idx))] if cfg.lambda_gf > 0 else []
         if cfg.lambda_gcf > 0:
             if pi is None:
                 raise ParameterError("counterfactual term needs a permutation")
-            pi = check_permutation(pi, len(idx))
-            codes_cf = fuse_rows(anchors, ad.take_rows(t_high, pi), *group(params, "fuse"))
-            v_cf = film_rows(codes_cf, visual, *group(params, "film"))
-            gcf_term = loss_granule(v_cf, text_raw, y[pi], cfg.logit_scale)
+            donors.append(check_permutation(pi, len(idx)))
+        donor, k = np.concatenate(donors), len(donors)
+        t_high = head_graph(ad.constant(feats.phi_detail[idx]), *group(params, "proj_high"))
+        anchor_rows = text_pred if cfg.anchor == "refined_text_by_label" else text_raw
+        codes = fuse_rows(ad.take_rows(anchor_rows, np.concatenate([y] * k)),
+                          ad.take_rows(t_high, donor), *group(params, "fuse"))
+        v_mod = film_rows(codes, ad.constant(np.concatenate([visual.value] * k)),
+                          *group(params, "film"))
+        granule_terms = loss_granule(v_mod, text_raw, y[donor], cfg.logit_scale, k)
 
-    return combine(cls_term, sem_term, gf_term, gcf_term,
+    return combine(cls_term, sem_term, granule_terms,
                    cfg.lambda_sem, cfg.lambda_gf, cfg.lambda_gcf)
 
 
@@ -392,17 +392,17 @@ def train_step(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
 
 
 def _stratified_order(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Round-robin over class-shuffled index queues: batches stay class-balanced."""
-    classes = np.unique(labels)
-    queues = {c: list(rng.permutation(np.flatnonzero(labels == c))) for c in classes}
-    order: list[int] = []
-    remaining = len(labels)
-    while remaining:
-        for c in rng.permutation(classes):
-            if queues[c]:
-                order.append(queues[c].pop())
-                remaining -= 1
-    return np.asarray(order, dtype=np.intp)
+    """Round-robin over class-shuffled index queues: batches stay class-balanced.
+    Round r takes each queue's r-th last index, in a fresh class permutation."""
+    classes, counts = np.unique(labels, return_counts=True)
+    by_class, rounds = np.argsort(labels, kind="stable"), counts.max(initial=0)
+    queues = [rng.permutation(by_class[end - k : end]) for end, k in zip(counts.cumsum(), counts)]
+    perms = np.array([rng.permutation(classes) for _ in range(rounds)], dtype=classes.dtype)
+    grid = np.full((len(classes), rounds), -1, dtype=np.intp)  # -1: the queue is empty
+    grid[np.arange(rounds) < counts[:, None]] = np.concatenate([q[::-1] for q in queues] or [[]])
+    picks = grid[np.searchsorted(classes, perms).reshape(rounds, len(classes)),
+                 np.arange(rounds)[:, None]]
+    return picks[picks >= 0]
 
 
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
@@ -497,21 +497,18 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
                                        group(state.params, "agg")).value
         probs = pseudo_labels(feats.visual[idx], text_pred, cfg.logit_scale)
 
-    def objective() -> float:
-        total, _ = forward_batch(state.params, feats, idx, state.bank, cfg, pi,
-                                 probs_override=probs)
-        return total.item()
+    def objective() -> ad.Tensor:
+        return forward_batch(state.params, feats, idx, state.bank, cfg, pi,
+                             probs_override=probs)[0]
 
     flat = state.optimizer.values  # every parameter is a view of it
 
     def objective_at(j: int, value: float) -> float:
         flat[j] = value
-        return objective()
+        return objective().item()
 
-    total, _ = forward_batch(state.params, feats, idx, state.bank, cfg, pi,
-                             probs_override=probs)
     state.optimizer.zero_grad()
-    ad.backward(total)
+    ad.backward(objective())
     analytic = state.optimizer.grads.copy()
 
     per_param: dict[str, float] = {}

@@ -4,7 +4,9 @@ The program's tape keeps only the ops its own code calls. The primitive ops
 it no longer calls live on here, each one tape node, to spell out the chains
 the fused composites are checked against. `test_autodiff` checks each of
 them against finite differences. So do the per-tensor `zero_grads` and the
-concatenating Adam step that the optimizer's flat buffers replaced.
+concatenating Adam step that the optimizer's flat buffers replaced, the
+two-branch granule step that the stacked pass replaced, and the other loops
+that array code replaced.
 """
 
 import numpy as np
@@ -283,3 +285,63 @@ def per_record_dataset(spec, n_per_class):
             labels.append(label)
             latents.append(data.astype(np.float32))
     return ids, np.array(labels, dtype=np.int64), np.stack(latents)
+
+
+def popping_stratified_order(labels, rng):
+    """`trainer._stratified_order` as a loop that pops one index at a time from
+    per-class lists: one `rng.permutation` per class queue, then one per round.
+    The array version must give the same order bitwise from the same stream."""
+    classes = np.unique(labels)
+    queues = {c: list(rng.permutation(np.flatnonzero(labels == c))) for c in classes}
+    order = []
+    remaining = len(labels)
+    while remaining:
+        for c in rng.permutation(classes):
+            if queues[c]:
+                order.append(queues[c].pop())
+                remaining -= 1
+    return np.asarray(order, dtype=np.intp)
+
+
+def two_branch_forward_batch(params, feats, idx, bank, cfg, pi):
+    """`trainer.forward_batch` as it was before the granule terms shared one
+    stacked pass: the factual and the counterfactual branch each run their own
+    `fuse_rows`, `film_rows` and mean cross-entropy (`loss_granule` was
+    `loss_cls` against the raw rows), and the weighted total adds
+    the built terms one at a time. Returns the total and the values of
+    (granule_f, granule_cf), None where a term is not built."""
+    from bandprompt.bands import head_graph
+    from bandprompt.granules import check_permutation, film_rows, fuse_rows
+    from bandprompt.losses import loss_cls, loss_sem, pseudo_labels
+    from bandprompt.refine import refined_text_graph
+    from bandprompt.trainer import group
+
+    idx = np.asarray(idx, dtype=np.intp)
+    y = feats.labels[idx]
+    visual = ad.constant(feats.visual[idx])
+    text_raw = params["text_raw"]
+    text_pred = refined_text_graph(text_raw, bank, group(params, "agg"))
+    cls_term = loss_cls(visual, text_pred, y, cfg.logit_scale)
+    weighted = []
+    if cfg.lambda_sem > 0:
+        probs = pseudo_labels(visual.value, text_pred.value, cfg.logit_scale)
+        t_low = head_graph(ad.constant(feats.phi_base[idx]), *group(params, "proj_low"))
+        weighted.append((loss_sem(probs, text_raw, t_low), cfg.lambda_sem))
+    gf_term = gcf_term = None
+    if cfg.lambda_gf > 0 or cfg.lambda_gcf > 0:
+        t_high = head_graph(ad.constant(feats.phi_detail[idx]), *group(params, "proj_high"))
+        anchor_rows = text_pred if cfg.anchor == "refined_text_by_label" else text_raw
+        anchors = ad.take_rows(anchor_rows, y)
+        if cfg.lambda_gf > 0:
+            codes = fuse_rows(anchors, t_high, *group(params, "fuse"))
+            v_mod = film_rows(codes, visual, *group(params, "film"))
+            gf_term = loss_cls(v_mod, text_raw, y, cfg.logit_scale)
+            weighted.append((gf_term, cfg.lambda_gf))
+        if cfg.lambda_gcf > 0:
+            pi = check_permutation(pi, len(idx))
+            codes_cf = fuse_rows(anchors, ad.take_rows(t_high, pi), *group(params, "fuse"))
+            v_cf = film_rows(codes_cf, visual, *group(params, "film"))
+            gcf_term = loss_cls(v_cf, text_raw, y[pi], cfg.logit_scale)
+            weighted.append((gcf_term, cfg.lambda_gcf))
+    total = ad.weighted_sum(cls_term, weighted) if weighted else cls_term
+    return total, tuple(None if t is None else t.item() for t in (gf_term, gcf_term))

@@ -31,6 +31,7 @@ from reference_ops import (
     tmean,
     transpose,
     tsum,
+    two_branch_forward_batch,
     unbroadcast,
     zero_grads,
 )
@@ -346,7 +347,9 @@ def chain_mlp_rows(x, w1, b1, w2, b2):
     return chain_affine(hidden, w2, b2)
 
 
-def chain_cross_entropy_mean(logits, labels):
+def chain_cross_entropy_mean(logits, labels, weights=None):
+    """The mean of the per-row cross-entropies, or with (k, n) `weights` their
+    k weighted sums."""
     logits = ad.lift(logits)
     labels = np.asarray(labels, dtype=np.intp)
     n, c = logits.value.shape
@@ -355,7 +358,10 @@ def chain_cross_entropy_mean(logits, labels):
     picked = tsum(mul(logits, ad.constant(onehot)), axis=1, keepdims=True)
     shift = ad.constant(logits.value.max(axis=1, keepdims=True))
     lse = add(shift, log(tsum(exp(sub(logits, shift)), axis=1, keepdims=True)))
-    return tmean(sub(lse, picked))
+    losses = sub(lse, picked)
+    if weights is None:
+        return tmean(losses)
+    return tsum(matmul(ad.constant(weights), losses), axis=1)
 
 
 def chain_cosine_rows(a, b):
@@ -366,15 +372,16 @@ def chain_cosine_rows(a, b):
     return div(num, mul(na, nb))
 
 
-def chain_logit_cross_entropy(visual, rows, labels, scale):
+def chain_logit_cross_entropy(visual, rows, labels, scale, weights=None):
     logits = mul(matmul(visual, transpose(rows)), scale)
-    return chain_cross_entropy_mean(logits, labels)
+    return chain_cross_entropy_mean(logits, labels, weights)
 
 
 def chain_weighted_sum(first, terms):
     total = first
     for term, weight in terms:
-        total = add(total, mul(term, weight))
+        part = mul(term, weight)
+        total = add(total, tsum(part) if np.ndim(weight) else part)
     return total
 
 
@@ -505,6 +512,17 @@ def model_cases(rng):
                lambda codes, *p, v=visual: chain_film_rows(codes, ad.constant(v), *p),
                [codes, *film])
 
+        # (k, n) weights: two blocks as the stacked granule pass uses, and a
+        # dense pair of mixed signs
+        for kind, weights in [("blocks", np.repeat(np.eye(2), n, axis=1) / n),
+                              ("dense", np.linspace(-1.0, 2.0, 2 * n).reshape(2, n))]:
+            yield (f"logit_ce-{tag}-{kind}-weights",
+                   lambda v, r, y=labels, s=scale, w=weights:
+                       ad.logit_cross_entropy(v, r, np.tile(y, w.shape[1] // len(y)), s, w),
+                   lambda v, r, y=labels, s=scale, w=weights:
+                       chain_logit_cross_entropy(v, r, np.tile(y, w.shape[1] // len(y)), s, w),
+                   [np.tile(visual, (weights.shape[1] // n, 1)), rows])
+
     same = np.zeros(6, dtype=np.intp)
     yield ("logit_ce-one-label",
            lambda v, r: ad.logit_cross_entropy(v, r, same, 3.0),
@@ -517,6 +535,10 @@ def model_cases(rng):
                lambda first, *t, w=weights: ad.weighted_sum(first, zip(t, w)),
                lambda first, *t, w=weights: chain_weighted_sum(first, zip(t, w)),
                [np.asarray(v) for v in terms[: k + 1]])
+    yield ("weighted_sum-vector",
+           lambda a, b, t: ad.weighted_sum(a, [(b, 0.4), (t, [0.1, -2.0])]),
+           lambda a, b, t: chain_weighted_sum(a, [(b, 0.4), (t, [0.1, -2.0])]),
+           [np.asarray(terms[0]), np.asarray(terms[1]), terms[2:4].copy()])
     yield ("weighted_sum-const",
            lambda a, b, t=terms[3]: ad.weighted_sum(a, [(ad.constant(t), 0.3), (b, 0.7)]),
            lambda a, b, t=terms[3]: chain_weighted_sum(a, [(ad.constant(t), 0.3), (b, 0.7)]),
@@ -608,7 +630,9 @@ def test_training_graph_matches_the_chains(monkeypatch):
     """The whole objective and every parameter gradient, fused against chains.
 
     Every composite a training step calls is swapped for its chain where the
-    step looks it up. `agg.ln_bias` is compared in absolute terms: the bias
+    step looks it up; the cls term and the stacked granule term, whose (2, n)
+    block weights keep one mean per term, both go through the cross-entropy
+    chain. `agg.ln_bias` is compared in absolute terms: the bias
     is shared by every class row, so it shifts all logits of the one term
     that sees the refined rows equally, and its true gradient is 0. Both
     sides read rounding noise.
@@ -634,12 +658,18 @@ def test_training_graph_matches_the_chains(monkeypatch):
         return total, {k: p.grad.copy() for k, p in state.params.items()}
 
     fused_total, fused = objective_and_grads()
+    ce_weights = []
+
+    def chain_ce(visual, rows, labels, scale, weights=None):
+        ce_weights.append(None if weights is None else weights.shape)
+        return chain_logit_cross_entropy(visual, rows, labels, scale, weights)
+
     for owner, name, chain in [
         (trainer, "head_graph", chain_head_graph),
         (trainer, "fuse_rows", chain_fuse_rows),
         (refine, "fuse_rows", chain_fuse_rows),
         (trainer, "film_rows", chain_film_rows),
-        (ad, "logit_cross_entropy", chain_logit_cross_entropy),
+        (ad, "logit_cross_entropy", chain_ce),
         (ad, "weighted_sum", chain_weighted_sum),
         (refine, "retrieve_rows", chain_retrieve_rows),
         (trainer, "loss_sem", chain_loss_sem),
@@ -647,6 +677,7 @@ def test_training_graph_matches_the_chains(monkeypatch):
         monkeypatch.setattr(owner, name, chain)
     chain_total, chained = objective_and_grads()
 
+    assert ce_weights == [None, (2, 2 * len(idx))]  # cls, then both granule terms
     assert len(tape_nodes(chain_total)) > 3 * len(tape_nodes(fused_total))
     assert_matches(fused_total.value, chain_total.value)
     for name, want in chained.items():
@@ -655,6 +686,61 @@ def test_training_graph_matches_the_chains(monkeypatch):
             assert np.max(np.abs(fused[name] - want)) <= FUSED_RTOL
         else:
             assert_matches(fused[name], want)
+
+
+# The granule terms run as one stacked pass; `two_branch_forward_batch` is the
+# two-branch step it replaced.
+
+GRANULE_TERMS = {"gf": dict(lambda_gcf=0.0), "gcf": dict(lambda_gf=0.0), "both": {}}
+
+
+@pytest.mark.parametrize("batch", ["full", "one", "short-last"])
+@pytest.mark.parametrize("anchor", ["raw_text_by_label", "refined_text_by_label"])
+@pytest.mark.parametrize("terms", list(GRANULE_TERMS))
+def test_stacked_granule_pass_matches_the_two_branch_reference(terms, anchor, batch):
+    """granule_f, granule_cf, the total and all 25 parameter gradients. The
+    short last batch is the 5 left over from 32 samples at batch size 9.
+    `agg.ln_bias` is compared in absolute terms where its true gradient is 0
+    (see `test_training_graph_matches_the_chains`)."""
+    from bandprompt import trainer
+    from bandprompt.teacher import SyntheticSpec, generate_dataset
+
+    cache = generate_dataset(SyntheticSpec(num_classes=4, seed=0), n_per_class=8)
+    weights = {**dict(lambda_gf=0.3, lambda_gcf=0.7), **GRANULE_TERMS[terms]}
+    cfg = trainer.TrainConfig(embed_dim=8, bank_size=6, seed=0, anchor=anchor, **weights)
+    state, feats = trainer.init_state(cache, cfg)
+    trainer.fill_bank(state, feats)
+    order = trainer._stratified_order(feats.labels, np.random.default_rng(1))
+    warm = order[:16]
+    for _ in range(3):  # zero-initialized final layers start to carry signal
+        trainer.train_step(state, feats, warm, cfg, np.random.default_rng(2).permutation(16))
+    idx = {"full": order[:16], "one": order[:1], "short-last": order[27:]}[batch]
+    pi = np.random.default_rng(3).permutation(len(idx))
+
+    def run(forward):
+        total, granule = forward(state.params, feats, idx, state.bank, cfg, pi)
+        state.optimizer.zero_grad()
+        ad.backward(total)
+        return total.item(), granule, {k: p.grad.copy() for k, p in state.params.items()}
+
+    def stacked(*args):
+        total, parts = trainer.forward_batch(*args)
+        return total, (parts.granule_f, parts.granule_cf)
+
+    total, granule, grads = run(stacked)
+    want_total, want_granule, want_grads = run(two_branch_forward_batch)
+    assert [g is None for g in granule] == [terms == "gcf", terms == "gf"]
+    assert [g is None for g in want_granule] == [g is None for g in granule]
+    for got, want in zip([total, *granule], [want_total, *want_granule]):
+        if want is not None:
+            assert_matches(np.asarray(got), np.asarray(want))
+    assert len(grads) == 25
+    for name, want in want_grads.items():
+        if name == "agg.ln_bias" and anchor == "raw_text_by_label":
+            assert np.max(np.abs(want)) <= FUSED_RTOL
+            assert np.max(np.abs(grads[name] - want)) <= FUSED_RTOL
+        else:
+            assert_matches(grads[name], want)
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,22 @@ def test_granule_loss_uniform_when_codes_are_uninformative():
     assert loss.item() == pytest.approx(np.log(4.0), abs=1e-9)
 
 
+def test_granule_blocks_give_each_blocks_mean():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(4, 6))
+    first, second = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+    y1, y2 = np.array([0, 3, 1]), np.array([2, 2, 0])
+    both = loss_granule(np.vstack([first, second]), rows, np.concatenate([y1, y2]), 7.0, blocks=2)
+    want = [loss_granule(first, rows, y1, 7.0).item(), loss_granule(second, rows, y2, 7.0).item()]
+    assert both.value.shape == (2,)
+    assert np.max(np.abs(both.value - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_combine_weighted_total_pinned():
     cls = ad.constant(1.0)
     sem = ad.constant(2.0)
-    gf = ad.constant(3.0)
-    gcf = ad.constant(4.0)
-    total, parts = combine(cls, sem, gf, gcf, 0.1, 0.2, 0.3)
+    granule = ad.constant([3.0, 4.0])  # granule_f, granule_cf
+    total, parts = combine(cls, sem, granule, 0.1, 0.2, 0.3)
     assert total.item() == pytest.approx(3.0, abs=1e-12)
     assert parts.total == pytest.approx(3.0, abs=1e-12)
     recombined = parts.cls + 0.1 * parts.sem + 0.2 * parts.granule_f + 0.3 * parts.granule_cf
@@ -140,7 +150,7 @@ def test_combine_weighted_total_pinned():
 
 def test_absent_terms_leave_total_equal_to_cls():
     cls = ad.constant(1.2345)
-    total, parts = combine(cls, None, None, None, 0.1, 0.1, 0.1)
+    total, parts = combine(cls, None, None, 0.1, 0.1, 0.1)
     assert total is cls  # reuses the tensor: zero contribution is structural
     assert parts.sem is None and parts.granule_f is None and parts.granule_cf is None
     assert parts.total == parts.cls
@@ -149,7 +159,7 @@ def test_absent_terms_leave_total_equal_to_cls():
 def test_zero_lambda_matches_absent_term_in_value():
     cls = ad.constant(0.5)
     sem = ad.constant(9.0)
-    total, parts = combine(cls, sem, None, None, 0.0, 0.1, 0.1)
+    total, parts = combine(cls, sem, None, 0.0, 0.1, 0.1)
     assert total.item() == 0.5
     assert parts.sem == 9.0  # still reported even though weighted to zero
 

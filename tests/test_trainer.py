@@ -24,7 +24,7 @@ from bandprompt.trainer import (
     state_from_values,
     train_step,
 )
-from reference_ops import concatenating_adam_step
+from reference_ops import concatenating_adam_step, popping_stratified_order
 
 GRID = (4, 16, 16)
 
@@ -178,9 +178,11 @@ def reachable_tensors(root):
 
 
 def test_default_objective_tape_size(cache):
-    # One node per composite a step calls: 15 op nodes over 25 parameters and
-    # 4 constants. The primitive chains they replaced made the same objective
-    # reach 215 tensors, and the earlier partly fused steps 116 and 55.
+    # One node per composite a step calls: 12 op nodes over 25 parameters and
+    # 5 constants. The factual and counterfactual granule terms share one
+    # gather, fusion, FiLM and cross-entropy node each. The primitive chains
+    # made the same objective reach 215 tensors, the partly fused steps 116
+    # and 55, and the two-branch granule step 44 (15 op nodes).
     cfg = TrainConfig()
     state, feats = init_state(cache, cfg)
     fill_bank(state, feats)
@@ -190,8 +192,26 @@ def test_default_objective_tape_size(cache):
     tensors = reachable_tensors(total)
     ops = [t for t in tensors if t._vjp is not None]
     params = [t for t in tensors if t.requires_grad and t._vjp is None]
-    assert (len(tensors), len(ops), len(params)) == (44, 15, 25)
+    assert (len(tensors), len(ops), len(params)) == (42, 12, 25)
     assert {id(p) for p in params} == {id(p) for p in state.params.values()}
+
+
+def test_a_step_runs_each_granule_layer_once(cache, monkeypatch):
+    # Both granule terms go through one fusion, one FiLM and one loss call.
+    from bandprompt import trainer
+
+    calls = dict.fromkeys(("fuse_rows", "film_rows", "loss_granule"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(trainer, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(trainer, name, counted)
+    cfg = small_cfg()
+    state, feats = init_state(cache, cfg)
+    fill_bank(state, feats)
+    parts = train_step(state, feats, np.arange(5), cfg, np.array([3, 0, 4, 1, 2]))
+    assert calls == dict.fromkeys(calls, 1)
+    assert parts.granule_f is not None and parts.granule_cf is not None
 
 
 def test_adam_flat_step_equals_the_per_tensor_loop():
@@ -380,6 +400,26 @@ def test_stratified_order_shuffles_the_class_order_of_each_round():
     assert len({tuple(r) for r in rounds}) > 1
 
 
+@pytest.mark.parametrize("labels", [
+    np.repeat(np.arange(4), 8),
+    np.array([2, 0, 0, 1, 0, 2, 0, 0, 3, 0]),
+    np.random.default_rng(5).integers(0, 7, size=61),
+    np.array([9, 4, 9]),
+    np.array([1]),
+], ids=["balanced", "unbalanced", "random", "gapped", "single"])
+def test_stratified_order_equals_the_popping_loop(labels):
+    # The same order bitwise from the same draws, leaving the stream in the
+    # same state.
+    from bandprompt.trainer import _stratified_order
+
+    for seed in range(4):
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        order = _stratified_order(labels, rng)
+        want = popping_stratified_order(labels, want_rng)
+        assert order.dtype == want.dtype and np.array_equal(order, want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_bank_refresh_differs_only_in_entries(cache):
     plain = fit(cache, small_cfg(epochs=2))
     refreshed = fit(cache, small_cfg(epochs=2, bank_refresh=True))
@@ -471,8 +511,13 @@ def test_checkpoint_malformed_numbers_raise_parameter_error(cache, tmp_path, gar
         load_checkpoint(path)
 
 
-def test_gradient_check_passes_and_reports_frozen_inputs(cache):
-    cfg = small_cfg()
+@pytest.mark.parametrize("kw", [{}, dict(lambda_gf=0.0), dict(lambda_gcf=0.0),
+                                dict(anchor="refined_text_by_label")],
+                         ids=["default", "no-gf", "no-gcf", "refined-anchor"])
+def test_gradient_check_passes_and_reports_frozen_inputs(cache, kw):
+    # Every layout of the stacked granule pass: both blocks, one block each,
+    # and anchors that carry the aggregator's gradient.
+    cfg = small_cfg(**kw)
     report = run_gradient_check(cache, cfg)
     assert report.passed, (report.worst_param, report.worst_error)
     assert report.excluded == FROZEN_INPUTS
