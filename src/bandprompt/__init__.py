@@ -54,7 +54,6 @@ from .losses import (
     loss_cls,
     loss_granule,
     loss_sem,
-    pseudo_labels,
 )
 from .refine import TextFeatureSet, build_text_features, mix
 from .teacher import (

@@ -10,11 +10,14 @@ Nodes whose parents are all constants collapse back to constants, which
 keeps the tape small and makes "this path carries no gradient" a structural
 fact rather than a convention. `node` is the one way onto the tape, and
 every op a training step records is one node with a hand-written VJP: the
-row gather `take_rows`, the two fused composites below, and the model's
-composites (`bands.head_graph`, `bank.retrieve_rows`, `granules.fuse_rows`,
-`granules.film_rows`, `losses.loss_sem`), which build their nodes from the
-array-level MLP, row-L2 and LayerNorm algebra here, so each formula is
-written once. This module defines only what the program calls.
+anchor-row gather `take_rows` (whose VJP is one one-hot product), the two
+fused composites below, and the model's composites (`bands.head_graph`,
+`bank.retrieve_rows`, `granules.fuse_rows`, `granules.film_rows`,
+`losses.loss_sem`), which build their nodes from the array-level MLP, row-L2
+and LayerNorm algebra here, so each formula is written once.
+`logit_cross_entropy` also returns its detached row softmax, which the
+trainer reuses as the semantic term's pseudo-labels, so a step computes the
+class posteriors once. This module defines only what the program calls.
 """
 
 from __future__ import annotations
@@ -128,15 +131,17 @@ def backward(root: Tensor) -> None:
 
 
 def take_rows(a, idx) -> Tensor:
-    """Row gather; duplicate indices accumulate in the backward pass."""
+    """Gather of the rows `idx` (non-negative) of `a`; the backward pass sums
+    the gradients of duplicate indices as one (m, n) one-hot product."""
     a = lift(a)
     idx = np.asarray(idx, dtype=np.intp)
+    if idx.size and idx.min() < 0:
+        raise ParameterError("take_rows needs non-negative row indices")
     out = a.value[idx]
 
     def vjp(g):
-        full = np.zeros_like(a.value)
-        np.add.at(full, idx, g)
-        return ((a, full),)
+        onehot = (np.arange(a.value.shape[0])[:, None] == idx).astype(np.float64)
+        return ((a, onehot @ g),)
 
     return node(out, (a,), vjp)
 
@@ -177,15 +182,16 @@ def mlp_vjp(g: Array, x: Array, hidden: Array, w1: Tensor, b1: Tensor, w2: Tenso
 
 
 def unit_rows(x: Array) -> tuple[Array, Array]:
-    """Rows of `x` scaled to unit L2 norm, and the (n, 1) norms. Non-finite
-    or near-zero rows raise."""
+    """Rows of `x` scaled to unit L2 norm, and the (n, 1) norms. A row whose
+    norm is below MIN_NORM or not finite (a non-finite entry, or a squared norm
+    past the float64 range) raises, naming the row."""
     norms = np.sqrt((x * x).sum(axis=1))
-    if not np.isfinite(x).all():
-        raise NumericalDegeneracyError("cannot normalize non-finite rows")
-    if (norms < MIN_NORM).any():
-        bad = int(norms.argmin())
+    ok = np.isfinite(norms) & (norms >= MIN_NORM)
+    if not ok.all():
+        bad = int(ok.argmin())
+        kind = "a zero-length" if norms[bad] < MIN_NORM else "a non-finite-norm"
         raise NumericalDegeneracyError(
-            f"cannot normalize a zero-length vector (row {bad}, norm {norms[bad]:.3e})"
+            f"cannot normalize {kind} vector (row {bad}, norm {norms[bad]:.3e})"
         )
     norms = norms[:, None]
     return x / norms, norms
@@ -219,10 +225,15 @@ def layer_norm_vjp(g: Array, gain: Array, normed: Array, std: Array) -> Array:
 # the gradient agrees with that chain's up to rounding.
 
 
-def logit_cross_entropy(visual, rows, labels, scale: float, weights=None) -> Tensor:
+def logit_cross_entropy(visual, rows, labels, scale: float,
+                        weights=None) -> tuple[Tensor, Array]:
     """Cross-entropy of integer `labels` under the logits `scale * visual @
     rows^T`, for (n, d) visual and (c, d) class rows: the batch mean, or with
-    (k, n) `weights` the k sums `weights @ losses` of the per-row losses."""
+    (k, n) `weights` the k sums `weights @ losses` of the per-row losses.
+
+    Returns the node and the detached (n, c) row softmax of the logits, a
+    read-only array that the VJP also reads; nothing backpropagates through
+    it."""
     visual, rows = lift(visual), lift(rows)
     v, r = visual.value, rows.value
     if v.ndim != 2 or r.ndim != 2 or v.shape[1] != r.shape[1]:
@@ -238,12 +249,14 @@ def logit_cross_entropy(visual, rows, labels, scale: float, weights=None) -> Ten
     shift = logits.max(axis=1)
     e = np.exp(logits - shift[:, None])
     total = e.sum(axis=1)
+    probs = e / total[:, None]
+    probs.setflags(write=False)
     picked = (np.arange(n), labels)
     losses = (shift + np.log(total)) - logits[picked]
     out = losses.sum() / n if weights is None else weights @ losses
 
     def vjp(g):
-        glogits = e / total[:, None]
+        glogits = probs.copy()
         glogits[picked] -= 1.0
         row_g = g / n if weights is None else (g @ weights)[:, None]
         glogits = (glogits * row_g) * scale
@@ -254,7 +267,7 @@ def logit_cross_entropy(visual, rows, labels, scale: float, weights=None) -> Ten
             grads.append((rows, (v.T @ glogits).T))
         return grads
 
-    return node(out, (visual, rows), vjp)
+    return node(out, (visual, rows), vjp), probs
 
 
 def weighted_sum(first, terms) -> Tensor:

@@ -78,20 +78,21 @@ def factorize(z, k: int) -> BandPair:
     """Split into base (smoothed) and detail (residual) bands.
 
     Latents are float32-valued, so the base is rounded to float32 granularity:
-    the difference z - base then spans at most 53 mantissa bits and the
-    residual subtraction is exact, making base + detail == z bitwise. A full
+    the difference z - base then spans at most 53 mantissa bits, and the
+    residual subtraction is exact, making base + detail == z bitwise, unless
+    the cell and its box mean lie more than about 29 binades apart. A full
     53-bit base at a higher exponent than z could not subtract exactly.
     """
     arr = as_latent_array(z).astype(np.float64)
     base = smooth_lowpass(arr, k).astype(np.float32).astype(np.float64)
     detail = arr - base
     bad = (base + detail) != arr
-    if np.any(bad):
-        # A box mean many binades below its cell cannot subtract exactly at
-        # any mantissa width; zeroing it moves the base by < 2^-20 |cell|.
-        tiny = bad & (np.abs(base) <= np.abs(arr) * 2.0**-20)
-        base[tiny] = 0.0
-        detail[tiny] = arr[tiny]
+    if bad.any():
+        # A box mean many binades below its cell, or a cell many binades below
+        # its box mean, cannot subtract exactly at any mantissa width: such a
+        # cell keeps all of z in its detail band.
+        base[bad] = 0.0
+        detail[bad] = arr[bad]
     return BandPair(base=base, detail=detail, kernel=k)
 
 

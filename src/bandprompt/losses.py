@@ -5,8 +5,8 @@ Four terms, reduced by batch mean in a fixed order:
   cls        cross-entropy of scaled visual/text logits over mixed-or-refined rows
   sem        1 - cosine between the pseudo-label-weighted expected text vector
              (over normalized raw rows) and the low-band embedding; the
-             pseudo-labels are detached, so this term never trains the
-             aggregator or the bank path
+             pseudo-labels are the cls term's detached posteriors, so this
+             term never trains the aggregator or the bank path
   granule_f  cross-entropy of modulated embeddings against raw rows
   granule_cf the same on counterfactually swapped granules with donor labels
 
@@ -18,7 +18,9 @@ one tape node over their stacked batches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +42,7 @@ class LossBreakdown:
     def check_finite(self) -> "LossBreakdown":
         for name in ("cls", "sem", "granule_f", "granule_cf", "total"):
             v = getattr(self, name)
-            if v is not None and not np.isfinite(v):
+            if v is not None and not math.isfinite(v):
                 raise DivergenceError(f"loss term {name!r} is non-finite ({v})")
         return self
 
@@ -68,23 +70,15 @@ def class_logits(visual, text_rows, scale: float) -> np.ndarray:
     return (v @ rows.T) * scale
 
 
-def loss_cls(visual, text_rows, labels, scale: float, weights=None) -> ad.Tensor:
+def loss_cls(visual, text_rows, labels, scale: float,
+             weights=None) -> tuple[ad.Tensor, np.ndarray]:
     """Mean cross-entropy of scaled logits, or its (k, n) `weights` sums as in
-    `ad.logit_cross_entropy`; `text_rows` are the prediction rows."""
+    `ad.logit_cross_entropy`; `text_rows` are the prediction rows. Returns the
+    node and the detached per-sample class posteriors (the pseudo-labels
+    `loss_sem` takes), a plain read-only array that nothing can
+    backpropagate through."""
     _check_scale(scale)
     return ad.logit_cross_entropy(visual, text_rows, labels, scale, weights)
-
-
-def pseudo_labels(visual, text_rows, scale: float) -> np.ndarray:
-    """Detached per-sample class posteriors from the current logits.
-
-    Returns a plain array on purpose: nothing downstream can backpropagate
-    through it.
-    """
-    logits = class_logits(visual, text_rows, scale)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
@@ -94,8 +88,8 @@ def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
     rows; `probs` is a detached array with one distribution per row."""
     probs = np.asarray(probs, dtype=np.float64)
     raw_rows, t_low = _rows(raw_rows), _rows(t_low)
-    if (probs.ndim != 2 or probs.shape[1] != raw_rows.shape[0] or np.any(probs < -1e-12)
-            or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9)):
+    if (probs.ndim != 2 or probs.shape[1] != raw_rows.shape[0] or (probs < -1e-12).any()
+            or (abs(probs.sum(axis=1) - 1.0) > 1e-9).any()):
         raise ParameterError(f"pseudo-labels {probs.shape} must be a distribution per row "
                              f"over the class rows {raw_rows.shape}")
     rows, norms = ad.unit_rows(raw_rows.value)
@@ -131,8 +125,15 @@ def loss_granule(modulated, raw_rows, labels, scale: float, blocks: int = 1) -> 
     stacks a block per built term: factual (v_g, true labels y) before
     counterfactual (v_gcf, donor labels y[pi])."""
     size = _rows(modulated).value.shape[0] // blocks
+    return loss_cls(modulated, raw_rows, labels, scale, _block_weights(blocks, size))[0]
+
+
+@lru_cache(maxsize=None)
+def _block_weights(blocks: int, size: int) -> np.ndarray:
+    """Read-only (blocks, blocks * size) weights of the per-block means."""
     weights = np.repeat(np.eye(blocks), size, axis=1) / size
-    return loss_cls(modulated, raw_rows, labels, scale, weights)
+    weights.setflags(write=False)
+    return weights
 
 
 def combine(cls_term: ad.Tensor,

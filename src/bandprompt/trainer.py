@@ -24,7 +24,7 @@ from .bands import band_stats, factorize, head_graph, uniform_init
 from .bank import SemanticBank, absorb, format_bank, parse_bank
 from .errors import NumericalDegeneracyError, ParameterError
 from .granules import check_permutation, film_rows, fuse_rows
-from .losses import LossBreakdown, combine, loss_cls, loss_granule, loss_sem, pseudo_labels
+from .losses import LossBreakdown, combine, loss_cls, loss_granule, loss_sem
 from .refine import TextFeatureSet, build_text_features, refined_text_graph
 from .teacher import LatentCache
 
@@ -210,20 +210,27 @@ class Adam:
             p.grad = self.grads[span].reshape(p.value.shape)
             start = span.stop
         self.m, self.v = np.zeros_like(self.values), np.zeros_like(self.values)
+        # Scratch vectors: `step` allocates no full-length temporary.
+        self._scratch = np.empty_like(self.values), np.empty_like(self.values)
 
     def zero_grad(self) -> None:
         self.grads.fill(0.0)
 
     def step(self) -> None:
+        """m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, values -= lr m_hat /
+        (sqrt(v_hat) + eps), in place and operation for operation in that
+        order, so rounding matches the expression form."""
         self.t += 1
         b1, b2, g = self.BETA1, self.BETA2, self.grads
+        a, b = self._scratch
         self.m *= b1
-        self.m += (1.0 - b1) * g
+        self.m += np.multiply(g, 1.0 - b1, out=a)
         self.v *= b2
-        self.v += (1.0 - b2) * (g * g)
-        m_hat = self.m / (1.0 - b1**self.t)
-        v_hat = self.v / (1.0 - b2**self.t)
-        self.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        self.v += np.multiply(np.multiply(g, g, out=a), 1.0 - b2, out=a)
+        np.sqrt(np.divide(self.v, 1.0 - b2**self.t, out=b), out=b)
+        b += self.EPS
+        np.multiply(np.divide(self.m, 1.0 - b1**self.t, out=a), self.lr, out=a)
+        self.values -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -347,30 +354,28 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
     visual = ad.constant(feats.visual[idx])
     text_raw = params["text_raw"]
     text_pred = refined_text_graph(text_raw, bank, group(params, "agg"))
-    cls_term = loss_cls(visual, text_pred, y, cfg.logit_scale)
+    cls_term, probs = loss_cls(visual, text_pred, y, cfg.logit_scale)
 
     sem_term = None
     if cfg.lambda_sem > 0:
-        if probs_override is not None:
-            probs = probs_override
-        else:
-            probs = pseudo_labels(visual.value, text_pred.value, cfg.logit_scale)
         t_low = head_graph(ad.constant(feats.phi_base[idx]), *group(params, "proj_low"))
-        sem_term = loss_sem(probs, text_raw, t_low)
+        sem_term = loss_sem(probs if probs_override is None else probs_override, text_raw, t_low)
 
     granule_terms = None
     if cfg.lambda_gf > 0 or cfg.lambda_gcf > 0:
-        # One stacked pass; each block pairs the anchors with donor granules.
+        # One stacked pass; each block pairs the anchors with donor granules,
+        # which the high-band head embeds straight from the donors' rows.
         donors = [np.arange(len(idx))] if cfg.lambda_gf > 0 else []
         if cfg.lambda_gcf > 0:
             if pi is None:
                 raise ParameterError("counterfactual term needs a permutation")
             donors.append(check_permutation(pi, len(idx)))
         donor, k = np.concatenate(donors), len(donors)
-        t_high = head_graph(ad.constant(feats.phi_detail[idx]), *group(params, "proj_high"))
+        t_high = head_graph(ad.constant(feats.phi_detail[idx[donor]]),
+                            *group(params, "proj_high"))
         anchor_rows = text_pred if cfg.anchor == "refined_text_by_label" else text_raw
-        codes = fuse_rows(ad.take_rows(anchor_rows, np.concatenate([y] * k)),
-                          ad.take_rows(t_high, donor), *group(params, "fuse"))
+        codes = fuse_rows(ad.take_rows(anchor_rows, np.concatenate([y] * k)), t_high,
+                          *group(params, "fuse"))
         v_mod = film_rows(codes, ad.constant(np.concatenate([visual.value] * k)),
                           *group(params, "film"))
         granule_terms = loss_granule(v_mod, text_raw, y[donor], cfg.logit_scale, k)
@@ -495,7 +500,7 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
     if cfg.lambda_sem > 0:
         text_pred = refined_text_graph(state.params["text_raw"], state.bank,
                                        group(state.params, "agg")).value
-        probs = pseudo_labels(feats.visual[idx], text_pred, cfg.logit_scale)
+        probs = loss_cls(feats.visual[idx], text_pred, feats.labels[idx], cfg.logit_scale)[1]
 
     def objective() -> ad.Tensor:
         return forward_batch(state.params, feats, idx, state.bank, cfg, pi,

@@ -226,6 +226,26 @@ def chain_loss_sem(probs, raw_rows, t_low):
     return tmean(sub(1.0, cosine_rows(t_exp, t_low)))
 
 
+def pseudo_labels(visual, text_rows, scale: float) -> np.ndarray:
+    """Detached per-sample class posteriors, computed apart from the cls term:
+    the second softmax that a training step took before `loss_cls` returned
+    its own. It must equal the cls term's posteriors bitwise."""
+    from bandprompt.losses import class_logits
+
+    logits = class_logits(visual, text_rows, scale)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def add_at_take_rows_grad(shape, idx, g):
+    """The gradient `ad.take_rows` hands its input, as the `np.add.at` scatter
+    it used before the one-hot product."""
+    full = np.zeros(shape)
+    np.add.at(full, np.asarray(idx, dtype=np.intp), g)
+    return full
+
+
 def zero_grads(params):
     """Drop each tensor's gradient: the per-tensor reset for tapes over loose
     parameters. An optimizer's parameters are reset with `Adam.zero_grad`
@@ -312,7 +332,7 @@ def two_branch_forward_batch(params, feats, idx, bank, cfg, pi):
     (granule_f, granule_cf), None where a term is not built."""
     from bandprompt.bands import head_graph
     from bandprompt.granules import check_permutation, film_rows, fuse_rows
-    from bandprompt.losses import loss_cls, loss_sem, pseudo_labels
+    from bandprompt.losses import loss_cls, loss_sem
     from bandprompt.refine import refined_text_graph
     from bandprompt.trainer import group
 
@@ -321,7 +341,7 @@ def two_branch_forward_batch(params, feats, idx, bank, cfg, pi):
     visual = ad.constant(feats.visual[idx])
     text_raw = params["text_raw"]
     text_pred = refined_text_graph(text_raw, bank, group(params, "agg"))
-    cls_term = loss_cls(visual, text_pred, y, cfg.logit_scale)
+    cls_term = loss_cls(visual, text_pred, y, cfg.logit_scale)[0]
     weighted = []
     if cfg.lambda_sem > 0:
         probs = pseudo_labels(visual.value, text_pred.value, cfg.logit_scale)
@@ -335,13 +355,13 @@ def two_branch_forward_batch(params, feats, idx, bank, cfg, pi):
         if cfg.lambda_gf > 0:
             codes = fuse_rows(anchors, t_high, *group(params, "fuse"))
             v_mod = film_rows(codes, visual, *group(params, "film"))
-            gf_term = loss_cls(v_mod, text_raw, y, cfg.logit_scale)
+            gf_term = loss_cls(v_mod, text_raw, y, cfg.logit_scale)[0]
             weighted.append((gf_term, cfg.lambda_gf))
         if cfg.lambda_gcf > 0:
             pi = check_permutation(pi, len(idx))
             codes_cf = fuse_rows(anchors, ad.take_rows(t_high, pi), *group(params, "fuse"))
             v_cf = film_rows(codes_cf, visual, *group(params, "film"))
-            gcf_term = loss_cls(v_cf, text_raw, y[pi], cfg.logit_scale)
+            gcf_term = loss_cls(v_cf, text_raw, y[pi], cfg.logit_scale)[0]
             weighted.append((gcf_term, cfg.lambda_gcf))
     total = ad.weighted_sum(cls_term, weighted) if weighted else cls_term
     return total, tuple(None if t is None else t.item() for t in (gf_term, gcf_term))

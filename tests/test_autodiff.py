@@ -1,6 +1,7 @@
 """Finite-difference and structural checks for the reverse-mode tape."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import bandprompt.autodiff as ad
 from bandprompt.errors import NumericalDegeneracyError, ParameterError
 from reference_ops import (
     add,
+    add_at_take_rows_grad,
     affine,
     chain_loss_sem,
     chain_retrieve_rows,
@@ -23,6 +25,7 @@ from reference_ops import (
     log,
     matmul,
     mul,
+    pseudo_labels,
     softmax_rows,
     sqrt,
     square,
@@ -103,7 +106,7 @@ def cross_entropy_mean(logits, labels):
     leave the logits exact."""
     logits = ad.lift(logits)
     eye = ad.constant(np.eye(logits.value.shape[1]))
-    return ad.logit_cross_entropy(logits, eye, labels, 1.0)
+    return ad.logit_cross_entropy(logits, eye, labels, 1.0)[0]
 
 
 def test_add_mul_broadcasting_grads():
@@ -154,6 +157,40 @@ def test_take_rows_accumulates_duplicates():
     root = tsum(picked)
     ad.backward(root)
     assert np.array_equal(a.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("rows,picks", [(16, 32), (3, 40), (1, 7), (5, 0)])
+def test_take_rows_grad_equals_the_add_at_scatter(rows, picks):
+    # Duplicate-heavy indices: each input row is picked about picks / rows
+    # times, and some rows not at all.
+    rng = np.random.default_rng(rows * 100 + picks)
+    idx = rng.integers(0, max(1, rows // 2 + 1), size=picks)
+    a = ad.parameter(rng.normal(size=(rows, 6)))
+    g = rng.normal(size=(picks, 6))
+    (_, got), = ad.take_rows(a, idx)._vjp(g)
+    want = add_at_take_rows_grad(a.shape, idx, g)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), 1.0))
+
+
+def test_take_rows_rejects_negative_indices():
+    with pytest.raises(ParameterError, match="non-negative"):
+        ad.take_rows(ad.parameter(np.ones((3, 2))), [0, -1])
+
+
+def test_unit_rows_names_a_row_whose_squared_norm_overflows():
+    # 1e200 squared overflows: the row is finite but its norm is inf, and
+    # dividing by it would return a zero row instead of a unit row.
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalDegeneracyError, match=r"non-finite-norm.*row 1"):
+            ad.unit_rows(np.array([[1.0, 0.0], [1e200, 1.0]]))
+    for bad, row in (([[1.0, np.nan]], 0), ([[1.0, 0.0], [0.0, -np.inf]], 1)):
+        with pytest.raises(NumericalDegeneracyError, match=f"row {row}"):
+            ad.unit_rows(np.array(bad))
+    with pytest.raises(NumericalDegeneracyError, match=r"zero-length.*row 2"):
+        ad.unit_rows(np.array([[1.0, 0.0], [0.0, 3.0], [0.0, 0.0]]))
+    out, norms = ad.unit_rows(np.array([[1e150, 1.0], [3.0, 4.0]]))
+    assert np.allclose(out, [[1.0, 1e-150], [0.6, 0.8]]) and norms[1, 0] == 5.0
 
 
 def test_softmax_rows_matches_oracle_and_grads():
@@ -271,32 +308,35 @@ def test_zero_grads_resets():
     assert p.grad is None
 
 
-def test_autodiff_defines_only_what_the_program_calls():
-    """Each public function of `bandprompt.autodiff` is used by another src
-    module (the package's re-exports do not count): an op only the tests use
+@pytest.mark.parametrize("module,anchor", [("autodiff", "take_rows"), ("losses", "loss_sem"),
+                                           ("granules", "fuse_rows")])
+def test_module_defines_only_what_the_program_calls(module, anchor):
+    """Each public function of the module is used by another src module (the
+    package's re-exports do not count): an op or wrapper only the tests use
     belongs in `reference_ops`."""
-    src = Path(ad.__file__).parent
-    defined = {name for name, f in inspect.getmembers(ad, inspect.isfunction)
-               if f.__module__ == ad.__name__ and not name.startswith("_")}
+    mod = importlib.import_module(f"bandprompt.{module}")
+    src = Path(mod.__file__).parent
+    defined = {name for name, f in inspect.getmembers(mod, inspect.isfunction)
+               if f.__module__ == mod.__name__ and not name.startswith("_")}
     used = set()
     for path in src.glob("*.py"):
-        if path.name in ("autodiff.py", "__init__.py"):
+        if path.name in (f"{module}.py", "__init__.py"):
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         aliases = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
-                if node.module == "autodiff":
+                if node.module == module:
                     used.update(a.name for a in node.names)
                 elif node.module is None:
                     aliases.update(a.asname or a.name for a in node.names
-                                   if a.name == "autodiff")
+                                   if a.name == module)
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in aliases):
                 used.add(node.attr)
-    assert "take_rows" in defined
-    assert not defined - used, f"defined in autodiff but unused in src: {sorted(defined - used)}"
+    assert anchor in defined
+    assert not defined - used, f"defined in {module} but unused in src: {sorted(defined - used)}"
 
 
 def test_deep_chain_does_not_recurse():
@@ -478,12 +518,12 @@ def model_cases(rng):
         visual, rows = rng.normal(size=(n, d)), rng.normal(size=(c, d))
         scale = float(rng.uniform(1.0, 20.0))
         yield (f"logit_ce-{tag}",
-               lambda v, r, y=labels, s=scale: ad.logit_cross_entropy(v, r, y, s),
+               lambda v, r, y=labels, s=scale: ad.logit_cross_entropy(v, r, y, s)[0],
                lambda v, r, y=labels, s=scale: chain_logit_cross_entropy(v, r, y, s),
                [visual, rows])
         yield (f"logit_ce-{tag}-const",
                lambda r, v=visual, y=labels, s=scale:
-                   ad.logit_cross_entropy(ad.constant(v), r, y, s),
+                   ad.logit_cross_entropy(ad.constant(v), r, y, s)[0],
                lambda r, v=visual, y=labels, s=scale:
                    chain_logit_cross_entropy(ad.constant(v), r, y, s),
                [rows])
@@ -518,14 +558,14 @@ def model_cases(rng):
                               ("dense", np.linspace(-1.0, 2.0, 2 * n).reshape(2, n))]:
             yield (f"logit_ce-{tag}-{kind}-weights",
                    lambda v, r, y=labels, s=scale, w=weights:
-                       ad.logit_cross_entropy(v, r, np.tile(y, w.shape[1] // len(y)), s, w),
+                       ad.logit_cross_entropy(v, r, np.tile(y, w.shape[1] // len(y)), s, w)[0],
                    lambda v, r, y=labels, s=scale, w=weights:
                        chain_logit_cross_entropy(v, r, np.tile(y, w.shape[1] // len(y)), s, w),
                    [np.tile(visual, (weights.shape[1] // n, 1)), rows])
 
     same = np.zeros(6, dtype=np.intp)
     yield ("logit_ce-one-label",
-           lambda v, r: ad.logit_cross_entropy(v, r, same, 3.0),
+           lambda v, r: ad.logit_cross_entropy(v, r, same, 3.0)[0],
            lambda v, r: chain_logit_cross_entropy(v, r, same, 3.0),
            [rng.normal(size=(6, 4)), rng.normal(size=(3, 4))])
     terms = rng.normal(size=4)
@@ -614,8 +654,8 @@ def test_fused_vjps_skip_constant_inputs():
         fuse_rows(const(n, d), const(n, d), *mlp(2 * d, d), live(d), live(d)),
         fuse_rows(const(n, d), live(n, d), *mlp(2 * d, d), live(d), live(d)),
         film_rows(live(n, d), const(n, d), *mlp(d, 2 * d)),
-        ad.logit_cross_entropy(const(n, d), live(2, d), [0, 1, 1, 0], 10.0),
-        ad.logit_cross_entropy(live(n, d), const(2, d), [0, 1, 1, 0], 10.0),
+        ad.logit_cross_entropy(const(n, d), live(2, d), [0, 1, 1, 0], 10.0)[0],
+        ad.logit_cross_entropy(live(n, d), const(2, d), [0, 1, 1, 0], 10.0)[0],
         ad.weighted_sum(const(), [(live(), 0.1), (const(), 0.2)]),
         retrieve_rows(rng.normal(size=(5, d)), live(n, d), 0.5)[1],
         loss_sem(np.full((n, 2), 0.5), const(2, d), live(n, d)),
@@ -661,8 +701,11 @@ def test_training_graph_matches_the_chains(monkeypatch):
     ce_weights = []
 
     def chain_ce(visual, rows, labels, scale, weights=None):
+        # The chain's loss, with the posteriors the fused node returns beside
+        # it, computed apart by the reference softmax.
         ce_weights.append(None if weights is None else weights.shape)
-        return chain_logit_cross_entropy(visual, rows, labels, scale, weights)
+        probs = pseudo_labels(ad.lift(visual).value, ad.lift(rows).value, scale)
+        return chain_logit_cross_entropy(visual, rows, labels, scale, weights), probs
 
     for owner, name, chain in [
         (trainer, "head_graph", chain_head_graph),

@@ -134,6 +134,25 @@ def test_factorize_reconstructs_near_zero_box_means_without_the_fix_up():
     assert np.array_equal(pair.base + pair.detail, z)
 
 
+def test_factorize_reconstructs_a_cell_far_below_its_box_mean():
+    # Cell (2, 4, 12) of this latent holds 3.67e-11 under a float32 box mean
+    # of -0.112: z - base needs more than 53 bits, so the rounded split would
+    # read back 3.667910419835607e-11. Such a cell keeps z in its detail band.
+    from bandprompt.teacher import SyntheticSpec, generate_dataset
+
+    cache = generate_dataset(SyntheticSpec(num_classes=8, seed=34), 256)
+    z = cache.arrays()[list(cache.ids).index("c001_s00242")].astype(np.float64)
+    cell = (2, 4, 12)
+    rounded = smooth_lowpass(z, 7).astype(np.float32).astype(np.float64)
+    assert rounded[cell] + (z[cell] - rounded[cell]) != z[cell]
+    pair = factorize(z, 7)
+    assert np.array_equal(pair.base + pair.detail, z)
+    assert pair.base[cell] == 0.0 and pair.detail[cell] == z[cell]
+    others = np.ones(z.shape, dtype=bool)
+    others[cell] = False
+    assert np.array_equal(pair.base[others], rounded[others])
+
+
 def tiny_base_latent(k):
     """A (2, 8, 8) latent whose (0, 3, 3) window sums exactly to
     -(k * k) 2^-53, so its box mean is exactly -2^-53 (also after rounding to

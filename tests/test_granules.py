@@ -117,7 +117,7 @@ def test_permutation_validation():
 
 
 def test_counterfactual_swap_semantics():
-    # forward_batch swaps granules as ad.take_rows(t_high, pi)
+    # the counterfactual block takes row i's granule from its donor pi[i]
     rng = np.random.default_rng(4)
     granules = rng.normal(size=(4, 3))
     pi = check_permutation(np.array([1, 3, 0, 2]), 4)

@@ -12,9 +12,8 @@ from bandprompt.losses import (
     loss_cls,
     loss_granule,
     loss_sem,
-    pseudo_labels,
 )
-from reference_ops import chain_loss_sem, mul, tsum
+from reference_ops import chain_loss_sem, mul, pseudo_labels, tsum
 
 
 def unit(v):
@@ -25,14 +24,14 @@ def unit(v):
 def test_two_class_symmetric_logits_give_ln2():
     rows = np.eye(2)
     v = unit([1.0, 1.0])[None, :]
-    loss = loss_cls(v, rows, [0], scale=1.0)
+    loss, _ = loss_cls(v, rows, [0], scale=1.0)
     assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_correct_confident_logits_drive_loss_to_zero():
     rows = np.eye(2)
     v = np.array([[1.0, 0.0]])
-    loss = loss_cls(v, rows, [0], scale=100.0)
+    loss, _ = loss_cls(v, rows, [0], scale=100.0)
     assert loss.item() < 1e-6
 
 
@@ -40,19 +39,26 @@ def test_appending_an_opposed_row_barely_moves_the_loss():
     v = np.array([[1.0, 0.0]])
     rows2 = np.eye(2)
     rows3 = np.vstack([np.eye(2), -v])
-    a = loss_cls(v, rows2, [0], scale=100.0).item()
-    b = loss_cls(v, rows3, [0], scale=100.0).item()
+    a = loss_cls(v, rows2, [0], scale=100.0)[0].item()
+    b = loss_cls(v, rows3, [0], scale=100.0)[0].item()
     assert abs(a - b) < 1e-6
 
 
 def test_pseudo_labels_pinned_and_detached():
+    # The pseudo-labels are the cls term's posteriors: a read-only plain
+    # array, bitwise the separately computed softmax of the same logits.
     rows = np.eye(2)
     v = np.array([[1.0, 0.0]])
-    probs = pseudo_labels(v, rows, scale=1.0)
+    _, probs = loss_cls(v, ad.parameter(rows), [0], scale=1.0)
     assert np.allclose(probs, [[0.73106, 0.26894]], atol=1e-5)
-    assert isinstance(probs, np.ndarray)
-    sym = pseudo_labels(unit([1.0, 1.0])[None, :], rows, scale=7.0)
+    assert isinstance(probs, np.ndarray) and not probs.flags.writeable
+    assert np.array_equal(probs, pseudo_labels(v, rows, 1.0))
+    _, sym = loss_cls(unit([1.0, 1.0])[None, :], rows, [1], scale=7.0)
     assert np.allclose(sym, [[0.5, 0.5]], atol=1e-12)
+    rng = np.random.default_rng(4)
+    v, rows = rng.normal(size=(16, 8)), rng.normal(size=(16, 8))
+    _, probs = loss_cls(v, rows, rng.integers(0, 16, size=16), 100.0)
+    assert np.array_equal(probs, pseudo_labels(v, rows, 100.0))
 
 
 def test_expected_text_validates_distributions():
@@ -216,14 +222,14 @@ def test_cls_gradient_matches_finite_differences():
     y = rng.integers(0, c, size=n)
 
     rows = ad.parameter(rows0)
-    loss = loss_cls(v, rows, y, scale=10.0)
+    loss, _ = loss_cls(v, rows, y, scale=10.0)
     ad.backward(loss)
     eps = 1e-6
     for i, j in ((0, 0), (1, 3), (2, 4)):
         up = rows0.copy(); up[i, j] += eps
         dn = rows0.copy(); dn[i, j] -= eps
-        fd = (loss_cls(v, up, y, scale=10.0).item()
-              - loss_cls(v, dn, y, scale=10.0).item()) / (2 * eps)
+        fd = (loss_cls(v, up, y, scale=10.0)[0].item()
+              - loss_cls(v, dn, y, scale=10.0)[0].item()) / (2 * eps)
         assert fd == pytest.approx(rows.grad[i, j], rel=1e-5, abs=1e-8)
 
 

@@ -24,7 +24,7 @@ from bandprompt.trainer import (
     state_from_values,
     train_step,
 )
-from reference_ops import concatenating_adam_step, popping_stratified_order
+from reference_ops import concatenating_adam_step, popping_stratified_order, pseudo_labels
 
 GRID = (4, 16, 16)
 
@@ -178,11 +178,13 @@ def reachable_tensors(root):
 
 
 def test_default_objective_tape_size(cache):
-    # One node per composite a step calls: 12 op nodes over 25 parameters and
+    # One node per composite a step calls: 11 op nodes over 25 parameters and
     # 5 constants. The factual and counterfactual granule terms share one
-    # gather, fusion, FiLM and cross-entropy node each. The primitive chains
-    # made the same objective reach 215 tensors, the partly fused steps 116
-    # and 55, and the two-branch granule step 44 (15 op nodes).
+    # anchor gather, fusion, FiLM and cross-entropy node each, and the
+    # high-band head embeds the donor rows, so no granule gather remains. The
+    # primitive chains made the same objective reach 215 tensors, the partly
+    # fused steps 116 and 55, the two-branch granule step 44 (15 op nodes)
+    # and the stacked step with a granule gather 42 (12).
     cfg = TrainConfig()
     state, feats = init_state(cache, cfg)
     fill_bank(state, feats)
@@ -192,7 +194,7 @@ def test_default_objective_tape_size(cache):
     tensors = reachable_tensors(total)
     ops = [t for t in tensors if t._vjp is not None]
     params = [t for t in tensors if t.requires_grad and t._vjp is None]
-    assert (len(tensors), len(ops), len(params)) == (42, 12, 25)
+    assert (len(tensors), len(ops), len(params)) == (41, 11, 25)
     assert {id(p) for p in params} == {id(p) for p in state.params.values()}
 
 
@@ -212,6 +214,50 @@ def test_a_step_runs_each_granule_layer_once(cache, monkeypatch):
     parts = train_step(state, feats, np.arange(5), cfg, np.array([3, 0, 4, 1, 2]))
     assert calls == dict.fromkeys(calls, 1)
     assert parts.granule_f is not None and parts.granule_cf is not None
+
+
+def test_forward_batch_takes_its_pseudo_labels_from_the_cls_term(cache, monkeypatch):
+    # The semantic term reads the cls term's posteriors; a step computes no
+    # second logits or softmax. It equals the term built from the separately
+    # computed reference posteriors bitwise.
+    from bandprompt import losses, trainer
+    from bandprompt.refine import refined_text_graph
+
+    cfg = small_cfg()
+    state, feats = init_state(cache, cfg)
+    fill_bank(state, feats)
+    idx, pi = np.arange(5), np.array([3, 0, 4, 1, 2])
+    text_pred = refined_text_graph(state.params["text_raw"], state.bank,
+                                   trainer.group(state.params, "agg")).value
+    probs = pseudo_labels(feats.visual[idx], text_pred, cfg.logit_scale)
+    _, want = forward_batch(state.params, feats, idx, state.bank, cfg, pi, probs_override=probs)
+
+    def second_softmax(*args, **kwargs):
+        raise AssertionError("a training step computed the cls posteriors twice")
+
+    for owner in (losses, trainer):
+        monkeypatch.setattr(owner, "pseudo_labels", second_softmax, raising=False)
+    monkeypatch.setattr(losses, "class_logits", second_softmax)
+    _, got = forward_batch(state.params, feats, idx, state.bank, cfg, pi)
+    assert got.sem is not None
+    assert (got.sem, got.total) == (want.sem, want.total)
+
+
+def test_adam_step_allocates_no_full_length_temporary(cache):
+    import tracemalloc
+
+    state, _ = init_state(cache, TrainConfig())
+    opt = state.optimizer
+    opt.grads[...] = np.random.default_rng(0).normal(size=opt.grads.shape)
+    opt.step()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < opt.values.nbytes, (peak, opt.values.nbytes)
 
 
 def test_adam_flat_step_equals_the_per_tensor_loop():
