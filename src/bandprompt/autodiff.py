@@ -92,9 +92,10 @@ def node(value, parents, vjp) -> Tensor:
     `vjp(g)` returns (parent, gradient) pairs. It may leave out, and should
     not compute, the gradients of parents that are constants.
     """
-    if not any(p.requires_grad for p in parents):
-        return Tensor(value)
-    return Tensor(value, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(value, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
+    return Tensor(value)
 
 
 def backward(root: Tensor) -> None:
@@ -135,7 +136,7 @@ def take_rows(a, idx) -> Tensor:
     the gradients of duplicate indices as one (m, n) one-hot product."""
     a = lift(a)
     idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and idx.min() < 0:
+    if np.minimum.reduce(idx, axis=None, initial=0) < 0:
         raise ParameterError("take_rows needs non-negative row indices")
     out = a.value[idx]
 
@@ -147,8 +148,11 @@ def take_rows(a, idx) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# array-level algebra shared by the fused composites. `x.sum(axis, keepdims)
-# / n` is exactly what `ndarray.mean` computes, without its Python wrapper.
+# array-level algebra shared by the fused composites. Reductions call the
+# ufunc (`np.add.reduce`, `np.maximum.reduce`, ...): that is what the
+# `ndarray.sum/max/any/all` methods call, less their Python wrapper, and
+# `np.add.reduce(x, axis, keepdims=...) / n` is exactly what `ndarray.mean`
+# computes.
 
 
 def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:
@@ -168,14 +172,14 @@ def mlp_vjp(g: Array, x: Array, hidden: Array, w1: Tensor, b1: Tensor, w2: Tenso
     if w2.requires_grad:
         grads.append((w2, hidden.T @ g))
     if b2.requires_grad:
-        grads.append((b2, g.sum(axis=0)))
+        grads.append((b2, np.add.reduce(g, axis=0)))
     gx = None
     if need_x or w1.requires_grad or b1.requires_grad:
         gh = (g @ w2.value.T) * (1.0 - hidden * hidden)
         if w1.requires_grad:
             grads.append((w1, x.T @ gh))
         if b1.requires_grad:
-            grads.append((b1, gh.sum(axis=0)))
+            grads.append((b1, np.add.reduce(gh, axis=0)))
         if need_x:
             gx = gh @ w1.value.T
     return grads, gx
@@ -185,10 +189,13 @@ def unit_rows(x: Array) -> tuple[Array, Array]:
     """Rows of `x` scaled to unit L2 norm, and the (n, 1) norms. A row whose
     norm is below MIN_NORM or not finite (a non-finite entry, or a squared norm
     past the float64 range) raises, naming the row."""
-    norms = np.sqrt((x * x).sum(axis=1))
-    ok = np.isfinite(norms) & (norms >= MIN_NORM)
-    if not ok.all():
-        bad = int(ok.argmin())
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    # Norms are >= 0, inf or NaN; NaN propagates through both reductions and
+    # fails both comparisons, so they accept exactly when every norm lies in
+    # [MIN_NORM, inf), and `initial` accepts an empty stack.
+    if not (np.minimum.reduce(norms, initial=MIN_NORM) >= MIN_NORM
+            and np.maximum.reduce(norms, initial=0.0) < np.inf):
+        bad = int((np.isfinite(norms) & (norms >= MIN_NORM)).argmin())
         kind = "a zero-length" if norms[bad] < MIN_NORM else "a non-finite-norm"
         raise NumericalDegeneracyError(
             f"cannot normalize {kind} vector (row {bad}, norm {norms[bad]:.3e})"
@@ -199,14 +206,14 @@ def unit_rows(x: Array) -> tuple[Array, Array]:
 
 def unit_rows_vjp(g: Array, out: Array, norms: Array) -> Array:
     """Gradient reaching `x` of `unit_rows(x)`, given its output and norms."""
-    return (g - out * (g * out).sum(axis=1, keepdims=True)) / norms
+    return (g - out * np.add.reduce(g * out, axis=1, keepdims=True)) / norms
 
 
 def layer_norm_forward(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
     """Feature-dimension LayerNorm of the rows of `x`: (output, normed rows, std)."""
     n = x.shape[1]
-    centered = x - x.sum(axis=1, keepdims=True) / n
-    std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) / n + LN_EPS)
+    centered = x - np.add.reduce(x, axis=1, keepdims=True) / n
+    std = np.sqrt(np.add.reduce(centered * centered, axis=1, keepdims=True) / n + LN_EPS)
     normed = centered / std
     return normed * gain + bias, normed, std
 
@@ -215,8 +222,8 @@ def layer_norm_vjp(g: Array, gain: Array, normed: Array, std: Array) -> Array:
     """Gradient reaching `x` of `layer_norm_forward`."""
     n = g.shape[1]
     gn = g * gain
-    return (gn - gn.sum(axis=1, keepdims=True) / n
-            - normed * (gn * normed).sum(axis=1, keepdims=True) / n) / std
+    return (gn - np.add.reduce(gn, axis=1, keepdims=True) / n
+            - normed * np.add.reduce(gn * normed, axis=1, keepdims=True) / n) / std
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +250,18 @@ def logit_cross_entropy(visual, rows, labels, scale: float,
     n, c = v.shape[0], r.shape[0]
     if labels.shape != (n,) or (weights is not None and weights.shape[1:] != (n,)):
         raise ParameterError("labels or weights do not match the visual batch")
-    if (labels < 0).any() or (labels >= c).any():
+    if (np.minimum.reduce(labels, initial=0) < 0
+            or np.maximum.reduce(labels, initial=c - 1) >= c):
         raise ParameterError("label out of range")
     logits = (v @ r.T) * scale
-    shift = logits.max(axis=1)
+    shift = np.maximum.reduce(logits, axis=1)
     e = np.exp(logits - shift[:, None])
-    total = e.sum(axis=1)
+    total = np.add.reduce(e, axis=1)
     probs = e / total[:, None]
     probs.setflags(write=False)
     picked = (np.arange(n), labels)
     losses = (shift + np.log(total)) - logits[picked]
-    out = losses.sum() / n if weights is None else weights @ losses
+    out = np.add.reduce(losses) / n if weights is None else weights @ losses
 
     def vjp(g):
         glogits = probs.copy()

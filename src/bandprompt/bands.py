@@ -87,7 +87,7 @@ def factorize(z, k: int) -> BandPair:
     base = smooth_lowpass(arr, k).astype(np.float32).astype(np.float64)
     detail = arr - base
     bad = (base + detail) != arr
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         # A box mean many binades below its cell, or a cell many binades below
         # its box mean, cannot subtract exactly at any mantissa width: such a
         # cell keeps all of z in its detail band.
@@ -100,7 +100,8 @@ def band_stats(z) -> np.ndarray:
     """Per-channel mean absolute activation: a length-C vector, or (n, C)
     rows for a stack."""
     arr = as_latent_array(z).astype(np.float64)
-    return np.abs(arr).mean(axis=(-2, -1))
+    # What `ndarray.mean` computes, without its Python wrapper.
+    return np.add.reduce(np.abs(arr), axis=(-2, -1)) / (arr.shape[-2] * arr.shape[-1])
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -112,8 +113,7 @@ def uniform_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndar
 def head_graph(stats, w1, b1, w2, b2) -> ad.Tensor:
     """Tape composite, one node, mapping (n, C) statistics rows to unit (n, d)
     rows: L2Norm(MLP(stats))."""
-    stats = ad.lift(stats)
-    w1, b1, w2, b2 = (ad.lift(p) for p in (w1, b1, w2, b2))
+    stats, w1, b1, w2, b2 = map(ad.lift, (stats, w1, b1, w2, b2))
     pre, hidden = ad.mlp_forward(stats.value, w1.value, b1.value, w2.value, b2.value)
     out, norms = ad.unit_rows(pre)
 

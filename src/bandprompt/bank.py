@@ -69,12 +69,13 @@ def _check_unit_rows(rows: np.ndarray, dim: int) -> np.ndarray:
         raise ParameterError(f"bank input must be a 2-D stack of rows, got shape {rows.shape}")
     if rows.shape[1] != dim:
         raise ParameterError(f"input dim {rows.shape[1]} does not match bank dim {dim}")
-    if not np.isfinite(rows).all():
-        raise NumericalDegeneracyError("bank input has non-finite values")
-    norms = np.linalg.norm(rows, axis=1)
-    off = np.abs(norms - 1.0) > _UNIT_TOL
-    if off.any():
-        bad = int(np.flatnonzero(off)[0])
+    # `np.linalg.norm(rows, axis=1)`, without its wrapper. A non-finite entry
+    # makes its row's norm NaN or inf, which fails the one reduction too.
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    if not np.maximum.reduce(abs(norms - 1.0), initial=0.0) <= _UNIT_TOL:
+        if not np.isfinite(rows).all():
+            raise NumericalDegeneracyError("bank input has non-finite values")
+        bad = int(np.flatnonzero(abs(norms - 1.0) > _UNIT_TOL)[0])
         raise ParameterError(f"bank input must be unit norm, got {norms[bad]:.6f} (row {bad})")
     return rows
 
@@ -83,22 +84,26 @@ def absorb(bank: SemanticBank, rows: np.ndarray) -> SemanticBank:
     """Absorb an (n, d) stack of unit rows in row order: rows go to the free
     slots while there are any, and each later row EMA-updates its nearest
     entry. The stack is checked whole before any row is absorbed; the result
-    equals absorbing the rows one at a time."""
+    equals absorbing the rows one at a time. The EMA rows' momentum pulls are
+    one product over the stack, and each updated row is divided by its norm
+    straight into its slot."""
     rows = _check_unit_rows(rows, bank.dim)
     filled = min(bank.size - bank.fill_count, len(rows))
     bank.entries[bank.fill_count : bank.fill_count + filled] = rows[:filled]
     bank.fill_count += filled
-    keep = 1.0 - bank.momentum
-    for vec in rows[filled:]:
-        slot = int((bank.entries @ vec).argmax())  # first maximum wins ties
-        updated = keep * bank.entries[slot] + bank.momentum * vec
+    entries, keep = bank.entries, 1.0 - bank.momentum
+    rows = rows[filled:]
+    for vec, pull in zip(rows, bank.momentum * rows):
+        slot = int((entries @ vec).argmax())  # first maximum wins ties
+        entry = entries[slot]
+        updated = keep * entry + pull
         # What `np.linalg.norm` computes for a vector, without its wrapper.
         norm = math.sqrt(updated.dot(updated))
         if norm < ad.MIN_NORM:
             raise NumericalDegeneracyError(
                 f"EMA update produced a zero-length entry at slot {slot}"
             )
-        bank.entries[slot] = updated / norm
+        np.divide(updated, norm, out=entry)
     return bank
 
 
@@ -114,12 +119,12 @@ def retrieve_rows(entries: np.ndarray, queries,
     inv_t = 1.0 / temperature
     scores = (queries.value @ frozen.value.T) * inv_t
     # Shifting by the row max keeps exp() in range; softmax is shift invariant.
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=1, keepdims=True))
+    weights = e / np.add.reduce(e, axis=1, keepdims=True)
 
     def vjp(g):
         gw = g @ frozen.value.T
-        gscores = weights * (gw - (gw * weights).sum(axis=1, keepdims=True))
+        gscores = weights * (gw - np.add.reduce(gw * weights, axis=1, keepdims=True))
         return ((queries, (gscores * inv_t) @ frozen.value),)
 
     return weights, ad.node(weights @ frozen.value, (queries, frozen), vjp)

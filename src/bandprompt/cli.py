@@ -9,7 +9,10 @@ the `use_bank` and `bank_dump_path` keys older versions stamped; a bad value
 of a config key there is a checkpoint error. In `eval` the checkpoint's BANK block decides
 whether the model has a bank, and its size, temperature and momentum replace
 the resolved `bank_size`, `bank_tau` and `bank_momentum` (`BANK none` gives
-`bank_size = 0`), so the report stamps the bank it scored with.
+`bank_size = 0`), so the report stamps the bank it scored with. Likewise the
+stamped `seed`, which draws the frozen encoder, replaces the resolved one,
+and `train` stamps the grid of the cache it trained on in `grid_c/h/w`:
+`eval` on a cache of another grid is a ProtocolError naming both grids.
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 """
 
@@ -34,6 +37,8 @@ from .trainer import (
     save_checkpoint,
     state_from_values,
 )
+
+GRID_KEYS = ("grid_c", "grid_h", "grid_w")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -135,6 +140,8 @@ def cmd_train(args) -> int:
         except ParameterError as exc:
             raise ConfigError(str(exc)) from None
     cache = read_cache(cfg.cache_path)
+    # Stamp the grid trained on, which `eval` holds a cache to.
+    cfg = replace(cfg, **dict(zip(GRID_KEYS, cache.grid)))
     header = cfg.header_lines()
     if cfg.protocol == "base_to_novel":
         out = run_base_to_novel(cache, cfg, shots=cfg.shots,
@@ -172,13 +179,21 @@ def cmd_eval(args) -> int:
         except ConfigError as exc:
             raise ParameterError(f"{args.checkpoint}: stamped {exc}") from None
     cfg = _resolve(args, base=stamped, cache_path=args.cache, eval_report_path=args.report)
-    # The checkpoint's bank is the one scored with, so its settings are stamped.
+    # What the checkpoint trained is what is scored, so it is what is stamped:
+    # its bank, the seed that drew its frozen encoder and the grid it saw. A
+    # header without a seed or grid (a checkpoint written by the library)
+    # leaves the resolved seed and checks no grid.
+    trained = {key: getattr(stamped, key) for key in ("seed", *GRID_KEYS) if key in header_items}
     if bank is None:
-        cfg = replace(cfg, bank_size=0)
+        cfg = replace(cfg, bank_size=0, **trained)
     else:
         cfg = replace(cfg, bank_size=bank.size, bank_tau=bank.temperature,
-                      bank_momentum=bank.momentum)
+                      bank_momentum=bank.momentum, **trained)
     cache = read_cache(cfg.cache_path)
+    grid = (cfg.grid_c, cfg.grid_h, cfg.grid_w)
+    if set(GRID_KEYS) <= trained.keys() and cache.grid != grid:
+        raise ProtocolError(f"{cfg.cache_path}: cache grid {cache.grid} differs from the grid "
+                            f"{grid} that {args.checkpoint} trained on")
     encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
     state = state_from_values(param_values, bank, encoder, cfg)
     labels = cache.labels()

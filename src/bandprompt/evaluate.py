@@ -235,6 +235,10 @@ def granule_source_accuracy(state: TrainState, cfg: TrainConfig,
     if num_batches < 1:
         raise ParameterError("num_batches must be >= 1")
     labels = np.asarray(labels, dtype=np.intp)
+    if labels.size == 0:
+        raise ParameterError("granule source accuracy needs at least one sample")
+    if labels.shape != (len(arrays),):
+        raise ParameterError(f"{len(arrays)} latents but labels of shape {labels.shape}")
     feats = compute_features(state.encoder, arrays, labels, cfg.kernel)
     bs = min(cfg.batch_size, len(labels))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCF]))

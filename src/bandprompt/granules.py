@@ -31,8 +31,8 @@ from .errors import ParameterError
 
 def fuse_rows(anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias) -> ad.Tensor:
     """Tape composite, one node: LayerNorm(anchors + MLP([anchors ; granules]))."""
-    anchors, granules = ad.lift(anchors), ad.lift(granules)
-    w1, b1, w2, b2, ln_gain, ln_bias = (ad.lift(p) for p in (w1, b1, w2, b2, ln_gain, ln_bias))
+    anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias = map(
+        ad.lift, (anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias))
     a = anchors.value
     if a.ndim != 2 or granules.value.ndim != 2:
         raise ParameterError("fuse_rows expects (n, d) anchor and granule rows")
@@ -45,9 +45,9 @@ def fuse_rows(anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias) -> ad.Tensor:
         need_joint = anchors.requires_grad or granules.requires_grad
         grads, gjoint = ad.mlp_vjp(gs, joint, hidden, w1, b1, w2, b2, need_joint)
         if ln_gain.requires_grad:
-            grads.append((ln_gain, (g * normed).sum(axis=0)))
+            grads.append((ln_gain, np.add.reduce(g * normed, axis=0)))
         if ln_bias.requires_grad:
-            grads.append((ln_bias, g.sum(axis=0)))
+            grads.append((ln_bias, np.add.reduce(g, axis=0)))
         na = a.shape[1]
         if anchors.requires_grad:
             grads.append((anchors, gs + gjoint[:, :na]))
@@ -60,8 +60,7 @@ def fuse_rows(anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias) -> ad.Tensor:
 
 def film_rows(codes, visual, w1, b1, w2, b2) -> ad.Tensor:
     """Tape composite, one node: unit-normalized (1 + tanh(gamma)) * v + beta."""
-    codes, visual = ad.lift(codes), ad.lift(visual)
-    w1, b1, w2, b2 = (ad.lift(p) for p in (w1, b1, w2, b2))
+    codes, visual, w1, b1, w2, b2 = map(ad.lift, (codes, visual, w1, b1, w2, b2))
     v = visual.value
     dim = v.shape[1]
     gb, hidden = ad.mlp_forward(codes.value, w1.value, b1.value, w2.value, b2.value)
@@ -71,9 +70,7 @@ def film_rows(codes, visual, w1, b1, w2, b2) -> ad.Tensor:
 
     def vjp(g):
         gs = ad.unit_rows_vjp(g, out, norms)
-        ggb = np.zeros_like(gb)
-        ggb[:, :dim] = (gs * v) * (1.0 - t * t)
-        ggb[:, dim : 2 * dim] = gs
+        ggb = np.concatenate([(gs * v) * (1.0 - t * t), gs], axis=1)
         grads, gcodes = ad.mlp_vjp(ggb, codes.value, hidden, w1, b1, w2, b2,
                                    codes.requires_grad)
         if gcodes is not None:
@@ -86,7 +83,11 @@ def film_rows(codes, visual, w1, b1, w2, b2) -> ad.Tensor:
 
 
 def check_permutation(pi, n: int) -> np.ndarray:
+    """`pi` as an intp array if it is a permutation of 0..n-1: n values in
+    0..n-1 (so `bincount` makes n bins), none of them twice."""
     pi = np.asarray(pi, dtype=np.intp)
-    if pi.shape != (n,) or not np.array_equal(np.sort(pi), np.arange(n)):
-        raise ParameterError("pi must be a permutation of 0..n-1")
-    return pi
+    if (pi.shape == (n,) and np.minimum.reduce(pi, initial=0) >= 0
+            and np.maximum.reduce(pi, initial=-1) < n
+            and np.maximum.reduce(np.bincount(pi, minlength=n), initial=0) <= 1):
+        return pi
+    raise ParameterError("pi must be a permutation of 0..n-1")

@@ -88,24 +88,28 @@ def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
     rows; `probs` is a detached array with one distribution per row."""
     probs = np.asarray(probs, dtype=np.float64)
     raw_rows, t_low = _rows(raw_rows), _rows(t_low)
-    if (probs.ndim != 2 or probs.shape[1] != raw_rows.shape[0] or (probs < -1e-12).any()
-            or (abs(probs.sum(axis=1) - 1.0) > 1e-9).any()):
+    # `fmin`/`fmax` skip NaN as the mask forms `(probs < -1e-12).any()` and
+    # `(abs(sums - 1) > 1e-9).any()` do, and `initial` admits empty batches.
+    if (probs.ndim != 2 or probs.shape[1] != raw_rows.shape[0]
+            or np.fmin.reduce(probs, axis=None, initial=0.0) < -1e-12
+            or np.fmax.reduce(abs(np.add.reduce(probs, axis=1) - 1.0), initial=0.0) > 1e-9):
         raise ParameterError(f"pseudo-labels {probs.shape} must be a distribution per row "
                              f"over the class rows {raw_rows.shape}")
     rows, norms = ad.unit_rows(raw_rows.value)
     t_exp, low = probs @ rows, t_low.value
     if low.shape != t_exp.shape:
         raise ParameterError("low-band embeddings do not match the batch")
-    na = np.sqrt((t_exp * t_exp).sum(axis=1))
-    nb = np.sqrt((low * low).sum(axis=1))
-    if (na < ad.MIN_NORM).any() or (nb < ad.MIN_NORM).any():
+    na = np.sqrt(np.add.reduce(t_exp * t_exp, axis=1))
+    nb = np.sqrt(np.add.reduce(low * low, axis=1))
+    # As `(na < MIN_NORM).any() or (nb < MIN_NORM).any()`: NaN norms pass.
+    if np.fmin.reduce(np.fmin(na, nb), initial=np.inf) < ad.MIN_NORM:
         raise NumericalDegeneracyError("cosine of a zero-length vector")
     den = na * nb
-    cos = (t_exp * low).sum(axis=1) / den
+    cos = np.add.reduce(t_exp * low, axis=1) / den
     n = cos.size
 
     def vjp(g):
-        gcos = -np.broadcast_to(g / n, cos.shape)
+        gcos = -(g / n)  # the same scalar for every row
         gd = (gcos / den)[:, None]
         gc = (gcos * cos)[:, None]
         grads = []
@@ -116,7 +120,7 @@ def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
             grads.append((t_low, gd * t_exp - gc * low / (nb * nb)[:, None]))
         return grads
 
-    return ad.node((1.0 - cos).sum() / n, (raw_rows, t_low), vjp)
+    return ad.node(np.add.reduce(1.0 - cos) / n, (raw_rows, t_low), vjp)
 
 
 def loss_granule(modulated, raw_rows, labels, scale: float, blocks: int = 1) -> ad.Tensor:
@@ -142,18 +146,20 @@ def combine(cls_term: ad.Tensor,
             lambda_sem: float, lambda_gf: float, lambda_gcf: float,
             ) -> tuple[ad.Tensor, LossBreakdown]:
     """Weighted total as a tape scalar plus the float breakdown; `granule_terms`
-    is `loss_granule`'s value over the built granule terms."""
-    weighted = [] if sem_term is None else [(sem_term, lambda_sem)]
-    granule = dict.fromkeys(("granule_f", "granule_cf"))
+    is `loss_granule`'s value over the built granule terms. A non-finite term
+    makes the total non-finite whatever its weight, so only a non-finite total
+    needs the per-term check that names the culprit."""
+    weighted, sem, granule_f, granule_cf = [], None, None, None
+    if sem_term is not None:
+        sem = sem_term.value.item()
+        weighted.append((sem_term, lambda_sem))
     if granule_terms is not None:
-        built = {name: w for name, w in zip(granule, (lambda_gf, lambda_gcf)) if w > 0}
-        granule.update(zip(built, granule_terms.value.tolist()))
-        weighted.append((granule_terms, list(built.values())))
+        values = granule_terms.value.tolist()  # built terms, factual first
+        granule_f = values[0] if lambda_gf > 0 else None
+        granule_cf = values[-1] if lambda_gcf > 0 else None
+        weighted.append((granule_terms, [w for w in (lambda_gf, lambda_gcf) if w > 0]))
     total = ad.weighted_sum(cls_term, weighted) if weighted else cls_term
-    parts = LossBreakdown(
-        cls=cls_term.item(),
-        sem=None if sem_term is None else sem_term.item(),
-        total=total.item(),
-        **granule,
-    )
-    return total, parts.check_finite()
+    parts = LossBreakdown(cls_term.value.item(), sem, granule_f, granule_cf, total.value.item())
+    if not math.isfinite(parts.total):
+        parts.check_finite()
+    return total, parts

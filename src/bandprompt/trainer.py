@@ -15,6 +15,7 @@ the analytic gradient of every trainable scalar.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -76,6 +77,16 @@ PARAM_GROUPS = {
     prefix: tuple(n for n in PARAM_NAMES if n.partition(".")[0] == prefix)
     for prefix in (n.partition(".")[0] for n in PARAM_NAMES)
 }
+
+
+def _tuple_getter(names: tuple[str, ...]):
+    # `itemgetter` of one key returns the bare item, not a 1-tuple.
+    get = operator.itemgetter(*names)
+    return get if len(names) > 1 else lambda params: (get(params),)
+
+
+# Each group's tensors from a parameter dict, in `param_table` order.
+_GROUP_GETTERS = {prefix: _tuple_getter(names) for prefix, names in PARAM_GROUPS.items()}
 
 
 # Inputs that carry values but are excluded from the trainable set by
@@ -241,7 +252,7 @@ def group(params: dict[str, ad.Tensor], prefix: str,
           constant: bool = False) -> tuple[ad.Tensor, ...]:
     """One group's tensors in `param_table` order; with `constant`, value-only
     copies for eager use, through which no gradient reaches the parameters."""
-    tensors = tuple(params[name] for name in PARAM_GROUPS[prefix])
+    tensors = _GROUP_GETTERS[prefix](params)
     return tuple(ad.constant(t.value) for t in tensors) if constant else tensors
 
 

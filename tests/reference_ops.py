@@ -6,7 +6,8 @@ the fused composites are checked against. `test_autodiff` checks each of
 them against finite differences. So do the per-tensor `zero_grads` and the
 concatenating Adam step that the optimizer's flat buffers replaced, the
 two-branch granule step that the stacked pass replaced, and the other loops
-that array code replaced.
+that array code replaced, and the mask forms of the input guards that one or
+two reductions replaced.
 """
 
 import numpy as np
@@ -365,3 +366,68 @@ def two_branch_forward_batch(params, feats, idx, bank, cfg, pi):
             weighted.append((gcf_term, cfg.lambda_gcf))
     total = ad.weighted_sum(cls_term, weighted) if weighted else cls_term
     return total, tuple(None if t is None else t.item() for t in (gf_term, gcf_term))
+
+
+# ---------------------------------------------------------------------------
+# the mask forms of the input guards; each returns whether its guard accepts
+
+
+def mask_unit_rows_accepts(x) -> bool:
+    """`autodiff.unit_rows`: every row norm finite and >= MIN_NORM."""
+    norms = np.sqrt((x * x).sum(axis=1))
+    return bool((np.isfinite(norms) & (norms >= ad.MIN_NORM)).all())
+
+
+def mask_labels_accept(labels, num_classes: int) -> bool:
+    """`autodiff.logit_cross_entropy`'s labels: every one in 0..num_classes-1."""
+    labels = np.asarray(labels, dtype=np.intp)
+    return not ((labels < 0).any() or (labels >= num_classes).any())
+
+
+def mask_sem_rejects(probs, raw_rows, t_low):
+    """Which guard of `losses.loss_sem` rejects its inputs: "probs" (not a
+    distribution per row), "norms" (a zero-length cosine operand) or None.
+    NaN passes both, as it fails every comparison."""
+    probs, raw_rows, t_low = (np.asarray(a, dtype=np.float64) for a in (probs, raw_rows, t_low))
+    if (probs < -1e-12).any() or (abs(probs.sum(axis=1) - 1.0) > 1e-9).any():
+        return "probs"
+    t_exp = probs @ (raw_rows / np.linalg.norm(raw_rows, axis=1, keepdims=True))
+    na = np.sqrt((t_exp * t_exp).sum(axis=1))
+    nb = np.sqrt((t_low * t_low).sum(axis=1))
+    if (na < ad.MIN_NORM).any() or (nb < ad.MIN_NORM).any():
+        return "norms"
+    return None
+
+
+def sorting_permutation_accepts(pi, n: int) -> bool:
+    """`granules.check_permutation`: the sorted values are 0..n-1."""
+    pi = np.asarray(pi, dtype=np.intp)
+    return pi.shape == (n,) and np.array_equal(np.sort(pi), np.arange(n))
+
+
+def mask_bank_rows_rejects(rows):
+    """Which error `bank.absorb`'s row check raises, or None: a non-finite
+    entry first, then a row norm more than 1e-5 from 1."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(rows).all():
+        return NumericalDegeneracyError
+    if (np.abs(np.linalg.norm(rows, axis=1) - 1.0) > 1e-5).any():
+        return ParameterError
+    return None
+
+
+def row_by_row_absorb(bank, rows):
+    """`bank.absorb` one row at a time, as it was before it took stacks: fill
+    the next free slot, or EMA-update the nearest entry into a fresh row."""
+    for vec in rows:
+        if not bank.full:
+            bank.entries[bank.fill_count] = vec
+            bank.fill_count += 1
+            continue
+        slot = int(np.argmax(bank.entries @ vec))
+        updated = (1.0 - bank.momentum) * bank.entries[slot] + bank.momentum * vec
+        norm = float(np.linalg.norm(updated))
+        if norm < ad.MIN_NORM:
+            raise NumericalDegeneracyError(f"EMA update produced a zero-length entry at slot {slot}")
+        bank.entries[slot] = updated / norm
+    return bank

@@ -16,7 +16,7 @@ from bandprompt.bank import (
 from bandprompt.errors import BankStateError, NumericalDegeneracyError, ParameterError
 from bandprompt.refine import build_text_features
 from bandprompt.trainer import init_group
-from reference_ops import chain_retrieve_rows, mul, square, tsum
+from reference_ops import chain_retrieve_rows, mul, row_by_row_absorb, square, tsum
 
 
 def unit(v):
@@ -36,17 +36,6 @@ def test_fill_phase_is_sequential_and_ordered():
     assert np.array_equal(bank.entries, np.stack(vecs))
 
 
-def absorb_reference(bank, vec):
-    """The single-row absorb that the stacked one replaced."""
-    if not bank.full:
-        bank.entries[bank.fill_count] = vec
-        bank.fill_count += 1
-        return
-    slot = int(np.argmax(bank.entries @ vec))
-    updated = (1.0 - bank.momentum) * bank.entries[slot] + bank.momentum * vec
-    bank.entries[slot] = updated / float(np.linalg.norm(updated))
-
-
 @pytest.mark.parametrize("splits", [(11,), (2, 9), (3, 1, 7), (1,) * 11])
 def test_stacked_absorb_equals_row_by_row(splits):
     # 11 rows into a bank of 5 holding 2: the first stack straddles the
@@ -61,10 +50,42 @@ def test_stacked_absorb_equals_row_by_row(splits):
     for n in splits:
         absorb(bank, rows[start : start + n])
         start += n
-    for vec in rows:
-        absorb_reference(ref, vec)
+    row_by_row_absorb(ref, rows)
     assert bank.fill_count == ref.fill_count == 5
     assert np.array_equal(bank.entries, ref.entries)
+
+
+@pytest.mark.parametrize("momentum", [0.1, 0.5, 1.0])
+def test_refresh_sized_absorb_equals_row_by_row_bitwise(momentum):
+    # A 64-slot bank holding 40 takes 96 rows, as an epoch's refresh does:
+    # the stack fills 24 slots and EMA-updates with the other 72, a third of
+    # them repeats, which tie with the entries they made.
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(72, 32))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = np.concatenate([rows, rows[rng.integers(0, 72, size=24)]])
+    start = rng.normal(size=(64, 32))
+    start[:40] /= np.linalg.norm(start[:40], axis=1, keepdims=True)
+    start[40:] = 0.0
+    bank = SemanticBank(entries=start.copy(), momentum=momentum, temperature=0.07, fill_count=40)
+    ref = SemanticBank(entries=start.copy(), momentum=momentum, temperature=0.07, fill_count=40)
+    absorb(bank, rows)
+    row_by_row_absorb(ref, rows)
+    assert bank.fill_count == ref.fill_count == 64
+    assert np.array_equal(bank.entries, ref.entries)
+
+
+def test_a_zero_length_ema_update_names_its_slot():
+    # Slot 0 sits a hair further from the last row than slot 1, which that
+    # row's opposite pull cancels exactly; the rows before it stay absorbed.
+    rows = np.array([[-(1.0 + 1e-6), 0.0], [-1.0, 0.0], [1.0, 0.0]])
+    banks = [SemanticBank.create(size=2, dim=2, momentum=0.5, temperature=0.07)
+             for _ in range(2)]
+    for run, bank in zip((absorb, row_by_row_absorb), banks):
+        with pytest.raises(NumericalDegeneracyError, match="zero-length entry at slot 1"):
+            run(bank, rows)
+    assert np.array_equal(banks[0].entries, banks[1].entries)
+    assert banks[0].fill_count == 2
 
 
 def test_a_bad_row_leaves_the_bank_untouched():

@@ -139,7 +139,7 @@ def test_eval_config_precedence(ws, tmp_path, monkeypatch):
     assert header["align_h"] == "7"             # --config beats the header
     assert header["eta"] == "0.5"
     assert header["align_w"] == "8"             # --set beats --config
-    assert header["seed"] == "4"                # SPECPL_SEED beats --set
+    assert header["seed"] == "1"                # the checkpoint's seed beats every source
     assert header["cache_path"] == ws["cache"]  # path flags beat everything
     assert header["eval_report_path"] == str(out)
     assert header["protocol"] == "all" and "trained_on" not in header
@@ -408,6 +408,54 @@ def test_eval_stamps_the_bank_it_scored_with(ws, nobank, tmp_path):
     out = tmp_path / "nobank.txt"
     _eval_accuracy(nobank, ws["cache"], out, "bank_size=6")
     assert "# bank_size = 0" in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("how", ["--set", "SPECPL_SEED"])
+def test_eval_draws_the_encoder_from_the_stamped_seed(ws, tmp_path, monkeypatch, how):
+    # The seed draws the frozen encoder, so another seed would score another
+    # model; eval takes the checkpoint's, whatever the config resolves.
+    plain = _eval_accuracy(ws["all_ckpt"], ws["cache"], tmp_path / "plain.txt")
+    out = tmp_path / "reseeded.txt"
+    if how == "--set":
+        got = _eval_accuracy(ws["all_ckpt"], ws["cache"], out, "seed=7")
+    else:
+        monkeypatch.setenv("SPECPL_SEED", "9")
+        got = _eval_accuracy(ws["all_ckpt"], ws["cache"], out)
+    assert got == plain and float(plain) > 80.0
+    assert "# seed = 0" in out.read_text().splitlines()
+
+
+@pytest.fixture(scope="module")
+def small_grid(ws):
+    """A 4x8x8 cache and a checkpoint trained on it under the default grid keys."""
+    root = ws["root"]
+    paths = {"cache": str(root / "grid8.bin"), "ckpt": str(root / "grid8_ckpt.txt")}
+    assert main(["gen", "--config", ws["cfg"], "--set", "grid_h=8", "--set", "grid_w=8",
+                 "--out", paths["cache"]]) == 0
+    assert main(["train", "--config", ws["cfg"], "--set", "protocol=all", "--set", "epochs=2",
+                 "--cache", paths["cache"], "--checkpoint", paths["ckpt"],
+                 "--history", str(root / "grid8_hist.txt"),
+                 "--report", str(root / "grid8_eval.txt")]) == 0
+    return paths
+
+
+def test_train_stamps_the_grid_of_its_cache(small_grid):
+    header, _, _ = load_checkpoint(small_grid["ckpt"])
+    assert (header["grid_c"], header["grid_h"], header["grid_w"]) == ("4", "8", "8")
+
+
+def test_eval_rejects_a_cache_of_another_grid(ws, small_grid, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    for ckpt, cache in ((ws["all_ckpt"], small_grid["cache"]),
+                        (small_grid["ckpt"], ws["cache"])):
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, "--cache", cache,
+                     "--report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(4, 8, 8)" in err and "(4, 16, 16)" in err
+        assert not out.exists()
+    assert main(["eval", "--checkpoint", small_grid["ckpt"], "--cache", small_grid["cache"],
+                 "--report", str(out)]) == 0
 
 
 def test_env_seed_wins(ws, monkeypatch):

@@ -190,3 +190,15 @@ def test_granule_source_accuracy_bounds_and_determinism(proto_setup):
     assert 0.0 <= a <= 100.0
     with pytest.raises(ParameterError):
         granule_source_accuracy(out.state, cfg, arrays[base_eval], y, num_batches=0)
+
+
+def test_granule_source_accuracy_rejects_empty_or_unpaired_samples(proto_setup):
+    # An empty sample set would otherwise reach a reshape of zero features.
+    cache, cfg = proto_setup
+    state = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False).state
+    arrays = cache.arrays()[:0]
+    with pytest.raises(ParameterError, match="at least one sample"):
+        granule_source_accuracy(state, cfg, arrays, np.zeros(0, dtype=np.intp))
+    # Labels that do not pair up with the latents would index past them.
+    with pytest.raises(ParameterError, match="10 latents"):
+        granule_source_accuracy(state, cfg, cache.arrays()[:10], cache.labels())

@@ -176,6 +176,20 @@ def test_non_finite_losses_are_named():
         parts.check_finite()
 
 
+@pytest.mark.parametrize("sem, granule, lambda_sem, name", [
+    (np.inf, [1.0, 2.0], 0.1, "sem"),
+    (np.nan, [1.0, 2.0], 0.0, "sem"),         # a zero weight still reports the term
+    (1.0, [np.nan, 2.0], 0.1, "granule_f"),
+    (1.0, [1.0, -np.inf], 0.1, "granule_cf"),
+    (1e308, [1e308, 1e308], 10.0, "total"),   # finite terms, overflowing total
+])
+def test_combine_names_the_first_non_finite_term(sem, granule, lambda_sem, name):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match=f"'{name}'"):
+            combine(ad.constant(1.0), ad.constant(sem), ad.constant(granule),
+                    lambda_sem, 0.2, 0.3)
+
+
 def test_class_logits_validation_and_shape():
     rows = np.eye(3)
     v = np.zeros((2, 3))

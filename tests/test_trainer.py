@@ -1,5 +1,7 @@
 """Training loop: encoder, state init, steps, fill phase, checkpoints."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,43 @@ def test_default_objective_tape_size(cache):
     params = [t for t in tensors if t.requires_grad and t._vjp is None]
     assert (len(tensors), len(ops), len(params)) == (41, 11, 25)
     assert {id(p) for p in params} == {id(p) for p in state.params.values()}
+
+
+def count_step_calls(state, feats, idx, cfg, pi) -> tuple[int, int]:
+    """(Python-level, C-level) calls that one `train_step` makes, as
+    `sys.setprofile` reports them: function frames, and builtins or methods
+    implemented in C, such as numpy's `ufunc.reduce`. Array operators such
+    as `a @ b` make no call event."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        train_step(state, feats, idx, cfg, pi)
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"] - 1  # less the `setprofile(None)` call
+
+
+# One default step's call counts. An `ndarray.sum/max/any/all` call adds a
+# Python-level wrapper frame to its C reduction, and a mask plus `any` adds
+# calls to a guard, so either one coming back shows here without a timing.
+STEP_CALL_BUDGET = (165, 234)
+
+
+def test_default_step_stays_within_its_call_budget(cache):
+    cfg = TrainConfig()
+    state, feats = init_state(cache, cfg)
+    fill_bank(state, feats)
+    idx = np.arange(cfg.batch_size)
+    pi = np.random.default_rng(0).permutation(cfg.batch_size)
+    train_step(state, feats, idx, cfg, pi)  # first-call caches fill here
+    py_calls, c_calls = count_step_calls(state, feats, idx, cfg, pi)
+    assert (py_calls, c_calls) == count_step_calls(state, feats, idx, cfg, pi)
+    assert py_calls <= STEP_CALL_BUDGET[0] and c_calls <= STEP_CALL_BUDGET[1], (py_calls, c_calls)
 
 
 def test_a_step_runs_each_granule_layer_once(cache, monkeypatch):
