@@ -18,6 +18,13 @@ and LayerNorm algebra here, so each formula is written once.
 `logit_cross_entropy` also returns its detached row softmax, which the
 trainer reuses as the semantic term's pseudo-labels, so a step computes the
 class posteriors once. This module defines only what the program calls.
+
+Sums over the rows or columns of the tape's small (tens of rows) arrays are
+products with a read-only ones vector from `ONES`: `x.dot(ONES[x.shape[1]])`
+sums each row, `ONES[x.shape[0]].dot(x)` each column. One BLAS matrix-vector
+call costs about a third of `np.add.reduce` at those shapes, and it adds in
+its own order, so a sum differs from the ufunc's by rounding only. Maximum
+and minimum reductions (softmax shifts, guards) stay ufunc reductions.
 """
 
 from __future__ import annotations
@@ -34,6 +41,20 @@ Array = np.ndarray
 # Norms below this are treated as degenerate rather than normalized.
 MIN_NORM = 1e-12
 LN_EPS = 1e-5
+
+
+class _Ones(dict):
+    """Length -> a read-only float64 vector of that many ones, built on first
+    use. Read by subscript, it costs no Python-level call once built."""
+
+    def __missing__(self, n: int) -> Array:
+        ones = self[n] = np.ones(n)
+        ones.setflags(write=False)
+        return ones
+
+
+# The ones vectors of every sum on the tape.
+ONES = _Ones()
 
 # Creation stamps; `backward` runs VJPs in decreasing stamp order. One counter
 # serves every tape: only the order of the stamps matters.
@@ -90,7 +111,10 @@ def node(value, parents, vjp) -> Tensor:
     """A tape node over `parents`, or a constant when none of them is live.
 
     `vjp(g)` returns (parent, gradient) pairs. It may leave out, and should
-    not compute, the gradients of parents that are constants.
+    not compute, the gradients of parents that are constants. Each gradient
+    is a fresh array that no other pair and no other tensor holds, nor `g`
+    itself: `backward` keeps a parent's first gradient as its `.grad`
+    without a copy and adds later ones into it in place.
     """
     for p in parents:
         if p.requires_grad:
@@ -121,8 +145,7 @@ def backward(root: Tensor) -> None:
             if not parent.requires_grad:
                 continue
             if parent.grad is None:
-                # A copy: one VJP may hand the same array to two parents.
-                parent.grad = np.array(g)
+                parent.grad = g  # fresh, as `node` requires of a VJP
             else:
                 parent.grad += g
 
@@ -148,11 +171,9 @@ def take_rows(a, idx) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# array-level algebra shared by the fused composites. Reductions call the
-# ufunc (`np.add.reduce`, `np.maximum.reduce`, ...): that is what the
-# `ndarray.sum/max/any/all` methods call, less their Python wrapper, and
-# `np.add.reduce(x, axis, keepdims=...) / n` is exactly what `ndarray.mean`
-# computes.
+# array-level algebra shared by the fused composites. Sums are products with
+# `ONES`; other reductions call the ufunc (`np.minimum.reduce`, ...), which is
+# what the `ndarray.min/max/any/all` methods call, less their Python wrapper.
 
 
 def mlp_forward(x: Array, w1: Array, b1: Array, w2: Array, b2: Array) -> tuple[Array, Array]:
@@ -172,14 +193,14 @@ def mlp_vjp(g: Array, x: Array, hidden: Array, w1: Tensor, b1: Tensor, w2: Tenso
     if w2.requires_grad:
         grads.append((w2, hidden.T @ g))
     if b2.requires_grad:
-        grads.append((b2, np.add.reduce(g, axis=0)))
+        grads.append((b2, ONES[g.shape[0]].dot(g)))
     gx = None
     if need_x or w1.requires_grad or b1.requires_grad:
         gh = (g @ w2.value.T) * (1.0 - hidden * hidden)
         if w1.requires_grad:
             grads.append((w1, x.T @ gh))
         if b1.requires_grad:
-            grads.append((b1, np.add.reduce(gh, axis=0)))
+            grads.append((b1, ONES[gh.shape[0]].dot(gh)))
         if need_x:
             gx = gh @ w1.value.T
     return grads, gx
@@ -189,7 +210,7 @@ def unit_rows(x: Array) -> tuple[Array, Array]:
     """Rows of `x` scaled to unit L2 norm, and the (n, 1) norms. A row whose
     norm is below MIN_NORM or not finite (a non-finite entry, or a squared norm
     past the float64 range) raises, naming the row."""
-    norms = np.sqrt(np.add.reduce(x * x, axis=1))
+    norms = np.sqrt((x * x).dot(ONES[x.shape[1]]))
     # Norms are >= 0, inf or NaN; NaN propagates through both reductions and
     # fails both comparisons, so they accept exactly when every norm lies in
     # [MIN_NORM, inf), and `initial` accepts an empty stack.
@@ -206,14 +227,15 @@ def unit_rows(x: Array) -> tuple[Array, Array]:
 
 def unit_rows_vjp(g: Array, out: Array, norms: Array) -> Array:
     """Gradient reaching `x` of `unit_rows(x)`, given its output and norms."""
-    return (g - out * np.add.reduce(g * out, axis=1, keepdims=True)) / norms
+    return (g - out * (g * out).dot(ONES[g.shape[1]])[:, None]) / norms
 
 
 def layer_norm_forward(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
     """Feature-dimension LayerNorm of the rows of `x`: (output, normed rows, std)."""
     n = x.shape[1]
-    centered = x - np.add.reduce(x, axis=1, keepdims=True) / n
-    std = np.sqrt(np.add.reduce(centered * centered, axis=1, keepdims=True) / n + LN_EPS)
+    ones = ONES[n]
+    centered = x - (x.dot(ones) / n)[:, None]
+    std = np.sqrt((centered * centered).dot(ones) / n + LN_EPS)[:, None]
     normed = centered / std
     return normed * gain + bias, normed, std
 
@@ -221,9 +243,10 @@ def layer_norm_forward(x: Array, gain: Array, bias: Array) -> tuple[Array, Array
 def layer_norm_vjp(g: Array, gain: Array, normed: Array, std: Array) -> Array:
     """Gradient reaching `x` of `layer_norm_forward`."""
     n = g.shape[1]
+    ones = ONES[n]
     gn = g * gain
-    return (gn - np.add.reduce(gn, axis=1, keepdims=True) / n
-            - normed * np.add.reduce(gn * normed, axis=1, keepdims=True) / n) / std
+    return (gn - (gn.dot(ones) / n)[:, None]
+            - normed * ((gn * normed).dot(ones) / n)[:, None]) / std
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +279,16 @@ def logit_cross_entropy(visual, rows, labels, scale: float,
     logits = (v @ r.T) * scale
     shift = np.maximum.reduce(logits, axis=1)
     e = np.exp(logits - shift[:, None])
-    total = np.add.reduce(e, axis=1)
+    total = e.dot(ONES[c])
     probs = e / total[:, None]
     probs.setflags(write=False)
-    picked = (np.arange(n), labels)
-    losses = (shift + np.log(total)) - logits[picked]
-    out = np.add.reduce(losses) / n if weights is None else weights @ losses
+    picked = np.arange(0, n * c, c) + labels  # each row's label, as a flat index
+    losses = (shift + np.log(total)) - logits.reshape(-1)[picked]
+    out = losses.dot(ONES[n]) / n if weights is None else weights @ losses
 
     def vjp(g):
         glogits = probs.copy()
-        glogits[picked] -= 1.0
+        glogits.reshape(-1)[picked] -= 1.0
         row_g = g / n if weights is None else (g @ weights)[:, None]
         glogits = (glogits * row_g) * scale
         grads = []
@@ -290,6 +313,8 @@ def weighted_sum(first, terms) -> Tensor:
 
     def vjp(g):
         grads = [(t, g * w) for t, w in terms if t.requires_grad]
-        return [(first, g), *grads] if first.requires_grad else grads
+        # `first`'s gradient is `g`, which the node owns: a copy, of a 0-d
+        # array or a float alike.
+        return [(first, np.array(g)), *grads] if first.requires_grad else grads
 
     return node(out, (first, *(t for t, _ in terms)), vjp)

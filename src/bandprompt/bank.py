@@ -69,9 +69,9 @@ def _check_unit_rows(rows: np.ndarray, dim: int) -> np.ndarray:
         raise ParameterError(f"bank input must be a 2-D stack of rows, got shape {rows.shape}")
     if rows.shape[1] != dim:
         raise ParameterError(f"input dim {rows.shape[1]} does not match bank dim {dim}")
-    # `np.linalg.norm(rows, axis=1)`, without its wrapper. A non-finite entry
-    # makes its row's norm NaN or inf, which fails the one reduction too.
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    # The row norms as in `ad.unit_rows`. A non-finite entry makes its row's
+    # norm NaN or inf, which fails the one reduction too.
+    norms = np.sqrt((rows * rows).dot(ad.ONES[dim]))
     if not np.maximum.reduce(abs(norms - 1.0), initial=0.0) <= _UNIT_TOL:
         if not np.isfinite(rows).all():
             raise NumericalDegeneracyError("bank input has non-finite values")
@@ -120,11 +120,12 @@ def retrieve_rows(entries: np.ndarray, queries,
     scores = (queries.value @ frozen.value.T) * inv_t
     # Shifting by the row max keeps exp() in range; softmax is shift invariant.
     e = np.exp(scores - np.maximum.reduce(scores, axis=1, keepdims=True))
-    weights = e / np.add.reduce(e, axis=1, keepdims=True)
+    ones = ad.ONES[e.shape[1]]
+    weights = e / e.dot(ones)[:, None]
 
     def vjp(g):
         gw = g @ frozen.value.T
-        gscores = weights * (gw - np.add.reduce(gw * weights, axis=1, keepdims=True))
+        gscores = weights * (gw - (gw * weights).dot(ones)[:, None])
         return ((queries, (gscores * inv_t) @ frozen.value),)
 
     return weights, ad.node(weights @ frozen.value, (queries, frozen), vjp)

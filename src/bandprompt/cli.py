@@ -10,9 +10,10 @@ of a config key there is a checkpoint error. In `eval` the checkpoint's BANK blo
 whether the model has a bank, and its size, temperature and momentum replace
 the resolved `bank_size`, `bank_tau` and `bank_momentum` (`BANK none` gives
 `bank_size = 0`), so the report stamps the bank it scored with. Likewise the
-stamped `seed`, which draws the frozen encoder, replaces the resolved one,
-and `train` stamps the grid of the cache it trained on in `grid_c/h/w`:
-`eval` on a cache of another grid is a ProtocolError naming both grids.
+encoder a checkpoint stamps (`embed_dim`, `seed` and the grid `grid_c/h/w`,
+which every checkpoint carries, however it was saved) replaces the resolved
+values: `eval` on a cache of another grid is a ProtocolError naming both
+grids.
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 """
 
@@ -29,6 +30,7 @@ from .errors import BandpromptError, ConfigError, ParameterError, ProtocolError
 from .evaluate import check_shots, run_base_to_novel, score
 from .teacher import generate_dataset, read_cache, write_cache
 from .trainer import (
+    ENCODER_KEYS,
     FD_TOLERANCE,
     ToyVisualEncoder,
     fit,
@@ -180,10 +182,10 @@ def cmd_eval(args) -> int:
             raise ParameterError(f"{args.checkpoint}: stamped {exc}") from None
     cfg = _resolve(args, base=stamped, cache_path=args.cache, eval_report_path=args.report)
     # What the checkpoint trained is what is scored, so it is what is stamped:
-    # its bank, the seed that drew its frozen encoder and the grid it saw. A
-    # header without a seed or grid (a checkpoint written by the library)
-    # leaves the resolved seed and checks no grid.
-    trained = {key: getattr(stamped, key) for key in ("seed", *GRID_KEYS) if key in header_items}
+    # its bank and its frozen encoder. A header without the encoder keys (a
+    # checkpoint saved before checkpoints stamped their encoder) leaves the
+    # resolved values and checks no grid.
+    trained = {key: getattr(stamped, key) for key in ENCODER_KEYS if key in header_items}
     if bank is None:
         cfg = replace(cfg, bank_size=0, **trained)
     else:

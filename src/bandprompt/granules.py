@@ -44,10 +44,11 @@ def fuse_rows(anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias) -> ad.Tensor:
         gs = ad.layer_norm_vjp(g, ln_gain.value, normed, std)
         need_joint = anchors.requires_grad or granules.requires_grad
         grads, gjoint = ad.mlp_vjp(gs, joint, hidden, w1, b1, w2, b2, need_joint)
+        ones = ad.ONES[g.shape[0]]
         if ln_gain.requires_grad:
-            grads.append((ln_gain, np.add.reduce(g * normed, axis=0)))
+            grads.append((ln_gain, ones.dot(g * normed)))
         if ln_bias.requires_grad:
-            grads.append((ln_bias, np.add.reduce(g, axis=0)))
+            grads.append((ln_bias, ones.dot(g)))
         na = a.shape[1]
         if anchors.requires_grad:
             grads.append((anchors, gs + gjoint[:, :na]))

@@ -92,20 +92,22 @@ def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
     # `(abs(sums - 1) > 1e-9).any()` do, and `initial` admits empty batches.
     if (probs.ndim != 2 or probs.shape[1] != raw_rows.shape[0]
             or np.fmin.reduce(probs, axis=None, initial=0.0) < -1e-12
-            or np.fmax.reduce(abs(np.add.reduce(probs, axis=1) - 1.0), initial=0.0) > 1e-9):
+            or np.fmax.reduce(abs(probs.dot(ad.ONES[probs.shape[1]]) - 1.0),
+                              initial=0.0) > 1e-9):
         raise ParameterError(f"pseudo-labels {probs.shape} must be a distribution per row "
                              f"over the class rows {raw_rows.shape}")
     rows, norms = ad.unit_rows(raw_rows.value)
     t_exp, low = probs @ rows, t_low.value
     if low.shape != t_exp.shape:
         raise ParameterError("low-band embeddings do not match the batch")
-    na = np.sqrt(np.add.reduce(t_exp * t_exp, axis=1))
-    nb = np.sqrt(np.add.reduce(low * low, axis=1))
+    ones = ad.ONES[low.shape[1]]
+    na = np.sqrt((t_exp * t_exp).dot(ones))
+    nb = np.sqrt((low * low).dot(ones))
     # As `(na < MIN_NORM).any() or (nb < MIN_NORM).any()`: NaN norms pass.
     if np.fmin.reduce(np.fmin(na, nb), initial=np.inf) < ad.MIN_NORM:
         raise NumericalDegeneracyError("cosine of a zero-length vector")
     den = na * nb
-    cos = np.add.reduce(t_exp * low, axis=1) / den
+    cos = (t_exp * low).dot(ones) / den
     n = cos.size
 
     def vjp(g):
@@ -120,7 +122,7 @@ def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
             grads.append((t_low, gd * t_exp - gc * low / (nb * nb)[:, None]))
         return grads
 
-    return ad.node(np.add.reduce(1.0 - cos) / n, (raw_rows, t_low), vjp)
+    return ad.node((1.0 - cos).dot(ad.ONES[n]) / n, (raw_rows, t_low), vjp)
 
 
 def loss_granule(modulated, raw_rows, labels, scale: float, blocks: int = 1) -> ad.Tensor:

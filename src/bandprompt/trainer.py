@@ -15,6 +15,7 @@ the analytic gradient of every trainable scalar.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, fields
 
@@ -121,35 +122,41 @@ class TrainConfig:
             raise ParameterError("embed_dim must be >= 1")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ParameterError("kernel must be odd and >= 1")
-        for name in ("lambda_sem", "lambda_gf", "lambda_gcf"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
+        # The float checks are chained comparisons, which NaN fails: a NaN
+        # weight would otherwise fail `> 0` and drop its term unannounced.
+        for name in ("lambda_sem", "lambda_gf", "lambda_gcf", "learning_rate"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("logit_scale", "bank_tau"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 <= self.eta <= 1.0:
             raise ParameterError("eta must be in [0, 1]")
-        if self.logit_scale <= 0:
-            raise ParameterError("logit_scale must be > 0")
         if self.epochs < 0:
             raise ParameterError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ParameterError("learning_rate must be >= 0")
         if self.bank_size < 0:
             raise ParameterError("bank_size must be >= 0 (0 turns the bank off)")
-        if self.bank_tau <= 0:
-            raise ParameterError("bank_tau must be > 0")
         if not 0 < self.bank_momentum <= 1:
             raise ParameterError("bank_momentum must be in (0, 1]")
         if self.anchor not in ANCHOR_POLICIES:
             raise ParameterError(f"anchor must be one of {ANCHOR_POLICIES}, got {self.anchor!r}")
 
 
+# The config keys under which a checkpoint stamps the frozen encoder that
+# `ToyVisualEncoder.create` redraws from them.
+ENCODER_KEYS = ("embed_dim", "seed", "grid_c", "grid_h", "grid_w")
+
+
 @dataclass(frozen=True)
 class ToyVisualEncoder:
-    """Frozen seeded linear map R^{C*h*w} -> R^d with unit-norm outputs."""
+    """Frozen seeded linear map R^{C*h*w} -> R^d with unit-norm outputs,
+    drawn from `seed`."""
 
     weight: np.ndarray
     grid: tuple[int, int, int]
+    seed: int
 
     @classmethod
     def create(cls, dim: int, grid: tuple[int, int, int], seed: int) -> "ToyVisualEncoder":
@@ -157,7 +164,11 @@ class ToyVisualEncoder:
         n_in = c * h * w
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE11C]))
         weight = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(dim, n_in))
-        return cls(weight=weight, grid=(c, h, w))
+        return cls(weight=weight, grid=(c, h, w), seed=seed)
+
+    def stamp(self) -> dict[str, str]:
+        """The `ENCODER_KEYS` items that redraw this encoder."""
+        return dict(zip(ENCODER_KEYS, map(str, (len(self.weight), self.seed, *self.grid))))
 
     def encode_batch(self, arrays) -> np.ndarray:
         x = np.asarray(arrays, dtype=np.float64)
@@ -572,7 +583,7 @@ def run_gradient_check(cache: LatentCache, cfg: TrainConfig) -> GradCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: optional "# resolved-config" comment header, then the
+# checkpoint format: a "# resolved-config" comment header, then the
 # bank block ("BANK <fill_count>" and the bank dump, or "BANK none"), then one
 # text block per parameter tensor (name, shape, rows). A bare "BANK" tag is
 # the older form, written before the fill count was kept; it loads as full.
@@ -585,7 +596,11 @@ def format_header(items: dict[str, str]) -> list[str]:
 
 
 def format_checkpoint(state: TrainState, header: dict[str, str] | None = None) -> str:
-    lines = format_header(header) if header else []
+    """The checkpoint text of `state`. Its header holds the `header` items
+    and the encoder's stamp, which wins over a `header` item of the same key:
+    a checkpoint names the encoder it was trained over, however it was
+    saved."""
+    lines = format_header({**(header or {}), **state.encoder.stamp()})
     if state.bank is not None:
         lines.append(f"BANK {state.bank.fill_count}")
         lines.append(format_bank(state.bank).rstrip("\n"))

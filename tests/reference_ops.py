@@ -17,9 +17,10 @@ from bandprompt.errors import NumericalDegeneracyError, ParameterError
 
 
 def unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to `shape`."""
-    if g.shape == shape:
-        return g
+    """Sum a broadcast gradient back down to `shape`, as a fresh array: a VJP
+    hands each parent a gradient of its own (`ad.node`)."""
+    if np.shape(g) == shape:
+        return np.array(g)
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -85,7 +86,7 @@ def matmul(a, b):
 
 def transpose(a):
     a = ad.lift(a)
-    return ad.node(a.value.T, (a,), lambda g: ((a, g.T),))
+    return ad.node(a.value.T, (a,), lambda g: ((a, g.T.copy()),))
 
 
 def tanh(a):
@@ -131,12 +132,12 @@ def tsum(a, axis=None, keepdims=False):
 
 
 def tmean(a, axis=None, keepdims=False):
-    """Mean over every entry, or over `axis`. The full mean is `sum() / size`,
-    which is what `ndarray.mean` computes."""
+    """Mean over every entry, or over `axis`. The full mean is the program's
+    sum kernel, a product with `ad.ONES`, over the size."""
     a = ad.lift(a)
     if axis is None:
         count = a.value.size
-        out = a.value.sum() / count
+        out = a.value.ravel().dot(ad.ONES[count]) / count
     else:
         count = a.value.shape[axis]
         out = a.value.mean(axis=axis, keepdims=keepdims)
@@ -147,7 +148,7 @@ def concat_cols(a, b):
     a, b = ad.lift(a), ad.lift(b)
     na = a.value.shape[1]
     return ad.node(np.concatenate([a.value, b.value], axis=1), (a, b),
-                   lambda g: ((a, g[:, :na]), (b, g[:, na:])))
+                   lambda g: ((a, g[:, :na].copy()), (b, g[:, na:].copy())))
 
 
 def cols(a, lo, hi):
@@ -172,13 +173,15 @@ def affine(x, w, b):
 
 
 def softmax_rows(x):
+    """Row softmax; its row sums are the program's sum kernel."""
     x = ad.lift(x)
+    ones = ad.ONES[x.value.shape[1]]
     # Shifting by the row max keeps exp() in range; softmax is shift invariant.
     e = np.exp(x.value - x.value.max(axis=1, keepdims=True))
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.dot(ones)[:, None]
 
     def vjp(g):
-        return ((x, out * (g - (g * out).sum(axis=1, keepdims=True))),)
+        return ((x, out * (g - (g * out).dot(ones)[:, None])),)
 
     return ad.node(out, (x,), vjp)
 
@@ -190,14 +193,16 @@ def l2normalize_rows(x):
 
 
 def cosine_rows(a, b):
-    """Row-wise cosine similarity; degenerate rows raise."""
+    """Row-wise cosine similarity; degenerate rows raise. Its row sums are the
+    program's sum kernel."""
     a, b = ad.lift(a), ad.lift(b)
-    na = np.sqrt((a.value * a.value).sum(axis=1))
-    nb = np.sqrt((b.value * b.value).sum(axis=1))
+    ones = ad.ONES[a.value.shape[1]]
+    na = np.sqrt((a.value * a.value).dot(ones))
+    nb = np.sqrt((b.value * b.value).dot(ones))
     if (na < ad.MIN_NORM).any() or (nb < ad.MIN_NORM).any():
         raise NumericalDegeneracyError("cosine of a zero-length vector")
     den = na * nb
-    out = (a.value * b.value).sum(axis=1) / den
+    out = (a.value * b.value).dot(ones) / den
 
     def vjp(g):
         gd = (g / den)[:, None]
@@ -236,7 +241,7 @@ def pseudo_labels(visual, text_rows, scale: float) -> np.ndarray:
     logits = class_logits(visual, text_rows, scale)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.dot(ad.ONES[e.shape[1]])[:, None]
 
 
 def add_at_take_rows_grad(shape, idx, g):
@@ -431,3 +436,150 @@ def row_by_row_absorb(bank, rows):
             raise NumericalDegeneracyError(f"EMA update produced a zero-length entry at slot {slot}")
         bank.entries[slot] = updated / norm
     return bank
+
+
+# ---------------------------------------------------------------------------
+# the `np.add.reduce` forms of the sums that the program takes as products
+# with `ad.ONES`: the array-level helpers and the composites with sums of
+# their own, as they were before. `test_sums` holds each product form to its
+# reduce form.
+
+
+def reduce_mlp_vjp(g, x, hidden, w1, b1, w2, b2, need_x):
+    """`ad.mlp_vjp` with `np.add.reduce` bias gradients."""
+    grads = []
+    if w2.requires_grad:
+        grads.append((w2, hidden.T @ g))
+    if b2.requires_grad:
+        grads.append((b2, np.add.reduce(g, axis=0)))
+    gx = None
+    if need_x or w1.requires_grad or b1.requires_grad:
+        gh = (g @ w2.value.T) * (1.0 - hidden * hidden)
+        if w1.requires_grad:
+            grads.append((w1, x.T @ gh))
+        if b1.requires_grad:
+            grads.append((b1, np.add.reduce(gh, axis=0)))
+        if need_x:
+            gx = gh @ w1.value.T
+    return grads, gx
+
+
+def reduce_unit_rows(x):
+    """`ad.unit_rows` with `np.add.reduce` norms, less its guard."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))[:, None]
+    return x / norms, norms
+
+
+def reduce_unit_rows_vjp(g, out, norms):
+    return (g - out * np.add.reduce(g * out, axis=1, keepdims=True)) / norms
+
+
+def reduce_layer_norm_forward(x, gain, bias):
+    n = x.shape[1]
+    centered = x - np.add.reduce(x, axis=1, keepdims=True) / n
+    std = np.sqrt(np.add.reduce(centered * centered, axis=1, keepdims=True) / n + ad.LN_EPS)
+    normed = centered / std
+    return normed * gain + bias, normed, std
+
+
+def reduce_layer_norm_vjp(g, gain, normed, std):
+    n = g.shape[1]
+    gn = g * gain
+    return (gn - np.add.reduce(gn, axis=1, keepdims=True) / n
+            - normed * np.add.reduce(gn * normed, axis=1, keepdims=True) / n) / std
+
+
+# The helpers above under the names the composites look them up by.
+REDUCE_HELPERS = {
+    "mlp_vjp": reduce_mlp_vjp,
+    "unit_rows": reduce_unit_rows,
+    "unit_rows_vjp": reduce_unit_rows_vjp,
+    "layer_norm_forward": reduce_layer_norm_forward,
+    "layer_norm_vjp": reduce_layer_norm_vjp,
+}
+
+
+def reduce_logit_cross_entropy(visual, rows, labels, scale, weights=None):
+    """`ad.logit_cross_entropy` with `np.add.reduce` softmax totals and batch
+    mean, and the (rows, labels) tuple gather, less its guards."""
+    visual, rows = ad.lift(visual), ad.lift(rows)
+    v, r = visual.value, rows.value
+    labels = np.asarray(labels, dtype=np.intp)
+    n = v.shape[0]
+    logits = (v @ r.T) * scale
+    shift = np.maximum.reduce(logits, axis=1)
+    e = np.exp(logits - shift[:, None])
+    total = np.add.reduce(e, axis=1)
+    probs = e / total[:, None]
+    picked = (np.arange(n), labels)
+    losses = (shift + np.log(total)) - logits[picked]
+    out = np.add.reduce(losses) / n if weights is None else weights @ losses
+
+    def vjp(g):
+        glogits = probs.copy()
+        glogits[picked] -= 1.0
+        row_g = g / n if weights is None else (g @ weights)[:, None]
+        glogits = (glogits * row_g) * scale
+        return ((visual, glogits @ r), (rows, (v.T @ glogits).T))
+
+    return ad.node(out, (visual, rows), vjp), probs
+
+
+def reduce_fuse_rows(anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias):
+    """`granules.fuse_rows` with the reduce helpers and `np.add.reduce`
+    LayerNorm gain and bias gradients."""
+    anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias = map(
+        ad.lift, (anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias))
+    a = anchors.value
+    joint = np.concatenate([a, granules.value], axis=1)
+    residual, hidden = ad.mlp_forward(joint, w1.value, b1.value, w2.value, b2.value)
+    out, normed, std = reduce_layer_norm_forward(a + residual, ln_gain.value, ln_bias.value)
+
+    def vjp(g):
+        gs = reduce_layer_norm_vjp(g, ln_gain.value, normed, std)
+        grads, gjoint = reduce_mlp_vjp(gs, joint, hidden, w1, b1, w2, b2, True)
+        na = a.shape[1]
+        return grads + [(ln_gain, np.add.reduce(g * normed, axis=0)),
+                        (ln_bias, np.add.reduce(g, axis=0)),
+                        (anchors, gs + gjoint[:, :na]), (granules, gjoint[:, na:].copy())]
+
+    return ad.node(out, (anchors, granules, w1, b1, w2, b2, ln_gain, ln_bias), vjp)
+
+
+def reduce_loss_sem(probs, raw_rows, t_low):
+    """`losses.loss_sem` with `np.add.reduce` norms, cosines and mean, less
+    its guards."""
+    raw_rows, t_low = ad.lift(raw_rows), ad.lift(t_low)
+    rows, norms = reduce_unit_rows(raw_rows.value)
+    t_exp, low = probs @ rows, t_low.value
+    na = np.sqrt(np.add.reduce(t_exp * t_exp, axis=1))
+    nb = np.sqrt(np.add.reduce(low * low, axis=1))
+    den = na * nb
+    cos = np.add.reduce(t_exp * low, axis=1) / den
+    n = cos.size
+
+    def vjp(g):
+        gcos = -(g / n)
+        gd = (gcos / den)[:, None]
+        gc = (gcos * cos)[:, None]
+        gexp = gd * low - gc * t_exp / (na * na)[:, None]
+        return ((raw_rows, reduce_unit_rows_vjp(probs.T @ gexp, rows, norms)),
+                (t_low, gd * t_exp - gc * low / (nb * nb)[:, None]))
+
+    return ad.node(np.add.reduce(1.0 - cos) / n, (raw_rows, t_low), vjp)
+
+
+def reduce_retrieve_rows(entries, queries, temperature):
+    """`bank.retrieve_rows` with `np.add.reduce` softmax sums."""
+    queries = ad.lift(queries)
+    inv_t = 1.0 / temperature
+    scores = (queries.value @ entries.T) * inv_t
+    e = np.exp(scores - np.maximum.reduce(scores, axis=1, keepdims=True))
+    weights = e / np.add.reduce(e, axis=1, keepdims=True)
+
+    def vjp(g):
+        gw = g @ entries.T
+        gscores = weights * (gw - np.add.reduce(gw * weights, axis=1, keepdims=True))
+        return ((queries, (gscores * inv_t) @ entries),)
+
+    return weights, ad.node(weights @ entries, (queries,), vjp)

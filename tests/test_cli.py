@@ -10,8 +10,8 @@ from bandprompt.bank import read_bank
 from bandprompt.cli import main
 from bandprompt.config import RunConfig
 from bandprompt.teacher import LatentCache, read_cache, write_cache
-from bandprompt.evaluate import accuracy_percent
-from bandprompt.trainer import ToyVisualEncoder, load_checkpoint
+from bandprompt.evaluate import accuracy_percent, score
+from bandprompt.trainer import TrainConfig, ToyVisualEncoder, fit, load_checkpoint, save_checkpoint
 from test_teacher import BAD_RECORD_FAULTS, bad_record_cache
 
 SMALL_CFG = """
@@ -423,6 +423,26 @@ def test_eval_draws_the_encoder_from_the_stamped_seed(ws, tmp_path, monkeypatch,
         got = _eval_accuracy(ws["all_ckpt"], ws["cache"], out)
     assert got == plain and float(plain) > 80.0
     assert "# seed = 0" in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("how", ["default", "--set", "SPECPL_SEED"])
+def test_eval_of_a_library_checkpoint_scores_its_own_encoder(ws, tmp_path, monkeypatch, how):
+    # `save_checkpoint` without a header stamps the encoder all the same, so
+    # eval redraws the one the model trained over, not the resolved seed's.
+    cache = read_cache(ws["cache"])
+    cfg = TrainConfig(embed_dim=8, bank_size=6, batch_size=5, epochs=3, seed=3)
+    state = fit(cache, cfg)
+    ckpt = tmp_path / "library.txt"
+    save_checkpoint(ckpt, state)
+    want = score(state, cfg, state.encoder.encode_batch(cache.arrays()), cache.labels())
+    settings = ["seed=0", "embed_dim=16"] if how == "--set" else []
+    if how == "SPECPL_SEED":
+        monkeypatch.setenv("SPECPL_SEED", "5")
+    out = tmp_path / "report.txt"
+    assert _eval_accuracy(ckpt, ws["cache"], out, *settings) == f"{want:.6f}"
+    assert float(want) > 80.0
+    lines = out.read_text().splitlines()
+    assert {"# seed = 3", "# embed_dim = 8", "# grid_h = 16"} <= set(lines)
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,11 @@
 """Input guards pinned against their mask forms.
 
 Each guard of the training step reduces its input once or twice instead of
-building a mask and asking `any`/`all` of it. These cases hold the accept and
-reject sets to the mask forms kept in `reference_ops`, on the inputs where
-reductions differ: empty stacks, NaN, +-inf, negative, out-of-range and
-duplicate values.
+building a mask and asking `any`/`all` of it, and the row norms and sums it
+reads are products with `ad.ONES` (BLAS) rather than `np.add.reduce`. These
+cases hold the accept and reject sets to the mask forms kept in
+`reference_ops`, on the inputs where reductions differ: empty stacks, NaN,
++-inf, overflowing squares, negative, out-of-range and duplicate values.
 """
 
 import numpy as np
@@ -39,6 +40,9 @@ UNIT_ROWS = {
     "minus-inf": [[1.0, -INF]],
     "overflowing-square": [[1e200, 1.0]],
     "nan-and-zero": [[NAN, 0.0], [0.0, 0.0]],
+    "inf-and-minus-inf": [[INF, -INF]],
+    "nan-and-inf": [[1.0, 0.0], [NAN, INF]],
+    "empty-no-columns": np.zeros((0, 0)),
 }
 
 
@@ -102,13 +106,16 @@ SEM_CASES = {
     "nan-low-row": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[NAN, 1.0], [1.0, 0.0]]),
     "inf-low-row": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[INF, 1.0], [1.0, 0.0]]),
     "nan-and-zero-norm": ([[NAN, 0.5, 0.5], [0.0, 1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]),
+    "inf-and-minus-inf": ([[INF, -INF, 1.0], [0.0, 1.0, 0.0]], LOW),
+    "minus-inf-low-row": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[-INF, 1.0], [1.0, 0.0]]),
+    "overflowing-low-row": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1e200, 1.0], [1.0, 0.0]]),
 }
 
 
 @pytest.mark.parametrize("probs, t_low", SEM_CASES.values(), ids=SEM_CASES.keys())
 def test_loss_sem_guards_match_the_masks(probs, t_low):
     probs, t_low = np.asarray(probs, dtype=np.float64), np.asarray(t_low, dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         want = mask_sem_rejects(probs, RAW_ROWS, t_low)
         if want is None:
             assert loss_sem(probs, RAW_ROWS, t_low).value.shape == ()
@@ -158,6 +165,9 @@ BANK_ROWS = {
     "inf": [[INF, 0.0]],
     "inf-after-a-long-row": [[2.0, 0.0], [-INF, 0.0]],
     "overflowing-square": [[1e200, 0.0]],
+    "overflowing-square-and-one": [[1e200, 1.0]],
+    "minus-inf": [[-INF, 0.0]],
+    "nan-row-after-a-unit-row": [[1.0, 0.0], [NAN, NAN]],
 }
 
 
@@ -174,3 +184,16 @@ def test_bank_row_guard_matches_the_mask(rows):
             with pytest.raises(want):
                 absorb(bank, rows)
             assert bank.fill_count == 0
+
+
+@pytest.mark.parametrize("x", [*UNIT_ROWS.values(), *BANK_ROWS.values()],
+                         ids=[*(f"unit-{k}" for k in UNIT_ROWS), *(f"bank-{k}" for k in BANK_ROWS)])
+def test_dot_norms_match_the_reduce_norms(x):
+    # The guards compare the norms the program sums with BLAS; NaN, +-inf and
+    # an overflowing square must come out of the product as out of the ufunc.
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = x * x
+        got = np.sqrt(squares.dot(ad.ONES[x.shape[1]]))
+        want = np.sqrt(np.add.reduce(squares, axis=1))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, equal_nan=True)
