@@ -4,10 +4,10 @@ The bank is an (M, d) matrix of unit vectors. Absorbing fills slots in order;
 once full, each new vector EMA-updates its nearest entry and renormalizes.
 Retrieval is softmax attention over entries at a fixed temperature, and the
 aggregator turns [row, context] into a residual update whose output is
-re-normalized. eta mixes raw and refined rows; eta=0 returns exact copies.
-Retrieval and refinement are the batched tape composites, run here on
-one-row batches; the aggregator is a fresh `agg` group of the trainer's
-parameter table.
+re-normalized. `refined_text_graph` mixes raw and refined rows by eta; at
+eta=0 it returns the raw rows themselves. Retrieval and refinement are the
+batched tape composites, run here on one-row batches; the aggregator is a
+fresh `agg` group of the trainer's parameter table.
 """
 
 import tempfile
@@ -24,7 +24,7 @@ from bandprompt.bank import (
     write_bank,
 )
 from bandprompt.granules import fuse_rows
-from bandprompt.refine import build_text_features, mix
+from bandprompt.refine import refined_text_graph
 from bandprompt.trainer import init_group
 
 
@@ -78,15 +78,14 @@ def main() -> None:
     with_other = fuse_rows(t, unit(rng, d)[None, :], *agg.values()).value
     print(f"context sensitivity: max |refine(t, r) - refine(t, r')| = "
           f"{float(np.abs(with_r - with_other).max()):.4f}")
-    t_ref = with_r
     for eta in (0.0, 0.5, 1.0):
-        m = mix(t, t_ref, eta)
+        m = refined_text_graph(t, bank, tuple(agg.values()), eta).value
         print(f"  eta={eta}: max |mix - raw| = {float(np.abs(m - t).max()):.4f}")
 
     # eta=0 must collapse every consumer to the raw rows
     raw = np.stack([unit(rng, d) for _ in range(3)])
-    feats = build_text_features(raw, bank, tuple(agg.values()), eta=0.0)
-    print(f"eta=0 feature set: mixed == raw is {bool(np.array_equal(feats.mixed, feats.raw))}")
+    rows = refined_text_graph(raw, bank, tuple(agg.values()), 0.0).value
+    print(f"eta=0 class rows: equal to raw is {bool(np.array_equal(rows, raw))}")
 
     # ------------------------------------------------------------------
     # text dump round-trip

@@ -55,7 +55,7 @@ from .losses import (
     loss_granule,
     loss_sem,
 )
-from .refine import TextFeatureSet, build_text_features, mix
+from .refine import TextFeatureSet, refined_text_graph
 from .teacher import (
     CacheRecord,
     LatentCache,

@@ -33,8 +33,11 @@ class SemanticBank:
             raise ParameterError(f"bank entries must be (M, d), got {self.entries.shape}")
         if not (0.0 < self.momentum <= 1.0):
             raise ParameterError(f"momentum must be in (0, 1], got {self.momentum}")
-        if self.temperature <= 0.0:
-            raise ParameterError(f"temperature must be > 0, got {self.temperature}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ParameterError(f"temperature must be finite and > 0, got {self.temperature}")
+        finite = np.isfinite(self.entries).all(axis=1)
+        if not finite.all():
+            raise ParameterError(f"bank entry {int(np.argmin(finite))} has non-finite values")
         if not 0 <= self.fill_count <= self.size:
             raise ParameterError("fill_count out of range")
 

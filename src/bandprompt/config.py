@@ -81,12 +81,18 @@ class RunConfig(TrainConfig):
                 raise ParameterError(f"{name} must not be empty")
 
     def synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            num_classes=self.num_classes, base_modes=self.base_modes,
-            detail_modes=self.detail_modes, noise_std=self.noise_std,
-            identity_band=self.identity_band,
-            grid=(self.grid_c, self.grid_h, self.grid_w), seed=self.seed,
-        )
+        """The dataset recipe. Whether the grid holds the mode counts reads
+        several keys, so it is checked here, not as each key is applied, and
+        fails as a ConfigError."""
+        try:
+            return SyntheticSpec(
+                num_classes=self.num_classes, base_modes=self.base_modes,
+                detail_modes=self.detail_modes, noise_std=self.noise_std,
+                identity_band=self.identity_band,
+                grid=(self.grid_c, self.grid_h, self.grid_w), seed=self.seed,
+            )
+        except ParameterError as exc:
+            raise ConfigError(f"invalid dataset recipe: {exc}") from None
 
     def items(self) -> dict[str, str]:
         out: dict[str, str] = {}

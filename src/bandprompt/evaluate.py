@@ -1,8 +1,10 @@
 """Base-to-novel evaluation protocol, accuracy metrics, and inference path.
 
 Inference is deliberately narrow: a prediction is a function of the visual
-embedding, the raw text rows, the bank, the aggregator, and the mixing
-weight. The granule branch and the teacher latents do not exist here.
+embedding and the class rows of `refine.refined_text_graph`, built from the
+raw text rows, the bank, the aggregator and `eta`: the same rows the
+training step reads. The granule branch and the teacher latents do not
+exist here.
 
 Novel classes never train. Their raw rows are frozen prototype means of a
 few held-out shots, refined through the same bank/aggregator as base rows,
@@ -71,9 +73,9 @@ class EvalResult:
 
 
 def predict(visual, text, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled similarities of (n, d) visual rows against the text rows (the
-    mixed rows of a `TextFeatureSet`); argmax per row, ties to the lowest
-    class index."""
+    """Scaled similarities of (n, d) visual rows against the text rows (or
+    the rows of a `TextFeatureSet`); argmax per row, ties to the lowest class
+    index."""
     logits = class_logits(visual, text.mixed if isinstance(text, TextFeatureSet) else text, scale)
     return logits, np.argmax(logits, axis=1)
 
@@ -194,7 +196,7 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
         if state.bank is not None:
             state.bank.entries = best[2]
 
-    # Base accuracy: held-out base samples against the trained mixed rows.
+    # Base accuracy: held-out base samples against the trained class rows.
     base_idx, base_labels = _gather(base_classes, eval_idx)
     encode = state.encoder.encode_batch
     base_acc = score(state, cfg, encode(arrays[base_idx]), base_labels)
@@ -247,7 +249,7 @@ def granule_source_accuracy(state: TrainState, cfg: TrainConfig,
     fuse_params = group(state.params, "fuse", constant=True)
     film_params = group(state.params, "film", constant=True)
     if cfg.anchor == "refined_text_by_label":
-        anchor_rows = state.text_features(cfg).refined
+        anchor_rows = state.text_features(cfg).mixed
     else:
         anchor_rows = text_raw
 

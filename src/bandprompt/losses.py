@@ -2,7 +2,8 @@
 
 Four terms, reduced by batch mean in a fixed order:
 
-  cls        cross-entropy of scaled visual/text logits over mixed-or-refined rows
+  cls        cross-entropy of scaled visual/text logits over the class rows,
+             (1 - eta) * raw + eta * refined
   sem        1 - cosine between the pseudo-label-weighted expected text vector
              (over normalized raw rows) and the low-band embedding; the
              pseudo-labels are the cls term's detached posteriors, so this

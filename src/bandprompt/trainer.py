@@ -27,7 +27,7 @@ from .bank import SemanticBank, absorb, format_bank, parse_bank
 from .errors import NumericalDegeneracyError, ParameterError
 from .granules import check_permutation, film_rows, fuse_rows
 from .losses import LossBreakdown, combine, loss_cls, loss_granule, loss_sem
-from .refine import TextFeatureSet, build_text_features, refined_text_graph
+from .refine import TextFeatureSet, refined_text_graph
 from .teacher import LatentCache
 
 ANCHOR_POLICIES = ("raw_text_by_label", "refined_text_by_label")
@@ -198,12 +198,14 @@ class TrainState:
         return {k: np.array(v.value, copy=True) for k, v in self.params.items()}
 
     def text_features(self, cfg: TrainConfig, raw: np.ndarray | None = None) -> TextFeatureSet:
-        """Prediction rows from the trained text rows, or from `raw` rows
-        (novel-class prototypes) refined through the same bank/aggregator."""
+        """A copy of the `refined_text_graph` rows at `cfg.eta` of the trained
+        text rows, or of `raw` rows (novel-class prototypes) through the same
+        bank/aggregator."""
         if raw is None:
             raw = self.params["text_raw"].value
-        return build_text_features(raw, self.bank, group(self.params, "agg", constant=True),
-                                   cfg.eta)
+        rows = refined_text_graph(ad.constant(raw), self.bank,
+                                  group(self.params, "agg", constant=True), cfg.eta)
+        return TextFeatureSet(mixed=np.array(rows.value))
 
 
 class Adam:
@@ -375,7 +377,7 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
     y = feats.labels[idx]
     visual = ad.constant(feats.visual[idx])
     text_raw = params["text_raw"]
-    text_pred = refined_text_graph(text_raw, bank, group(params, "agg"))
+    text_pred = refined_text_graph(text_raw, bank, group(params, "agg"), cfg.eta)
     cls_term, probs = loss_cls(visual, text_pred, y, cfg.logit_scale)
 
     sem_term = None
@@ -520,9 +522,8 @@ def gradient_check(state: TrainState, feats: CacheFeatures, idx: np.ndarray,
     # comparison honor the stop-gradient.
     probs = None
     if cfg.lambda_sem > 0:
-        text_pred = refined_text_graph(state.params["text_raw"], state.bank,
-                                       group(state.params, "agg")).value
-        probs = loss_cls(feats.visual[idx], text_pred, feats.labels[idx], cfg.logit_scale)[1]
+        probs = loss_cls(feats.visual[idx], state.text_features(cfg).mixed, feats.labels[idx],
+                         cfg.logit_scale)[1]
 
     def objective() -> ad.Tensor:
         return forward_batch(state.params, feats, idx, state.bank, cfg, pi,

@@ -346,7 +346,7 @@ def two_branch_forward_batch(params, feats, idx, bank, cfg, pi):
     y = feats.labels[idx]
     visual = ad.constant(feats.visual[idx])
     text_raw = params["text_raw"]
-    text_pred = refined_text_graph(text_raw, bank, group(params, "agg"))
+    text_pred = refined_text_graph(text_raw, bank, group(params, "agg"), cfg.eta)
     cls_term = loss_cls(visual, text_pred, y, cfg.logit_scale)[0]
     weighted = []
     if cfg.lambda_sem > 0:

@@ -24,7 +24,6 @@ from bandprompt.evaluate import (
 )
 from bandprompt.granules import check_permutation, film_rows, fuse_rows
 from bandprompt.losses import loss_granule, loss_sem
-from bandprompt.refine import build_text_features
 from bandprompt.teacher import (
     LatentCache,
     SyntheticSpec,
@@ -382,9 +381,7 @@ def test_7_inference_parity():
 
     logits_eta0, pred_eta0 = predict(
         visual, state.text_features(replace(cfg, eta=0.0)), cfg.logit_scale)
-    raw_only = build_text_features(state.params["text_raw"].value, None,
-                                   group(state.params, "agg", constant=True), 0.0)
-    logits_raw, pred_raw = predict(visual, raw_only, cfg.logit_scale)
+    logits_raw, pred_raw = predict(visual, state.params["text_raw"].value, cfg.logit_scale)
     eta0_ok = np.array_equal(logits_eta0, logits_raw) and np.array_equal(pred_eta0, pred_raw)
 
     logits_before, pred_before = predict(visual, state.text_features(cfg), cfg.logit_scale)

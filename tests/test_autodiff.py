@@ -309,7 +309,8 @@ def test_zero_grads_resets():
 
 
 @pytest.mark.parametrize("module,anchor", [("autodiff", "take_rows"), ("losses", "loss_sem"),
-                                           ("granules", "fuse_rows")])
+                                           ("granules", "fuse_rows"),
+                                           ("refine", "refined_text_graph")])
 def test_module_defines_only_what_the_program_calls(module, anchor):
     """Each public function of the module is used by another src module (the
     package's re-exports do not count): an op or wrapper only the tests use

@@ -14,7 +14,7 @@ from bandprompt.bank import (
     write_bank,
 )
 from bandprompt.errors import BankStateError, NumericalDegeneracyError, ParameterError
-from bandprompt.refine import build_text_features
+from bandprompt.refine import refined_text_graph
 from bandprompt.trainer import init_group
 from reference_ops import chain_retrieve_rows, mul, row_by_row_absorb, square, tsum
 
@@ -237,7 +237,7 @@ def test_retrieval_requires_a_full_bank():
     absorb(bank, unit([1.0, 0.0])[None])
     agg = tuple(init_group("agg", 0, 0, 2, np.random.default_rng(0)).values())
     with pytest.raises(BankStateError, match=r"1/4 filled"):
-        build_text_features(unit([1.0, 0.0])[None, :], bank, agg, eta=1.0)
+        refined_text_graph(unit([1.0, 0.0])[None, :], bank, agg, 1.0)
 
 
 def test_absorb_validates_inputs():
@@ -308,4 +308,25 @@ def test_garbled_bank_dumps_raise_parameter_error(tmp_path):
     path = tmp_path / "bank.txt"
     path.write_bytes(b"1 2 0.1 0.07\n\xff 0\n")
     with pytest.raises(ParameterError, match="UTF-8"):
+        read_bank(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_a_non_finite_bank_is_rejected_when_it_is_built(tmp_path, bad):
+    # A bank row of nan or inf would load and score every sample as one
+    # class; it fails on construction, so every reader fails with it.
+    entries = np.eye(3)
+    entries[1, 2] = float(bad)
+    with pytest.raises(ParameterError, match="bank entry 1 has non-finite values"):
+        SemanticBank(entries=entries, momentum=0.1, temperature=0.07, fill_count=3)
+    with pytest.raises(ParameterError, match="temperature"):
+        SemanticBank(entries=np.eye(2), momentum=0.1, temperature=float(bad), fill_count=2)
+    lines = ["3 3 0.1 0.07", "1 0 0", f"0 1 {bad}", "0 0 1"]
+    with pytest.raises(ParameterError, match="non-finite"):
+        parse_bank(lines)
+    with pytest.raises(ParameterError, match="temperature"):
+        parse_bank([f"2 2 0.1 {bad}", "1 0", "0 1"])
+    path = tmp_path / "bank.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match="non-finite"):
         read_bank(path)

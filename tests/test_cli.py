@@ -9,6 +9,7 @@ import pytest
 from bandprompt.bank import read_bank
 from bandprompt.cli import main
 from bandprompt.config import RunConfig
+from bandprompt.errors import ParameterError
 from bandprompt.teacher import LatentCache, read_cache, write_cache
 from bandprompt.evaluate import accuracy_percent, score
 from bandprompt.trainer import TrainConfig, ToyVisualEncoder, fit, load_checkpoint, save_checkpoint
@@ -354,6 +355,28 @@ def nobank(ws):
     return ckpt
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_a_non_finite_bank_row_exits_two(ws, capsys, bad):
+    # The intact checkpoint scores; one bank row of nan or inf must not load
+    # as a model that scores at chance.
+    lines = open(ws["all_ckpt"]).read().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("BANK ")) + 2
+    lines[row] = " ".join([bad] * len(lines[row].split()))
+    ckpt = ws["root"] / f"bank_{bad}.txt"
+    ckpt.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match="bank entry 0 has non-finite values"):
+        load_checkpoint(ckpt)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--cache", ws["cache"],
+                 "--report", str(ws["root"] / f"bank_{bad}_eval.txt")]) == 2
+    assert main(["bank", "dump", "--checkpoint", str(ckpt),
+                 "--out", str(ws["root"] / f"bank_{bad}_dump.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("non-finite") == 2
+    assert not os.path.exists(ws["root"] / f"bank_{bad}_eval.txt")
+    assert not os.path.exists(ws["root"] / f"bank_{bad}_dump.txt")
+
+
 def test_bank_dump_requires_a_bank(nobank):
     assert "BANK none" in open(nobank).read().splitlines()
     assert main(["bank", "dump", "--checkpoint", nobank]) == 2
@@ -521,6 +544,21 @@ def test_out_of_range_settings_exit_one(ws, capsys, key, value):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
     assert not any(os.path.exists(f"{out}_{s}.txt") for s in ("ckpt", "hist", "eval"))
+
+
+@pytest.mark.parametrize("setting", ["base_modes=50", "detail_modes=40"])
+def test_mode_counts_the_grid_cannot_hold_exit_one(ws, capsys, tmp_path, setting):
+    # Cross-field: the pools grow with the channel count, so the check runs
+    # on the resolved config, not as the key is applied.
+    out = tmp_path / "modes.bin"
+    capsys.readouterr()
+    for command in (["gen", "--out", str(out)], ["gradcheck"]):
+        assert main([*command, "--config", ws["cfg"], "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting.partition("=")[0] in err
+    assert not out.exists()
+    assert main(["gen", "--config", ws["cfg"], "--set", setting, "--set", "grid_c=17",
+                 "--set", "n_per_class=1", "--out", str(out)]) == 0
 
 
 def test_base_validation_with_one_shot_exits_one(ws, capsys):

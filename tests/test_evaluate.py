@@ -49,7 +49,7 @@ def test_predict_orthogonal_rows_and_tie_breaking():
     ties = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]]) / np.sqrt(2.0)
     _, tie = predict(ties, rows, 100.0)
     assert np.array_equal(tie, [0, 1, 0])
-    feats = TextFeatureSet(raw=rows, refined=rows[::-1].copy(), mixed=rows[::-1].copy(), eta=1.0)
+    feats = TextFeatureSet(mixed=rows[::-1].copy())
     _, flipped = predict(np.eye(3)[[0, 2]], feats, 100.0)
     assert np.array_equal(flipped, [2, 0])  # predictions read the mixed rows
     with pytest.raises(ParameterError):

@@ -1,20 +1,18 @@
 """Bank-conditioned refinement of class-text rows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import bandprompt.autodiff as ad
-from bandprompt.bank import SemanticBank
+from bandprompt.bank import SemanticBank, retrieve_rows
 from bandprompt.errors import BankStateError, ParameterError
 from bandprompt.granules import fuse_rows
-from bandprompt.refine import (
-    TextFeatureSet,
-    build_text_features,
-    mix,
-    refined_text_graph,
-)
-from bandprompt.trainer import init_group
-from reference_ops import square, tsum
+from bandprompt.refine import refined_text_graph
+from bandprompt.teacher import SyntheticSpec, generate_dataset
+from bandprompt.trainer import TrainConfig, fill_bank, group, init_group, init_state
+from reference_ops import mul, square, tsum
 
 
 def unit(v):
@@ -57,38 +55,64 @@ def test_pinned_two_dim_refinement():
 
 
 def test_mix_endpoints_return_exact_copies():
-    rng = np.random.default_rng(2)
-    raw = rng.normal(size=(3, 4))
-    refined = rng.normal(size=(3, 4))
-    lo = mix(raw, refined, 0.0)
-    hi = mix(raw, refined, 1.0)
-    assert np.array_equal(lo, raw) and lo is not raw
-    assert np.array_equal(hi, refined) and hi is not refined
-    mid = mix(np.array([2.0, 0.0]), np.array([0.0, 2.0]), 0.5)
-    assert np.allclose(mid, [1.0, 1.0], atol=1e-12)
-    with pytest.raises(ParameterError):
-        mix(raw, refined, -0.1)
-    with pytest.raises(ParameterError):
-        mix(raw, refined, 1.1)
+    # The rows a state hands to prediction are a copy at either endpoint: at
+    # eta = 0 they equal the trained rows, which are a view of `Adam.values`.
+    cache = generate_dataset(SyntheticSpec(num_classes=4, seed=0), n_per_class=4)
+    cfg = TrainConfig(embed_dim=8, bank_size=4, batch_size=4, seed=0)
+    state, feats = init_state(cache, cfg)
+    fill_bank(state, feats)
+    raw = state.params["text_raw"].value
+    for eta in (0.0, 1.0):
+        rows = state.text_features(replace(cfg, eta=eta)).mixed
+        assert not np.shares_memory(rows, state.optimizer.values)
+        assert np.array_equal(rows, raw) == (eta == 0.0)
+        refined = refined_text_graph(raw, state.bank, group(state.params, "agg"), 1.0).value
+        assert np.array_equal(rows, refined) == (eta == 1.0)
 
 
 def test_interior_eta_mixes_raw_and_refined_rows():
     # (1 - eta) * raw + eta * refined, pinned away from eta = 1/2, where
     # swapping the two weights would give the same rows
-    mixed = mix(np.array([[4.0, 0.0]]), np.array([[0.0, 8.0]]), 0.25)
-    assert np.array_equal(mixed, [[3.0, 2.0]])
     rng = np.random.default_rng(10)
     dim = 4
     agg = fresh_aggregator(dim, rng)
     agg["agg.w2"] = rng.normal(size=(dim, dim)) * 0.2
     raw = rng.normal(size=(3, dim))
-    feats = build_text_features(raw, full_bank(dim), tuple(agg.values()), eta=0.25)
-    assert not np.allclose(feats.raw, feats.refined)
+    bank = full_bank(dim)
+    refined = refined_text_graph(raw, bank, tuple(agg.values()), 1.0).value
+    mixed = refined_text_graph(raw, bank, tuple(agg.values()), 0.25).value
+    assert not np.allclose(raw, refined)
     expected = np.empty_like(raw)
     for i in range(3):
         for j in range(dim):
-            expected[i, j] = 0.75 * raw[i, j] + 0.25 * feats.refined[i, j]
-    assert np.allclose(feats.mixed, expected, rtol=0.0, atol=1e-15)
+            expected[i, j] = 0.75 * raw[i, j] + 0.25 * refined[i, j]
+    assert np.array_equal(mixed, expected)
+
+
+def test_interior_eta_splits_the_gradient_between_raw_and_refined_rows():
+    # The mix node hands (1 - eta) * g to the raw rows and eta * g to the
+    # refined rows, so every gradient is the same convex combination of the
+    # two endpoints' gradients.
+    rng = np.random.default_rng(11)
+    dim = 4
+    agg = fresh_aggregator(dim, rng)
+    agg["agg.w2"] = rng.normal(size=(dim, dim)) * 0.2
+    raw = rng.normal(size=(3, dim))
+    weights = rng.normal(size=(3, dim))
+    bank = full_bank(dim)
+
+    def grads(eta):
+        rows = ad.parameter(raw)
+        params = tuple(ad.parameter(v) for v in agg.values())
+        out = refined_text_graph(rows, bank, params, eta)
+        ad.backward(tsum(mul(out, weights)))
+        return [rows.grad, *(p.grad for p in params)]
+
+    at_zero, at_one, at_mid = grads(0.0), grads(1.0), grads(0.3)
+    assert at_zero[0] is not None and all(g is None for g in at_zero[1:])
+    for g0, g1, got in zip(at_zero, at_one, at_mid):
+        want = 0.3 * g1 if g0 is None else 0.7 * g0 + 0.3 * g1
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def full_bank(dim, size=4, seed=3, temperature=0.07):
@@ -107,11 +131,11 @@ def test_batch_refinement_matches_per_row():
     bank = full_bank(dim)
     raw = rng.normal(size=(3, dim))
     batch = refined_text_graph(
-        ad.constant(raw), bank, tuple(ad.constant(p) for p in agg.values()),
+        ad.constant(raw), bank, tuple(ad.constant(p) for p in agg.values()), 1.0,
     ).value
     for i in range(3):
         single = refined_text_graph(
-            ad.constant(raw[i : i + 1]), bank, tuple(ad.constant(p) for p in agg.values()),
+            ad.constant(raw[i : i + 1]), bank, tuple(ad.constant(p) for p in agg.values()), 1.0,
         ).value
         assert np.allclose(batch[i], single[0], atol=1e-12)
 
@@ -125,8 +149,8 @@ def test_refinement_is_row_permutation_equivariant():
     raw = rng.normal(size=(4, dim))
     perm = np.array([2, 0, 3, 1])
     params = tuple(ad.constant(p) for p in agg.values())
-    a = refined_text_graph(ad.constant(raw), bank, params).value
-    b = refined_text_graph(ad.constant(raw[perm]), bank, params).value
+    a = refined_text_graph(ad.constant(raw), bank, params, 1.0).value
+    b = refined_text_graph(ad.constant(raw[perm]), bank, params, 1.0).value
     assert np.allclose(a[perm], b, atol=1e-12)
 
 
@@ -137,23 +161,22 @@ def test_recomputation_is_bitwise_pure():
     agg["agg.w2"] = rng.normal(size=(dim, dim)) * 0.1
     bank = full_bank(dim)
     raw = rng.normal(size=(3, dim))
-    first = build_text_features(raw, bank, tuple(agg.values()), eta=0.7)
-    second = build_text_features(raw, bank, tuple(agg.values()), eta=0.7)
-    assert np.array_equal(first.refined, second.refined)
-    assert np.array_equal(first.mixed, second.mixed)
+    first = refined_text_graph(raw, bank, tuple(agg.values()), 0.7).value
+    second = refined_text_graph(raw, bank, tuple(agg.values()), 0.7).value
+    assert np.array_equal(first, second)
 
 
-def test_build_text_features_eta_endpoints():
+def test_eta_endpoints_pick_the_raw_and_refined_rows():
     rng = np.random.default_rng(7)
     dim = 4
     agg = tuple(fresh_aggregator(dim, rng).values())
     bank = full_bank(dim)
-    raw = rng.normal(size=(2, dim))
-    at_zero = build_text_features(raw, bank, agg, eta=0.0)
-    assert np.array_equal(at_zero.mixed, at_zero.raw)
-    at_one = build_text_features(raw, bank, agg, eta=1.0)
-    assert np.array_equal(at_one.mixed, at_one.refined)
-    assert at_one.num_classes == 2
+    rows = ad.parameter(rng.normal(size=(2, dim)))
+    assert refined_text_graph(rows, bank, agg, 0.0) is rows
+    _, contexts = retrieve_rows(bank.entries, rows, bank.temperature)
+    refined = refined_text_graph(rows, bank, agg, 1.0)
+    assert np.array_equal(refined.value, fuse_rows(rows, contexts, *agg).value)
+    assert refined._parents  # the refinement node itself, not a mix over it
 
 
 def test_bank_disabled_collapses_to_raw():
@@ -161,12 +184,9 @@ def test_bank_disabled_collapses_to_raw():
     raw = rng.normal(size=(3, 4))
     agg = tuple(fresh_aggregator(4, rng).values())
     rows = ad.parameter(raw)
-    assert refined_text_graph(rows, None, agg) is rows
-    assert np.array_equal(refined_text_graph(raw, None, agg).value, raw)
+    assert np.array_equal(refined_text_graph(raw, None, agg, 1.0).value, raw)
     for eta in (0.0, 0.3, 1.0):
-        feats = build_text_features(raw, None, agg, eta=eta)
-        assert np.array_equal(feats.refined, raw)
-        assert np.array_equal(feats.mixed, raw)
+        assert refined_text_graph(rows, None, agg, eta) is rows
 
 
 def test_refinement_requires_a_full_bank():
@@ -174,18 +194,19 @@ def test_refinement_requires_a_full_bank():
     agg = tuple(fresh_aggregator(4, rng).values())
     raw = rng.normal(size=(2, 4))
     empty = SemanticBank.create(size=3, dim=4, momentum=0.1, temperature=0.07)
-    with pytest.raises(BankStateError, match="0/3 filled"):
-        refined_text_graph(raw, empty, agg)
-    with pytest.raises(BankStateError):
-        build_text_features(raw, empty, agg, eta=1.0)
+    for eta in (0.5, 1.0):
+        with pytest.raises(BankStateError, match="0/3 filled"):
+            refined_text_graph(raw, empty, agg, eta)
+    # eta = 0 reads the raw rows alone and needs no bank at all
+    assert np.array_equal(refined_text_graph(raw, empty, agg, 0.0).value, raw)
 
 
-def test_feature_set_validation():
-    raw = np.zeros((2, 3))
-    with pytest.raises(ParameterError):
-        TextFeatureSet(raw=raw, refined=np.zeros((2, 4)), mixed=raw, eta=0.5)
-    with pytest.raises(ParameterError):
-        TextFeatureSet(raw=raw, refined=raw, mixed=raw, eta=1.5)
+def test_eta_outside_the_unit_interval_is_rejected():
+    rng = np.random.default_rng(12)
+    agg = tuple(fresh_aggregator(4, rng).values())
+    for eta in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ParameterError, match="eta"):
+            refined_text_graph(rng.normal(size=(2, 4)), full_bank(4), agg, eta)
 
 
 def test_aggregator_gradients_match_finite_differences():
@@ -199,11 +220,11 @@ def test_aggregator_gradients_match_finite_differences():
 
     def objective(vals):
         params = tuple(ad.constant(v) for v in vals)
-        out = refined_text_graph(ad.constant(raw), bank, params)
+        out = refined_text_graph(ad.constant(raw), bank, params, 1.0)
         return float(np.sum(out.value ** 2))
 
     params = tuple(ad.parameter(v) for v in values)
-    out = refined_text_graph(ad.constant(raw), bank, params)
+    out = refined_text_graph(ad.constant(raw), bank, params, 1.0)
     ad.backward(tsum(square(out)))
     eps = 1e-6
     for pi, p in enumerate(params):

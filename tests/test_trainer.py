@@ -158,7 +158,23 @@ def test_bank_size_zero_trains_on_the_raw_rows(cache):
     assert state.bank is None and state.optimizer.t == 2 * 7  # no fill phase
     text = state.text_features(cfg)
     raw = state.params["text_raw"].value
-    assert np.array_equal(text.refined, raw) and np.array_equal(text.mixed, raw)
+    assert np.array_equal(text.mixed, raw)
+
+
+def test_eta_zero_trains_no_aggregator(cache):
+    # At eta = 0 the class rows are the raw rows, so no term, not even a
+    # refined anchor, reaches the aggregator, and a step needs no full bank.
+    cfg = small_cfg(eta=0.0, anchor="refined_text_by_label")
+    state, feats = init_state(cache, cfg)
+    before = state.param_values()
+    train_step(state, feats, np.arange(5), cfg, np.array([3, 0, 4, 1, 2]))
+    assert not state.bank.full
+    for name, span in state.optimizer.spans.items():
+        grad = state.optimizer.grads[span]
+        if name.startswith("agg."):
+            assert np.array_equal(grad, np.zeros_like(grad)), name
+            assert np.array_equal(state.params[name].value, before[name]), name
+    assert np.any(state.params["text_raw"].grad != 0.0)
 
 
 def test_zero_learning_rate_leaves_parameters_fixed(cache):
@@ -330,7 +346,7 @@ def test_forward_batch_takes_its_pseudo_labels_from_the_cls_term(cache, monkeypa
     fill_bank(state, feats)
     idx, pi = np.arange(5), np.array([3, 0, 4, 1, 2])
     text_pred = refined_text_graph(state.params["text_raw"], state.bank,
-                                   trainer.group(state.params, "agg")).value
+                                   trainer.group(state.params, "agg"), cfg.eta).value
     probs = pseudo_labels(feats.visual[idx], text_pred, cfg.logit_scale)
     _, want = forward_batch(state.params, feats, idx, state.bank, cfg, pi, probs_override=probs)
 
@@ -664,11 +680,12 @@ def test_checkpoint_malformed_numbers_raise_parameter_error(cache, tmp_path, gar
 
 
 @pytest.mark.parametrize("kw", [{}, dict(lambda_gf=0.0), dict(lambda_gcf=0.0),
-                                dict(anchor="refined_text_by_label")],
-                         ids=["default", "no-gf", "no-gcf", "refined-anchor"])
+                                dict(anchor="refined_text_by_label"), dict(eta=0.5)],
+                         ids=["default", "no-gf", "no-gcf", "refined-anchor", "eta-half"])
 def test_gradient_check_passes_and_reports_frozen_inputs(cache, kw):
     # Every layout of the stacked granule pass: both blocks, one block each,
-    # and anchors that carry the aggregator's gradient.
+    # and anchors that carry the aggregator's gradient; and class rows that
+    # mix raw and refined rows.
     cfg = small_cfg(**kw)
     report = run_gradient_check(cache, cfg)
     assert report.passed, (report.worst_param, report.worst_error)
