@@ -215,8 +215,11 @@ def cmd_eval(args) -> int:
 def cmd_diag(args) -> int:
     cfg = _resolve(args, cache_path=args.cache, diag_report_path=args.report,
                    kernel=args.k, diag_bands=args.bands, align_h=args.grid, align_w=args.grid)
+    if (cfg.align_h > 0) != (cfg.align_w > 0):
+        raise ConfigError(f"align_h and align_w must both be 0 (no alignment) or both > 0, "
+                          f"got {cfg.align_h} and {cfg.align_w}")
     cache = read_cache(cfg.cache_path)
-    align = (cfg.align_h, cfg.align_w) if cfg.align_h > 0 and cfg.align_w > 0 else None
+    align = (cfg.align_h, cfg.align_w) if cfg.align_h > 0 else None
     report = diagnose(cache, kernel=cfg.kernel, num_bins=cfg.diag_bands, align=align)
     write_report(cfg.diag_report_path, report, cfg.header_lines())
     print(f"overlap_mean {report.overlap_mean:.6f}  "

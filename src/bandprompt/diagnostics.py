@@ -7,8 +7,13 @@ minima, so 0 means disjoint spectral support and 1 means identical spectra.
 Samples where either band carries (numerically) no energy are skipped rather
 than scored.
 
-A spectrum takes two real matmuls per channel with cached DFT rows that fold
-in the area weights, so `diagnose` never builds an aligned copy of a band.
+A spectrum takes two real matmuls per channel with cached DFT tables that
+fold in the area weights, so `diagnose` never builds an aligned copy of a
+band. The columns cover the half plane of non-negative column frequencies;
+the rows are one per conjugate pair {u, h - u} of row frequencies, scaled by
+sqrt(2) where the pair has two members. A pair shares a radial bin and its
+real/imaginary cross terms cancel in the sum, so each squared entry of the
+product is binned as it stands.
 
 `align_grid`, `radial_spectrum` and `band_overlap` take one (C, h, w) latent
 or an (n, C, h, w) stack of them; `diagnose` factorizes latent by latent and
@@ -126,13 +131,49 @@ def _radial_bins(h: int, w: int, num_bins: int) -> tuple[np.ndarray, np.ndarray]
     return bins, weights
 
 
+def _pair_freqs(n: int) -> np.ndarray:
+    """Row frequency of each row of `_pair_rows(., n)`: u = 0..n//2 for the
+    cos rows, then each u with a distinct conjugate n - u for the sin rows."""
+    u = np.arange(n // 2 + 1)
+    return np.concatenate([u, u[(u > 0) & (2 * u < n)]])
+
+
+@lru_cache(maxsize=None)
+def _pair_rows(n_in: int, n_out: int) -> np.ndarray:
+    """Read-only (n_out, n_in): of `_dft_rows(n_in, n_out, n_out // 2 + 1)`,
+    the cos rows of every u = 0..n_out//2, then the sin rows of each u with a
+    distinct conjugate n_out - u. A pair's rows carry a factor sqrt(2), so
+    their squared products hold the power of both u and n_out - u; the sin
+    rows of u = 0 and of the Nyquist row are zero and are left out."""
+    half = n_out // 2 + 1
+    u = _pair_freqs(n_out)
+    rows = _dft_rows(n_in, n_out, half)[np.concatenate([u[:half], half + u[half:]])]
+    rows *= np.where((u > 0) & (2 * u < n_out), np.sqrt(2.0), 1.0)[:, None]
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _pair_bins(h: int, w: int, num_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only bin index per entry of a channel's (h, 2 * (w // 2 + 1))
+    paired transform, whose columns are the cos then the sin half plane, and
+    the column weights of `_radial_bins` for both halves."""
+    bins, weights = _radial_bins(h, w, num_bins)
+    pair_bins = np.tile(bins[_pair_freqs(h)], 2).reshape(-1)
+    pair_weights = np.tile(weights, 2)
+    pair_bins.setflags(write=False)
+    pair_weights.setflags(write=False)
+    return pair_bins, pair_weights
+
+
 def radial_spectrum(z, num_bins: int, grid: tuple[int, int] | None = None) -> RadialSpectrum:
     """Channel-mean power spectrum folded into radial bins, normalized to 1.
 
     With a `grid` it is the spectrum of `align_grid(z, grid)`, without the
-    aligned copy. Each channel's DFT is two real matmuls over the half plane
-    of non-negative column frequencies; power and radius are point-symmetric,
-    so the weighted half plane gives each bin and the Parseval total.
+    aligned copy. Each channel's transform is two real matmuls, over the half
+    plane of non-negative column frequencies and one row per conjugate pair
+    of row frequencies; power and radius are point-symmetric, so the squared,
+    weighted entries give each bin and the Parseval total.
     """
     if num_bins < 1:
         raise ParameterError(f"num_bins must be >= 1, got {num_bins}")
@@ -140,23 +181,22 @@ def radial_spectrum(z, num_bins: int, grid: tuple[int, int] | None = None) -> Ra
     h, w = arr.shape[-2:]
     th, tw = (h, w) if grid is None else grid
     keep = tw // 2 + 1
-    rows, cols = _dft_rows(h, th, th), _dft_rows(w, tw, keep)
+    rows, cols = _pair_rows(h, th), _dft_rows(w, tw, keep)
+    bins, weights = _pair_bins(th, tw, num_bins)
     # Channel by channel, so a stack's transforms take one channel's share of
     # memory at a time; the sum runs in np.mean's order.
-    power = np.zeros(arr.shape[:-3] + (th, keep))
+    power = np.zeros(arr.shape[:-3] + (th, 2 * keep))
     for c in range(arr.shape[-3]):
         plane = arr[..., c, :, :]
         y = rows @ (plane.reshape(-1, w) @ cols.T).reshape(plane.shape[:-1] + (2 * keep,))
-        # y's blocks: [cos; sin] rows by [cos | sin] columns.
-        re = y[..., :th, :keep] - y[..., th:, keep:]
-        im = y[..., :th, keep:] + y[..., th:, :keep]
-        power += re * re + im * im
-    bins, weights = _radial_bins(th, tw, num_bins)
-    power = (power * weights / arr.shape[-3]).reshape(-1, th * keep)
+        # A pair's cross terms cancel, so its power is the sum of its squares.
+        y *= y
+        power += y
+    power = (power * weights / arr.shape[-3]).reshape(-1, th * 2 * keep)
     total = power.sum(axis=1)
     msa = total / float(th * tw) ** 2  # Parseval: mean |z|^2 over pixels
-    # Row r's cells go to bins r*num_bins + bin; bincount sums them in order.
-    index = np.arange(len(power))[:, None] * num_bins + bins.reshape(-1)
+    # Row r's entries go to bins r*num_bins + bin; bincount sums them in order.
+    index = np.arange(len(power))[:, None] * num_bins + bins
     energies = np.bincount(index.reshape(-1), weights=power.reshape(-1),
                            minlength=len(power) * num_bins).reshape(len(power), num_bins)
     live = msa >= ENERGY_EPS

@@ -6,7 +6,8 @@ normalization; it never trains. Trainable state is exactly the tensors of
 refinement aggregator, and the granule fusion/modulation nets. The bank and
 all teacher latents are frozen inputs. Each auxiliary loss term is built
 exactly when its `TrainConfig` weight is > 0, and the bank exists exactly
-when `bank_size` is > 0; there is no separate switch.
+when `bank_size` and `eta` are both > 0 (at `eta = 0` nothing reads it);
+there is no separate switch.
 
 Every forward pass is built on the autodiff tape in float64, so seeded runs
 are bitwise reproducible and the finite-difference harness below can check
@@ -346,7 +347,7 @@ def init_state(cache: LatentCache, cfg: TrainConfig) -> tuple[TrainState, CacheF
                          means, np.random.default_rng(streams["init"]))
     bank = (
         SemanticBank.create(cfg.bank_size, cfg.embed_dim, cfg.bank_momentum, cfg.bank_tau)
-        if cfg.bank_size > 0 else None
+        if cfg.bank_size > 0 and cfg.eta > 0 else None
     )
     state = TrainState(params=params, bank=bank, encoder=encoder,
                        optimizer=Adam(params, cfg.learning_rate))

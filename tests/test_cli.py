@@ -314,6 +314,18 @@ def test_diag_grid_zero_disables_alignment(ws):
     assert header["align_h"] == "0"
 
 
+@pytest.mark.parametrize("setting", ["align_h=0", "align_w=0"])
+def test_diag_with_one_alignment_side_zero_exits_one(ws, capsys, setting):
+    # The cache does not exist: exit 1 shows the config failed before any read.
+    out = ws["root"] / "diag_half.txt"
+    capsys.readouterr()
+    assert main(["diag", "--config", ws["cfg"], "--set", setting,
+                 "--cache", str(ws["root"] / "missing.bin"), "--report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "align_h" in err and "align_w" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault", [fault for fault, _ in BAD_RECORD_FAULTS])
 def test_diag_names_a_broken_record_and_exits_two(ws, capsys, fault):
     path = ws["root"] / f"bad_{fault}.bin"

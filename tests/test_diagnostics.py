@@ -340,6 +340,50 @@ def test_dft_and_bin_tables_are_cached_and_read_only():
     assert np.array_equal(diagnostics._dft_rows(10, 10, 6), np.concatenate([np.cos(angle), np.sin(angle)]))
 
 
+@pytest.mark.parametrize("shape, grid", [
+    ((2, 6, 5), (1, 5)),    # one row: DC alone, no pair
+    ((2, 6, 5), (2, 6)),    # two rows: DC and Nyquist, no pair
+    ((2, 5, 6), (6, 1)),    # one column
+    ((2, 5, 6), (6, 2)),    # two columns
+    ((2, 2, 2), None),      # 2 x 2: no pair either way
+    ((3, 6, 7), (9, 8)),    # odd rows, upsampled: pairs and no Nyquist row
+    ((2, 4, 4), (11, 11)),  # odd upsampling both ways
+    ((2, 7, 3), None),      # odd rows on their own grid
+])
+def test_paired_rows_match_the_brute_force_oracle_at_their_edges(shape, grid):
+    rng = np.random.default_rng(sum(shape) + (0 if grid is None else sum(grid)))
+    z = rng.normal(size=shape)
+    aligned = z if grid is None else align_grid(z, grid)
+    for num_bins in (1, 3, 7):
+        spec = radial_spectrum(z, num_bins, grid)
+        np.testing.assert_allclose(spec.energies, brute_force_radial(aligned, num_bins),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(spec.total_energy, np.mean(aligned ** 2), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_in, n_out, paired", [
+    (16, 14, 6), (5, 9, 4), (10, 10, 4), (6, 3, 1), (7, 2, 0), (7, 1, 0),
+])
+def test_pair_rows_hold_one_row_per_conjugate_pair(n_in, n_out, paired):
+    rows = diagnostics._pair_rows(n_in, n_out)
+    assert rows.shape == (n_out // 2 + 1 + paired, n_in) == (n_out, n_in)
+    assert not rows.flags.writeable
+    assert diagnostics._pair_rows(n_in, n_out) is rows
+    bins, weights = diagnostics._pair_bins(n_out, 6, 4)
+    assert bins.shape == (n_out * 2 * 4,) and weights.tolist() == [1.0, 2.0, 2.0, 1.0] * 2
+    assert not bins.flags.writeable and not weights.flags.writeable
+    assert diagnostics._pair_bins(n_out, 6, 4)[0] is bins
+
+
+def test_pair_rows_on_an_unchanged_grid_are_the_scaled_dft_rows():
+    x = np.arange(10)
+    angle = 2.0 * np.pi * ((np.arange(6)[:, None] * x) % 10) / 10
+    scale = np.array([1.0] + [np.sqrt(2.0)] * 4 + [1.0])
+    expected = np.concatenate([scale[:, None] * np.cos(angle),
+                               np.sqrt(2.0) * np.sin(angle[1:5])])
+    assert np.array_equal(diagnostics._pair_rows(10, 10), expected)
+
+
 def test_aligned_diagnose_never_builds_an_aligned_stack(monkeypatch):
     cache, _ = straddling_cache()
     expected = per_latent_diagnose(cache, 3, 7, (6, 11))
@@ -354,10 +398,12 @@ def test_aligned_diagnose_never_builds_an_aligned_stack(monkeypatch):
 
 def test_aligned_diagnose_transient_memory_is_bounded():
     """What `diagnose` allocates beyond its input, for 2 * CHUNK_SIZE
-    (4, 16, 16) latents aligned to 14 x 14, stays under 12 MiB. A chunk's
-    band stack takes 4 MiB and one channel's transforms about 5 MiB more (it
-    peaks at 9.9 MiB; building the aligned stack took 10.7 MiB); transforming
-    all channels at once would need about 20 MiB."""
+    (4, 16, 16) latents aligned to 14 x 14, stays under 9 MiB. A chunk's
+    band stack takes 4 MiB and one channel's transforms with the binned power
+    about 4 MiB more (it peaks at 8.1 MiB; a row table with cos and sin rows
+    for every row frequency peaked at 9.9 MiB, and building the aligned stack
+    took 10.7 MiB); transforming all channels at once would hold four
+    channels' transforms at a time."""
     rng = np.random.default_rng(7)
     records = []
     for i in range(2 * CHUNK_SIZE):
@@ -372,4 +418,4 @@ def test_aligned_diagnose_transient_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12.0 * 2**20, f"diagnose peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 9.0 * 2**20, f"diagnose peaked at {peak / 2**20:.1f} MiB"

@@ -10,6 +10,7 @@ import pytest
 
 import bandprompt.autodiff as ad
 from bandprompt.bands import band_stats, factorize
+from bandprompt.bank import SemanticBank
 from bandprompt.errors import BankStateError, ParameterError
 from bandprompt.teacher import LatentCache, SyntheticSpec, generate_dataset
 from bandprompt.trainer import (
@@ -163,18 +164,32 @@ def test_bank_size_zero_trains_on_the_raw_rows(cache):
 
 def test_eta_zero_trains_no_aggregator(cache):
     # At eta = 0 the class rows are the raw rows, so no term, not even a
-    # refined anchor, reaches the aggregator, and a step needs no full bank.
+    # refined anchor, reaches the aggregator, and a step reads no bank: the
+    # state builds none, and an empty one handed in is left untouched.
     cfg = small_cfg(eta=0.0, anchor="refined_text_by_label")
     state, feats = init_state(cache, cfg)
+    assert state.bank is None
+    state.bank = SemanticBank.create(cfg.bank_size, cfg.embed_dim, cfg.bank_momentum, cfg.bank_tau)
     before = state.param_values()
     train_step(state, feats, np.arange(5), cfg, np.array([3, 0, 4, 1, 2]))
-    assert not state.bank.full
+    assert state.bank.fill_count == 0
     for name, span in state.optimizer.spans.items():
         grad = state.optimizer.grads[span]
         if name.startswith("agg."):
             assert np.array_equal(grad, np.zeros_like(grad)), name
             assert np.array_equal(state.params[name].value, before[name]), name
     assert np.any(state.params["text_raw"].grad != 0.0)
+
+
+def test_eta_zero_fit_is_the_bankless_fit(cache):
+    # Nothing reads a bank at eta = 0, so `bank_size` changes nothing: no fill
+    # phase skips an update and no refresh draws from the batch stream.
+    fits = [fit(cache, small_cfg(eta=0.0, bank_size=size, epochs=3, bank_refresh=True))
+            for size in (64, 0)]
+    assert [s.bank for s in fits] == [None, None]
+    assert fits[0].optimizer.t == fits[1].optimizer.t == 3 * 7
+    for name, value in fits[1].param_values().items():
+        assert np.array_equal(fits[0].params[name].value, value), name
 
 
 def test_zero_learning_rate_leaves_parameters_fixed(cache):
