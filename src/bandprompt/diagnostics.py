@@ -7,13 +7,15 @@ minima, so 0 means disjoint spectral support and 1 means identical spectra.
 Samples where either band carries (numerically) no energy are skipped rather
 than scored.
 
-A spectrum takes two real matmuls per channel with cached DFT tables that
-fold in the area weights, so `diagnose` never builds an aligned copy of a
-band. The columns cover the half plane of non-negative column frequencies;
-the rows are one per conjugate pair {u, h - u} of row frequencies, scaled by
-sqrt(2) where the pair has two members. A pair shares a radial bin and its
-real/imaginary cross terms cancel in the sum, so each squared entry of the
-product is binned as it stands.
+A spectrum takes two real matmuls with cached DFT tables that fold in the
+area weights, so `diagnose` never builds an aligned copy of a band: one
+column product over every row of every plane of a stack, then one broadcast
+row product over the planes. Both tables hold one real row per conjugate
+pair {u, n - u} of frequencies (a cos row for u = 0..n//2, a sin row where
+the pair has two members), so neither holds an all-zero row. The row table
+scales a pair by sqrt(2); the binning weighs a column pair by 2 instead. A
+pair shares a radial bin and its real/imaginary cross terms cancel in the
+sum, so each squared entry of the product is binned as it stands.
 
 `align_grid`, `radial_spectrum` and `band_overlap` take one (C, h, w) latent
 or an (n, C, h, w) stack of them; `diagnose` factorizes latent by latent and
@@ -33,10 +35,11 @@ from .teacher import LatentCache
 
 # Threshold on the mean squared amplitude of a band's spatial field.
 ENERGY_EPS = 1e-12
-# Latents per stacked spectrum pass in `diagnose`. A chunk bounds the band
-# stack and one channel's transforms to about 10 MiB for 4x16x16 latents on
-# 14x14; one pass over a 2048-latent cache took a scan from 110 to 169 MiB RSS.
-CHUNK_SIZE = 256
+# Latents per stacked spectrum pass in `diagnose`. A chunk of 4x16x16
+# latents on 14x14 holds its band stack and transforms in under 3 MiB, and
+# ran faster per latent than chunks of 256 (about 10 MiB); one pass over a
+# 2048-latent cache took a scan from 110 to 169 MiB RSS.
+CHUNK_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +102,20 @@ class RadialSpectrum:
 
 
 @lru_cache(maxsize=None)
-def _dft_rows(n_in: int, n_out: int, keep: int) -> np.ndarray:
-    """Read-only (2*keep, n_in): the cos rows, then the sin rows, of the
-    first `keep` frequencies of an n_out-point DFT, times the area weights
-    that resample n_in cells onto n_out (the identity when n_in == n_out)."""
+def _dft_rows(n_in: int, n_out: int) -> np.ndarray:
+    """Read-only (n_out, n_in): the real DFT rows of an n_out-point transform
+    times the area weights that resample n_in cells onto n_out (the identity
+    when n_in == n_out). The cos rows of u = 0..n_out//2 come first, then the
+    sin rows of each u with a distinct conjugate n_out - u (`_pair_freqs`);
+    the sin rows of u = 0 and of the Nyquist frequency are zero (up to
+    rounding) and are left out."""
+    half = n_out // 2 + 1
     weights = _overlap_weights(n_in, n_out)
     # (u*x) % n_out reduces each angle exactly before it is scaled.
-    angle = (2.0 * np.pi / n_out) * (np.outer(np.arange(keep), np.arange(n_out)) % n_out)
+    angle = (2.0 * np.pi / n_out) * (np.outer(np.arange(half), np.arange(n_out)) % n_out)
     rows = np.concatenate([np.cos(angle), np.sin(angle)]) @ weights
+    u = _pair_freqs(n_out)
+    rows = rows[np.concatenate([u[:half], half + u[half:]])]
     rows.setflags(write=False)
     return rows
 
@@ -114,7 +123,7 @@ def _dft_rows(n_in: int, n_out: int, keep: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _radial_bins(h: int, w: int, num_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only bin index per cell of the (h, w // 2 + 1) half plane, and
-    column weights: 2 where a column stands for its dropped mirror too.
+    column weights: 2 where a column stands for its mirror w - v too.
     Radii are cycles-per-sample frequencies over the Nyquist-corner radius
     (0 on a one-cell grid); bins are equal width over (0, 1] and the DC cell
     lands in bin 1 (stored as index 0)."""
@@ -132,35 +141,32 @@ def _radial_bins(h: int, w: int, num_bins: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _pair_freqs(n: int) -> np.ndarray:
-    """Row frequency of each row of `_pair_rows(., n)`: u = 0..n//2 for the
-    cos rows, then each u with a distinct conjugate n - u for the sin rows."""
+    """Frequency of each row of `_dft_rows(., n)`: u = 0..n//2 for the cos
+    rows, then each u with a distinct conjugate n - u for the sin rows."""
     u = np.arange(n // 2 + 1)
     return np.concatenate([u, u[(u > 0) & (2 * u < n)]])
 
 
 @lru_cache(maxsize=None)
 def _pair_rows(n_in: int, n_out: int) -> np.ndarray:
-    """Read-only (n_out, n_in): of `_dft_rows(n_in, n_out, n_out // 2 + 1)`,
-    the cos rows of every u = 0..n_out//2, then the sin rows of each u with a
-    distinct conjugate n_out - u. A pair's rows carry a factor sqrt(2), so
-    their squared products hold the power of both u and n_out - u; the sin
-    rows of u = 0 and of the Nyquist row are zero and are left out."""
-    half = n_out // 2 + 1
+    """Read-only `_dft_rows(n_in, n_out)` with a factor sqrt(2) on the rows of
+    each u with a distinct conjugate, so their squared products hold the
+    power of both u and n_out - u."""
     u = _pair_freqs(n_out)
-    rows = _dft_rows(n_in, n_out, half)[np.concatenate([u[:half], half + u[half:]])]
-    rows *= np.where((u > 0) & (2 * u < n_out), np.sqrt(2.0), 1.0)[:, None]
+    rows = _dft_rows(n_in, n_out) * np.where((u > 0) & (2 * u < n_out), np.sqrt(2.0), 1.0)[:, None]
     rows.setflags(write=False)
     return rows
 
 
 @lru_cache(maxsize=None)
 def _pair_bins(h: int, w: int, num_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only bin index per entry of a channel's (h, 2 * (w // 2 + 1))
-    paired transform, whose columns are the cos then the sin half plane, and
-    the column weights of `_radial_bins` for both halves."""
+    """Read-only bin index per entry of a channel's (h, w) transform, whose
+    rows are those of `_pair_rows(., h)` and columns those of `_dft_rows(., w)`,
+    and the column weights of `_radial_bins` for those columns."""
     bins, weights = _radial_bins(h, w, num_bins)
-    pair_bins = np.tile(bins[_pair_freqs(h)], 2).reshape(-1)
-    pair_weights = np.tile(weights, 2)
+    v = _pair_freqs(w)
+    pair_bins = bins[_pair_freqs(h)][:, v].reshape(-1)
+    pair_weights = weights[v]
     pair_bins.setflags(write=False)
     pair_weights.setflags(write=False)
     return pair_bins, pair_weights
@@ -170,29 +176,27 @@ def radial_spectrum(z, num_bins: int, grid: tuple[int, int] | None = None) -> Ra
     """Channel-mean power spectrum folded into radial bins, normalized to 1.
 
     With a `grid` it is the spectrum of `align_grid(z, grid)`, without the
-    aligned copy. Each channel's transform is two real matmuls, over the half
-    plane of non-negative column frequencies and one row per conjugate pair
-    of row frequencies; power and radius are point-symmetric, so the squared,
-    weighted entries give each bin and the Parseval total.
+    aligned copy. The transform is two real matmuls with one row or column
+    per conjugate pair of frequencies; power and radius are point-symmetric,
+    so the squared, weighted entries give each bin and the Parseval total.
     """
     if num_bins < 1:
         raise ParameterError(f"num_bins must be >= 1, got {num_bins}")
-    arr = as_latent_array(z).astype(np.float64, copy=False)
+    arr = np.ascontiguousarray(as_latent_array(z), dtype=np.float64)
     h, w = arr.shape[-2:]
     th, tw = (h, w) if grid is None else grid
-    keep = tw // 2 + 1
-    rows, cols = _pair_rows(h, th), _dft_rows(w, tw, keep)
+    rows, cols = _pair_rows(h, th), _dft_rows(w, tw)
     bins, weights = _pair_bins(th, tw, num_bins)
-    # Channel by channel, so a stack's transforms take one channel's share of
-    # memory at a time; the sum runs in np.mean's order.
-    power = np.zeros(arr.shape[:-3] + (th, 2 * keep))
-    for c in range(arr.shape[-3]):
-        plane = arr[..., c, :, :]
-        y = rows @ (plane.reshape(-1, w) @ cols.T).reshape(plane.shape[:-1] + (2 * keep,))
-        # A pair's cross terms cancel, so its power is the sum of its squares.
-        y *= y
-        power += y
-    power = (power * weights / arr.shape[-3]).reshape(-1, th * 2 * keep)
+    # One product over the rows of every plane, then one broadcast product
+    # over the planes.
+    y = rows @ (arr.reshape(-1, w) @ cols.T).reshape(arr.shape[:-1] + (tw,))
+    # A pair's cross terms cancel, so its power is the sum of its squares;
+    # the channel sum runs in np.mean's order.
+    y *= y
+    power = np.add.reduce(y, axis=-3)
+    power *= weights
+    power /= arr.shape[-3]
+    power = power.reshape(-1, th * tw)
     total = power.sum(axis=1)
     msa = total / float(th * tw) ** 2  # Parseval: mean |z|^2 over pixels
     # Row r's entries go to bins r*num_bins + bin; bincount sums them in order.

@@ -148,6 +148,9 @@ class TrainConfig:
 # The config keys under which a checkpoint stamps the frozen encoder that
 # `ToyVisualEncoder.create` redraws from them.
 ENCODER_KEYS = ("embed_dim", "seed", "grid_c", "grid_h", "grid_w")
+# Latent rows that `ToyVisualEncoder.encode_batch` converts and multiplies
+# per block.
+ENCODE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -172,15 +175,34 @@ class ToyVisualEncoder:
         return dict(zip(ENCODER_KEYS, map(str, (len(self.weight), self.seed, *self.grid))))
 
     def encode_batch(self, arrays) -> np.ndarray:
-        x = np.asarray(arrays, dtype=np.float64)
+        """Unit rows of the (n, C, h, w) latents times the weight. Row blocks
+        of about ENCODE_ROWS are converted to float64 and multiplied into the
+        output; a row whose norm is below MIN_NORM or not finite raises."""
+        x = np.asarray(arrays)
         if x.ndim != 4 or x.shape[1:] != self.grid:
             raise ParameterError(f"expected (n, {self.grid}) latents, got {x.shape}")
-        flat = x.reshape(x.shape[0], -1)
-        raw = flat @ self.weight.T
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        if np.any(norms < ad.MIN_NORM):
-            raise NumericalDegeneracyError("encoder produced a zero-length embedding")
-        return raw / norms
+        n = len(x)
+        flat = x.reshape(n, -1)
+        out = np.empty((n, len(self.weight)))
+        # Blocks of near-equal size: BLAS may multiply a product of a few rows
+        # by another kernel (one row by a matrix-vector product) whose bits
+        # differ, so past ENCODE_ROWS no block is smaller than half of it.
+        blocks = max(1, -(-n // ENCODE_ROWS))
+        edges = [n * i // blocks for i in range(blocks + 1)]
+        # Non-finite latents give non-finite norms, which the guard reports.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in zip(edges[:-1], edges[1:]):
+                np.matmul(flat[a:b].astype(np.float64), self.weight.T, out=out[a:b])
+            norms = np.linalg.norm(out, axis=1, keepdims=True)
+        # As in `ad.unit_rows`: NaN fails both comparisons.
+        if not (np.minimum.reduce(norms, axis=None, initial=ad.MIN_NORM) >= ad.MIN_NORM
+                and np.maximum.reduce(norms, axis=None, initial=0.0) < np.inf):
+            bad = int((np.isfinite(norms) & (norms >= ad.MIN_NORM)).argmin())
+            kind = "a zero-length" if norms[bad, 0] < ad.MIN_NORM else "a non-finite-norm"
+            raise NumericalDegeneracyError(
+                f"encoder produced {kind} embedding (row {bad}, norm {norms[bad, 0]:.3e})")
+        out /= norms
+        return out
 
 
 @dataclass

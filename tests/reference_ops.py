@@ -7,13 +7,21 @@ them against finite differences. So do the per-tensor `zero_grads` and the
 concatenating Adam step that the optimizer's flat buffers replaced, the
 two-branch granule step that the stacked pass replaced, and the other loops
 that array code replaced, and the mask forms of the input guards that one or
-two reductions replaced.
+two reductions replaced. The per-record `struct` cache codec that the
+record-run codec replaced is here too, as the oracle of its bytes and errors.
 """
+
+import struct
 
 import numpy as np
 
 import bandprompt.autodiff as ad
-from bandprompt.errors import NumericalDegeneracyError, ParameterError
+from bandprompt.errors import (
+    CacheCorruptionError,
+    CacheFormatError,
+    NumericalDegeneracyError,
+    ParameterError,
+)
 
 
 def unbroadcast(g, shape):
@@ -311,6 +319,67 @@ def per_record_dataset(spec, n_per_class):
             labels.append(label)
             latents.append(data.astype(np.float32))
     return ids, np.array(labels, dtype=np.int64), np.stack(latents)
+
+
+def struct_cache_bytes(ids, labels, block) -> bytes:
+    """The v1 cache file of `ids`, `labels` and the (n, C, h, w) `block`, one
+    `struct.pack` per record field."""
+    parts = [b"SPLC", struct.pack("<II", 1, len(ids))]
+    for sid, label, row in zip(ids, labels, np.asarray(block, dtype="<f4")):
+        raw = sid.encode("utf-8")
+        parts += [struct.pack("<H", len(raw)), raw, struct.pack("<IIII", label, *row.shape),
+                  row.tobytes()]
+    return b"".join(parts)
+
+
+def per_record_read_cache(path):
+    """`teacher.read_cache` as a loop that parses one record at a time.
+    Returns (ids, int64 labels, float32 block); raises as the reader does."""
+    blob = open(path, "rb").read()
+    if len(blob) < 12 or blob[:4] != b"SPLC":
+        raise CacheFormatError(f"{path}: not a latent cache (bad magic)")
+    (version,) = struct.unpack_from("<I", blob, 4)
+    if version != 1:
+        raise CacheFormatError(f"{path}: unsupported cache version {version}")
+    (count,) = struct.unpack_from("<I", blob, 8)
+    offset, ids, labels, rows, grid = 12, [], [], [], (0, 0, 0)
+    for index in range(count):
+        if offset + 2 > len(blob):
+            raise CacheCorruptionError(f"{path}: truncated before id length", index)
+        (id_len,) = struct.unpack_from("<H", blob, offset)
+        offset += 2
+        if offset + id_len + 16 > len(blob):
+            raise CacheCorruptionError(f"{path}: truncated record header", index)
+        try:
+            sid = blob[offset:offset + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CacheCorruptionError(f"{path}: sample id is not UTF-8", index) from None
+        offset += id_len
+        label, cc, hh, ww = struct.unpack_from("<IIII", blob, offset)
+        offset += 16
+        if not sid:
+            raise CacheCorruptionError(f"{path}: sample_id must be non-empty", index)
+        if sid in ids:
+            raise CacheCorruptionError(f"{path}: duplicate sample id {sid!r}", index)
+        if min(cc, hh, ww) < 1:
+            raise CacheCorruptionError(f"{path}: record has empty dims {(cc, hh, ww)}", index)
+        grid = grid if index else (cc, hh, ww)
+        if (cc, hh, ww) != grid:
+            raise CacheCorruptionError(f"{path}: grid {(cc, hh, ww)} differs from record 0's {grid}", index)
+        nbytes = cc * hh * ww * 4
+        if offset + nbytes > len(blob):
+            raise CacheCorruptionError(f"{path}: truncated latent payload", index)
+        ids.append(sid)
+        labels.append(label)
+        rows.append(np.frombuffer(blob, "<f4", cc * hh * ww, offset).reshape(grid))
+        offset += nbytes
+    if offset != len(blob):
+        raise CacheCorruptionError(f"{path}: {len(blob) - offset} trailing bytes after last record", count)
+    for index, row in enumerate(rows):
+        if not np.isfinite(row).all():
+            raise CacheCorruptionError(f"{path}: latent {ids[index]!r} has non-finite values", index)
+    block = np.stack(rows) if rows else np.empty((0, 0, 0, 0), np.float32)
+    return ids, np.array(labels, dtype=np.int64), block
 
 
 def popping_stratified_order(labels, rng):

@@ -314,7 +314,7 @@ def test_one_cell_grid_puts_all_energy_in_bin_one():
             np.testing.assert_array_equal(spec.energies[..., 1:], 0.0)
 
 
-@pytest.mark.parametrize("grid", [(7, 9), (14, 14), (12, 1)])
+@pytest.mark.parametrize("grid", [(7, 9), (14, 14), (12, 1), (1, 7)])
 def test_stacked_spectrum_on_a_grid_equals_its_singles_bitwise(grid):
     rng = np.random.default_rng(6)
     stack = rng.normal(size=(5, 3, 12, 10))
@@ -326,18 +326,28 @@ def test_stacked_spectrum_on_a_grid_equals_its_singles_bitwise(grid):
     assert spectra.degenerate.tolist() == [False, False, True, False, False]
 
 
+def test_a_chunk_of_bands_equals_its_singles_bitwise():
+    # A chunk's column product has thousands of rows, a single latent's a
+    # few dozen, so BLAS may run them through different kernels.
+    stack = np.random.default_rng(9).normal(size=(2 * CHUNK_SIZE, 4, 16, 16))
+    spectra = radial_spectrum(stack, 10, (14, 14))
+    assert np.array_equal(spectra.energies, np.stack([radial_spectrum(z, 10, (14, 14)).energies
+                                                      for z in stack]))
+
+
 def test_dft_and_bin_tables_are_cached_and_read_only():
-    rows = diagnostics._dft_rows(16, 14, 8)
-    assert rows.shape == (16, 16) and not rows.flags.writeable
-    assert diagnostics._dft_rows(16, 14, 8) is rows
+    rows = diagnostics._dft_rows(16, 14)
+    assert rows.shape == (14, 16) and not rows.flags.writeable
+    assert diagnostics._dft_rows(16, 14) is rows
     bins, weights = diagnostics._radial_bins(14, 14, 10)
     assert bins.shape == (14, 8) and weights.tolist() == [1.0] + [2.0] * 6 + [1.0]
     assert not bins.flags.writeable and not weights.flags.writeable
     assert diagnostics._radial_bins(3, 7, 2)[1].tolist() == [1.0, 2.0, 2.0, 2.0]
-    # the identity weights of an unchanged grid leave the plain DFT rows
+    # the identity weights of an unchanged grid leave the plain DFT rows:
+    # cos of u = 0..5, sin of u = 1..4
     x = np.arange(10)
     angle = 2.0 * np.pi * ((np.arange(6)[:, None] * x) % 10) / 10
-    assert np.array_equal(diagnostics._dft_rows(10, 10, 6), np.concatenate([np.cos(angle), np.sin(angle)]))
+    assert np.array_equal(diagnostics._dft_rows(10, 10), np.concatenate([np.cos(angle), np.sin(angle[1:5])]))
 
 
 @pytest.mark.parametrize("shape, grid", [
@@ -370,9 +380,21 @@ def test_pair_rows_hold_one_row_per_conjugate_pair(n_in, n_out, paired):
     assert not rows.flags.writeable
     assert diagnostics._pair_rows(n_in, n_out) is rows
     bins, weights = diagnostics._pair_bins(n_out, 6, 4)
-    assert bins.shape == (n_out * 2 * 4,) and weights.tolist() == [1.0, 2.0, 2.0, 1.0] * 2
+    # columns: cos of v = 0..3, then sin of v = 1, 2
+    assert bins.shape == (n_out * 6,) and weights.tolist() == [1.0, 2.0, 2.0, 1.0, 2.0, 2.0]
     assert not bins.flags.writeable and not weights.flags.writeable
     assert diagnostics._pair_bins(n_out, 6, 4)[0] is bins
+
+
+@pytest.mark.parametrize("n_in, n_out", [
+    (16, 14), (10, 10), (9, 7), (5, 9), (12, 1), (1, 1), (7, 2), (4, 11),
+])
+def test_no_spectral_table_holds_an_all_zero_row(n_in, n_out):
+    # The sin rows of u = 0 and of an even grid's Nyquist frequency are zero
+    # (or rounding) and carry no power; neither table may square them.
+    for table in (diagnostics._dft_rows(n_in, n_out), diagnostics._pair_rows(n_in, n_out)):
+        assert table.shape == (n_out, n_in)
+        assert np.abs(table).max(axis=1).min() > 1e-3
 
 
 def test_pair_rows_on_an_unchanged_grid_are_the_scaled_dft_rows():
@@ -398,12 +420,13 @@ def test_aligned_diagnose_never_builds_an_aligned_stack(monkeypatch):
 
 def test_aligned_diagnose_transient_memory_is_bounded():
     """What `diagnose` allocates beyond its input, for 2 * CHUNK_SIZE
-    (4, 16, 16) latents aligned to 14 x 14, stays under 9 MiB. A chunk's
-    band stack takes 4 MiB and one channel's transforms with the binned power
-    about 4 MiB more (it peaks at 8.1 MiB; a row table with cos and sin rows
-    for every row frequency peaked at 9.9 MiB, and building the aligned stack
-    took 10.7 MiB); transforming all channels at once would hold four
-    channels' transforms at a time."""
+    (4, 16, 16) latents aligned to 14 x 14, stays under 9 MiB. A chunk of 64
+    latents takes 1 MiB for its band stack and about 1.7 MiB more for the
+    column and row products of all its channels (it peaks at 2.7 MiB, and
+    at 2.7 MiB on 512 latents too). Chunks of 256 latents peaked at 10.3
+    MiB; the per-channel products of chunks of 256 peaked at 8.1 MiB, a row
+    table with cos and sin rows for every row frequency at 9.9 MiB, and
+    building the aligned stack took 10.7 MiB."""
     rng = np.random.default_rng(7)
     records = []
     for i in range(2 * CHUNK_SIZE):

@@ -1,5 +1,6 @@
 """Synthetic latent generator and cache file format."""
 
+import itertools
 import struct
 import tracemalloc
 
@@ -17,6 +18,7 @@ from bandprompt.errors import (
 )
 from bandprompt.evaluate import run_base_to_novel
 from bandprompt.teacher import (
+    MOVE_BYTES,
     CacheRecord,
     LatentCache,
     LatentTensor,
@@ -29,7 +31,7 @@ from bandprompt.teacher import (
     write_cache,
 )
 from bandprompt.trainer import TrainConfig
-from reference_ops import per_record_dataset
+from reference_ops import per_record_dataset, per_record_read_cache, struct_cache_bytes
 
 
 def small_spec(**kw):
@@ -405,3 +407,114 @@ def test_every_single_byte_flip_fails_inside_the_taxonomy(tmp_path):
         except BandpromptError as exc:
             id_errors += "not UTF-8" in str(exc)
     assert id_errors == 2 * len("rec_0")  # each id byte, flipped, leaves invalid UTF-8
+
+
+# ---------------------------------------------------------------------------
+# the record-run codec against the per-record struct codec
+
+# Ids whose UTF-8 byte lengths make runs of one record and of many: multi-byte
+# characters, and ids ending in NUL, which a NumPy `S` dtype would strip.
+RUN_IDS = ["a", "bb", "cc", "dd", "é", "ü\x00", "x\x00", "日本", "ab", "q",
+           "rr", "ss", "tt", "u", "long\x00id", "long_idx", "日本語"]
+
+
+def run_cache(ids=RUN_IDS, grid=(1, 2, 3), seed=5):
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(len(ids), *grid)).astype(np.float32)
+    return LatentCache._of(block, np.arange(len(ids), dtype=np.int64) % 3, ids)
+
+
+def test_run_codec_round_trips_mixed_id_lengths_as_the_struct_bytes(tmp_path):
+    lengths = [len(sid.encode()) for sid in RUN_IDS]
+    run_lengths = [len(list(g)) for _, g in itertools.groupby(lengths)]
+    assert 1 in run_lengths and max(run_lengths) >= 3
+    cache = run_cache()
+    path = tmp_path / "c.bin"
+    write_cache(cache, path)
+    assert path.read_bytes() == struct_cache_bytes(cache.ids, cache.labels(), cache.arrays())
+    loaded = read_cache(path)
+    assert loaded == cache and loaded.ids == tuple(RUN_IDS)
+    assert loaded.arrays().tobytes() == cache.arrays().tobytes()
+    ids, labels, block = per_record_read_cache(path)
+    assert ids == RUN_IDS and np.array_equal(labels, cache.labels())
+
+
+def test_a_large_run_moves_in_bounded_blocks_bitwise(tmp_path):
+    # More payload than one MOVE_BYTES copy holds, in one run of equal ids.
+    cache = generate_dataset(small_spec(), 40)
+    assert cache.arrays().nbytes > 3 * MOVE_BYTES
+    path = tmp_path / "c.bin"
+    write_cache(cache, path)
+    assert path.read_bytes() == struct_cache_bytes(cache.ids, cache.labels(), cache.arrays())
+    assert read_cache(path).arrays().tobytes() == cache.arrays().tobytes()
+
+
+def reader_outcome(read, path):
+    """What one reader makes of `path`: its error, or the cache it loads."""
+    try:
+        ids, labels, block = read(path)
+    except BandpromptError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "record_index", None)
+    return "loaded", list(ids), labels.tolist(), block.tobytes()
+
+
+def run_reader(path):
+    cache = read_cache(path)
+    return cache.ids, cache.labels(), cache.arrays()
+
+
+def test_every_flip_and_truncation_of_a_run_cache_reads_as_the_struct_reader(tmp_path):
+    # At least three runs, so a flipped id length or dims field changes a
+    # run's stride; a garbled dims field must not build a view past the file.
+    blob = struct_cache_bytes(RUN_IDS[:9], [0, 1, 2] * 3, run_cache(RUN_IDS[:9], (1, 2, 2)).arrays())
+    path = tmp_path / "c.bin"
+    for offset in range(len(blob)):
+        for bits in (0xFF, 0x01, 0x80):
+            mutated = bytearray(blob)
+            mutated[offset] ^= bits
+            path.write_bytes(bytes(mutated))
+            assert reader_outcome(run_reader, path) == reader_outcome(per_record_read_cache, path)
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        want = reader_outcome(per_record_read_cache, path)
+        assert reader_outcome(run_reader, path) == want, cut
+
+
+@pytest.mark.parametrize("fault, index", [
+    ("not-utf8", 4), ("continuation-start", 4), ("repeat-in-run", 5), ("repeat-of-earlier-run", 6),
+])
+def test_a_bulk_rejection_names_the_record_the_struct_reader_names(tmp_path, fault, index):
+    ids = [sid.encode() for sid in ["a0", "a1", "b", "c", "d0", "d1", "d2", "d3"]]
+    if fault == "not-utf8":
+        ids[4] = b"\xffx"
+    elif fault == "continuation-start":
+        # One character split across two ids of a run: the run's bytes decode.
+        ids[4], ids[5] = b"d\xe6", b"\x97\xa5"
+    elif fault == "repeat-in-run":
+        ids[5] = ids[4]
+    else:
+        ids[6] = ids[1]
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(len(ids), 1, 2, 2)).astype("<f4")
+    parts = [b"SPLC", struct.pack("<II", 1, len(ids))]
+    for i, (sid, row) in enumerate(zip(ids, block)):
+        parts += [struct.pack("<H", len(sid)), sid, struct.pack("<IIII", i, 1, 2, 2), row.tobytes()]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"".join(parts))
+    with pytest.raises(CacheCorruptionError) as exc:
+        read_cache(path)
+    assert exc.value.record_index == index
+    assert reader_outcome(run_reader, path) == reader_outcome(per_record_read_cache, path)
+
+
+@pytest.mark.parametrize("label", [-1, 2**32])
+def test_write_cache_rejects_a_label_outside_u32_before_opening_the_file(tmp_path, label):
+    cache = generate_dataset(small_spec(), 2)
+    bad = cache.subset(np.arange(len(cache)), [0, 1, label, 0, 1, 2])
+    path = tmp_path / "c.bin"
+    with pytest.raises(ParameterError, match=rf"record 2 \('c001_s00000'\).*label {label}"):
+        write_cache(bad, path)
+    assert not path.exists()
+    with pytest.raises(ParameterError, match="record 0"):
+        write_cache(cache.subset(np.array([0, 1]), [label, 0]), path)
+    assert not path.exists()

@@ -11,7 +11,7 @@ import pytest
 import bandprompt.autodiff as ad
 from bandprompt.bands import band_stats, factorize
 from bandprompt.bank import SemanticBank
-from bandprompt.errors import BankStateError, ParameterError
+from bandprompt.errors import BankStateError, NumericalDegeneracyError, ParameterError
 from bandprompt.teacher import LatentCache, SyntheticSpec, generate_dataset
 from bandprompt.trainer import (
     FROZEN_INPUTS,
@@ -86,6 +86,33 @@ def test_encoder_validates_input(cache):
         enc.encode_batch(np.zeros((2, 4, 8, 8)))
     with pytest.raises(ParameterError):
         enc.encode_batch(np.zeros(GRID))
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 258, 513])
+def test_encoder_blocks_are_bitwise_the_whole_product(n):
+    # The row blocks must not change a bit of the single product, so no
+    # block may be a one-row (matrix-vector) product unless n == 1.
+    enc = ToyVisualEncoder.create(32, GRID, seed=1)
+    arrays = np.random.default_rng(n).normal(size=(n, *GRID)).astype(np.float32)
+    raw = arrays.reshape(n, -1).astype(np.float64) @ enc.weight.T
+    expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    assert np.array_equal(enc.encode_batch(arrays), expected)
+
+
+@pytest.mark.parametrize("value, kind", [
+    (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"), (0.0, "zero-length"),
+])
+def test_encoder_rejects_a_degenerate_row_by_its_index(value, kind):
+    # Warnings are errors under pytest, so an inf that warned before the guard
+    # would fail here as a RuntimeWarning rather than reach the guard.
+    enc = ToyVisualEncoder.create(8, GRID, seed=0)
+    arrays = np.random.default_rng(2).normal(size=(300, *GRID)).astype(np.float32)
+    if value == 0.0:
+        arrays[257] = 0.0
+    else:
+        arrays[257, 1, 2, 3] = value
+    with pytest.raises(NumericalDegeneracyError, match=f"{kind}.*row 257"):
+        enc.encode_batch(arrays)
 
 
 def test_init_state_is_seeded_and_bitwise_repeatable(cache):
