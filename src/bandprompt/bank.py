@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -135,14 +136,100 @@ def retrieve_rows(entries: np.ndarray, queries,
 
 
 # ---------------------------------------------------------------------------
-# dump format: header "M d mu tau", then one line of d decimals per entry
+# float-row blocks: a head line of sizes, then one line of decimals per row. A
+# bank dump is one block, headed "M d mu tau"; a checkpoint holds one bank
+# block and one block per parameter. A fault in either names its line.
+
+
+def format_block(head: str, rows) -> list[str]:
+    """A block's lines: `head`, then each row as round-trip `.17g` decimals."""
+    return [head, *(" ".join(f"{v:.17g}" for v in row) for row in rows)]
+
+
+@dataclass
+class NumberedLines:
+    """The (line number, text) pairs of a text's non-blank lines, and its
+    `last` line number. An error names `kind` and "path:N", or "line N"."""
+
+    items: list[tuple[int, str]]
+    last: int
+    kind: str
+    source: object = None
+
+    def error(self, i: int, message: str) -> ParameterError:
+        """A ParameterError naming line i, or the last line past the end."""
+        n = self.items[i][0] if i < len(self.items) else self.last
+        where = f"line {n}" if self.source is None else f"{self.source}:{n}"
+        return ParameterError(f"{where}: malformed {self.kind}: {message}")
+
+    def values(self, i: int, convert=float, tokens=None) -> list:
+        """`convert` of each token of line i, or of `tokens` from it."""
+        if i >= len(self.items):
+            raise self.error(i, "the text ends too early")
+        try:
+            return list(map(convert, self.items[i][1].split() if tokens is None else tokens))
+        except ValueError as exc:
+            raise self.error(i, str(exc)) from None
+
+
+def read_lines(path, kind: str) -> NumberedLines:
+    """The non-blank lines of the UTF-8 text file `path`. Both writers end a
+    file with a newline, so a last line without one is a file cut short."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        texts = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParameterError(f"{path}:{line}: {kind} is not UTF-8 text") from None
+    if texts[-1]:
+        raise ParameterError(f"{path}:{len(texts)}: {kind} is cut short: no final newline")
+    items = [(n, text) for n, text in enumerate(texts[:-1], 1) if text.strip()]
+    return NumberedLines(items, max(len(texts) - 1, 1), kind, path)
+
+
+def read_block(lines: NumberedLines, head: int,
+               floats: int = 0) -> tuple[np.ndarray, list[float], int]:
+    """The block headed by line `head` (sizes >= 1, then `floats` numbers):
+    its rows in the sizes' shape, the numbers and the index after it. Sizes
+    (r, c) declare r rows of c, (n,) one row of n. The rows are converted
+    at once, and walked one by one only to name a bad line."""
+    tokens = lines.values(head, str)
+    shape = tuple(lines.values(head, int, tokens[: len(tokens) - floats]))
+    numbers = lines.values(head, float, tokens[len(tokens) - floats :])
+    if not shape or min(shape) < 1:
+        raise lines.error(head, f"expected sizes >= 1 and {floats} more numbers")
+    n_rows = shape[0] if len(shape) > 1 else 1
+    rows = [text.split() for _, text in lines.items[head + 1 : head + 1 + n_rows]]
+    if len(rows) < n_rows:
+        raise lines.error(head, f"{n_rows} rows declared, {len(rows)} follow")
+    width = math.prod(shape) // n_rows
+    if set(map(len, rows)) != {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise lines.error(head + 1 + i, f"row has {len(rows[i])} values, expected {width}")
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(rows)), float, n_rows * width)
+    except ValueError:
+        for i, row in enumerate(rows, head + 1):
+            lines.values(i, float, row)  # raises at the first bad token
+        raise
+    return values.reshape(shape), numbers, head + 1 + n_rows
+
+
+def read_bank_block(lines: NumberedLines, head: int,
+                    fill_count: int | None = None) -> tuple[SemanticBank, int]:
+    """The bank headed by line `head`, full if `fill_count` is None, and the index after it."""
+    entries, (momentum, temperature), end = read_block(lines, head, floats=2)
+    try:
+        return SemanticBank(entries=entries, momentum=momentum, temperature=temperature,
+                            fill_count=len(entries) if fill_count is None else fill_count), end
+    except ParameterError as exc:
+        raise lines.error(head, str(exc)) from None
 
 
 def format_bank(bank: SemanticBank) -> str:
-    lines = [f"{bank.size} {bank.dim} {bank.momentum:.17g} {bank.temperature:.17g}"]
-    for row in bank.entries:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    head = f"{bank.size} {bank.dim} {bank.momentum:.17g} {bank.temperature:.17g}"
+    return "\n".join(format_block(head, bank.entries)) + "\n"
 
 
 def write_bank(bank: SemanticBank, path) -> None:
@@ -150,36 +237,18 @@ def write_bank(bank: SemanticBank, path) -> None:
         fh.write(format_bank(bank))
 
 
+def _dump_bank(lines: NumberedLines, fill_count: int | None = None) -> SemanticBank:
+    bank, end = read_bank_block(lines, 0, fill_count)
+    if end < len(lines.items):
+        raise lines.error(end, f"a line after the {bank.size} rows: {lines.items[end][1]!r}")
+    return bank
+
+
 def parse_bank(lines: list[str], fill_count: int | None = None) -> SemanticBank:
-    if not lines:
-        raise ParameterError("empty bank dump")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ParameterError(f"malformed bank header: {lines[0]!r}")
-    try:
-        size, dim = int(head[0]), int(head[1])
-        momentum, temperature = float(head[2]), float(head[3])
-        rows = [[float(v) for v in ln.split()] for ln in lines[1 : 1 + size]]
-    except ValueError as exc:
-        raise ParameterError(f"malformed bank dump: {exc}") from None
-    if size < 1 or dim < 1:
-        raise ParameterError(f"bank dump size and dim must be >= 1, got {size} x {dim}")
-    if len(rows) != size:
-        raise ParameterError(f"bank dump has {len(rows)} rows, expected {size}")
-    if any(len(row) != dim for row in rows):
-        raise ParameterError("bank dump rows do not match the declared shape")
-    return SemanticBank(
-        entries=np.array(rows, dtype=np.float64).reshape(size, dim),
-        momentum=momentum,
-        temperature=temperature,
-        fill_count=size if fill_count is None else fill_count,
-    )
+    """The bank of a dump's lines; blank lines are skipped."""
+    items = [(n, text) for n, text in enumerate(lines, 1) if text.strip()]
+    return _dump_bank(NumberedLines(items, max(len(lines), 1), "bank dump"), fill_count)
 
 
 def read_bank(path) -> SemanticBank:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{path}: bank dump is not UTF-8 text") from exc
-    return parse_bank(lines)
+    return _dump_bank(read_lines(path, "bank dump"))

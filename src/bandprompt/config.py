@@ -150,22 +150,25 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected `key = value`, got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        cfg = apply_setting(cfg, key, raw)
+        try:
+            if "=" not in stripped:
+                raise ConfigError(f"expected `key = value`, got {stripped!r}")
+            cfg = apply_setting(cfg, *stripped.split("=", 1))
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return cfg
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_config_text(fh.read(), base)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
-    return parse_config_text(text, base)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def resolve_config(config_path=None, overrides: list[str] | None = None,

@@ -10,12 +10,11 @@ than scored.
 A spectrum takes two real matmuls with cached DFT tables that fold in the
 area weights, so `diagnose` never builds an aligned copy of a band: one
 column product over every row of every plane of a stack, then one broadcast
-row product over the planes. Both tables hold one real row per conjugate
-pair {u, n - u} of frequencies (a cos row for u = 0..n//2, a sin row where
-the pair has two members), so neither holds an all-zero row. The row table
-scales a pair by sqrt(2); the binning weighs a column pair by 2 instead. A
-pair shares a radial bin and its real/imaginary cross terms cancel in the
-sum, so each squared entry of the product is binned as it stands.
+row product over the planes. Both tables are `_pair_rows`: per conjugate
+pair {u, n - u} of frequencies a cos row, and a sin row if the pair has two
+members (both then scaled by sqrt(2)), so no row is all zero. A pair shares
+a radial bin and its real/imaginary cross terms cancel in the sum, so each
+squared entry of the product is binned as it stands.
 
 `align_grid`, `radial_spectrum` and `band_overlap` take one (C, h, w) latent
 or an (n, C, h, w) stack of them; `diagnose` factorizes latent by latent and
@@ -52,18 +51,10 @@ def _overlap_weights(n_in: int, n_out: int) -> np.ndarray:
     so both row means and the global mean are preserved exactly."""
     if n_out < 1:
         raise ParameterError(f"target grid sides must be positive, got {n_out}")
-    w = np.zeros((n_out, n_in))
     scale = n_in / n_out
-    for i in range(n_out):
-        lo = i * scale
-        hi = (i + 1) * scale
-        j0 = int(np.floor(lo))
-        j1 = min(int(np.ceil(hi)), n_in)
-        for j in range(j0, j1):
-            cover = min(hi, j + 1) - max(lo, j)
-            if cover > 0:
-                w[i, j] = cover / scale
-    return w
+    i, j = np.arange(n_out)[:, None], np.arange(n_in)
+    cover = np.minimum((i + 1) * scale, j + 1) - np.maximum(i * scale, j)
+    return np.maximum(cover, 0.0) / scale
 
 
 def align_grid(z, target: tuple[int, int]) -> np.ndarray:
@@ -101,47 +92,8 @@ class RadialSpectrum:
         return self.total_energy < ENERGY_EPS
 
 
-@lru_cache(maxsize=None)
-def _dft_rows(n_in: int, n_out: int) -> np.ndarray:
-    """Read-only (n_out, n_in): the real DFT rows of an n_out-point transform
-    times the area weights that resample n_in cells onto n_out (the identity
-    when n_in == n_out). The cos rows of u = 0..n_out//2 come first, then the
-    sin rows of each u with a distinct conjugate n_out - u (`_pair_freqs`);
-    the sin rows of u = 0 and of the Nyquist frequency are zero (up to
-    rounding) and are left out."""
-    half = n_out // 2 + 1
-    weights = _overlap_weights(n_in, n_out)
-    # (u*x) % n_out reduces each angle exactly before it is scaled.
-    angle = (2.0 * np.pi / n_out) * (np.outer(np.arange(half), np.arange(n_out)) % n_out)
-    rows = np.concatenate([np.cos(angle), np.sin(angle)]) @ weights
-    u = _pair_freqs(n_out)
-    rows = rows[np.concatenate([u[:half], half + u[half:]])]
-    rows.setflags(write=False)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _radial_bins(h: int, w: int, num_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only bin index per cell of the (h, w // 2 + 1) half plane, and
-    column weights: 2 where a column stands for its mirror w - v too.
-    Radii are cycles-per-sample frequencies over the Nyquist-corner radius
-    (0 on a one-cell grid); bins are equal width over (0, 1] and the DC cell
-    lands in bin 1 (stored as index 0)."""
-    keep = w // 2 + 1
-    fu = np.fft.fftfreq(h)[:, None]
-    fv = np.fft.fftfreq(w)[None, :keep]
-    r_max = np.sqrt(np.max(np.abs(fu)) ** 2 + np.max(np.abs(fv)) ** 2)
-    r = np.sqrt(fu * fu + fv * fv) / r_max if r_max > 0 else np.zeros((h, keep))
-    bins = np.clip(np.ceil(r * num_bins).astype(np.intp), 1, num_bins) - 1
-    v = np.arange(keep)
-    weights = np.where((v == 0) | (2 * v == w), 1.0, 2.0)
-    bins.setflags(write=False)
-    weights.setflags(write=False)
-    return bins, weights
-
-
 def _pair_freqs(n: int) -> np.ndarray:
-    """Frequency of each row of `_dft_rows(., n)`: u = 0..n//2 for the cos
+    """Frequency of each row of `_pair_rows(., n)`: u = 0..n//2 for the cos
     rows, then each u with a distinct conjugate n - u for the sin rows."""
     u = np.arange(n // 2 + 1)
     return np.concatenate([u, u[(u > 0) & (2 * u < n)]])
@@ -149,27 +101,38 @@ def _pair_freqs(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pair_rows(n_in: int, n_out: int) -> np.ndarray:
-    """Read-only `_dft_rows(n_in, n_out)` with a factor sqrt(2) on the rows of
-    each u with a distinct conjugate, so their squared products hold the
-    power of both u and n_out - u."""
+    """Read-only (n_out, n_in): the real DFT rows of an n_out-point transform
+    times the area weights that resample n_in cells onto n_out (the identity
+    when n_in == n_out). The cos rows of u = 0..n_out//2 come first, then the
+    sin rows of each u with a distinct conjugate n_out - u (`_pair_freqs`);
+    both rows of such a u carry a factor sqrt(2), so their squares hold the
+    power of u and n_out - u. The sin rows of u = 0 and of the Nyquist
+    frequency are zero (up to rounding) and are left out."""
+    half = n_out // 2 + 1
+    weights = _overlap_weights(n_in, n_out)
+    # (u*x) % n_out reduces each angle exactly before it is scaled.
+    angle = (2.0 * np.pi / n_out) * (np.outer(np.arange(half), np.arange(n_out)) % n_out)
+    rows = np.concatenate([np.cos(angle), np.sin(angle)]) @ weights
     u = _pair_freqs(n_out)
-    rows = _dft_rows(n_in, n_out) * np.where((u > 0) & (2 * u < n_out), np.sqrt(2.0), 1.0)[:, None]
+    rows = rows[np.concatenate([u[:half], half + u[half:]])]
+    rows *= np.where((u > 0) & (2 * u < n_out), np.sqrt(2.0), 1.0)[:, None]
     rows.setflags(write=False)
     return rows
 
 
 @lru_cache(maxsize=None)
-def _pair_bins(h: int, w: int, num_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only bin index per entry of a channel's (h, w) transform, whose
-    rows are those of `_pair_rows(., h)` and columns those of `_dft_rows(., w)`,
-    and the column weights of `_radial_bins` for those columns."""
-    bins, weights = _radial_bins(h, w, num_bins)
-    v = _pair_freqs(w)
-    pair_bins = bins[_pair_freqs(h)][:, v].reshape(-1)
-    pair_weights = weights[v]
-    pair_bins.setflags(write=False)
-    pair_weights.setflags(write=False)
-    return pair_bins, pair_weights
+def _pair_bins(h: int, w: int, num_bins: int) -> np.ndarray:
+    """Read-only bin index per entry of a channel's (h, w) transform by
+    `_pair_rows(., h)` and `_pair_rows(., w)`. Radii are cycles-per-sample
+    frequencies over the Nyquist-corner radius (0 on a one-cell grid); bins
+    are equal width over (0, 1] and the DC entry lands in bin 1 (index 0)."""
+    fu = np.abs(np.fft.fftfreq(h))[_pair_freqs(h)][:, None]
+    fv = np.abs(np.fft.fftfreq(w))[_pair_freqs(w)][None, :]
+    r_max = np.sqrt(fu.max() ** 2 + fv.max() ** 2)
+    r = np.sqrt(fu * fu + fv * fv) / r_max if r_max > 0 else np.zeros((h, w))
+    bins = np.clip(np.ceil(r * num_bins).astype(np.intp), 1, num_bins).reshape(-1) - 1
+    bins.setflags(write=False)
+    return bins
 
 
 def radial_spectrum(z, num_bins: int, grid: tuple[int, int] | None = None) -> RadialSpectrum:
@@ -178,15 +141,15 @@ def radial_spectrum(z, num_bins: int, grid: tuple[int, int] | None = None) -> Ra
     With a `grid` it is the spectrum of `align_grid(z, grid)`, without the
     aligned copy. The transform is two real matmuls with one row or column
     per conjugate pair of frequencies; power and radius are point-symmetric,
-    so the squared, weighted entries give each bin and the Parseval total.
+    so the squared entries give each bin and the Parseval total.
     """
     if num_bins < 1:
         raise ParameterError(f"num_bins must be >= 1, got {num_bins}")
     arr = np.ascontiguousarray(as_latent_array(z), dtype=np.float64)
     h, w = arr.shape[-2:]
     th, tw = (h, w) if grid is None else grid
-    rows, cols = _pair_rows(h, th), _dft_rows(w, tw)
-    bins, weights = _pair_bins(th, tw, num_bins)
+    rows, cols = _pair_rows(h, th), _pair_rows(w, tw)
+    bins = _pair_bins(th, tw, num_bins)
     # One product over the rows of every plane, then one broadcast product
     # over the planes.
     y = rows @ (arr.reshape(-1, w) @ cols.T).reshape(arr.shape[:-1] + (tw,))
@@ -194,7 +157,6 @@ def radial_spectrum(z, num_bins: int, grid: tuple[int, int] | None = None) -> Ra
     # the channel sum runs in np.mean's order.
     y *= y
     power = np.add.reduce(y, axis=-3)
-    power *= weights
     power /= arr.shape[-3]
     power = power.reshape(-1, th * tw)
     total = power.sum(axis=1)

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .bands import band_stats, factorize, head_graph, uniform_init
-from .bank import SemanticBank, absorb, format_bank, parse_bank
+from .bank import (SemanticBank, absorb, format_bank, format_block, read_bank_block, read_block,
+                   read_lines)
 from .errors import NumericalDegeneracyError, ParameterError
 from .granules import check_permutation, film_rows, fuse_rows
 from .losses import LossBreakdown, combine, loss_cls, loss_granule, loss_sem
@@ -177,16 +178,17 @@ class ToyVisualEncoder:
     def encode_batch(self, arrays) -> np.ndarray:
         """Unit rows of the (n, C, h, w) latents times the weight. Row blocks
         of about ENCODE_ROWS are converted to float64 and multiplied into the
-        output; a row whose norm is below MIN_NORM or not finite raises."""
+        output; a row whose norm is below MIN_NORM or not finite raises. The
+        blocks equal the single product bitwise only where BLAS runs both with
+        one kernel, as at tier-1's and the benchmark's sizes (README)."""
         x = np.asarray(arrays)
         if x.ndim != 4 or x.shape[1:] != self.grid:
             raise ParameterError(f"expected (n, {self.grid}) latents, got {x.shape}")
         n = len(x)
         flat = x.reshape(n, -1)
         out = np.empty((n, len(self.weight)))
-        # Blocks of near-equal size: BLAS may multiply a product of a few rows
-        # by another kernel (one row by a matrix-vector product) whose bits
-        # differ, so past ENCODE_ROWS no block is smaller than half of it.
+        # Near-equal blocks, none under half of ENCODE_ROWS past it: BLAS may
+        # multiply a product of few rows with another kernel whose bits differ.
         blocks = max(1, -(-n // ENCODE_ROWS))
         edges = [n * i // blocks for i in range(blocks + 1)]
         # Non-finite latents give non-finite norms, which the guard reports.
@@ -625,18 +627,14 @@ def format_checkpoint(state: TrainState, header: dict[str, str] | None = None) -
     a checkpoint names the encoder it was trained over, however it was
     saved."""
     lines = format_header({**(header or {}), **state.encoder.stamp()})
-    if state.bank is not None:
-        lines.append(f"BANK {state.bank.fill_count}")
-        lines.append(format_bank(state.bank).rstrip("\n"))
-    else:
+    if state.bank is None:
         lines.append("BANK none")
+    else:
+        lines += [f"BANK {state.bank.fill_count}", format_bank(state.bank).rstrip("\n")]
     for name in sorted(state.params):
         value = state.params[name].value
         lines.append(f"PARAM {name}")
-        lines.append(" ".join(str(d) for d in value.shape))
-        rows = value[None, :] if value.ndim == 1 else value
-        for row in rows:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
+        lines += format_block(" ".join(str(d) for d in value.shape), np.atleast_2d(value))
     return "\n".join(lines) + "\n"
 
 
@@ -646,68 +644,40 @@ def save_checkpoint(path, state: TrainState, header: dict[str, str] | None = Non
 
 
 def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], SemanticBank | None]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = [ln.rstrip("\n") for ln in fh]
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{path}: checkpoint is not UTF-8 text") from exc
+    """(header, values, bank) of a checkpoint; a fault raises ParameterError naming its line."""
+    lines = read_lines(path, "checkpoint")
     header: dict[str, str] = {}
-    body: list[str] = []
-    for ln in raw_lines:
-        if ln.startswith("#"):
-            text = ln[1:].strip()
-            if "=" in text:
-                k, _, v = text.partition("=")
-                k = k.strip()
-                if k in header:
-                    raise ParameterError(f"{path}: header key {k!r} appears twice")
-                header[k] = v.strip()
-            continue
-        if ln.strip():
-            body.append(ln)
-    if not body:
-        raise ParameterError(f"{path}: empty checkpoint")
-    try:
-        bank, params = _parse_checkpoint_body(path, body)
-    except ParameterError:
-        raise
-    except (ValueError, IndexError) as exc:
-        # A garbled number, or a block cut short of its declared rows.
-        raise ParameterError(f"{path}: malformed checkpoint: {exc}") from exc
+    for i, (_, text) in enumerate(lines.items):
+        key, eq, value = text[1:].partition("=")
+        if text.startswith("#") and eq:
+            if key.strip() in header:
+                raise lines.error(i, f"header key {key.strip()!r} appears twice")
+            header[key.strip()] = value.strip()
+    body = replace(lines, items=[item for item in lines.items if not item[1].startswith("#")])
+    tag = body.values(0, str)
+    if tag[0] != "BANK" or len(tag) > 2:
+        raise body.error(0, f"expected a BANK block, got {body.items[0][1]!r}")
+    bank, pos = None, 1
+    if tag[1:] != ["none"]:  # a bare "BANK" passes no fill count: a full bank
+        bank, pos = read_bank_block(body, 1, *body.values(0, int, tag[1:]))
+    params: dict[str, np.ndarray] = {}
+    while pos < len(body.items):
+        tag = body.items[pos][1]
+        if not tag.startswith("PARAM ") or tag[len("PARAM "):] in params:
+            raise body.error(pos, f"expected a PARAM block of a new name, got {tag!r}")
+        params[tag[len("PARAM "):]], _, pos = read_block(body, pos + 1)
+    if _name_mismatch(params):
+        # Every block is whole, so a file cut at a line break fails here.
+        raise body.error(len(body.items), _name_mismatch(params))
     return header, params, bank
 
 
-def _parse_checkpoint_body(path, body: list[str]):
-    """(bank, params) from the non-comment lines of a checkpoint."""
-    pos = 0
-    bank: SemanticBank | None = None
-    tag = body[pos].split()
-    if body[pos] == "BANK none":
-        pos += 1
-    elif tag[0] == "BANK" and len(tag) <= 2:
-        fill_count = int(tag[1]) if len(tag) == 2 else None
-        size = int(body[pos + 1].split()[0])
-        bank = parse_bank(body[pos + 1 : pos + 2 + size], fill_count)
-        pos += 2 + size
-    else:
-        raise ParameterError(f"{path}: expected a BANK block, got {body[pos]!r}")
-    params: dict[str, np.ndarray] = {}
-    while pos < len(body):
-        tag = body[pos]
-        if not tag.startswith("PARAM "):
-            raise ParameterError(f"{path}: expected a PARAM block, got {tag!r}")
-        name = tag[len("PARAM "):]
-        if name in params:
-            raise ParameterError(f"{path}: parameter {name!r} appears twice")
-        shape = tuple(int(d) for d in body[pos + 1].split())
-        n_rows = 1 if len(shape) == 1 else shape[0]
-        rows = [
-            np.array([float(v) for v in body[pos + 2 + r].split()])
-            for r in range(n_rows)
-        ]
-        params[name] = np.stack(rows).reshape(shape)
-        pos += 2 + n_rows
-    return bank, params
+def _name_mismatch(names) -> str:
+    """How `names` differ from the parameter table's; "" if they do not."""
+    missing = sorted(set(PARAM_NAMES) - set(names))
+    unexpected = sorted(set(names) - set(PARAM_NAMES))
+    return (f"checkpoint parameters do not match the model: missing {missing}, "
+            f"unexpected {unexpected}") if missing or unexpected else ""
 
 
 def state_from_values(param_values: dict[str, np.ndarray], bank: SemanticBank | None,
@@ -721,13 +691,8 @@ def state_from_values(param_values: dict[str, np.ndarray], bank: SemanticBank | 
     """
     if bank is not None and bank.dim != cfg.embed_dim:
         raise ParameterError(f"bank dim {bank.dim} does not match embed_dim {cfg.embed_dim}")
-    missing = sorted(set(PARAM_NAMES) - set(param_values))
-    unexpected = sorted(set(param_values) - set(PARAM_NAMES))
-    if missing or unexpected:
-        raise ParameterError(
-            f"checkpoint parameters do not match the model: missing {missing}, "
-            f"unexpected {unexpected}"
-        )
+    if _name_mismatch(param_values):
+        raise ParameterError(_name_mismatch(param_values))
     text_shape = np.shape(param_values["text_raw"])
     num_classes = text_shape[0] if text_shape else 0
     params: dict[str, ad.Tensor] = {}

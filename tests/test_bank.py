@@ -1,5 +1,7 @@
 """Momentum prototype bank: fill, EMA updates, retrieval, dump format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,54 @@ def test_garbled_bank_dumps_raise_parameter_error(tmp_path):
     path = tmp_path / "bank.txt"
     path.write_bytes(b"1 2 0.1 0.07\n\xff 0\n")
     with pytest.raises(ParameterError, match="UTF-8"):
+        read_bank(path)
+
+
+@pytest.mark.parametrize("lines, line", [
+    ([], 1),
+    (["2 2"], 1),                                       # short header
+    (["0 2 0.1 0.07"], 1),                              # no rows
+    (["2 2 0.1 0.07", "1 0"], 1),                       # missing row, named at its head
+    (["2 2 0.1 0.07", "1 0 0", "0 1 0"], 2),            # wrong width
+    (["2 2 0.1 x", "1 0", "0 1"], 1),                   # garbled header number
+    (["2 2 0.1 0.07", "1 zz", "0 1"], 2),               # garbled entry
+    (["2 2 0.1 0.07", "1 0", "0 1 3"], 3),              # ragged rows
+    (["2 2 0.1 0.07", "1 0", "", "0 1.0.0"], 4),        # a blank line keeps its number
+    (["2 2 0.1 0.07", "1 0", "0 1", "hello world"], 4),  # a line after the rows
+    (["3 3 0.1 0.07", "1 0 0", "0 1 nan", "0 0 1"], 1),  # non-finite, named at its head
+])
+def test_a_malformed_dump_names_its_line(tmp_path, lines, line):
+    with pytest.raises(ParameterError, match=rf"^line {line}: malformed bank dump: "):
+        parse_bank(lines)
+    path = tmp_path / "bank.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}:{line}: malformed bank dump: "):
+        read_bank(path)
+
+
+def test_read_bank_rejects_lines_after_the_declared_rows(tmp_path):
+    path = tmp_path / "bank.txt"
+    path.write_text("2 2 0.1 0.07\n1 0\n0 1\n0 1\nhello world\n")
+    with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}:4: .*after the 2 rows: '0 1'"):
+        read_bank(path)
+
+
+def test_every_strict_prefix_of_a_dump_fails_naming_its_line(tmp_path):
+    # Both writers end a file with a newline, so a cut inside a line, which
+    # may leave a shorter number that still parses, fails on the missing
+    # newline, and a cut at a line break leaves a short block.
+    bank = SemanticBank(entries=np.array([[0.6, -0.8], [1.0, 0.0], [0.0, -1.0]]),
+                        momentum=0.1, temperature=0.07, fill_count=3)
+    data = format_bank(bank).encode()
+    path = tmp_path / "bank.txt"
+    for n in range(len(data)):
+        path.write_bytes(data[:n])
+        with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}:\d+: "):
+            read_bank(path)
+    path.write_bytes(data)
+    assert np.array_equal(read_bank(path).entries, bank.entries)
+    path.write_bytes(b"1 2 0.1 0.07\n1 0\n\xff 0\n")
+    with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}:3: bank dump is not UTF-8"):
         read_bank(path)
 
 

@@ -184,6 +184,23 @@ def test_eval_malformed_checkpoint_exits_two(ws, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_a_checkpoint_cut_inside_its_last_number_exits_two(ws, capsys):
+    # The cut number still parses, as a nearby value; the missing final
+    # newline is what stops the model from loading.
+    data = open(ws["all_ckpt"], "rb").read()
+    cut = ws["root"] / "cut.txt"
+    cut.write_bytes(data[:-6])
+    n_lines = data.count(b"\n")
+    capsys.readouterr()
+    for argv in (["eval", "--checkpoint", str(cut), "--cache", ws["cache"],
+                  "--report", str(ws["root"] / "cut_eval.txt")],
+                 ["bank", "dump", "--checkpoint", str(cut), "--out", str(ws["root"] / "cut_bank.txt")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{cut}:{n_lines}: checkpoint is cut short" in err and "Traceback" not in err
+    assert not (ws["root"] / "cut_eval.txt").exists()
+
+
 def _param_block(lines, name):
     """(start, end) line span of one PARAM block."""
     start = lines.index(f"PARAM {name}")

@@ -1,5 +1,6 @@
 """Flat key = value configuration: parsing, precedence, validation."""
 
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -60,6 +61,21 @@ def test_unknown_keys_and_bad_values_are_hard_errors():
         parse_config_text("epochs 5")
     with pytest.raises(ConfigError, match="protocol"):
         parse_config_text("protocol = sideways")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("epochs = 5\n\nepochs = x\n", 3, "invalid value for epochs: 'x'"),
+    ("# note\nepoch = 5\n", 2, "unknown config key: 'epoch'"),
+    ("seed = 1\nepochs 5\n", 2, "expected `key = value`"),
+    ("seed = 1\nbank_tau = nan\n", 2, "bank_tau must be a finite number"),
+])
+def test_config_file_errors_name_the_file_and_line(tmp_path, text, line, message):
+    with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}"):
+        parse_config_text(text)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: line {line}: {re.escape(message)}"):
+        load_config(path)
 
 
 def test_boolean_spellings():

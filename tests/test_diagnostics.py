@@ -302,7 +302,7 @@ def test_spectrum_on_a_grid_matches_the_aligned_brute_force_oracle(shape, grid):
 
 
 def test_one_cell_grid_puts_all_energy_in_bin_one():
-    diagnostics._radial_bins.cache_clear()
+    diagnostics._pair_bins.cache_clear()
     rng = np.random.default_rng(5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -336,18 +336,18 @@ def test_a_chunk_of_bands_equals_its_singles_bitwise():
 
 
 def test_dft_and_bin_tables_are_cached_and_read_only():
-    rows = diagnostics._dft_rows(16, 14)
+    rows = diagnostics._pair_rows(16, 14)
     assert rows.shape == (14, 16) and not rows.flags.writeable
-    assert diagnostics._dft_rows(16, 14) is rows
-    bins, weights = diagnostics._radial_bins(14, 14, 10)
-    assert bins.shape == (14, 8) and weights.tolist() == [1.0] + [2.0] * 6 + [1.0]
-    assert not bins.flags.writeable and not weights.flags.writeable
-    assert diagnostics._radial_bins(3, 7, 2)[1].tolist() == [1.0, 2.0, 2.0, 2.0]
-    # the identity weights of an unchanged grid leave the plain DFT rows:
-    # cos of u = 0..5, sin of u = 1..4
-    x = np.arange(10)
-    angle = 2.0 * np.pi * ((np.arange(6)[:, None] * x) % 10) / 10
-    assert np.array_equal(diagnostics._dft_rows(10, 10), np.concatenate([np.cos(angle), np.sin(angle[1:5])]))
+    assert diagnostics._pair_rows(16, 14) is rows
+    bins = diagnostics._pair_bins(14, 14, 10)
+    assert bins.shape == (14 * 14,) and not bins.flags.writeable
+    assert diagnostics._pair_bins(14, 14, 10) is bins
+    # Each entry takes the bin of its pair's half-plane radius: rows and
+    # columns of u = 0..7, then of the paired u = 1..6 again.
+    u = diagnostics._pair_freqs(14)
+    assert u.tolist() == list(range(8)) + list(range(1, 7))
+    r = np.hypot(u[:, None], u[None, :]) / np.hypot(7, 7)
+    assert bins.tolist() == (np.clip(np.ceil(r * 10), 1, 10) - 1).reshape(-1).tolist()
 
 
 @pytest.mark.parametrize("shape, grid", [
@@ -379,11 +379,11 @@ def test_pair_rows_hold_one_row_per_conjugate_pair(n_in, n_out, paired):
     assert rows.shape == (n_out // 2 + 1 + paired, n_in) == (n_out, n_in)
     assert not rows.flags.writeable
     assert diagnostics._pair_rows(n_in, n_out) is rows
-    bins, weights = diagnostics._pair_bins(n_out, 6, 4)
+    bins = diagnostics._pair_bins(n_out, 6, 4)
     # columns: cos of v = 0..3, then sin of v = 1, 2
-    assert bins.shape == (n_out * 6,) and weights.tolist() == [1.0, 2.0, 2.0, 1.0, 2.0, 2.0]
-    assert not bins.flags.writeable and not weights.flags.writeable
-    assert diagnostics._pair_bins(n_out, 6, 4)[0] is bins
+    assert bins.shape == (n_out * 6,) and not bins.flags.writeable
+    assert diagnostics._pair_bins(n_out, 6, 4) is bins
+    assert np.array_equal(bins.reshape(n_out, 6)[:, 4:], bins.reshape(n_out, 6)[:, 1:3])
 
 
 @pytest.mark.parametrize("n_in, n_out", [
@@ -392,9 +392,9 @@ def test_pair_rows_hold_one_row_per_conjugate_pair(n_in, n_out, paired):
 def test_no_spectral_table_holds_an_all_zero_row(n_in, n_out):
     # The sin rows of u = 0 and of an even grid's Nyquist frequency are zero
     # (or rounding) and carry no power; neither table may square them.
-    for table in (diagnostics._dft_rows(n_in, n_out), diagnostics._pair_rows(n_in, n_out)):
-        assert table.shape == (n_out, n_in)
-        assert np.abs(table).max(axis=1).min() > 1e-3
+    table = diagnostics._pair_rows(n_in, n_out)
+    assert table.shape == (n_out, n_in)
+    assert np.abs(table).max(axis=1).min() > 1e-3
 
 
 def test_pair_rows_on_an_unchanged_grid_are_the_scaled_dft_rows():

@@ -1,6 +1,7 @@
 """Training loop: encoder, state init, steps, fill phase, checkpoints."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from bandprompt.trainer import (
     compute_features,
     fill_bank,
     fit,
+    format_checkpoint,
     forward_batch,
     gradient_check,
     init_state,
@@ -717,8 +719,37 @@ def test_checkpoint_malformed_numbers_raise_parameter_error(cache, tmp_path, gar
     start = next(i for i, ln in enumerate(lines) if ln.startswith("BANK "))
     # The garbles read the body, which starts at the BANK block.
     path.write_text("\n".join(lines[:start] + garble(lines[start:])) + "\n")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}:\d+: "):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", ["0 2", "2 0", "-1", "2 -1 -1"])
+def test_a_block_size_below_one_names_its_line(tmp_path, shape):
+    path = tmp_path / "ckpt.txt"
+    path.write_text(f"# seed = 0\nBANK none\nPARAM text_raw\n{shape}\n1 0\n1 0\n")
+    with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}:4: malformed checkpoint: "):
+        load_checkpoint(path)
+
+
+def test_every_strict_prefix_of_a_checkpoint_fails_naming_its_line(tmp_path):
+    # A cut inside a line can leave a shorter number that still parses
+    # ("-0.000381429" of "-0.0003814293688798754", or "-0.0"), so the
+    # missing final newline is what fails it. A cut at a line break leaves
+    # a short block or a missing parameter, named at the file's end.
+    cache = generate_dataset(SyntheticSpec(num_classes=2, grid=(1, 4, 4), base_modes=1,
+                                           detail_modes=1, seed=0), n_per_class=2)
+    cfg = TrainConfig(embed_dim=2, kernel=3, bank_size=2, batch_size=2, epochs=1, seed=0)
+    state = fit(cache, cfg)
+    data = format_checkpoint(state).encode()
+    path = tmp_path / "cut.txt"
+    for n in range(len(data)):
+        path.write_bytes(data[:n])
+        with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}:\d+: "):
+            _, values, bank = load_checkpoint(path)
+            state_from_values(values, bank, state.encoder, cfg)
+    path.write_bytes(data)
+    _, values, bank = load_checkpoint(path)
+    assert state_from_values(values, bank, state.encoder, cfg).num_classes == 2
 
 
 @pytest.mark.parametrize("kw", [{}, dict(lambda_gf=0.0), dict(lambda_gcf=0.0),
