@@ -10,14 +10,7 @@ needs nothing but the text rows, the bank, and the aggregator.
 
 from .autodiff import MIN_NORM, Tensor, backward, constant, parameter
 from .bands import BandPair, band_stats, factorize, smooth_lowpass
-from .bank import (
-    SemanticBank,
-    absorb,
-    format_bank,
-    parse_bank,
-    read_bank,
-    write_bank,
-)
+from .bank import SemanticBank, absorb, format_bank, read_bank, write_bank
 from .config import RunConfig, load_config, parse_config_text, resolve_config
 from .diagnostics import (
     OverlapReport,

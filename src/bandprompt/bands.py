@@ -45,13 +45,17 @@ class BandPair:
 
 
 @lru_cache(maxsize=None)
-def _tap_counts(n: int, k: int) -> np.ndarray:
-    """Read-only (n, n) counts: row i holds how often each cell falls in the
-    replicate-padded k-window centred on i, so every row sums to k."""
+def _tap_counts(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, n) counts and their transpose, both C-contiguous, so that
+    numpy's batched matmul runs products with either in BLAS: row i holds how
+    often each cell falls in the replicate-padded k-window centred on i, so
+    every row sums to k."""
     window = np.clip(np.arange(n)[:, None] + np.arange(k) - k // 2, 0, n - 1)
     taps = (window[..., None] == np.arange(n)).sum(axis=1, dtype=np.float64)
-    taps.setflags(write=False)
-    return taps
+    pair = (taps, np.ascontiguousarray(taps.T))
+    for table in pair:
+        table.setflags(write=False)
+    return pair
 
 
 def smooth_lowpass(z, k: int) -> np.ndarray:
@@ -71,7 +75,7 @@ def smooth_lowpass(z, k: int) -> np.ndarray:
     arr = arr.astype(np.float64, copy=False)
     if k == 1:
         return arr.copy()
-    return (_tap_counts(h, k) @ arr @ _tap_counts(w, k).T) / (k * k)
+    return (_tap_counts(h, k)[0] @ arr @ _tap_counts(w, k)[1]) / (k * k)
 
 
 def factorize(z, k: int) -> BandPair:
@@ -83,7 +87,7 @@ def factorize(z, k: int) -> BandPair:
     the cell and its box mean lie more than about 29 binades apart. A full
     53-bit base at a higher exponent than z could not subtract exactly.
     """
-    arr = as_latent_array(z).astype(np.float64)
+    arr = np.asarray(z, dtype=np.float64)  # `smooth_lowpass` checks its shape
     base = smooth_lowpass(arr, k).astype(np.float32).astype(np.float64)
     detail = arr - base
     bad = (base + detail) != arr

@@ -148,19 +148,18 @@ def format_block(head: str, rows) -> list[str]:
 
 @dataclass
 class NumberedLines:
-    """The (line number, text) pairs of a text's non-blank lines, and its
-    `last` line number. An error names `kind` and "path:N", or "line N"."""
+    """The (line number, text) pairs of a file's non-blank lines, and its
+    `last` line number. An error names `kind` and "path:N"."""
 
     items: list[tuple[int, str]]
     last: int
     kind: str
-    source: object = None
+    path: object
 
     def error(self, i: int, message: str) -> ParameterError:
         """A ParameterError naming line i, or the last line past the end."""
         n = self.items[i][0] if i < len(self.items) else self.last
-        where = f"line {n}" if self.source is None else f"{self.source}:{n}"
-        return ParameterError(f"{where}: malformed {self.kind}: {message}")
+        return ParameterError(f"{self.path}:{n}: malformed {self.kind}: {message}")
 
     def values(self, i: int, convert=float, tokens=None) -> list:
         """`convert` of each token of line i, or of `tokens` from it."""
@@ -237,18 +236,9 @@ def write_bank(bank: SemanticBank, path) -> None:
         fh.write(format_bank(bank))
 
 
-def _dump_bank(lines: NumberedLines, fill_count: int | None = None) -> SemanticBank:
-    bank, end = read_bank_block(lines, 0, fill_count)
+def read_bank(path) -> SemanticBank:
+    lines = read_lines(path, "bank dump")
+    bank, end = read_bank_block(lines, 0)
     if end < len(lines.items):
         raise lines.error(end, f"a line after the {bank.size} rows: {lines.items[end][1]!r}")
     return bank
-
-
-def parse_bank(lines: list[str], fill_count: int | None = None) -> SemanticBank:
-    """The bank of a dump's lines; blank lines are skipped."""
-    items = [(n, text) for n, text in enumerate(lines, 1) if text.strip()]
-    return _dump_bank(NumberedLines(items, max(len(lines), 1), "bank dump"), fill_count)
-
-
-def read_bank(path) -> SemanticBank:
-    return _dump_bank(read_lines(path, "bank dump"))

@@ -2,11 +2,12 @@
 
 Every command resolves one flat RunConfig through `resolve_config` (defaults,
 or for `eval` the checkpoint's stamped header < config file < --set <
-SPECPL_SEED < command flags) and stamps the resolved values as a comment
-header on whatever report it writes, so runs are reproducible from their own
-output. `eval` skips stamped lines whose key is not a config key, such as
-the `use_bank` and `bank_dump_path` keys older versions stamped; a bad value
-of a config key there is a checkpoint error. In `eval` the checkpoint's BANK block decides
+SPECPL_SEED < command flags; a bad value's error names its source) and stamps
+the resolved values as a comment header on whatever report it writes, so runs
+are reproducible from their own output. `eval` skips stamped lines whose key
+is not a config key, such as the `use_bank` and `bank_dump_path` keys older
+versions stamped; a bad value of a config key there is a checkpoint error
+naming its line. In `eval` the checkpoint's BANK block decides
 whether the model has a bank, and its size, temperature and momentum replace
 the resolved `bank_size`, `bank_tau` and `bank_momentum` (`BANK none` gives
 `bank_size = 0`), so the report stamps the bank it scored with. Likewise the
@@ -24,7 +25,7 @@ import sys
 from dataclasses import replace
 
 from .bank import write_bank
-from .config import FIELD_TYPES, RunConfig, apply_setting, resolve_config
+from .config import FIELD_TYPES, RunConfig, apply_settings, resolve_config
 from .diagnostics import diagnose, write_report
 from .errors import BandpromptError, ConfigError, ParameterError, ProtocolError
 from .evaluate import check_shots, run_base_to_novel, score
@@ -103,17 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args, base: RunConfig | None = None, **flags) -> RunConfig:
-    """The config of `args`; a command flag that is not None sets its key."""
-    cfg = resolve_config(args.config, args.overrides, base=base)
-    for key, value in flags.items():
-        if value is not None:
-            cfg = apply_setting(cfg, key, str(value))
-    return cfg
-
-
 def cmd_gen(args) -> int:
-    cfg = _resolve(args, cache_path=args.out)
+    cfg = resolve_config(args.config, args.overrides, flags=[("--out", "cache_path", args.out)])
     cache = generate_dataset(cfg.synthetic_spec(), cfg.n_per_class)
     write_cache(cache, cfg.cache_path)
     print(f"wrote {len(cache)} latents to {cfg.cache_path}")
@@ -134,8 +126,11 @@ def _write_history(path, header: list[str], history) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args, cache_path=args.cache, checkpoint_path=args.checkpoint,
-                   history_path=args.history, eval_report_path=args.report)
+    cfg = resolve_config(args.config, args.overrides, flags=[
+        ("--cache", "cache_path", args.cache), ("--history", "history_path", args.history),
+        ("--checkpoint", "checkpoint_path", args.checkpoint),
+        ("--report", "eval_report_path", args.report),
+    ])
     if cfg.protocol == "base_to_novel":
         try:
             check_shots(cfg.shots, cfg.select_by_base_val)
@@ -171,21 +166,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    header_items, param_values, bank = load_checkpoint(args.checkpoint)
-    stamped = RunConfig()
-    for key, value in header_items.items():
-        if key not in FIELD_TYPES:
-            continue  # foreign header comment, or a key older versions had
-        try:
-            stamped = apply_setting(stamped, key, value)
-        except ConfigError as exc:
-            raise ParameterError(f"{args.checkpoint}: stamped {exc}") from None
-    cfg = _resolve(args, base=stamped, cache_path=args.cache, eval_report_path=args.report)
+    header, param_values, bank = load_checkpoint(args.checkpoint)
+    # Other header keys are foreign comments, or keys older versions had.
+    try:
+        stamped = apply_settings(RunConfig(), [
+            (f"{args.checkpoint}:{line}", key, value)
+            for key, (line, value) in header.items() if key in FIELD_TYPES
+        ])
+    except ConfigError as exc:
+        raise ParameterError(str(exc)) from None
+    cfg = resolve_config(args.config, args.overrides, base=stamped, flags=[
+        ("--cache", "cache_path", args.cache), ("--report", "eval_report_path", args.report),
+    ])
     # What the checkpoint trained is what is scored, so it is what is stamped:
     # its bank and its frozen encoder. A header without the encoder keys (a
     # checkpoint saved before checkpoints stamped their encoder) leaves the
     # resolved values and checks no grid.
-    trained = {key: getattr(stamped, key) for key in ENCODER_KEYS if key in header_items}
+    trained = {key: getattr(stamped, key) for key in ENCODER_KEYS if key in header}
     if bank is None:
         cfg = replace(cfg, bank_size=0, **trained)
     else:
@@ -213,8 +210,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    cfg = _resolve(args, cache_path=args.cache, diag_report_path=args.report,
-                   kernel=args.k, diag_bands=args.bands, align_h=args.grid, align_w=args.grid)
+    cfg = resolve_config(args.config, args.overrides, flags=[
+        ("--cache", "cache_path", args.cache), ("--report", "diag_report_path", args.report),
+        ("--k", "kernel", args.k), ("--bands", "diag_bands", args.bands),
+        ("--grid", "align_h", args.grid), ("--grid", "align_w", args.grid),
+    ])
     if (cfg.align_h > 0) != (cfg.align_w > 0):
         raise ConfigError(f"align_h and align_w must both be 0 (no alignment) or both > 0, "
                           f"got {cfg.align_h} and {cfg.align_w}")
@@ -237,7 +237,8 @@ def cmd_bank_dump(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _resolve(args, cache_path=args.cache)
+    cfg = resolve_config(args.config, args.overrides,
+                         flags=[("--cache", "cache_path", args.cache)])
     if args.cache is not None:
         cache = read_cache(cfg.cache_path)
     else:

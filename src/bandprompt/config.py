@@ -5,8 +5,9 @@ diagnostic settings, and output paths. `RunConfig` extends `TrainConfig`, so
 each key is declared once and a resolved config goes straight to training.
 Every key has a default; unknown keys are hard errors so typos cannot
 silently fall back to defaults, and each value is checked as it is applied,
-so an out-of-range value is a ConfigError naming its key before any input is
-read. Precedence: defaults < config file < --set overrides < SPECPL_SEED.
+so an out-of-range value is a ConfigError naming its source and key before
+any input is read. Precedence: defaults < config file < --set overrides <
+SPECPL_SEED < command flags.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 from .errors import ConfigError, ParameterError
 from .teacher import IDENTITY_BANDS, SyntheticSpec
@@ -131,32 +133,38 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"invalid value for {key}: {raw!r}") from None
 
 
-def apply_setting(cfg: RunConfig, key: str, raw: str) -> RunConfig:
-    """`cfg` with one key set from text. Every check reads a single field, so
-    a bad value fails here, whatever order the settings come in."""
-    key = key.strip()
-    if key not in FIELD_TYPES:
-        raise ConfigError(f"unknown config key: {key!r}")
-    try:
-        return replace(cfg, **{key: _coerce(key, raw)})
-    except ParameterError as exc:
-        raise ConfigError(f"invalid value for {key}: {raw.strip()!r}: {exc}") from None
+def apply_settings(cfg: RunConfig, settings) -> RunConfig:
+    """`cfg` with each `(source, key, text)` setting applied in order, the one
+    place text becomes a field. Every check reads a single field, so a bad value
+    fails as it is applied, as a ConfigError that starts with its source."""
+    for source, key, raw in settings:
+        key, raw = key.strip(), raw.strip()
+        try:
+            if key not in FIELD_TYPES:
+                raise ConfigError(f"unknown config key: {key!r}")
+            cfg = replace(cfg, **{key: _coerce(key, raw)})
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
+        except ParameterError as exc:
+            raise ConfigError(f"{source}: invalid value for {key}: {raw!r}: {exc}") from None
+    return cfg
+
+
+def _split_setting(source: str, text: str, sep: str) -> tuple[str, str, str]:
+    """The `(source, key, value)` setting of `key<sep>value` text."""
+    key, eq, raw = text.partition("=")
+    if not eq:
+        raise ConfigError(f"{source}: expected `key{sep}value`, got {text!r}")
+    return source, key, raw
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Line-oriented `key = value`; blank lines and # comments are skipped."""
-    cfg = base if base is not None else RunConfig()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            if "=" not in stripped:
-                raise ConfigError(f"expected `key = value`, got {stripped!r}")
-            cfg = apply_setting(cfg, *stripped.split("=", 1))
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-    return cfg
+    """Line-oriented `key = value`, each setting named by its line (`line N`);
+    blank lines and # comments are skipped."""
+    lines = ((n, line.strip()) for n, line in enumerate(text.splitlines(), start=1))
+    return apply_settings(base if base is not None else RunConfig(),
+                          (_split_setting(f"line {n}", line, " = ") for n, line in lines
+                           if line and not line.startswith("#")))
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
@@ -172,19 +180,17 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
 
 
 def resolve_config(config_path=None, overrides: list[str] | None = None,
-                   env: dict[str, str] | None = None,
-                   base: RunConfig | None = None) -> RunConfig:
-    """`base` (defaults when None), then the file, then --set pairs, then the
-    seed variable."""
+                   env: dict[str, str] | None = None, base: RunConfig | None = None,
+                   flags=()) -> RunConfig:
+    """`base` (defaults when None), then the file, the --set pairs, the seed
+    variable and the `(option, key, value)` command flags whose value is set."""
     cfg = base if base is not None else RunConfig()
     if config_path is not None:
         cfg = load_config(config_path, cfg)
-    for pair in overrides or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        cfg = apply_setting(cfg, key, raw)
     env = os.environ if env is None else env
-    if SEED_ENV_VAR in env:
-        cfg = apply_setting(cfg, "seed", env[SEED_ENV_VAR])
-    return cfg
+    seed = [(SEED_ENV_VAR, "seed", env[SEED_ENV_VAR])] if SEED_ENV_VAR in env else []
+    return apply_settings(cfg, chain(
+        (_split_setting(f"--set {pair}", pair, "=") for pair in overrides or []),
+        seed,
+        ((option, key, str(value)) for option, key, value in flags if value is not None),
+    ))

@@ -643,16 +643,17 @@ def save_checkpoint(path, state: TrainState, header: dict[str, str] | None = Non
         fh.write(format_checkpoint(state, header))
 
 
-def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray], SemanticBank | None]:
-    """(header, values, bank) of a checkpoint; a fault raises ParameterError naming its line."""
+def load_checkpoint(path) -> tuple[dict[str, tuple[int, str]], dict, SemanticBank | None]:
+    """(header, values, bank) of a checkpoint, the header mapping the key of each
+    "# key = value" line to (line number, value text); a fault names its line."""
     lines = read_lines(path, "checkpoint")
-    header: dict[str, str] = {}
-    for i, (_, text) in enumerate(lines.items):
+    header: dict[str, tuple[int, str]] = {}
+    for i, (n, text) in enumerate(lines.items):
         key, eq, value = text[1:].partition("=")
         if text.startswith("#") and eq:
             if key.strip() in header:
                 raise lines.error(i, f"header key {key.strip()!r} appears twice")
-            header[key.strip()] = value.strip()
+            header[key.strip()] = (n, value.strip())
     body = replace(lines, items=[item for item in lines.items if not item[1].startswith("#")])
     tag = body.values(0, str)
     if tag[0] != "BANK" or len(tag) > 2:

@@ -10,8 +10,9 @@ from bandprompt.bank import (
     SemanticBank,
     absorb,
     format_bank,
-    parse_bank,
     read_bank,
+    read_bank_block,
+    read_lines,
     retrieve_rows,
     write_bank,
 )
@@ -19,6 +20,13 @@ from bandprompt.errors import BankStateError, NumericalDegeneracyError, Paramete
 from bandprompt.refine import refined_text_graph
 from bandprompt.trainer import init_group
 from reference_ops import chain_retrieve_rows, mul, row_by_row_absorb, square, tsum
+
+
+def read_dump(tmp_path, lines):
+    """`read_bank` of a dump file that holds `lines`."""
+    path = tmp_path / "dump.txt"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return read_bank(path)
 
 
 def unit(v):
@@ -277,27 +285,28 @@ def test_dump_round_trip_is_bit_exact(tmp_path):
     text = format_bank(bank)
     head = text.splitlines()[0].split()
     assert head[:2] == ["3", "4"]
-    parsed = parse_bank(text.splitlines())
+    path = tmp_path / "bank.txt"
+    write_bank(bank, path)
+    assert path.read_text() == text
+    parsed = read_bank(path)
     assert np.array_equal(parsed.entries, bank.entries)
     assert parsed.momentum == bank.momentum
     assert parsed.temperature == bank.temperature
     assert parsed.full
-    path = tmp_path / "bank.txt"
-    write_bank(bank, path)
-    again = read_bank(path)
-    assert np.array_equal(again.entries, bank.entries)
 
 
-def test_parse_rejects_malformed_dumps():
+def test_parse_rejects_malformed_dumps(tmp_path):
     with pytest.raises(ParameterError):
-        parse_bank([])
+        read_dump(tmp_path, [])
     with pytest.raises(ParameterError):
-        parse_bank(["2 2"])  # short header
+        read_dump(tmp_path, ["2 2"])  # short header
     with pytest.raises(ParameterError):
-        parse_bank(["2 2 0.1 0.07", "1 0"])  # missing row
+        read_dump(tmp_path, ["2 2 0.1 0.07", "1 0"])  # missing row
     with pytest.raises(ParameterError):
-        parse_bank(["2 2 0.1 0.07", "1 0 0", "0 1 0"])  # wrong width
-    partial = parse_bank(["2 2 0.1 0.07", "1 0", "0 0"], fill_count=1)
+        read_dump(tmp_path, ["2 2 0.1 0.07", "1 0 0", "0 1 0"])  # wrong width
+    path = tmp_path / "partial.txt"
+    path.write_text("2 2 0.1 0.07\n1 0\n0 0\n")
+    partial, _ = read_bank_block(read_lines(path, "bank dump"), 0, fill_count=1)
     assert not partial.full and partial.fill_count == 1
 
 
@@ -306,7 +315,7 @@ def test_garbled_bank_dumps_raise_parameter_error(tmp_path):
                   ["2 2 0.1 0.07", "1 zz", "0 1"],  # garbled entry
                   ["2 2 0.1 0.07", "1 0 3", "0 1"]):  # ragged rows
         with pytest.raises(ParameterError):
-            parse_bank(lines)
+            read_dump(tmp_path, lines)
     path = tmp_path / "bank.txt"
     path.write_bytes(b"1 2 0.1 0.07\n\xff 0\n")
     with pytest.raises(ParameterError, match="UTF-8"):
@@ -327,8 +336,6 @@ def test_garbled_bank_dumps_raise_parameter_error(tmp_path):
     (["3 3 0.1 0.07", "1 0 0", "0 1 nan", "0 0 1"], 1),  # non-finite, named at its head
 ])
 def test_a_malformed_dump_names_its_line(tmp_path, lines, line):
-    with pytest.raises(ParameterError, match=rf"^line {line}: malformed bank dump: "):
-        parse_bank(lines)
     path = tmp_path / "bank.txt"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParameterError, match=rf"^{re.escape(str(path))}:{line}: malformed bank dump: "):
@@ -372,10 +379,8 @@ def test_a_non_finite_bank_is_rejected_when_it_is_built(tmp_path, bad):
     with pytest.raises(ParameterError, match="temperature"):
         SemanticBank(entries=np.eye(2), momentum=0.1, temperature=float(bad), fill_count=2)
     lines = ["3 3 0.1 0.07", "1 0 0", f"0 1 {bad}", "0 0 1"]
-    with pytest.raises(ParameterError, match="non-finite"):
-        parse_bank(lines)
     with pytest.raises(ParameterError, match="temperature"):
-        parse_bank([f"2 2 0.1 {bad}", "1 0", "0 1"])
+        read_dump(tmp_path, [f"2 2 0.1 {bad}", "1 0", "0 1"])
     path = tmp_path / "bank.txt"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParameterError, match="non-finite"):

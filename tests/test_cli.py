@@ -83,8 +83,8 @@ def test_train_emits_report_history_and_checkpoint(ws):
     assert all(len(ln.split()) == 6 for ln in cols[1:])
 
     header, values, bank = load_checkpoint(ws["ckpt"])
-    assert header["protocol"] == "base_to_novel"
-    assert header["epochs"] == "6"
+    assert header["protocol"][1] == "base_to_novel"
+    assert header["epochs"][1] == "6"
     assert bank is not None and bank.full
     assert values["text_raw"].shape == (2, 8)  # two base classes
 
@@ -98,7 +98,7 @@ def test_set_overrides_reach_the_stamped_header(ws):
                  "--checkpoint", ckpt, "--history", hist,
                  "--report", str(root / "nogcf_eval.txt")]) == 0
     header, _, _ = load_checkpoint(ckpt)
-    assert header["lambda_gcf"] == "0.0"
+    assert header["lambda_gcf"][1] == "0.0"
     rows = [ln.split() for ln in open(hist) if not ln.startswith("#")][1:]
     assert all(row[4] == "none" for row in rows)  # gcf column disabled
 
@@ -415,7 +415,8 @@ def _raw_row_accuracy(ckpt, cache_path) -> float:
     """Accuracy of argmax(v @ text_raw^T) under the checkpoint's text rows."""
     header, params, _ = load_checkpoint(ckpt)
     cache = read_cache(cache_path)
-    encoder = ToyVisualEncoder.create(int(header["embed_dim"]), cache.grid, int(header["seed"]))
+    encoder = ToyVisualEncoder.create(int(header["embed_dim"][1]), cache.grid,
+                                      int(header["seed"][1]))
     visual = encoder.encode_batch(cache.arrays())
     return accuracy_percent(np.argmax(visual @ params["text_raw"].T, axis=1), cache.labels())
 
@@ -513,7 +514,7 @@ def small_grid(ws):
 
 def test_train_stamps_the_grid_of_its_cache(small_grid):
     header, _, _ = load_checkpoint(small_grid["ckpt"])
-    assert (header["grid_c"], header["grid_h"], header["grid_w"]) == ("4", "8", "8")
+    assert [header[key][1] for key in ("grid_c", "grid_h", "grid_w")] == ["4", "8", "8"]
 
 
 def test_eval_rejects_a_cache_of_another_grid(ws, small_grid, tmp_path, capsys):
@@ -630,6 +631,40 @@ def test_eval_bad_stamped_value_exits_two(ws, tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ckpt in err and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["SPECPL_SEED", "--set", "file", "--k", "--out", "stamped"])
+def test_each_config_source_names_itself(ws, tmp_path, capsys, monkeypatch, source):
+    # Every setting goes through `apply_settings`, whose errors start with
+    # the setting's source; a bad stamped value is a broken checkpoint.
+    monkeypatch.delenv("SPECPL_SEED", raising=False)
+    out, missing = str(tmp_path / "out.bin"), str(tmp_path / "missing.bin")
+    if source == "SPECPL_SEED":
+        monkeypatch.setenv("SPECPL_SEED", "x")
+        argv, message, code = ["gen", "--out", out], "SPECPL_SEED: invalid value for seed: 'x'", 1
+    elif source == "--set":
+        argv = ["gen", "--set", "epochs=x", "--out", out]
+        message, code = "--set epochs=x: invalid value for epochs: 'x'", 1
+    elif source == "file":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = 1\nepochs = x\n")
+        argv = ["gen", "--config", str(cfg), "--out", out]
+        message, code = f"{cfg}: line 2: invalid value for epochs: 'x'", 1
+    elif source == "--k":
+        argv = ["diag", "--cache", missing, "--k", "4", "--report", out]
+        message, code = "--k: invalid value for kernel: '4': kernel must be odd", 1
+    elif source == "--out":
+        argv = ["gen", "--out", ""]
+        message, code = "--out: invalid value for cache_path: '': cache_path must not", 1
+    else:
+        ckpt = _restamp(ws, tmp_path, "seed", "x")
+        line = open(ckpt).read().splitlines().index("# seed = x") + 1
+        argv = ["eval", "--checkpoint", ckpt, "--cache", ws["cache"], "--report", out]
+        message, code = f"{ckpt}:{line}: invalid value for seed: 'x'", 2
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("key, value", [("note", "x"), ("use_gcf", "false")])

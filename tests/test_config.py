@@ -8,7 +8,7 @@ import pytest
 from bandprompt.config import (
     SEED_ENV_VAR,
     RunConfig,
-    apply_setting,
+    apply_settings,
     load_config,
     parse_config_text,
     resolve_config,
@@ -81,7 +81,8 @@ def test_config_file_errors_name_the_file_and_line(tmp_path, text, line, message
 def test_boolean_spellings():
     for raw, want in (("true", True), ("1", True), ("on", True), ("YES", True),
                       ("false", False), ("0", False), ("off", False), ("No", False)):
-        assert apply_setting(RunConfig(), "bank_refresh", raw).bank_refresh is want
+        cfg = apply_settings(RunConfig(), [("test", "bank_refresh", raw)])
+        assert cfg.bank_refresh is want
 
 
 def test_precedence_defaults_file_set_env(tmp_path):
@@ -103,7 +104,7 @@ def test_precedence_defaults_file_set_env(tmp_path):
 
 
 def test_header_lines_are_sorted_and_lowercase_bools():
-    cfg = apply_setting(RunConfig(), "select_by_base_val", "TRUE")
+    cfg = apply_settings(RunConfig(), [("test", "select_by_base_val", "TRUE")])
     lines = cfg.header_lines()
     assert lines[0] == "# resolved-config"
     keys = [ln.split()[1] for ln in lines[1:]]
@@ -159,5 +160,5 @@ def test_out_of_range_values_fail_when_applied():
 
 def test_removed_keys_are_unknown():
     for key in ("use_sem", "use_gf", "use_gcf", "use_bank", "bank_dump_path"):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            apply_setting(RunConfig(), key, "false")
+        with pytest.raises(ConfigError, match="^test: unknown config key"):
+            apply_settings(RunConfig(), [("test", key, "false")])

@@ -640,7 +640,9 @@ def test_checkpoint_round_trip_is_exact(cache, tmp_path):
     path = tmp_path / "ckpt.txt"
     save_checkpoint(path, state, header={"seed": "0", "eta": "1.0"})
     header, values, bank = load_checkpoint(path)
-    assert header == {"seed": "0", "eta": "1.0", **state.encoder.stamp()}
+    # each header item keeps its line: "# resolved-config", then sorted keys
+    stamped = {"seed": "0", "eta": "1.0", **state.encoder.stamp()}
+    assert header == {key: (n, stamped[key]) for n, key in enumerate(sorted(stamped), 2)}
     assert sorted(values) == sorted(state.params)
     for name, arr in values.items():
         ref = state.params[name].value
@@ -663,7 +665,8 @@ def test_checkpoint_without_bank(cache, tmp_path):
     save_checkpoint(path, state)
     assert "BANK none" in path.read_text().splitlines()
     header, values, bank = load_checkpoint(path)
-    assert header == state.encoder.stamp() and bank is None
+    assert {key: value for key, (_, value) in header.items()} == state.encoder.stamp()
+    assert bank is None
     assert "text_raw" in values
 
 
