@@ -45,16 +45,22 @@ CHUNK_SIZE = 64
 # grid alignment
 
 
-def _overlap_weights(n_in: int, n_out: int) -> np.ndarray:
-    """(n_out, n_in) area weights: output cell i averages input over
+@lru_cache(maxsize=None)
+def _overlap_weights(n_in: int, n_out: int, transposed: bool = False) -> np.ndarray:
+    """Read-only (n_out, n_in) area weights: output cell i averages input over
     [i*n_in/n_out, (i+1)*n_in/n_out). Rows sum to 1, columns to n_out/n_in,
-    so both row means and the global mean are preserved exactly."""
+    so both row means and the global mean are preserved exactly. With
+    `transposed`, their C-contiguous transpose, so that numpy's batched
+    matmul runs a product with it in BLAS."""
     if n_out < 1:
         raise ParameterError(f"target grid sides must be positive, got {n_out}")
     scale = n_in / n_out
     i, j = np.arange(n_out)[:, None], np.arange(n_in)
     cover = np.minimum((i + 1) * scale, j + 1) - np.maximum(i * scale, j)
-    return np.maximum(cover, 0.0) / scale
+    table = np.maximum(cover, 0.0) / scale
+    table = np.ascontiguousarray(table.T) if transposed else table
+    table.setflags(write=False)
+    return table
 
 
 def align_grid(z, target: tuple[int, int]) -> np.ndarray:
@@ -63,9 +69,7 @@ def align_grid(z, target: tuple[int, int]) -> np.ndarray:
     arr = as_latent_array(z).astype(np.float64, copy=False)
     th, tw = target
     h, w = arr.shape[-2:]
-    wr = _overlap_weights(h, th)
-    wc = _overlap_weights(w, tw)
-    return wr @ arr @ wc.T
+    return _overlap_weights(h, th) @ arr @ _overlap_weights(w, tw, transposed=True)
 
 
 # ---------------------------------------------------------------------------

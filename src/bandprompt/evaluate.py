@@ -183,7 +183,7 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
             if state.bank is not None and not state.bank.full:
                 return  # still in the fill phase; nothing comparable yet
             if val_visual is None:  # the encoder is frozen: encode once per run
-                val_visual = state.encoder.encode_batch(arrays[val_idx])
+                val_visual = state.encoder.encode_batch(arrays, val_idx)
             acc = score(state, cfg, val_visual, val_labels)
             val_history.append(acc)
             if best is None or acc > best[0]:
@@ -199,13 +199,13 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
     # Base accuracy: held-out base samples against the trained class rows.
     base_idx, base_labels = _gather(base_classes, eval_idx)
     encode = state.encoder.encode_batch
-    base_acc = score(state, cfg, encode(arrays[base_idx]), base_labels)
+    base_acc = score(state, cfg, encode(arrays, base_idx), base_labels)
 
     # Novel accuracy: frozen prototype rows from novel shots, refined through
     # the same bank/aggregator, scored on the remaining novel samples.
-    proto = np.stack([encode(arrays[shot_idx[c]]).mean(axis=0) for c in novel_classes])
+    proto = np.stack([encode(arrays, shot_idx[c]).mean(axis=0) for c in novel_classes])
     novel_idx, novel_labels = _gather(novel_classes, eval_idx)
-    novel_acc = score(state, cfg, encode(arrays[novel_idx]), novel_labels, raw=proto)
+    novel_acc = score(state, cfg, encode(arrays, novel_idx), novel_labels, raw=proto)
 
     result = EvalResult(
         base_acc=base_acc, novel_acc=novel_acc,

@@ -15,7 +15,9 @@ Cache files are little-endian: magic "SPLC", format version, record count,
 then per record a length-prefixed UTF-8 sample id, a u32 class label, u32
 C/h/w dims, and C*h*w float32 values in channel-major, row-major order.
 Records whose ids have one byte length have one stride, so the codec moves
-each run of them through one packed structured view.
+each run of them through packed structured views: the reader takes a run in
+one view of the file's bytes, the writer fills and writes a piece of at most
+WRITE_BYTES at a time. Neither holds a second copy of the file.
 """
 
 from __future__ import annotations
@@ -292,6 +294,9 @@ def class_mode_patterns(spec: SyntheticSpec) -> np.ndarray:
 # Payload bytes that `read_cache` moves down over the headers per copy; the
 # copy may stage its rows in a buffer of this size.
 MOVE_BYTES = 1 << 16
+# Packed record bytes that `write_cache` stages per write, so that writing a
+# cache holds a piece of this size beside it, not a second copy of the file.
+WRITE_BYTES = 1 << 20
 
 
 def _record_dtype(id_len: int, cells: int) -> np.dtype:
@@ -302,8 +307,9 @@ def _record_dtype(id_len: int, cells: int) -> np.dtype:
 
 
 def write_cache(cache: LatentCache, path) -> None:
-    """Write `cache` as v1 records, one packed structured view per run of ids
-    with equal byte length. Every record is checked before the file opens."""
+    """Write `cache` as v1 records. Every record is checked before the file
+    opens; then each run of ids with equal byte length goes out through a
+    packed structured view, in pieces of at most WRITE_BYTES (or one record)."""
     ids, labels = cache.ids, cache.labels()
     raw = list(map(str.encode, ids))  # UTF-8
     lengths = np.fromiter(map(len, raw), np.int64, len(raw))
@@ -317,21 +323,23 @@ def write_cache(cache: LatentCache, path) -> None:
     grid = cache.grid if len(raw) else (0, 0, 0)
     cells = grid[0] * grid[1] * grid[2]
     block = cache.arrays().reshape(len(raw), cells)
-    buf = np.empty(12 + int(lengths.sum()) + len(raw) * (18 + 4 * cells), np.uint8)
-    buf[:12] = np.frombuffer(CACHE_MAGIC + struct.pack("<II", CACHE_VERSION, len(raw)), np.uint8)
-    offset = 12
     bounds = np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist()
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        id_len = int(lengths[a])
-        run = np.ndarray(b - a, _record_dtype(id_len, cells), buf, offset)
-        run["id_len"] = id_len
-        run["id"] = np.frombuffer(b"".join(raw[a:b]), np.uint8).reshape(b - a, id_len)
-        run["head"][:, 0] = labels[a:b]
-        run["head"][:, 1:] = grid
-        run["payload"] = block[a:b]
-        offset += run.nbytes
     with open(path, "wb") as fh:
-        fh.write(buf)
+        fh.write(CACHE_MAGIC + struct.pack("<II", CACHE_VERSION, len(raw)))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            id_len = int(lengths[a])
+            dtype = _record_dtype(id_len, cells)
+            step = max(1, WRITE_BYTES // dtype.itemsize)
+            piece = np.empty(min(step, b - a), dtype)
+            piece["id_len"] = id_len
+            piece["head"][:, 1:] = grid
+            for s in range(a, b, step):
+                e = min(s + step, b)
+                run = piece[:e - s]
+                run["id"] = np.frombuffer(b"".join(raw[s:e]), np.uint8).reshape(e - s, id_len)
+                run["head"][:, 0] = labels[s:e]
+                run["payload"] = block[s:e]
+                fh.write(run)
 
 
 def read_cache(path) -> LatentCache:

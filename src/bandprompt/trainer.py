@@ -12,6 +12,11 @@ there is no separate switch.
 Every forward pass is built on the autodiff tape in float64, so seeded runs
 are bitwise reproducible and the finite-difference harness below can check
 the analytic gradient of every trainable scalar.
+
+The frozen features are computed once per cache in fixed-size blocks: the
+encoder gathers and converts ENCODE_ROWS latents at a time (from a row index
+if given one) and `compute_features` splits SPLIT_ROWS at a time, so neither
+holds a float64 copy of the whole stack.
 """
 
 from __future__ import annotations
@@ -152,6 +157,8 @@ ENCODER_KEYS = ("embed_dim", "seed", "grid_c", "grid_h", "grid_w")
 # Latent rows that `ToyVisualEncoder.encode_batch` converts and multiplies
 # per block.
 ENCODE_ROWS = 256
+# Latents per band split in `compute_features`, as `diagnose`'s CHUNK_SIZE.
+SPLIT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -175,17 +182,24 @@ class ToyVisualEncoder:
         """The `ENCODER_KEYS` items that redraw this encoder."""
         return dict(zip(ENCODER_KEYS, map(str, (len(self.weight), self.seed, *self.grid))))
 
-    def encode_batch(self, arrays) -> np.ndarray:
-        """Unit rows of the (n, C, h, w) latents times the weight. Row blocks
-        of about ENCODE_ROWS are converted to float64 and multiplied into the
-        output; a row whose norm is below MIN_NORM or not finite raises. The
-        blocks equal the single product bitwise only where BLAS runs both with
-        one kernel, as at tier-1's and the benchmark's sizes (README)."""
+    def encode_batch(self, arrays, rows=None) -> np.ndarray:
+        """Unit rows of the (n, C, h, w) latents, or of the latents `arrays[rows]`,
+        times the weight. Row blocks of about ENCODE_ROWS are gathered,
+        converted to float64 and multiplied into the output, so `rows` costs
+        no gathered copy and gives `encode_batch(arrays[rows])` bitwise. A row
+        whose norm is below MIN_NORM or not finite raises. The blocks equal the
+        single product bitwise only where BLAS runs both with one kernel, as
+        at tier-1's and the benchmark's sizes (README)."""
         x = np.asarray(arrays)
         if x.ndim != 4 or x.shape[1:] != self.grid:
             raise ParameterError(f"expected (n, {self.grid}) latents, got {x.shape}")
-        n = len(x)
-        flat = x.reshape(n, -1)
+        flat = x.reshape(len(x), -1)
+        if rows is not None:
+            rows = np.asarray(rows) if np.size(rows) else np.empty(0, np.intp)
+            if not (rows.ndim == 1 and rows.dtype.kind in "iu"
+                    and np.all((rows >= 0) & (rows < len(x)))):
+                raise ParameterError(f"rows must be a 1-D array of indices in [0, {len(x)})")
+        n = len(x) if rows is None else len(rows)
         out = np.empty((n, len(self.weight)))
         # Near-equal blocks, none under half of ENCODE_ROWS past it: BLAS may
         # multiply a product of few rows with another kernel whose bits differ.
@@ -194,7 +208,8 @@ class ToyVisualEncoder:
         # Non-finite latents give non-finite norms, which the guard reports.
         with np.errstate(over="ignore", invalid="ignore"):
             for a, b in zip(edges[:-1], edges[1:]):
-                np.matmul(flat[a:b].astype(np.float64), self.weight.T, out=out[a:b])
+                block = flat[a:b] if rows is None else flat[rows[a:b]]
+                np.matmul(block.astype(np.float64), self.weight.T, out=out[a:b])
             norms = np.linalg.norm(out, axis=1, keepdims=True)
         # As in `ad.unit_rows`: NaN fails both comparisons.
         if not (np.minimum.reduce(norms, axis=None, initial=ad.MIN_NORM) >= ad.MIN_NORM
@@ -345,10 +360,19 @@ class CacheFeatures:
 
 def compute_features(encoder: ToyVisualEncoder, arrays: np.ndarray,
                      labels: np.ndarray, kernel: int) -> CacheFeatures:
-    """Encode an (n, C, h, w) stack and split it into bands in one pass each."""
-    pair = factorize(arrays, kernel)
-    return CacheFeatures(visual=encoder.encode_batch(arrays), phi_base=band_stats(pair.base),
-                         phi_detail=band_stats(pair.detail),
+    """Encode an (n, C, h, w) stack, then split it into bands and take their
+    statistics SPLIT_ROWS latents at a time, into preallocated (n, C) rows.
+    Each latent splits exactly and alone, so the rows are bitwise those of
+    one split of the whole stack, and the split's float64 temporaries do not
+    grow with n."""
+    arrays = np.asarray(arrays)
+    visual = encoder.encode_batch(arrays)  # checks the stack's shape
+    phi_base, phi_detail = np.empty((2, len(arrays), encoder.grid[0]))
+    for a in range(0, len(arrays), SPLIT_ROWS):
+        pair = factorize(arrays[a:a + SPLIT_ROWS], kernel)
+        phi_base[a:a + SPLIT_ROWS] = band_stats(pair.base)
+        phi_detail[a:a + SPLIT_ROWS] = band_stats(pair.detail)
+    return CacheFeatures(visual=visual, phi_base=phi_base, phi_detail=phi_detail,
                          labels=np.asarray(labels, dtype=np.intp))
 
 

@@ -9,9 +9,11 @@ two-branch granule step that the stacked pass replaced, and the other loops
 that array code replaced, and the mask forms of the input guards that one or
 two reductions replaced. The per-record `struct` cache codec that the
 record-run codec replaced is here too, as the oracle of its bytes and errors.
+`traced_peak` is the one memory probe of the tests.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -22,6 +24,18 @@ from bandprompt.errors import (
     NumericalDegeneracyError,
     ParameterError,
 )
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes that tracemalloc saw allocated during the
+    call). What was allocated before the call does not count."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def unbroadcast(g, shape):

@@ -1,6 +1,5 @@
 """Radial spectra, grid alignment, and band-overlap reports."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +21,7 @@ from bandprompt.diagnostics import (
 )
 from bandprompt.errors import ParameterError
 from bandprompt.teacher import CacheRecord, LatentCache, LatentTensor, SyntheticSpec, generate_dataset
+from reference_ops import traced_peak
 
 
 def brute_force_radial(arr, num_bins):
@@ -350,6 +350,19 @@ def test_dft_and_bin_tables_are_cached_and_read_only():
     assert bins.tolist() == (np.clip(np.ceil(r * 10), 1, 10) - 1).reshape(-1).tolist()
 
 
+def test_overlap_tables_are_cached_read_only_and_transposed_contiguously():
+    wr = _overlap_weights(16, 14)
+    wt = _overlap_weights(16, 14, transposed=True)
+    assert _overlap_weights(16, 14) is wr and _overlap_weights(16, 14, transposed=True) is wt
+    assert not wr.flags.writeable and not wt.flags.writeable
+    assert wt.flags.c_contiguous and np.array_equal(wt, wr.T)
+    # With a table of at most three taps per cell, the product BLAS runs with
+    # the contiguous transpose is bitwise numpy's loop over the view.
+    stack = np.random.default_rng(8).normal(size=(8, 4, 16, 16))
+    assert np.array_equal(align_grid(stack, (14, 14)), wr @ stack @ wr.T)
+    assert np.array_equal(align_grid(stack[0], (14, 14)), wr @ stack[0] @ wr.T)
+
+
 @pytest.mark.parametrize("shape, grid", [
     ((2, 6, 5), (1, 5)),    # one row: DC alone, no pair
     ((2, 6, 5), (2, 6)),    # two rows: DC and Nyquist, no pair
@@ -435,10 +448,5 @@ def test_aligned_diagnose_transient_memory_is_bounded():
                                    latent=LatentTensor(data=data, sample_id=f"m{i}")))
     cache = LatentCache(records=records)
     diagnose(cache, kernel=7, num_bins=10, align=(14, 14))  # fill the table caches
-    tracemalloc.start()
-    try:
-        diagnose(cache, kernel=7, num_bins=10, align=(14, 14))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(diagnose, cache, 7, 10, (14, 14))
     assert peak < 9.0 * 2**20, f"diagnose peaked at {peak / 2**20:.1f} MiB"

@@ -160,9 +160,9 @@ def test_validation_latents_are_encoded_once_per_run(proto_setup, monkeypatch):
     rows = []
     encode = ToyVisualEncoder.encode_batch
 
-    def counted(self, arrays):
-        rows.append(len(arrays))
-        return encode(self, arrays)
+    def counted(self, arrays, index=None):
+        rows.append(len(arrays) if index is None else len(index))
+        return encode(self, arrays, index)
 
     monkeypatch.setattr(ToyVisualEncoder, "encode_batch", counted)
     run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False)
@@ -173,6 +173,24 @@ def test_validation_latents_are_encoded_once_per_run(proto_setup, monkeypatch):
     # encoded once.
     assert len(out.val_history) == cfg.epochs
     assert len(rows) == without_val + 1 and rows.count(4) == 1
+
+
+def test_scoring_encodes_the_cache_block_by_index(proto_setup, monkeypatch):
+    # No gathered copy: after fit's features of the training subset, every
+    # encoding (validation, base, each novel prototype, novel) reads the
+    # cache's own block through a row index.
+    cache, cfg = proto_setup
+    calls = []
+    encode = ToyVisualEncoder.encode_batch
+
+    def spy(self, arrays, rows=None):
+        calls.append((arrays is cache.arrays(), rows is not None))
+        return encode(self, arrays, rows)
+
+    monkeypatch.setattr(ToyVisualEncoder, "encode_batch", spy)
+    out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=True)
+    assert calls[0] == (False, False)
+    assert calls[1:] == [(True, True)] * (3 + len(out.result.novel_classes))
 
 
 def test_granule_source_accuracy_bounds_and_determinism(proto_setup):

@@ -2,12 +2,12 @@
 
 import itertools
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from bandprompt.bands import factorize
+import bandprompt.teacher as teacher
 from bandprompt.diagnostics import diagnose
 from bandprompt.errors import (
     BandpromptError,
@@ -31,7 +31,8 @@ from bandprompt.teacher import (
     write_cache,
 )
 from bandprompt.trainer import TrainConfig
-from reference_ops import per_record_dataset, per_record_read_cache, struct_cache_bytes
+from reference_ops import (per_record_dataset, per_record_read_cache, struct_cache_bytes,
+                           traced_peak)
 
 
 def small_spec(**kw):
@@ -376,14 +377,14 @@ def test_a_huge_record_count_is_truncation_not_an_allocation(tmp_path):
     end_of_record_0 = 12 + (len(blob) - 12) // 3
     blob[8:12] = struct.pack("<I", 0xFFFFFFFF)
     path.write_bytes(bytes(blob[:end_of_record_0]))
-    tracemalloc.start()
-    try:
+
+    def read_truncated():
         with pytest.raises(CacheCorruptionError) as exc:
             read_cache(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert exc.value.record_index == 1 and "truncated" in str(exc.value)
+        return exc.value
+
+    error, peak = traced_peak(read_truncated)
+    assert error.record_index == 1 and "truncated" in str(error)
     assert peak < 1 << 20
 
 
@@ -518,3 +519,35 @@ def test_write_cache_rejects_a_label_outside_u32_before_opening_the_file(tmp_pat
     with pytest.raises(ParameterError, match="record 0"):
         write_cache(cache.subset(np.array([0, 1]), [label, 0]), path)
     assert not path.exists()
+    # The last record is checked before an existing file is opened too.
+    path.write_bytes(b"an earlier cache")
+    with pytest.raises(ParameterError, match="record 5"):
+        write_cache(cache.subset(np.arange(len(cache)), [0, 1, 2, 0, 1, label]), path)
+    assert path.read_bytes() == b"an earlier cache"
+
+
+# ---------------------------------------------------------------------------
+# the writer's working set
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 100, 150, 15_000, 1 << 20])
+@pytest.mark.parametrize("layout", ["id-length-runs", "one-run"])
+def test_written_pieces_give_the_struct_bytes(tmp_path, monkeypatch, layout, piece_bytes):
+    # Pieces of one record, of a few that split a run and leave a short last
+    # piece (RUN_IDS has a run of four 2-byte ids; 120 equal ids at 7 a
+    # piece), and of whole runs.
+    cache = run_cache() if layout == "id-length-runs" else generate_dataset(small_spec(), 40)
+    monkeypatch.setattr(teacher, "WRITE_BYTES", piece_bytes)
+    path = tmp_path / "c.bin"
+    write_cache(cache, path)
+    assert path.read_bytes() == struct_cache_bytes(cache.ids, cache.labels(), cache.arrays())
+
+
+def test_writing_a_cache_holds_under_2_mib_beyond_its_input(tmp_path):
+    # The benchmark's cache-scan size: 2048 (4, 16, 16) latents, an 8.4 MiB
+    # file, which a whole-file buffer would hold a second copy of.
+    cache = generate_dataset(SyntheticSpec(num_classes=8, seed=1), 256)
+    path = tmp_path / "c.bin"
+    _, peak = traced_peak(write_cache, cache, path)
+    assert path.stat().st_size > 8 << 20
+    assert peak < 2 << 20, f"write_cache peaked at {peak / 2**20:.2f} MiB"

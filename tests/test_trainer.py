@@ -15,6 +15,7 @@ from bandprompt.bank import SemanticBank
 from bandprompt.errors import BankStateError, NumericalDegeneracyError, ParameterError
 from bandprompt.teacher import LatentCache, SyntheticSpec, generate_dataset
 from bandprompt.trainer import (
+    ENCODE_ROWS,
     FROZEN_INPUTS,
     Adam,
     ToyVisualEncoder,
@@ -32,7 +33,8 @@ from bandprompt.trainer import (
     state_from_values,
     train_step,
 )
-from reference_ops import concatenating_adam_step, popping_stratified_order, pseudo_labels
+from reference_ops import (concatenating_adam_step, popping_stratified_order, pseudo_labels,
+                           traced_peak)
 
 GRID = (4, 16, 16)
 
@@ -162,6 +164,67 @@ def test_compute_features_matches_a_per_latent_loop(cache):
         assert np.array_equal(feats.phi_detail[i], band_stats(pair.detail)), i
     assert np.array_equal(feats.visual, encoder.encode_batch(arrays))
     assert np.array_equal(feats.labels, cache.labels())
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_compute_features_blocks_are_bitwise_the_whole_stack_split(n):
+    encoder = ToyVisualEncoder.create(8, GRID, seed=0)
+    arrays = np.random.default_rng(n).normal(size=(n, *GRID)).astype(np.float32)
+    feats = compute_features(encoder, arrays, np.zeros(n, np.int64), 7)
+    pair = factorize(arrays, 7)
+    assert np.array_equal(feats.phi_base, band_stats(pair.base))
+    assert np.array_equal(feats.phi_detail, band_stats(pair.detail))
+    assert np.array_equal(feats.visual, encoder.encode_batch(arrays))
+
+
+def test_compute_features_peak_does_not_grow_with_the_stack():
+    # Beyond its outputs, the call holds one SPLIT_ROWS split or one
+    # ENCODE_ROWS block, whatever n; a whole-stack split of 1536 latents
+    # would hold several 12 MiB float64 copies.
+    encoder = ToyVisualEncoder.create(8, GRID, seed=0)
+    rng = np.random.default_rng(5)
+    beyond = {}
+    for n in (512, 1536):
+        arrays = rng.normal(size=(n, *GRID)).astype(np.float32)
+        labels = np.zeros(n, np.intp)
+        compute_features(encoder, arrays, labels, 7)  # fill the table caches
+        _, peak = traced_peak(compute_features, encoder, arrays, labels, 7)
+        beyond[n] = peak - n * 8 * (encoder.weight.shape[0] + 2 * GRID[0])
+    assert beyond[1536] < beyond[512] + (64 << 10), beyond
+    assert beyond[1536] < 4 << 20, beyond
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
+def test_encoding_rows_is_bitwise_encoding_their_gathered_copy(n):
+    enc = ToyVisualEncoder.create(32, GRID, seed=1)
+    rng = np.random.default_rng(n)
+    arrays = rng.normal(size=(300, *GRID)).astype(np.float32)
+    rows = np.resize(rng.permutation(300), n)  # unsorted; wraps into repeats past 300
+    rows[n // 2] = rows[0]  # and a repeat at every n
+    assert np.array_equal(enc.encode_batch(arrays, rows), enc.encode_batch(arrays[rows]))
+
+
+@pytest.mark.parametrize("rows", [[-1], [0, 300], [[0, 1]], [0.0], [True, False]],
+                         ids=["negative", "past-the-end", "2-d", "float", "mask"])
+def test_encoding_rejects_rows_that_are_not_indices_of_the_stack(rows):
+    enc = ToyVisualEncoder.create(8, GRID, seed=0)
+    arrays = np.ones((300, *GRID), np.float32)
+    with pytest.raises(ParameterError, match=r"rows must be .* in \[0, 300\)"):
+        enc.encode_batch(arrays, rows)
+    assert enc.encode_batch(arrays, []).shape == (0, 8)
+
+
+def test_encoding_rows_holds_no_gathered_copy():
+    # 2048 rows of 512 latents: a gathered copy would hold 8 MiB, four times
+    # the input; one ENCODE_ROWS block gathered and converted holds 3 MiB.
+    enc = ToyVisualEncoder.create(8, GRID, seed=0)
+    rng = np.random.default_rng(6)
+    arrays = rng.normal(size=(512, *GRID)).astype(np.float32)
+    rows = rng.integers(0, 512, size=2048)
+    out, peak = traced_peak(enc.encode_batch, arrays, rows)
+    cells = int(np.prod(GRID))
+    assert peak < ENCODE_ROWS * cells * (4 + 8) + 2 * out.nbytes, peak
+    assert peak < arrays[rows].nbytes / 2, peak
 
 
 def test_train_step_requires_a_full_bank(cache):
@@ -406,19 +469,11 @@ def test_forward_batch_takes_its_pseudo_labels_from_the_cls_term(cache, monkeypa
 
 
 def test_adam_step_allocates_no_full_length_temporary(cache):
-    import tracemalloc
-
     state, _ = init_state(cache, TrainConfig())
     opt = state.optimizer
     opt.grads[...] = np.random.default_rng(0).normal(size=opt.grads.shape)
     opt.step()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        opt.step()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(opt.step)
     assert peak < opt.values.nbytes, (peak, opt.values.nbytes)
 
 
