@@ -170,7 +170,6 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
     shot_idx, eval_idx = _subsample_shots(labels, shots, rng)
     n_val = max(1, shots // 4) if select_by_base_val else 0
     train_idx, train_labels = _gather(base_classes, {c: shot_idx[c][n_val:] for c in base_classes})
-    train_cache = cache.subset(train_idx, train_labels)
 
     val_history: list[float] = []
     best: tuple[float, np.ndarray, np.ndarray | None] | None = None
@@ -190,7 +189,9 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
                 bank_copy = state.bank.entries.copy() if state.bank is not None else None
                 best = (acc, state.optimizer.values.copy(), bank_copy)
 
-    state = fit(train_cache, cfg, epoch_callback=callback)
+    # Only `fit` reads the training subset's copy, so nothing keeps it alive
+    # through scoring.
+    state = fit(cache.subset(train_idx, train_labels), cfg, epoch_callback=callback)
     if best is not None:
         state.optimizer.values[...] = best[1]  # in place: parameters view it
         if state.bank is not None:

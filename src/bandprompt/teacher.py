@@ -5,7 +5,9 @@ Latents are sums of separable 2D cosine modes on a C x h x w grid. One band
 other band carries fresh per-instance coefficients, and i.i.d. Gaussian pixel
 noise sits on top. Which band carries class identity is the `identity_band`
 switch, so datasets can be built where class evidence is smooth structure or
-where it is fine texture.
+where it is fine texture. A class is drawn and built GENERATE_ROWS latents
+at a time from one stream, so its float64 temporaries do not grow with the
+class size and its latents are those of one draw per class.
 
 A `LatentCache` holds one read-only float32 (n, C, h, w) block, an int64
 label vector and the sample ids. `CacheRecord` and `LatentTensor` are only
@@ -250,8 +252,14 @@ def _class_and_instance_modes(spec: SyntheticSpec) -> tuple[list, list]:
 # generation
 
 
+# Latents that `generate_dataset` draws and builds at a time, so its float64
+# temporaries do not grow with `n_per_class`.
+GENERATE_ROWS = 64
+
+
 def generate_dataset(spec: SyntheticSpec, n_per_class: int) -> LatentCache:
-    """Build `num_classes * n_per_class` latents, class-major, deterministically."""
+    """Build `num_classes * n_per_class` latents, class-major, deterministically,
+    GENERATE_ROWS of a class at a time into the float32 block."""
     if n_per_class < 1:
         raise ParameterError("n_per_class must be >= 1")
     class_modes, inst_modes = _class_and_instance_modes(spec)
@@ -268,16 +276,20 @@ def generate_dataset(spec: SyntheticSpec, n_per_class: int) -> LatentCache:
     flat_class = class_patterns.reshape(k_class, -1)
     flat_inst = inst_patterns.reshape(k_inst, -1)
     # Each instance takes its k_inst coefficients, then its noise cells, from
-    # one row of a per-class draw: the stream order of a per-latent loop.
+    # one row of the draws: the stream order of a per-latent loop, whatever
+    # the rows per draw.
     cells = flat_inst.shape[1] if spec.noise_std > 0.0 else 0
     block = np.empty((spec.num_classes, n_per_class, flat_inst.shape[1]), dtype=np.float32)
     for label in range(spec.num_classes):
-        draws = rng.standard_normal((n_per_class, k_inst + cells))
-        inst_coef = INSTANCE_AMPLITUDE / np.sqrt(k_inst) * draws[:, :k_inst]
-        data = class_coef[label] @ flat_class + inst_coef @ flat_inst
-        if cells:
-            data += spec.noise_std * draws[:, k_inst:]
-        block[label] = data
+        class_field = class_coef[label] @ flat_class
+        for a in range(0, n_per_class, GENERATE_ROWS):
+            draws = rng.standard_normal((min(GENERATE_ROWS, n_per_class - a), k_inst + cells))
+            inst_coef = INSTANCE_AMPLITUDE / np.sqrt(k_inst) * draws[:, :k_inst]
+            data = inst_coef @ flat_inst
+            data += class_field
+            if cells:
+                data += spec.noise_std * draws[:, k_inst:]
+            block[label, a:a + len(data)] = data
     ids = [f"c{label:03d}_s{i:05d}" for label in range(spec.num_classes) for i in range(n_per_class)]
     return LatentCache._of(block.reshape(-1, *spec.grid),
                            np.repeat(np.arange(spec.num_classes, dtype=np.int64), n_per_class), ids)

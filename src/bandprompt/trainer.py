@@ -14,9 +14,10 @@ are bitwise reproducible and the finite-difference harness below can check
 the analytic gradient of every trainable scalar.
 
 The frozen features are computed once per cache in fixed-size blocks: the
-encoder gathers and converts ENCODE_ROWS latents at a time (from a row index
-if given one) and `compute_features` splits SPLIT_ROWS at a time, so neither
-holds a float64 copy of the whole stack.
+encoder converts each block of at most ENCODE_ROWS latents into one reused
+float64 buffer, GATHER_ROWS at a time (from a row index if given one), and
+`compute_features` splits SPLIT_ROWS at a time. That buffer is the largest
+transient of both, and neither holds a copy of the whole stack.
 """
 
 from __future__ import annotations
@@ -154,11 +155,14 @@ class TrainConfig:
 # The config keys under which a checkpoint stamps the frozen encoder that
 # `ToyVisualEncoder.create` redraws from them.
 ENCODER_KEYS = ("embed_dim", "seed", "grid_c", "grid_h", "grid_w")
-# Latent rows that `ToyVisualEncoder.encode_batch` converts and multiplies
-# per block.
+# Latent rows that `ToyVisualEncoder.encode_batch` multiplies per block, and
+# the rows it gathers and converts at a time into that block's float64 buffer.
 ENCODE_ROWS = 256
-# Latents per band split in `compute_features`, as `diagnose`'s CHUNK_SIZE.
-SPLIT_ROWS = 64
+GATHER_ROWS = 32
+# Latents per band split in `compute_features`. A split holds about four
+# float64 copies of its latents at once, so 16 keeps it at a quarter of the
+# encoder's block buffer (0.5 MiB at 4x16x16).
+SPLIT_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -184,12 +188,13 @@ class ToyVisualEncoder:
 
     def encode_batch(self, arrays, rows=None) -> np.ndarray:
         """Unit rows of the (n, C, h, w) latents, or of the latents `arrays[rows]`,
-        times the weight. Row blocks of about ENCODE_ROWS are gathered,
-        converted to float64 and multiplied into the output, so `rows` costs
-        no gathered copy and gives `encode_batch(arrays[rows])` bitwise. A row
-        whose norm is below MIN_NORM or not finite raises. The blocks equal the
-        single product bitwise only where BLAS runs both with one kernel, as
-        at tier-1's and the benchmark's sizes (README)."""
+        times the weight. Each row block of at most ENCODE_ROWS is converted
+        into one reused float64 buffer, GATHER_ROWS rows at a time, and
+        multiplied from it into the output, so `rows` costs no gathered copy
+        and gives `encode_batch(arrays[rows])` bitwise. A row whose norm is
+        below MIN_NORM or not finite raises, naming its latent. The blocks
+        equal the single product bitwise only where BLAS runs both with one
+        kernel, as at tier-1's and the benchmark's sizes (README)."""
         x = np.asarray(arrays)
         if x.ndim != 4 or x.shape[1:] != self.grid:
             raise ParameterError(f"expected (n, {self.grid}) latents, got {x.shape}")
@@ -205,19 +210,23 @@ class ToyVisualEncoder:
         # multiply a product of few rows with another kernel whose bits differ.
         blocks = max(1, -(-n // ENCODE_ROWS))
         edges = [n * i // blocks for i in range(blocks + 1)]
+        buffer = np.empty((-(-n // blocks), flat.shape[1]))
         # Non-finite latents give non-finite norms, which the guard reports.
         with np.errstate(over="ignore", invalid="ignore"):
             for a, b in zip(edges[:-1], edges[1:]):
-                block = flat[a:b] if rows is None else flat[rows[a:b]]
-                np.matmul(block.astype(np.float64), self.weight.T, out=out[a:b])
+                for p in range(a, b, GATHER_ROWS):
+                    q = min(p + GATHER_ROWS, b)
+                    buffer[p - a:q - a] = flat[p:q] if rows is None else flat[rows[p:q]]
+                np.matmul(buffer[:b - a], self.weight.T, out=out[a:b])
             norms = np.linalg.norm(out, axis=1, keepdims=True)
         # As in `ad.unit_rows`: NaN fails both comparisons.
         if not (np.minimum.reduce(norms, axis=None, initial=ad.MIN_NORM) >= ad.MIN_NORM
                 and np.maximum.reduce(norms, axis=None, initial=0.0) < np.inf):
             bad = int((np.isfinite(norms) & (norms >= ad.MIN_NORM)).argmin())
             kind = "a zero-length" if norms[bad, 0] < ad.MIN_NORM else "a non-finite-norm"
+            where = f"row {bad}" if rows is None else f"latent {rows[bad]}, row {bad} of rows"
             raise NumericalDegeneracyError(
-                f"encoder produced {kind} embedding (row {bad}, norm {norms[bad, 0]:.3e})")
+                f"encoder produced {kind} embedding ({where}, norm {norms[bad, 0]:.3e})")
         out /= norms
         return out
 

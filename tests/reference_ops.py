@@ -8,7 +8,8 @@ concatenating Adam step that the optimizer's flat buffers replaced, the
 two-branch granule step that the stacked pass replaced, and the other loops
 that array code replaced, and the mask forms of the input guards that one or
 two reductions replaced. The per-record `struct` cache codec that the
-record-run codec replaced is here too, as the oracle of its bytes and errors.
+record-run codec replaced is here too, as the oracle of its bytes and errors,
+and so is the whole-class generator that the row-block one replaced.
 `traced_peak` is the one memory probe of the tests.
 """
 
@@ -307,25 +308,34 @@ def concatenating_adam_step(self):
         start = stop
 
 
-def per_record_dataset(spec, n_per_class):
-    """`teacher.generate_dataset` as a loop over latents, as it was before the
-    columnar cache: per instance, one `normal` draw of its coefficients, one
-    of its noise cells (when `noise_std > 0`), and a float32 cast. Returns
-    the (ids, labels, latents) it would have stored."""
+def _class_draw(spec):
+    """The flattened class and instance mode patterns, the class coefficients
+    drawn first from the spec's stream, that stream, and the scale of the
+    instance coefficients."""
     from bandprompt import teacher
 
     class_modes, inst_modes = teacher._class_and_instance_modes(spec)
     flat_class = teacher._stack_patterns(spec.grid, class_modes).reshape(len(class_modes), -1)
     flat_inst = teacher._stack_patterns(spec.grid, inst_modes).reshape(len(inst_modes), -1)
-    k_class, k_inst = len(class_modes), len(inst_modes)
     rng = np.random.default_rng(spec.seed)
-    class_coef = rng.normal(0.0, teacher.CLASS_AMPLITUDE / np.sqrt(k_class),
-                            size=(spec.num_classes, k_class))
+    class_coef = rng.normal(0.0, teacher.CLASS_AMPLITUDE / np.sqrt(len(class_modes)),
+                            size=(spec.num_classes, len(class_modes)))
+    inst_scale = teacher.INSTANCE_AMPLITUDE / np.sqrt(len(inst_modes))
+    return flat_class, flat_inst, class_coef, rng, inst_scale
+
+
+def per_record_dataset(spec, n_per_class):
+    """`teacher.generate_dataset` as a loop over latents, as it was before the
+    columnar cache: per instance, one `normal` draw of its coefficients, one
+    of its noise cells (when `noise_std > 0`), and a float32 cast. Returns
+    the (ids, labels, latents) it would have stored."""
+    flat_class, flat_inst, class_coef, rng, inst_scale = _class_draw(spec)
+    k_inst = len(flat_inst)
     ids, labels, latents = [], [], []
     for label in range(spec.num_classes):
         class_field = (class_coef[label] @ flat_class).reshape(spec.grid)
         for i in range(n_per_class):
-            inst_coef = rng.normal(0.0, teacher.INSTANCE_AMPLITUDE / np.sqrt(k_inst), size=k_inst)
+            inst_coef = rng.normal(0.0, inst_scale, size=k_inst)
             data = class_field + (inst_coef @ flat_inst).reshape(spec.grid)
             if spec.noise_std > 0.0:
                 data = data + rng.normal(0.0, spec.noise_std, size=spec.grid)
@@ -333,6 +343,24 @@ def per_record_dataset(spec, n_per_class):
             labels.append(label)
             latents.append(data.astype(np.float32))
     return ids, np.array(labels, dtype=np.int64), np.stack(latents)
+
+
+def per_class_dataset(spec, n_per_class):
+    """`teacher.generate_dataset` as it was before it built a class in row
+    blocks: one draw of a class's coefficients and noise cells for all its
+    instances, and one product. Returns the (n, C, h, w) float32 latents."""
+    flat_class, flat_inst, class_coef, rng, inst_scale = _class_draw(spec)
+    k_inst = len(flat_inst)
+    cells = flat_inst.shape[1] if spec.noise_std > 0.0 else 0
+    block = np.empty((spec.num_classes, n_per_class, flat_inst.shape[1]), dtype=np.float32)
+    for label in range(spec.num_classes):
+        draws = rng.standard_normal((n_per_class, k_inst + cells))
+        inst_coef = inst_scale * draws[:, :k_inst]
+        data = class_coef[label] @ flat_class + inst_coef @ flat_inst
+        if cells:
+            data += spec.noise_std * draws[:, k_inst:]
+        block[label] = data
+    return block.reshape(-1, *spec.grid)
 
 
 def struct_cache_bytes(ids, labels, block) -> bytes:

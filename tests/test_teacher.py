@@ -18,6 +18,7 @@ from bandprompt.errors import (
 )
 from bandprompt.evaluate import run_base_to_novel
 from bandprompt.teacher import (
+    GENERATE_ROWS,
     MOVE_BYTES,
     CacheRecord,
     LatentCache,
@@ -31,8 +32,8 @@ from bandprompt.teacher import (
     write_cache,
 )
 from bandprompt.trainer import TrainConfig
-from reference_ops import (per_record_dataset, per_record_read_cache, struct_cache_bytes,
-                           traced_peak)
+from reference_ops import (per_class_dataset, per_record_dataset, per_record_read_cache,
+                           struct_cache_bytes, traced_peak)
 
 
 def small_spec(**kw):
@@ -167,6 +168,32 @@ def test_generation_is_bitwise_the_per_latent_loop(identity_band, noise_std):
         assert np.array_equal(cache.labels(), labels)
         assert cache.arrays().dtype == np.float32
         assert cache.arrays().tobytes() == latents.tobytes()
+
+
+@pytest.mark.parametrize("n_per_class", [1, 63, 64, 65, 200])
+def test_row_block_generation_is_bitwise_the_whole_class_draw(n_per_class):
+    specs = [small_spec(grid=grid, identity_band=band, noise_std=noise, seed=seed)
+             for seed, grid in ((3, (1, 4, 4)), (7, (2, 16, 16)), (11, (2, 32, 32)))
+             for band in ("low", "high") for noise in (0.0, 0.3)]
+    specs.append(small_spec(base_modes=1, detail_modes=4, noise_std=0.05))
+    for spec in specs:
+        cache = generate_dataset(spec, n_per_class)
+        assert cache.arrays().tobytes() == per_class_dataset(spec, n_per_class).tobytes(), spec
+
+
+def test_generation_peak_does_not_grow_with_the_class_size():
+    # Beyond its float32 output, generation holds three float64 arrays of one
+    # GENERATE_ROWS block (a block's draws and latents, and the next block's
+    # draws or latents or noise), whatever n_per_class; a whole-class draw of
+    # 640 latents would hold three 5 MiB float64 arrays.
+    spec = small_spec(grid=(4, 16, 16))
+    generate_dataset(spec, 1)  # load what numpy imports on first use
+    beyond = {}
+    for n in (130, 640):
+        cache, peak = traced_peak(generate_dataset, spec, n)
+        beyond[n] = peak - cache.arrays().nbytes
+    assert beyond[640] < beyond[130] + (64 << 10), beyond
+    assert beyond[640] < 3 * GENERATE_ROWS * 4 * 16 * 16 * 8 + (256 << 10), beyond
 
 
 def test_generate_rejects_bad_count():

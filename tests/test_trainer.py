@@ -17,6 +17,8 @@ from bandprompt.teacher import LatentCache, SyntheticSpec, generate_dataset
 from bandprompt.trainer import (
     ENCODE_ROWS,
     FROZEN_INPUTS,
+    GATHER_ROWS,
+    SPLIT_ROWS,
     Adam,
     ToyVisualEncoder,
     TrainConfig,
@@ -178,9 +180,9 @@ def test_compute_features_blocks_are_bitwise_the_whole_stack_split(n):
 
 
 def test_compute_features_peak_does_not_grow_with_the_stack():
-    # Beyond its outputs, the call holds one SPLIT_ROWS split or one
-    # ENCODE_ROWS block, whatever n; a whole-stack split of 1536 latents
-    # would hold several 12 MiB float64 copies.
+    # Beyond its outputs, the call holds the encoder's one float64 block
+    # buffer, or one SPLIT_ROWS split, whatever n; a whole-stack split of 1536
+    # latents would hold several 12 MiB float64 copies.
     encoder = ToyVisualEncoder.create(8, GRID, seed=0)
     rng = np.random.default_rng(5)
     beyond = {}
@@ -191,7 +193,16 @@ def test_compute_features_peak_does_not_grow_with_the_stack():
         _, peak = traced_peak(compute_features, encoder, arrays, labels, 7)
         beyond[n] = peak - n * 8 * (encoder.weight.shape[0] + 2 * GRID[0])
     assert beyond[1536] < beyond[512] + (64 << 10), beyond
-    assert beyond[1536] < 4 << 20, beyond
+    assert beyond[1536] < ENCODE_ROWS * int(np.prod(GRID)) * 8 + (128 << 10), beyond
+
+
+def test_a_band_split_holds_under_half_an_encoder_block():
+    # `compute_features` splits SPLIT_ROWS latents at a time, so the split's
+    # float64 temporaries never set its peak: the encoder's block buffer does.
+    arrays = np.random.default_rng(4).normal(size=(SPLIT_ROWS, *GRID)).astype(np.float32)
+    factorize(arrays, 7)  # fill the table caches
+    _, peak = traced_peak(factorize, arrays, 7)
+    assert peak < ENCODE_ROWS * int(np.prod(GRID)) * 8 / 2, peak
 
 
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
@@ -216,15 +227,29 @@ def test_encoding_rejects_rows_that_are_not_indices_of_the_stack(rows):
 
 def test_encoding_rows_holds_no_gathered_copy():
     # 2048 rows of 512 latents: a gathered copy would hold 8 MiB, four times
-    # the input; one ENCODE_ROWS block gathered and converted holds 3 MiB.
+    # the input. Beside its output the call holds one float64 ENCODE_ROWS
+    # block (2 MiB) and one gathered GATHER_ROWS piece of float32 rows; a
+    # float32 copy of the whole block (1 MiB) would not fit.
     enc = ToyVisualEncoder.create(8, GRID, seed=0)
     rng = np.random.default_rng(6)
     arrays = rng.normal(size=(512, *GRID)).astype(np.float32)
     rows = rng.integers(0, 512, size=2048)
     out, peak = traced_peak(enc.encode_batch, arrays, rows)
     cells = int(np.prod(GRID))
-    assert peak < ENCODE_ROWS * cells * (4 + 8) + 2 * out.nbytes, peak
+    assert peak < ENCODE_ROWS * cells * 8 + GATHER_ROWS * cells * 4 + 2 * out.nbytes, peak
     assert peak < arrays[rows].nbytes / 2, peak
+
+
+def test_encoder_names_the_degenerate_latent_of_rows():
+    enc = ToyVisualEncoder.create(8, GRID, seed=0)
+    arrays = np.random.default_rng(3).normal(size=(8, *GRID)).astype(np.float32)
+    arrays[3] = 0.0
+    with pytest.raises(NumericalDegeneracyError, match=r"zero-length .*\(latent 3, row 1 of rows"):
+        enc.encode_batch(arrays, [5, 3, 1])
+    arrays[3, 0, 0, 0] = np.nan
+    with pytest.raises(NumericalDegeneracyError,
+                       match=r"non-finite-norm .*\(latent 3, row 2 of rows"):
+        enc.encode_batch(arrays, np.array([7, 6, 3, 3]))
 
 
 def test_train_step_requires_a_full_bank(cache):
