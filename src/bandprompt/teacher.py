@@ -83,6 +83,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.grid, (tuple, list)) and len(self.grid) == 3
+                and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                        for v in self.grid)):
+            raise SpecificationError(f"grid must be three ints (C, h, w), got {self.grid!r}")
         c, h, w = self.grid
         if self.num_classes < 1:
             raise SpecificationError("num_classes must be >= 1")
@@ -137,6 +141,10 @@ class LatentCache:
 
     def _set(self, block: np.ndarray, labels: np.ndarray, ids) -> None:
         self.ids = tuple(ids)
+        if labels.ndim != 1 or not len(block) == len(labels) == len(self.ids):
+            raise ParameterError(f"a cache needs one label and one id per latent: got "
+                                 f"{len(block)} latents, labels of shape {labels.shape} "
+                                 f"and {len(self.ids)} ids")
         if len(set(self.ids)) != len(self.ids):
             raise ParameterError("sample ids must be unique within a cache")
         block.flags.writeable = False

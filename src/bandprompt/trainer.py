@@ -13,11 +13,14 @@ Every forward pass is built on the autodiff tape in float64, so seeded runs
 are bitwise reproducible and the finite-difference harness below can check
 the analytic gradient of every trainable scalar.
 
-The frozen features are computed once per cache in fixed-size blocks: the
-encoder converts each block of at most ENCODE_ROWS latents into one reused
-float64 buffer, GATHER_ROWS at a time (from a row index if given one), and
-`compute_features` splits SPLIT_ROWS at a time. That buffer is the largest
-transient of both, and neither holds a copy of the whole stack.
+The frozen features are computed once per cache in bounded blocks. The
+encoder sizes its row blocks by their product (`_block_edges`): each holds
+at least the fewest rows whose product stays above BLAS's small-matrix
+switch, and at most ENCODE_ROWS (768 latents of 4x16x16 at `embed_dim` 16
+or 32 take 64-row blocks, 0.5 MiB). It converts each block into one
+reused float64 buffer, GATHER_ROWS at a time (from a row index if given
+one), and `compute_features` splits SPLIT_ROWS at a time. That buffer is
+the largest transient of both, and neither holds a copy of the whole stack.
 """
 
 from __future__ import annotations
@@ -155,14 +158,33 @@ class TrainConfig:
 # The config keys under which a checkpoint stamps the frozen encoder that
 # `ToyVisualEncoder.create` redraws from them.
 ENCODER_KEYS = ("embed_dim", "seed", "grid_c", "grid_h", "grid_w")
-# Latent rows that `ToyVisualEncoder.encode_batch` multiplies per block, and
-# the rows it gathers and converts at a time into that block's float64 buffer.
+# Row blocks of `ToyVisualEncoder.encode_batch` (`_block_edges`). OpenBLAS
+# multiplies a product of at most SMALL_PRODUCT multiply-adds (rows x dim x
+# cells) with its small-matrix kernel, whose bits differ from the large one's,
+# so a block reaches past it where it can. MIN_BLOCK_ROWS keeps a block of a
+# wide product from shrinking to a few rows (one row is a matrix-vector
+# product, of other bits again), and ENCODE_ROWS bounds its buffer.
+# GATHER_ROWS rows at a time are gathered and converted into that buffer.
+SMALL_PRODUCT = 10**6
+MIN_BLOCK_ROWS = 64
 ENCODE_ROWS = 256
 GATHER_ROWS = 32
 # Latents per band split in `compute_features`. A split holds about four
-# float64 copies of its latents at once, so 16 keeps it at a quarter of the
-# encoder's block buffer (0.5 MiB at 4x16x16).
-SPLIT_ROWS = 16
+# float64 copies of its latents at once, so 4 keeps it under half of a
+# MIN_BLOCK_ROWS block buffer (0.13 MiB against 0.25 MiB at 4x16x16).
+SPLIT_ROWS = 4
+
+
+def _block_edges(n: int, dim: int, cells: int) -> list[int]:
+    """Edges of `encode_batch`'s near-equal row blocks of an (n, cells) by
+    (cells, dim) product. The floor is the fewest rows, at least
+    MIN_BLOCK_ROWS, whose product exceeds SMALL_PRODUCT. There are no more
+    blocks than keeps each at the floor, and no fewer than keeps each within
+    ENCODE_ROWS; where the two conflict (a floor over half of ENCODE_ROWS),
+    the cap wins and a block may fall under the floor."""
+    floor = max(MIN_BLOCK_ROWS, SMALL_PRODUCT // max(1, dim * cells) + 1)
+    blocks = max(1, n // floor, -(-n // ENCODE_ROWS))
+    return [n * i // blocks for i in range(blocks + 1)]
 
 
 @dataclass(frozen=True)
@@ -188,13 +210,13 @@ class ToyVisualEncoder:
 
     def encode_batch(self, arrays, rows=None) -> np.ndarray:
         """Unit rows of the (n, C, h, w) latents, or of the latents `arrays[rows]`,
-        times the weight. Each row block of at most ENCODE_ROWS is converted
-        into one reused float64 buffer, GATHER_ROWS rows at a time, and
-        multiplied from it into the output, so `rows` costs no gathered copy
-        and gives `encode_batch(arrays[rows])` bitwise. A row whose norm is
-        below MIN_NORM or not finite raises, naming its latent. The blocks
-        equal the single product bitwise only where BLAS runs both with one
-        kernel, as at tier-1's and the benchmark's sizes (README)."""
+        times the weight. Each row block of `_block_edges` is converted into
+        one reused float64 buffer, GATHER_ROWS rows at a time, and multiplied
+        from it into the output, so `rows` costs no gathered copy and gives
+        `encode_batch(arrays[rows])` bitwise. A row whose norm is below
+        MIN_NORM or not finite raises, naming its latent. The blocks equal
+        the single product bitwise only where BLAS runs both with one kernel,
+        as wherever a block's floor is within half of ENCODE_ROWS (README)."""
         x = np.asarray(arrays)
         if x.ndim != 4 or x.shape[1:] != self.grid:
             raise ParameterError(f"expected (n, {self.grid}) latents, got {x.shape}")
@@ -206,11 +228,8 @@ class ToyVisualEncoder:
                 raise ParameterError(f"rows must be a 1-D array of indices in [0, {len(x)})")
         n = len(x) if rows is None else len(rows)
         out = np.empty((n, len(self.weight)))
-        # Near-equal blocks, none under half of ENCODE_ROWS past it: BLAS may
-        # multiply a product of few rows with another kernel whose bits differ.
-        blocks = max(1, -(-n // ENCODE_ROWS))
-        edges = [n * i // blocks for i in range(blocks + 1)]
-        buffer = np.empty((-(-n // blocks), flat.shape[1]))
+        edges = _block_edges(n, *self.weight.shape)
+        buffer = np.empty((-(-n // (len(edges) - 1)), flat.shape[1]))
         # Non-finite latents give non-finite norms, which the guard reports.
         with np.errstate(over="ignore", invalid="ignore"):
             for a, b in zip(edges[:-1], edges[1:]):

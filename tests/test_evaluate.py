@@ -17,7 +17,7 @@ from bandprompt.evaluate import (
 )
 from bandprompt.refine import TextFeatureSet
 from bandprompt.teacher import SyntheticSpec, generate_dataset
-from bandprompt.trainer import ENCODE_ROWS, ToyVisualEncoder, TrainConfig
+from bandprompt.trainer import ToyVisualEncoder, TrainConfig
 from reference_ops import traced_peak
 from test_trainer import assert_views
 
@@ -196,15 +196,16 @@ def test_scoring_encodes_the_cache_block_by_index(proto_setup, monkeypatch):
 
 def test_protocol_peak_is_one_encoder_block():
     # 256 base and 256 novel evaluation rows, so scoring fills the encoder's
-    # whole ENCODE_ROWS block buffer (2 MiB at 4x16x16). Beside it the run
-    # holds a trained state and a few (n, d) embeddings; a float32 copy of
-    # the block (1 MiB), or a second float64 one, would not fit.
+    # largest block buffer at these sizes (128 rows, 1 MiB, at 4x16x16 and
+    # `embed_dim` 8). Beside it the run holds a trained state and a few (n, d)
+    # embeddings; a float32 copy of the block (0.5 MiB), or a second float64
+    # one, would not fit.
     cache = generate_dataset(SyntheticSpec(num_classes=8, seed=3), n_per_class=80)
     cfg = TrainConfig(embed_dim=8, bank_size=16, epochs=3, seed=0)
     run_base_to_novel(cache, cfg, shots=16, select_by_base_val=True)  # fill the table caches
     out, peak = traced_peak(run_base_to_novel, cache, cfg, 16, True)
     assert out.result.base_count == out.result.novel_count == 256
-    assert peak < ENCODE_ROWS * int(np.prod(cache.grid)) * 8 + (512 << 10), peak
+    assert peak < 128 * int(np.prod(cache.grid)) * 8 + (512 << 10), peak
 
 
 def test_granule_source_accuracy_bounds_and_determinism(proto_setup):

@@ -63,6 +63,13 @@ def test_spec_rejects_bad_values():
         small_spec(base_modes=999)
 
 
+@pytest.mark.parametrize("grid", [(4, 16), (4, 16, 16, 1), (4, 16.0, 16), (4, True, 16), None,
+                                  "4x16"], ids=["two", "four", "float", "bool", "none", "text"])
+def test_spec_rejects_a_grid_that_is_not_three_ints(grid):
+    with pytest.raises(SpecificationError, match="grid must be three ints"):
+        SyntheticSpec(num_classes=2, grid=grid)
+
+
 def test_mode_pools_respect_band_split():
     c, h, w = 3, 16, 16
     limit = min(h, w) // 4
@@ -249,6 +256,22 @@ def test_subset_takes_rows_and_relabels():
     assert np.array_equal(sub.labels(), [1, 0])
     assert np.array_equal(sub.arrays(), cache.arrays()[[4, 0]])
     assert not sub.arrays().flags.writeable
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: c.subset(np.array([0, 1, 5]), np.array([0, 1])),
+    lambda c: c.subset(np.array([0, 1]), np.array([0, 1, 2])),
+    lambda c: c.subset(np.array([0, 1]), np.array([[0], [1]])),
+    lambda c: LatentCache._of(c.arrays(), c.labels()[:-1], c.ids),
+    lambda c: LatentCache._of(c.arrays(), c.labels(), c.ids[:-1]),
+    lambda c: LatentCache._of(c.arrays()[:-1], c.labels(), c.ids),
+], ids=["fewer-labels", "more-labels", "2-d-labels", "_of-labels", "_of-ids", "_of-latents"])
+def test_a_cache_needs_one_label_and_one_id_per_latent(make):
+    # Unchecked, 3 latents with 2 labels would reach `fit` and fail there
+    # with a raw IndexError.
+    cache = generate_dataset(small_spec(), 3)
+    with pytest.raises(ParameterError, match="one label and one id per latent"):
+        make(cache)
 
 
 @pytest.mark.parametrize("per_class", [0, 3])

@@ -18,6 +18,8 @@ from bandprompt.trainer import (
     ENCODE_ROWS,
     FROZEN_INPUTS,
     GATHER_ROWS,
+    MIN_BLOCK_ROWS,
+    SMALL_PRODUCT,
     SPLIT_ROWS,
     Adam,
     ToyVisualEncoder,
@@ -35,6 +37,7 @@ from bandprompt.trainer import (
     state_from_values,
     train_step,
 )
+from bandprompt.trainer import _block_edges
 from reference_ops import (concatenating_adam_step, popping_stratified_order, pseudo_labels,
                            traced_peak)
 
@@ -94,15 +97,44 @@ def test_encoder_validates_input(cache):
         enc.encode_batch(np.zeros(GRID))
 
 
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 258, 513])
-def test_encoder_blocks_are_bitwise_the_whole_product(n):
+# Row counts at the edges of the encoder's blocks at `embed_dim` 8, 16 and 32.
+# Cases of dim 32, the first one tested, keep their bare `n` ids.
+BLOCK_EDGE_CASES = [
+    pytest.param(dim, n, id=str(n) if dim == 32 else f"{n}-dim{dim}")
+    for dim in (32, 16, 8)
+    for n in (1, 2, 63, 64, 65, 100, 127, 128, 129, 255, 256, 257, 258, 513, 2048)
+]
+
+
+@pytest.mark.parametrize("dim, n", BLOCK_EDGE_CASES)
+def test_encoder_blocks_are_bitwise_the_whole_product(dim, n):
     # The row blocks must not change a bit of the single product, so no
-    # block may be a one-row (matrix-vector) product unless n == 1.
-    enc = ToyVisualEncoder.create(32, GRID, seed=1)
+    # block may be a one-row (matrix-vector) product unless n == 1, nor one
+    # under BLAS's small-matrix switch unless the single product is too:
+    # near-equal blocks of at most 64 rows differ at dim 16, n = 65.
+    enc = ToyVisualEncoder.create(dim, GRID, seed=1)
     arrays = np.random.default_rng(n).normal(size=(n, *GRID)).astype(np.float32)
     raw = arrays.reshape(n, -1).astype(np.float64) @ enc.weight.T
     expected = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     assert np.array_equal(enc.encode_batch(arrays), expected)
+
+
+@pytest.mark.parametrize("dim, cells", [(4, 1024), (8, 1024), (16, 1024), (32, 1024), (8, 256),
+                                        (32, 128), (1, 1), (1000, 1024)])
+def test_encoder_blocks_are_sized_by_their_product(dim, cells):
+    floor = max(MIN_BLOCK_ROWS, SMALL_PRODUCT // (dim * cells) + 1)
+    for n in [*range(0, 600), 767, 768, 769, 2047, 2048, 6000]:
+        sizes = np.diff(_block_edges(n, dim, cells))
+        assert sizes.sum() == n and sizes.min() >= 0
+        assert len(sizes) == 1 or sizes.min() >= min(floor, ENCODE_ROWS // 2), (n, sizes)
+        assert sizes.max() < 2 * floor and sizes.max() <= ENCODE_ROWS, (n, sizes)
+        if 2 * floor <= ENCODE_ROWS and len(sizes) > 1:
+            # every block is past the switch, so of one kernel with the whole
+            assert sizes.min() * dim * cells > SMALL_PRODUCT, (n, sizes)
+    # 4x16x16: 64-row blocks at `embed_dim` 16 or 32, 128-row ones at 8
+    assert set(np.diff(_block_edges(768, 16, 1024))) == {MIN_BLOCK_ROWS}
+    for n in (256, 512, 1536, 2048):
+        assert set(np.diff(_block_edges(n, 8, 1024))) == {128}
 
 
 @pytest.mark.parametrize("value, kind", [
@@ -179,10 +211,16 @@ def test_compute_features_blocks_are_bitwise_the_whole_stack_split(n):
     assert np.array_equal(feats.visual, encoder.encode_batch(arrays))
 
 
+# `encode_batch`'s float64 block buffer at `embed_dim` 8 and 4x16x16 for 512,
+# 1536 or 2048 rows: blocks of at least 123 rows, so of 128 (1 MiB).
+BLOCK_AT_DIM_8 = 128 * int(np.prod(GRID)) * 8
+
+
 def test_compute_features_peak_does_not_grow_with_the_stack():
     # Beyond its outputs, the call holds the encoder's one float64 block
-    # buffer, or one SPLIT_ROWS split, whatever n; a whole-stack split of 1536
-    # latents would hold several 12 MiB float64 copies.
+    # buffer (128 rows, 1 MiB, at `embed_dim` 8), or one SPLIT_ROWS split,
+    # whatever n; a whole-stack split of 1536 latents would hold several
+    # 12 MiB float64 copies.
     encoder = ToyVisualEncoder.create(8, GRID, seed=0)
     rng = np.random.default_rng(5)
     beyond = {}
@@ -193,16 +231,17 @@ def test_compute_features_peak_does_not_grow_with_the_stack():
         _, peak = traced_peak(compute_features, encoder, arrays, labels, 7)
         beyond[n] = peak - n * 8 * (encoder.weight.shape[0] + 2 * GRID[0])
     assert beyond[1536] < beyond[512] + (64 << 10), beyond
-    assert beyond[1536] < ENCODE_ROWS * int(np.prod(GRID)) * 8 + (128 << 10), beyond
+    assert beyond[1536] < BLOCK_AT_DIM_8 + (128 << 10), beyond
 
 
 def test_a_band_split_holds_under_half_an_encoder_block():
     # `compute_features` splits SPLIT_ROWS latents at a time, so the split's
-    # float64 temporaries never set its peak: the encoder's block buffer does.
+    # float64 temporaries never set its peak, even beside the smallest block
+    # buffer of many rows (MIN_BLOCK_ROWS, 0.5 MiB): the encoder's block does.
     arrays = np.random.default_rng(4).normal(size=(SPLIT_ROWS, *GRID)).astype(np.float32)
     factorize(arrays, 7)  # fill the table caches
     _, peak = traced_peak(factorize, arrays, 7)
-    assert peak < ENCODE_ROWS * int(np.prod(GRID)) * 8 / 2, peak
+    assert peak < MIN_BLOCK_ROWS * int(np.prod(GRID)) * 8 / 2, peak
 
 
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
@@ -227,16 +266,17 @@ def test_encoding_rejects_rows_that_are_not_indices_of_the_stack(rows):
 
 def test_encoding_rows_holds_no_gathered_copy():
     # 2048 rows of 512 latents: a gathered copy would hold 8 MiB, four times
-    # the input. Beside its output the call holds one float64 ENCODE_ROWS
-    # block (2 MiB) and one gathered GATHER_ROWS piece of float32 rows; a
-    # float32 copy of the whole block (1 MiB) would not fit.
+    # the input. Beside its output the call holds one float64 block buffer
+    # (128 rows, 1 MiB, at `embed_dim` 8) and one gathered GATHER_ROWS piece
+    # of float32 rows; a float32 copy of the whole block (0.5 MiB) would not
+    # fit.
     enc = ToyVisualEncoder.create(8, GRID, seed=0)
     rng = np.random.default_rng(6)
     arrays = rng.normal(size=(512, *GRID)).astype(np.float32)
     rows = rng.integers(0, 512, size=2048)
     out, peak = traced_peak(enc.encode_batch, arrays, rows)
     cells = int(np.prod(GRID))
-    assert peak < ENCODE_ROWS * cells * 8 + GATHER_ROWS * cells * 4 + 2 * out.nbytes, peak
+    assert peak < BLOCK_AT_DIM_8 + GATHER_ROWS * cells * 4 + 2 * out.nbytes, peak
     assert peak < arrays[rows].nbytes / 2, peak
 
 
