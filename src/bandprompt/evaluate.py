@@ -242,6 +242,9 @@ def granule_source_accuracy(state: TrainState, cfg: TrainConfig,
         raise ParameterError("granule source accuracy needs at least one sample")
     if labels.shape != (len(arrays),):
         raise ParameterError(f"{len(arrays)} latents but labels of shape {labels.shape}")
+    if labels.min() < 0 or labels.max() >= state.num_classes:
+        raise ParameterError(f"labels must lie in [0, {state.num_classes}), got "
+                             f"{labels.min()} to {labels.max()}")
     feats = compute_features(state.encoder, arrays, labels, cfg.kernel)
     bs = min(cfg.batch_size, len(labels))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCF]))

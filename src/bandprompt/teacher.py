@@ -16,10 +16,10 @@ the input of `LatentCache(records)` and the views `.records` builds.
 Cache files are little-endian: magic "SPLC", format version, record count,
 then per record a length-prefixed UTF-8 sample id, a u32 class label, u32
 C/h/w dims, and C*h*w float32 values in channel-major, row-major order.
-Records whose ids have one byte length have one stride, so the codec moves
-each run of them through packed structured views: the reader takes a run in
-one view of the file's bytes, the writer fills and writes a piece of at most
-WRITE_BYTES at a time. Neither holds a second copy of the file.
+The codec reads and writes one record at a time through the two header
+structs. The reader moves each payload down over the headers within the
+file's own bytes, and the writer goes through a WRITE_BYTES file buffer, so
+neither holds a second copy of the file.
 """
 
 from __future__ import annotations
@@ -311,61 +311,46 @@ def class_mode_patterns(spec: SyntheticSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cache file I/O
 
-# Payload bytes that `read_cache` moves down over the headers per copy; the
-# copy may stage its rows in a buffer of this size.
-MOVE_BYTES = 1 << 16
-# Packed record bytes that `write_cache` stages per write, so that writing a
-# cache holds a piece of this size beside it, not a second copy of the file.
+# The record header, around the UTF-8 sample id: its u16 byte length before
+# it, the u32 class label and C/h/w dims after it.
+_ID_LEN = struct.Struct("<H")
+_HEAD = struct.Struct("<IIII")
+# The file buffer of `write_cache`, so that writing a cache holds this much
+# beside it, not a second copy of the file.
 WRITE_BYTES = 1 << 20
-
-
-def _record_dtype(id_len: int, cells: int) -> np.dtype:
-    """One packed v1 record: u16 id length, the id's UTF-8 bytes, u32 label
-    and C/h/w dims, then the float32 payload."""
-    return np.dtype([("id_len", "<u2"), ("id", "u1", (id_len,)), ("head", "<u4", (4,)),
-                     ("payload", "<f4", (cells,))])
 
 
 def write_cache(cache: LatentCache, path) -> None:
     """Write `cache` as v1 records. Every record is checked before the file
-    opens; then each run of ids with equal byte length goes out through a
-    packed structured view, in pieces of at most WRITE_BYTES (or one record)."""
+    opens; then each goes out through a WRITE_BYTES file buffer: its header,
+    then its float32 row."""
     ids, labels = cache.ids, cache.labels()
-    raw = list(map(str.encode, ids))  # UTF-8
-    lengths = np.fromiter(map(len, raw), np.int64, len(raw))
-    if len(raw) and lengths.max() > 0xFFFF:
-        raise ParameterError(f"sample id too long: {ids[int(lengths.argmax())]!r}")
+    raw = []
+    for index, sid in enumerate(ids):
+        try:
+            raw.append(sid.encode("utf-8"))
+        except UnicodeEncodeError:
+            raise ParameterError(f"record {index} ({sid!r}) has a sample id that is not UTF-8") from None
+        if len(raw[-1]) > 0xFFFF:
+            raise ParameterError(f"record {index} has a sample id of {len(raw[-1])} bytes, over 65535")
     bad = (labels < 0) | (labels > 0xFFFFFFFF)
     if bad.any():
         index = int(bad.argmax())
         raise ParameterError(f"record {index} ({ids[index]!r}) has class label "
                              f"{labels[index]}, outside [0, 2**32)")
-    grid = cache.grid if len(raw) else (0, 0, 0)
-    cells = grid[0] * grid[1] * grid[2]
-    block = cache.arrays().reshape(len(raw), cells)
-    bounds = np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist()
-    with open(path, "wb") as fh:
+    block = np.ascontiguousarray(cache.arrays(), "<f4")
+    grid = block.shape[1:]
+    with open(path, "wb", buffering=WRITE_BYTES) as fh:
         fh.write(CACHE_MAGIC + struct.pack("<II", CACHE_VERSION, len(raw)))
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            id_len = int(lengths[a])
-            dtype = _record_dtype(id_len, cells)
-            step = max(1, WRITE_BYTES // dtype.itemsize)
-            piece = np.empty(min(step, b - a), dtype)
-            piece["id_len"] = id_len
-            piece["head"][:, 1:] = grid
-            for s in range(a, b, step):
-                e = min(s + step, b)
-                run = piece[:e - s]
-                run["id"] = np.frombuffer(b"".join(raw[s:e]), np.uint8).reshape(e - s, id_len)
-                run["head"][:, 0] = labels[s:e]
-                run["payload"] = block[s:e]
-                fh.write(run)
+        for sid, label, row in zip(raw, labels.tolist(), block):
+            fh.write(_ID_LEN.pack(len(sid)) + sid + _HEAD.pack(label, *grid))
+            fh.write(row)
 
 
 def read_cache(path) -> LatentCache:
-    """Check the records and move each payload down over the headers read, then
-    check the block once for non-finite values. Sizes come from the records
-    present, never from the header's count."""
+    """Check the records in file order and move each payload down over the
+    headers read, then check the block once for non-finite values. Sizes
+    come from the records present, never from the header's count."""
     with open(path, "rb") as fh:
         blob = bytearray(os.fstat(fh.fileno()).st_size)
         del blob[fh.readinto(blob):]
@@ -375,143 +360,49 @@ def read_cache(path) -> LatentCache:
     if version != CACHE_VERSION:
         raise CacheFormatError(f"{path}: unsupported cache version {version}")
     (count,) = struct.unpack_from("<I", blob, 8)
-    reader = _CacheReader(blob, path)
-    while len(reader.ids) < count:
-        if not reader.run(count):
-            reader.record()
-    if reader.offset != len(blob):
-        raise CacheCorruptionError(f"{path}: {len(blob) - reader.offset} trailing bytes after last record", count)
-    grid = reader.grid or (0, 0, 0)
+    ids: dict[str, None] = {}  # in file order
+    labels = []
+    grid = None
+    offset, end = 12, len(blob)
+    with memoryview(blob) as view:
+        for index in range(count):
+            if offset + 2 > end:
+                raise CacheCorruptionError(f"{path}: truncated before id length", index)
+            (id_len,) = _ID_LEN.unpack_from(blob, offset)
+            offset += 2
+            if offset + id_len + 16 > end:
+                raise CacheCorruptionError(f"{path}: truncated record header", index)
+            try:
+                sid = blob[offset:offset + id_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise CacheCorruptionError(f"{path}: sample id is not UTF-8", index) from None
+            offset += id_len
+            label, cc, hh, ww = _HEAD.unpack_from(blob, offset)
+            dims = (cc, hh, ww)
+            offset += 16
+            if not sid:
+                raise CacheCorruptionError(f"{path}: sample_id must be non-empty", index)
+            if sid in ids:
+                raise CacheCorruptionError(f"{path}: duplicate sample id {sid!r}", index)
+            if 0 in dims:
+                raise CacheCorruptionError(f"{path}: record has empty dims {dims}", index)
+            grid = grid or dims
+            if dims != grid:
+                raise CacheCorruptionError(f"{path}: grid {dims} differs from record 0's {grid}", index)
+            nbytes = cc * hh * ww * 4
+            if offset + nbytes > end:
+                raise CacheCorruptionError(f"{path}: truncated latent payload", index)
+            ids[sid] = None
+            labels.append(label)
+            # A memmove: the payload moves down to its row of the block, over
+            # headers already read, with no copy of its own.
+            view[index * nbytes:(index + 1) * nbytes] = view[offset:offset + nbytes]
+            offset += nbytes
+    if offset != end:
+        raise CacheCorruptionError(f"{path}: {end - offset} trailing bytes after last record", count)
+    grid = grid or (0, 0, 0)
     block = np.frombuffer(blob, "<f4", count * grid[0] * grid[1] * grid[2]).reshape(count, *grid)
     if count and not (np.isfinite(block.min()) and np.isfinite(block.max())):
         index = int(np.argmin(np.isfinite(block).all(axis=(1, 2, 3))))
-        raise CacheCorruptionError(f"{path}: latent {list(reader.ids)[index]!r} has non-finite values", index)
-    labels = np.concatenate(reader.labels) if reader.labels else np.empty(0, np.int64)
-    return LatentCache._of(block, labels, reader.ids)
-
-
-class _CacheReader:
-    """The records of a v1 cache in `blob`, read in order from byte 12.
-
-    `run` checks and takes a run of records with equal id length in bulk, up to
-    the first record a check rejects; `record` parses that one record alone and
-    is the only code that raises, so each error names its record. Each
-    payload moves down to its row of the block at the front of `blob`."""
-
-    def __init__(self, blob: bytearray, path):
-        self.blob, self.path = blob, path
-        self.offset = 12
-        self.ids: dict[str, None] = {}  # in file order
-        self.labels: list[np.ndarray] = []
-        self.grid: tuple[int, int, int] | None = None
-
-    def run(self, count: int) -> int:
-        """Take the records from `offset` that pass every check, up to `count`
-        in all; returns how many it took, 0 if it rejects the first."""
-        blob, offset = self.blob, self.offset
-        if offset + 2 > len(blob):
-            return 0
-        (id_len,) = struct.unpack_from("<H", blob, offset)
-        if id_len == 0 or offset + id_len + 18 > len(blob):
-            return 0
-        grid = self.grid or struct.unpack_from("<III", blob, offset + id_len + 6)
-        if min(grid) < 1:
-            return 0
-        cells = grid[0] * grid[1] * grid[2]
-        stride = id_len + 18 + 4 * cells
-        # A stride past the remaining bytes (a garbled dims field) takes no view.
-        m = min(count - len(self.ids), (len(blob) - offset) // stride)
-        if m == 0:
-            return 0
-        run = np.ndarray(m, _record_dtype(id_len, cells), blob, offset)
-        head = run["head"]
-        same = (run["id_len"] == id_len) & (head[:, 1:] == grid).all(axis=1)
-        m = m if same.all() else int(same.argmin())
-        ids = _decode_rows(run["id"][:m])
-        fresh = dict.fromkeys(ids)
-        if len(fresh) < len(ids) or not fresh.keys().isdisjoint(self.ids):
-            fresh = dict.fromkeys(_before_repeat(ids, self.ids))
-        m = len(fresh)
-        if m == 0:
-            return 0
-        self.ids.update(fresh)
-        self.labels.append(head[:m, 0].astype(np.int64))
-        self.grid = grid
-        # Moving down never overwrites a payload not yet moved; each copy is
-        # bounded, since NumPy stages an overlapping source in a buffer.
-        rows = np.ndarray((m, cells), "<f4", blob, (len(self.ids) - m) * 4 * cells)
-        payload = run["payload"][:m]
-        step = max(1, MOVE_BYTES // (4 * cells))
-        for a in range(0, m, step):
-            rows[a:a + step] = payload[a:a + step]
-        self.offset += m * stride
-        return m
-
-    def record(self) -> None:
-        """Parse and take the one record at `offset`, raising on the first
-        check it fails."""
-        blob, offset, index, path = self.blob, self.offset, len(self.ids), self.path
-        if offset + 2 > len(blob):
-            raise CacheCorruptionError(f"{path}: truncated before id length", index)
-        (id_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        if offset + id_len + 16 > len(blob):
-            raise CacheCorruptionError(f"{path}: truncated record header", index)
-        try:
-            sid = blob[offset : offset + id_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise CacheCorruptionError(f"{path}: sample id is not UTF-8", index) from None
-        offset += id_len
-        label, cc, hh, ww = struct.unpack_from("<IIII", blob, offset)
-        offset += 16
-        if not sid:
-            raise CacheCorruptionError(f"{path}: sample_id must be non-empty", index)
-        if sid in self.ids:
-            raise CacheCorruptionError(f"{path}: duplicate sample id {sid!r}", index)
-        if min(cc, hh, ww) < 1:
-            raise CacheCorruptionError(f"{path}: record has empty dims {(cc, hh, ww)}", index)
-        grid = self.grid or (cc, hh, ww)
-        if (cc, hh, ww) != grid:
-            raise CacheCorruptionError(f"{path}: grid {(cc, hh, ww)} differs from record 0's {grid}", index)
-        nbytes = cc * hh * ww * 4
-        if offset + nbytes > len(blob):
-            raise CacheCorruptionError(f"{path}: truncated latent payload", index)
-        self.ids[sid] = None
-        self.labels.append(np.array([label], np.int64))
-        self.grid = grid
-        blob[index * nbytes:(index + 1) * nbytes] = blob[offset:offset + nbytes]
-        self.offset = offset + nbytes
-
-
-def _decode_rows(raw: np.ndarray) -> list[str]:
-    """The UTF-8 ids in the rows of the (m, L) bytes `raw`, up to the first row
-    that does not decode on its own.
-
-    The rows decode one by one exactly when their concatenation decodes and
-    no row starts inside a character (with a continuation byte); a row then
-    holds as many characters as it has bytes that are no continuation byte."""
-    lead = (raw & 0xC0) != 0x80
-    try:
-        text = raw.tobytes().decode("utf-8")
-    except UnicodeDecodeError:
-        text = None
-    if text is not None and lead[:, 0].all():
-        ends = np.cumsum(lead.sum(axis=1)).tolist()
-        return [text[a:b] for a, b in zip([0, *ends], ends)]
-    ids = []
-    for row in raw:
-        try:
-            ids.append(row.tobytes().decode("utf-8"))
-        except UnicodeDecodeError:
-            break
-    return ids
-
-
-def _before_repeat(ids: list[str], seen) -> list[str]:
-    """`ids` up to the first that is in `seen` or earlier in `ids`."""
-    seen = set(seen)
-    for index, sid in enumerate(ids):
-        if sid in seen:
-            return ids[:index]
-        seen.add(sid)
-    return ids
+        raise CacheCorruptionError(f"{path}: latent {list(ids)[index]!r} has non-finite values", index)
+    return LatentCache._of(block, np.array(labels, np.int64), ids)

@@ -7,9 +7,9 @@ them against finite differences. So do the per-tensor `zero_grads` and the
 concatenating Adam step that the optimizer's flat buffers replaced, the
 two-branch granule step that the stacked pass replaced, and the other loops
 that array code replaced, and the mask forms of the input guards that one or
-two reductions replaced. The per-record `struct` cache codec that the
-record-run codec replaced is here too, as the oracle of its bytes and errors,
-and so is the whole-class generator that the row-block one replaced.
+two reductions replaced. The per-record `struct` cache codec is here too,
+as the oracle of the codec's bytes and errors, and so is the whole-class
+generator that the row-block one replaced.
 `traced_peak` is the one memory probe of the tests.
 """
 

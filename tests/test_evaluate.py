@@ -17,7 +17,7 @@ from bandprompt.evaluate import (
 )
 from bandprompt.refine import TextFeatureSet
 from bandprompt.teacher import SyntheticSpec, generate_dataset
-from bandprompt.trainer import ToyVisualEncoder, TrainConfig
+from bandprompt.trainer import ToyVisualEncoder, TrainConfig, fit
 from reference_ops import traced_peak
 from test_trainer import assert_views
 
@@ -235,3 +235,10 @@ def test_granule_source_accuracy_rejects_empty_or_unpaired_samples(proto_setup):
     # Labels that do not pair up with the latents would index past them.
     with pytest.raises(ParameterError, match="10 latents"):
         granule_source_accuracy(state, cfg, cache.arrays()[:10], cache.labels())
+    # Labels outside a 4-class fit's classes would wrap round (-1) or index
+    # past its text rows (4).
+    cfg = TrainConfig(embed_dim=4, bank_size=4, epochs=1, seed=0)
+    state = fit(cache, cfg)
+    for shift, got in [(-1, "-1 to 2"), (1, "1 to 4")]:
+        with pytest.raises(ParameterError, match=rf"\[0, 4\), got {got}"):
+            granule_source_accuracy(state, cfg, cache.arrays(), cache.labels() + shift)

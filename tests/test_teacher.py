@@ -19,7 +19,6 @@ from bandprompt.errors import (
 from bandprompt.evaluate import run_base_to_novel
 from bandprompt.teacher import (
     GENERATE_ROWS,
-    MOVE_BYTES,
     CacheRecord,
     LatentCache,
     LatentTensor,
@@ -461,7 +460,7 @@ def test_every_single_byte_flip_fails_inside_the_taxonomy(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the record-run codec against the per-record struct codec
+# the codec against the per-record struct codec
 
 # Ids whose UTF-8 byte lengths make runs of one record and of many: multi-byte
 # characters, and ids ending in NUL, which a NumPy `S` dtype would strip.
@@ -491,9 +490,9 @@ def test_run_codec_round_trips_mixed_id_lengths_as_the_struct_bytes(tmp_path):
 
 
 def test_a_large_run_moves_in_bounded_blocks_bitwise(tmp_path):
-    # More payload than one MOVE_BYTES copy holds, in one run of equal ids.
+    # More payload than three 64 KiB copies hold, in one run of equal ids.
     cache = generate_dataset(small_spec(), 40)
-    assert cache.arrays().nbytes > 3 * MOVE_BYTES
+    assert cache.arrays().nbytes > 3 * (1 << 16)
     path = tmp_path / "c.bin"
     write_cache(cache, path)
     assert path.read_bytes() == struct_cache_bytes(cache.ids, cache.labels(), cache.arrays())
@@ -576,18 +575,35 @@ def test_write_cache_rejects_a_label_outside_u32_before_opening_the_file(tmp_pat
     assert path.read_bytes() == b"an earlier cache"
 
 
+def test_write_cache_rejects_an_id_it_cannot_store_before_opening_the_file(tmp_path):
+    cache = generate_dataset(small_spec(), 1)
+    bad = LatentCache._of(cache.arrays()[:2], cache.labels()[:2], ["a", "\ud800"])
+    path = tmp_path / "c.bin"
+    with pytest.raises(ParameterError, match=r"record 1 \('\\ud800'\).*not UTF-8"):
+        write_cache(bad, path)
+    assert not path.exists()
+    path.write_bytes(b"an earlier cache")
+    with pytest.raises(ParameterError, match="record 1"):
+        write_cache(bad, path)
+    assert path.read_bytes() == b"an earlier cache"
+    # An id past the u16 length field: 21846 characters of 3 UTF-8 bytes.
+    long_id = LatentCache._of(cache.arrays()[:2], cache.labels()[:2], ["a", "\u65e5" * 21846])
+    with pytest.raises(ParameterError, match="record 1 has a sample id of 65538 bytes"):
+        write_cache(long_id, path)
+    assert path.read_bytes() == b"an earlier cache"
+
+
 # ---------------------------------------------------------------------------
-# the writer's working set
+# the writer's and reader's working set
 
 
-@pytest.mark.parametrize("piece_bytes", [1, 100, 150, 15_000, 1 << 20])
+@pytest.mark.parametrize("buffer_bytes", [100, 150, 15_000, 1 << 20])
 @pytest.mark.parametrize("layout", ["id-length-runs", "one-run"])
-def test_written_pieces_give_the_struct_bytes(tmp_path, monkeypatch, layout, piece_bytes):
-    # Pieces of one record, of a few that split a run and leave a short last
-    # piece (RUN_IDS has a run of four 2-byte ids; 120 equal ids at 7 a
-    # piece), and of whole runs.
+def test_written_pieces_give_the_struct_bytes(tmp_path, monkeypatch, layout, buffer_bytes):
+    # Ids of many UTF-8 byte lengths, and 120 ids of one length, through file
+    # buffers that split a record, that hold a few, and that hold the file.
     cache = run_cache() if layout == "id-length-runs" else generate_dataset(small_spec(), 40)
-    monkeypatch.setattr(teacher, "WRITE_BYTES", piece_bytes)
+    monkeypatch.setattr(teacher, "WRITE_BYTES", buffer_bytes)
     path = tmp_path / "c.bin"
     write_cache(cache, path)
     assert path.read_bytes() == struct_cache_bytes(cache.ids, cache.labels(), cache.arrays())
@@ -601,3 +617,14 @@ def test_writing_a_cache_holds_under_2_mib_beyond_its_input(tmp_path):
     _, peak = traced_peak(write_cache, cache, path)
     assert path.stat().st_size > 8 << 20
     assert peak < 2 << 20, f"write_cache peaked at {peak / 2**20:.2f} MiB"
+    assert path.read_bytes() == struct_cache_bytes(cache.ids, cache.labels(), cache.arrays())
+
+
+def test_reading_a_cache_holds_its_file_and_under_1_mib_more(tmp_path):
+    # The same 2048-latent cache: a reader that stacks one copy per record
+    # would hold a second copy of the payload.
+    path = tmp_path / "c.bin"
+    write_cache(generate_dataset(SyntheticSpec(num_classes=8, seed=1), 256), path)
+    size = path.stat().st_size
+    _, peak = traced_peak(read_cache, path)
+    assert peak < size + (1 << 20), f"read_cache peaked at {(peak - size) / 2**20:.2f} MiB beyond the file"
