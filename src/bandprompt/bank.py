@@ -98,7 +98,7 @@ def absorb(bank: SemanticBank, rows: np.ndarray) -> SemanticBank:
     entries, keep = bank.entries, 1.0 - bank.momentum
     rows = rows[filled:]
     for vec, pull in zip(rows, bank.momentum * rows):
-        slot = int((entries @ vec).argmax())  # first maximum wins ties
+        slot = int(entries.dot(vec).argmax())  # first maximum wins ties
         entry = entries[slot]
         updated = keep * entry + pull
         # What `np.linalg.norm` computes for a vector, without its wrapper.
@@ -121,18 +121,18 @@ def retrieve_rows(entries: np.ndarray, queries,
         raise ParameterError(f"retrieval expects (n, d) query rows matching the (M, d) "
                              f"entries {frozen.shape}, got {queries.shape}")
     inv_t = 1.0 / temperature
-    scores = (queries.value @ frozen.value.T) * inv_t
+    scores = queries.value.dot(frozen.value.T) * inv_t
     # Shifting by the row max keeps exp() in range; softmax is shift invariant.
     e = np.exp(scores - np.maximum.reduce(scores, axis=1, keepdims=True))
     ones = ad.ONES[e.shape[1]]
     weights = e / e.dot(ones)[:, None]
 
     def vjp(g):
-        gw = g @ frozen.value.T
+        gw = g.dot(frozen.value.T)
         gscores = weights * (gw - (gw * weights).dot(ones)[:, None])
-        return ((queries, (gscores * inv_t) @ frozen.value),)
+        return ((queries, (gscores * inv_t).dot(frozen.value)),)
 
-    return weights, ad.node(weights @ frozen.value, (queries, frozen), vjp)
+    return weights, ad.node(weights.dot(frozen.value), (queries, frozen), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def class_logits(visual, text_rows, scale: float) -> np.ndarray:
     if v.shape[1] != rows.shape[1]:
         raise ParameterError(f"visual rows {v.shape} and class rows {rows.shape} "
                              "differ in width")
-    return (v @ rows.T) * scale
+    return v.dot(rows.T) * scale
 
 
 def loss_cls(visual, text_rows, labels, scale: float,
@@ -98,7 +98,7 @@ def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
         raise ParameterError(f"pseudo-labels {probs.shape} must be a distribution per row "
                              f"over the class rows {raw_rows.shape}")
     rows, norms = ad.unit_rows(raw_rows.value)
-    t_exp, low = probs @ rows, t_low.value
+    t_exp, low = probs.dot(rows), t_low.value
     if low.shape != t_exp.shape:
         raise ParameterError("low-band embeddings do not match the batch")
     ones = ad.ONES[low.shape[1]]
@@ -118,7 +118,7 @@ def loss_sem(probs: np.ndarray, raw_rows, t_low) -> ad.Tensor:
         grads = []
         if raw_rows.requires_grad:
             gexp = gd * low - gc * t_exp / (na * na)[:, None]
-            grads.append((raw_rows, ad.unit_rows_vjp(probs.T @ gexp, rows, norms)))
+            grads.append((raw_rows, ad.unit_rows_vjp(probs.T.dot(gexp), rows, norms)))
         if t_low.requires_grad:
             grads.append((t_low, gd * t_exp - gc * low / (nb * nb)[:, None]))
         return grads

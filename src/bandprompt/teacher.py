@@ -90,6 +90,8 @@ class SyntheticSpec:
         c, h, w = self.grid
         if self.num_classes < 1:
             raise SpecificationError("num_classes must be >= 1")
+        if self.seed < 0:
+            raise SpecificationError(f"seed must be >= 0, got {self.seed}")
         if c < 1 or min(h, w) < 4:
             raise SpecificationError(f"grid {self.grid} too small; need C >= 1 and h, w >= 4")
         if self.base_modes < 1 or self.detail_modes < 1:

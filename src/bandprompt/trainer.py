@@ -149,6 +149,8 @@ class TrainConfig:
             raise ParameterError("batch_size must be >= 1")
         if self.bank_size < 0:
             raise ParameterError("bank_size must be >= 0 (0 turns the bank off)")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.bank_momentum <= 1:
             raise ParameterError("bank_momentum must be in (0, 1]")
         if self.anchor not in ANCHOR_POLICIES:
@@ -236,7 +238,7 @@ class ToyVisualEncoder:
                 for p in range(a, b, GATHER_ROWS):
                     q = min(p + GATHER_ROWS, b)
                     buffer[p - a:q - a] = flat[p:q] if rows is None else flat[rows[p:q]]
-                np.matmul(buffer[:b - a], self.weight.T, out=out[a:b])
+                np.dot(buffer[:b - a], self.weight.T, out=out[a:b])
             norms = np.linalg.norm(out, axis=1, keepdims=True)
         # As in `ad.unit_rows`: NaN fails both comparisons.
         if not (np.minimum.reduce(norms, axis=None, initial=ad.MIN_NORM) >= ad.MIN_NORM

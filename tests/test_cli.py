@@ -667,6 +667,40 @@ def test_each_config_source_names_itself(ws, tmp_path, capsys, monkeypatch, sour
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("source", ["gen --set", "train --set", "SPECPL_SEED", "file",
+                                    "stamped"])
+def test_a_negative_seed_fails_naming_its_source(ws, tmp_path, capsys, monkeypatch, source):
+    # numpy's SeedSequence takes no negative integer; the config rejects one
+    # as it is applied, so no command reaches it with a bare ValueError.
+    monkeypatch.delenv("SPECPL_SEED", raising=False)
+    out = str(tmp_path / "out.bin")
+    reason = "invalid value for seed: '-1': seed must be >= 0, got -1"
+    code = 1
+    if source == "gen --set":
+        argv, message = ["gen", "--set", "seed=-1", "--out", out], f"--set seed=-1: {reason}"
+    elif source == "train --set":
+        argv = ["train", "--config", ws["cfg"], "--set", "seed=-1", "--cache", ws["cache"],
+                "--checkpoint", out]
+        message = f"--set seed=-1: {reason}"
+    elif source == "SPECPL_SEED":
+        monkeypatch.setenv("SPECPL_SEED", "-1")
+        argv, message = ["gen", "--out", out], f"SPECPL_SEED: {reason}"
+    elif source == "file":
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("epochs = 2\nseed = -1\n")
+        argv, message = ["gen", "--config", str(cfg), "--out", out], f"{cfg}: line 2: {reason}"
+    else:
+        ckpt = _restamp(ws, tmp_path, "seed", "-1")
+        line = open(ckpt).read().splitlines().index("# seed = -1") + 1
+        argv = ["eval", "--checkpoint", ckpt, "--cache", ws["cache"], "--report", out]
+        message, code = f"{ckpt}:{line}: {reason}", 2
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("key, value", [("note", "x"), ("use_gcf", "false")])
 def test_eval_skips_header_lines_that_are_not_config_keys(ws, tmp_path, key, value):
     ckpt = _restamp(ws, tmp_path, key, value)

@@ -60,6 +60,9 @@ def test_spec_rejects_bad_values():
         small_spec(base_modes=0)
     with pytest.raises(SpecificationError):
         small_spec(base_modes=999)
+    # numpy's SeedSequence would reject it later, as a bare ValueError
+    with pytest.raises(SpecificationError, match="seed must be >= 0"):
+        small_spec(seed=-1)
 
 
 @pytest.mark.parametrize("grid", [(4, 16), (4, 16, 16, 1), (4, 16.0, 16), (4, True, 16), None,

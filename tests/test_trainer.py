@@ -68,6 +68,12 @@ def test_train_config_rejects_a_non_finite_float(name, value):
         TrainConfig(**{name: value})
 
 
+def test_train_config_rejects_a_negative_seed():
+    # The seed feeds numpy's SeedSequence, which takes no negative integer.
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
+
+
 def test_encoder_outputs_unit_rows_deterministically(cache):
     enc_a = ToyVisualEncoder.create(8, GRID, seed=3)
     enc_b = ToyVisualEncoder.create(8, GRID, seed=3)
@@ -450,15 +456,18 @@ def test_fit_is_bitwise_equal_across_blas_thread_counts():
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
-def count_step_calls(state, feats, idx, cfg, pi) -> tuple[int, int]:
-    """(Python-level, C-level) calls that one `train_step` makes, as
-    `sys.setprofile` reports them: function frames, and builtins or methods
-    implemented in C, such as numpy's `ufunc.reduce`. Array operators such
-    as `a @ b` make no call event."""
-    counts = {"call": 0, "c_call": 0}
+def count_step_calls(state, feats, idx, cfg, pi) -> tuple[int, int, int]:
+    """(Python-level, other C-level, `ndarray.dot`) calls that one
+    `train_step` makes, as `sys.setprofile` reports them: function frames,
+    builtins or methods implemented in C, such as numpy's `ufunc.reduce`, and
+    of those the `ndarray.dot` calls apart. Array operators such as `a @ b`
+    make no call event."""
+    counts = {"call": 0, "c_call": 0, "dot": 0}
 
     def profile(frame, event, arg):
-        if event in counts:
+        if event == "c_call" and arg.__name__ == "dot" and isinstance(arg.__self__, np.ndarray):
+            counts["dot"] += 1
+        elif event in counts:
             counts[event] += 1
 
     sys.setprofile(profile)
@@ -466,14 +475,17 @@ def count_step_calls(state, feats, idx, cfg, pi) -> tuple[int, int]:
         train_step(state, feats, idx, cfg, pi)
     finally:
         sys.setprofile(None)
-    return counts["call"], counts["c_call"] - 1  # less the `setprofile(None)` call
+    return counts["call"], counts["c_call"] - 1, counts["dot"]  # less `setprofile(None)`
 
 
 # One default step's call counts. An `ndarray.sum/max/any/all` call adds a
 # Python-level wrapper frame to its C reduction, a mask plus `any` adds calls
 # to a guard, and a `len` or `np.array` in a VJP adds C-level calls, so any
-# of them coming back shows here without a timing.
-STEP_CALL_BUDGET = (165, 229)
+# of them coming back shows here without a timing. Every sum and 2-D product
+# of a step is one `ndarray.dot` call, so their count is exact: a product
+# written as `@` again, which no profile event sees, lowers it.
+STEP_CALL_BUDGET = (165, 189)
+STEP_DOT_CALLS = 83
 
 
 def test_default_step_stays_within_its_call_budget(cache):
@@ -483,9 +495,10 @@ def test_default_step_stays_within_its_call_budget(cache):
     idx = np.arange(cfg.batch_size)
     pi = np.random.default_rng(0).permutation(cfg.batch_size)
     train_step(state, feats, idx, cfg, pi)  # first-call caches fill here
-    py_calls, c_calls = count_step_calls(state, feats, idx, cfg, pi)
-    assert (py_calls, c_calls) == count_step_calls(state, feats, idx, cfg, pi)
-    assert py_calls <= STEP_CALL_BUDGET[0] and c_calls <= STEP_CALL_BUDGET[1], (py_calls, c_calls)
+    py_calls, c_calls, dot_calls = counts = count_step_calls(state, feats, idx, cfg, pi)
+    assert counts == count_step_calls(state, feats, idx, cfg, pi)
+    assert py_calls <= STEP_CALL_BUDGET[0] and c_calls <= STEP_CALL_BUDGET[1], counts
+    assert dot_calls == STEP_DOT_CALLS, counts
 
 
 def test_a_step_runs_each_granule_layer_once(cache, monkeypatch):
