@@ -15,7 +15,8 @@ encoder a checkpoint stamps (`embed_dim`, `seed` and the grid `grid_c/h/w`,
 which every checkpoint carries, however it was saved) replaces the resolved
 values: `eval` on a cache of another grid is a ProtocolError naming both
 grids.
-Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
+Exit codes: 0 success, 1 usage or config error, 2 runtime failure, such as a
+float64 overflow (from `logit_scale=1e308`, say), which numpy raises.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .bank import write_bank
 from .config import FIELD_TYPES, RunConfig, apply_settings, resolve_config
 from .diagnostics import diagnose, write_report
-from .errors import BandpromptError, ConfigError, ParameterError, ProtocolError
+from .errors import (BandpromptError, ConfigError, NumericalDegeneracyError, ParameterError,
+                     ProtocolError)
 from .evaluate import check_shots, run_base_to_novel, score
 from .teacher import generate_dataset, read_cache, write_cache
 from .trainer import (
@@ -262,7 +266,13 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems and 0 for --help
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        # An overflow, invalid operation or division by zero fails the
+        # command rather than let it report a wrong result.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                return args.func(args)
+            except FloatingPointError as exc:
+                raise NumericalDegeneracyError(f"floating-point {exc}") from None
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

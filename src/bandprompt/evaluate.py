@@ -26,6 +26,7 @@ from .losses import class_logits
 from .refine import TextFeatureSet
 from .teacher import LatentCache
 from .trainer import (
+    ToyVisualEncoder,
     TrainConfig,
     TrainState,
     check_labels,
@@ -164,7 +165,9 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
     labels = cache.labels()
     num_classes = check_labels(labels)
     base_classes, novel_classes = split_base_novel(num_classes)
-    arrays = cache.arrays()
+    # The encoder is frozen and drawn from `cfg` as in `fit`: encode once.
+    encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
+    visual = encoder.encode_batch(cache.arrays())
 
     rng = np.random.default_rng(seed_streams(cfg.seed)["shots"])
     shot_idx, eval_idx = _subsample_shots(labels, shots, rng)
@@ -173,17 +176,15 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
 
     val_history: list[float] = []
     best: tuple[float, np.ndarray, np.ndarray | None] | None = None
-    callback = val_visual = None
+    callback = None
     if select_by_base_val:
         val_idx, val_labels = _gather(base_classes, {c: shot_idx[c][:n_val] for c in base_classes})
 
         def callback(state: TrainState, epoch: int) -> None:
-            nonlocal best, val_visual
+            nonlocal best
             if state.bank is not None and not state.bank.full:
                 return  # still in the fill phase; nothing comparable yet
-            if val_visual is None:  # the encoder is frozen: encode once per run
-                val_visual = state.encoder.encode_batch(arrays, val_idx)
-            acc = score(state, cfg, val_visual, val_labels)
+            acc = score(state, cfg, visual[val_idx], val_labels)
             val_history.append(acc)
             if best is None or acc > best[0]:
                 bank_copy = state.bank.entries.copy() if state.bank is not None else None
@@ -199,14 +200,13 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
 
     # Base accuracy: held-out base samples against the trained class rows.
     base_idx, base_labels = _gather(base_classes, eval_idx)
-    encode = state.encoder.encode_batch
-    base_acc = score(state, cfg, encode(arrays, base_idx), base_labels)
+    base_acc = score(state, cfg, visual[base_idx], base_labels)
 
     # Novel accuracy: frozen prototype rows from novel shots, refined through
     # the same bank/aggregator, scored on the remaining novel samples.
-    proto = np.stack([encode(arrays, shot_idx[c]).mean(axis=0) for c in novel_classes])
+    proto = np.stack([visual[shot_idx[c]].mean(axis=0) for c in novel_classes])
     novel_idx, novel_labels = _gather(novel_classes, eval_idx)
-    novel_acc = score(state, cfg, encode(arrays, novel_idx), novel_labels, raw=proto)
+    novel_acc = score(state, cfg, visual[novel_idx], novel_labels, raw=proto)
 
     result = EvalResult(
         base_acc=base_acc, novel_acc=novel_acc,

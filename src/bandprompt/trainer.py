@@ -17,10 +17,9 @@ The frozen features are computed once per cache in bounded blocks. The
 encoder sizes its row blocks by their product (`_block_edges`): each holds
 at least the fewest rows whose product stays above BLAS's small-matrix
 switch, and at most ENCODE_ROWS (768 latents of 4x16x16 at `embed_dim` 16
-or 32 take 64-row blocks, 0.5 MiB). It converts each block into one
-reused float64 buffer, GATHER_ROWS at a time (from a row index if given
-one), and `compute_features` splits SPLIT_ROWS at a time. That buffer is
-the largest transient of both, and neither holds a copy of the whole stack.
+or 32 take 64-row blocks, 0.5 MiB), each converted into one reused float64
+buffer; `compute_features` splits SPLIT_ROWS at a time. That buffer is the
+largest transient of both, and neither holds a copy of the whole stack.
 """
 
 from __future__ import annotations
@@ -166,11 +165,9 @@ ENCODER_KEYS = ("embed_dim", "seed", "grid_c", "grid_h", "grid_w")
 # so a block reaches past it where it can. MIN_BLOCK_ROWS keeps a block of a
 # wide product from shrinking to a few rows (one row is a matrix-vector
 # product, of other bits again), and ENCODE_ROWS bounds its buffer.
-# GATHER_ROWS rows at a time are gathered and converted into that buffer.
 SMALL_PRODUCT = 10**6
 MIN_BLOCK_ROWS = 64
 ENCODE_ROWS = 256
-GATHER_ROWS = 32
 # Latents per band split in `compute_features`. A split holds about four
 # float64 copies of its latents at once, so 4 keeps it under half of a
 # MIN_BLOCK_ROWS block buffer (0.13 MiB against 0.25 MiB at 4x16x16).
@@ -200,6 +197,8 @@ class ToyVisualEncoder:
 
     @classmethod
     def create(cls, dim: int, grid: tuple[int, int, int], seed: int) -> "ToyVisualEncoder":
+        if seed < 0:  # numpy's SeedSequence takes no negative integer
+            raise ParameterError(f"encoder seed must be >= 0, got {seed}")
         c, h, w = grid
         n_in = c * h * w
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE11C]))
@@ -210,34 +209,23 @@ class ToyVisualEncoder:
         """The `ENCODER_KEYS` items that redraw this encoder."""
         return dict(zip(ENCODER_KEYS, map(str, (len(self.weight), self.seed, *self.grid))))
 
-    def encode_batch(self, arrays, rows=None) -> np.ndarray:
-        """Unit rows of the (n, C, h, w) latents, or of the latents `arrays[rows]`,
-        times the weight. Each row block of `_block_edges` is converted into
-        one reused float64 buffer, GATHER_ROWS rows at a time, and multiplied
-        from it into the output, so `rows` costs no gathered copy and gives
-        `encode_batch(arrays[rows])` bitwise. A row whose norm is below
-        MIN_NORM or not finite raises, naming its latent. The blocks equal
-        the single product bitwise only where BLAS runs both with one kernel,
-        as wherever a block's floor is within half of ENCODE_ROWS (README)."""
+    def encode_batch(self, arrays) -> np.ndarray:
+        """Unit rows of the (n, C, h, w) latents times the weight; a row whose
+        norm is below MIN_NORM or not finite raises, naming the row. Each row
+        block of `_block_edges` is converted into one reused float64 buffer
+        and multiplied from it. The blocks equal the single product bitwise
+        only where BLAS runs both with one kernel (README)."""
         x = np.asarray(arrays)
         if x.ndim != 4 or x.shape[1:] != self.grid:
             raise ParameterError(f"expected (n, {self.grid}) latents, got {x.shape}")
         flat = x.reshape(len(x), -1)
-        if rows is not None:
-            rows = np.asarray(rows) if np.size(rows) else np.empty(0, np.intp)
-            if not (rows.ndim == 1 and rows.dtype.kind in "iu"
-                    and np.all((rows >= 0) & (rows < len(x)))):
-                raise ParameterError(f"rows must be a 1-D array of indices in [0, {len(x)})")
-        n = len(x) if rows is None else len(rows)
-        out = np.empty((n, len(self.weight)))
-        edges = _block_edges(n, *self.weight.shape)
-        buffer = np.empty((-(-n // (len(edges) - 1)), flat.shape[1]))
+        out = np.empty((len(x), len(self.weight)))
+        edges = _block_edges(len(x), *self.weight.shape)
+        buffer = np.empty((-(-len(x) // (len(edges) - 1)), flat.shape[1]))
         # Non-finite latents give non-finite norms, which the guard reports.
         with np.errstate(over="ignore", invalid="ignore"):
             for a, b in zip(edges[:-1], edges[1:]):
-                for p in range(a, b, GATHER_ROWS):
-                    q = min(p + GATHER_ROWS, b)
-                    buffer[p - a:q - a] = flat[p:q] if rows is None else flat[rows[p:q]]
+                buffer[:b - a] = flat[a:b]
                 np.dot(buffer[:b - a], self.weight.T, out=out[a:b])
             norms = np.linalg.norm(out, axis=1, keepdims=True)
         # As in `ad.unit_rows`: NaN fails both comparisons.
@@ -245,9 +233,8 @@ class ToyVisualEncoder:
                 and np.maximum.reduce(norms, axis=None, initial=0.0) < np.inf):
             bad = int((np.isfinite(norms) & (norms >= ad.MIN_NORM)).argmin())
             kind = "a zero-length" if norms[bad, 0] < ad.MIN_NORM else "a non-finite-norm"
-            where = f"row {bad}" if rows is None else f"latent {rows[bad]}, row {bad} of rows"
             raise NumericalDegeneracyError(
-                f"encoder produced {kind} embedding ({where}, norm {norms[bad, 0]:.3e})")
+                f"encoder produced {kind} embedding (row {bad}, norm {norms[bad, 0]:.3e})")
         out /= norms
         return out
 
@@ -408,6 +395,8 @@ def compute_features(encoder: ToyVisualEncoder, arrays: np.ndarray,
 
 def seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
     """Independent seeds for init, batch order, granule permutations and shots."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(4)
     return dict(zip(("init", "batch", "pi", "shots"), children))
 

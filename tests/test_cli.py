@@ -291,6 +291,26 @@ def test_non_finite_float_settings_exit_one(ws, capsys, key):
     assert not os.path.exists(f"{out}_ckpt.txt")
 
 
+@pytest.mark.parametrize("settings", [["logit_scale=1e308", "epochs=1"],
+                                      ["lambda_sem=1e308", "epochs=2"]],
+                         ids=["logit_scale", "lambda_sem"])
+def test_a_float_overflow_exits_two_before_any_report(ws, capsys, settings):
+    # Each value is finite, so the config takes it, but float64 overflows
+    # on it: a wrong accuracy or an infinite loss must not be written.
+    out = ws["root"] / f"overflow_{settings[0].partition('=')[0]}"
+    argv = ["train", "--config", ws["cfg"], "--cache", ws["cache"],
+            "--checkpoint", f"{out}_ckpt.txt", "--history", f"{out}_hist.txt",
+            "--report", f"{out}_eval.txt"]
+    for setting in settings:
+        argv += ["--set", setting]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: floating-point overflow") and len(err.splitlines()) == 1
+    for suffix in ("ckpt", "hist", "eval"):
+        assert not os.path.exists(f"{out}_{suffix}.txt"), suffix
+
+
 def test_missing_inputs_exit_two(ws):
     assert main(["train", "--config", ws["cfg"],
                  "--cache", str(ws["root"] / "missing.bin"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bandprompt import evaluate
-from bandprompt.errors import ParameterError, ProtocolError
+from bandprompt.errors import NumericalDegeneracyError, ParameterError, ProtocolError
 from bandprompt.evaluate import (
     EvalResult,
     accuracy_percent,
@@ -16,7 +16,8 @@ from bandprompt.evaluate import (
     split_base_novel,
 )
 from bandprompt.refine import TextFeatureSet
-from bandprompt.teacher import SyntheticSpec, generate_dataset
+from bandprompt.teacher import (CacheRecord, LatentCache, LatentTensor, SyntheticSpec,
+                                generate_dataset)
 from bandprompt.trainer import ToyVisualEncoder, TrainConfig, fit
 from reference_ops import traced_peak
 from test_trainer import assert_views
@@ -156,46 +157,45 @@ def test_validation_selection_tracks_and_restores(proto_setup, monkeypatch):
     assert_views(out.state)
 
 
-def test_validation_latents_are_encoded_once_per_run(proto_setup, monkeypatch):
-    cache, cfg = proto_setup
-    rows = []
-    encode = ToyVisualEncoder.encode_batch
-
-    def counted(self, arrays, index=None):
-        rows.append(len(arrays) if index is None else len(index))
-        return encode(self, arrays, index)
-
-    monkeypatch.setattr(ToyVisualEncoder, "encode_batch", counted)
-    run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False)
-    without_val = len(rows)
-    rows.clear()
-    out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=True)
-    # Scored every epoch after the fill, yet the 2 x 2 validation shots are
-    # encoded once.
-    assert len(out.val_history) == cfg.epochs
-    assert len(rows) == without_val + 1 and rows.count(4) == 1
-
-
-def test_scoring_encodes_the_cache_block_by_index(proto_setup, monkeypatch):
-    # No gathered copy: after fit's features of the training subset, every
-    # encoding (validation, base, each novel prototype, novel) reads the
-    # cache's own block through a row index.
+@pytest.mark.parametrize("select_by_base_val", [False, True], ids=["all-shots", "base-val"])
+def test_protocol_encodes_the_cache_once(proto_setup, monkeypatch, select_by_base_val):
+    # The encoder is frozen, so beside fit's features of its training subset
+    # the run encodes the cache's own block once; the validation, base,
+    # novel-shot and novel rows, scored every epoch or once, are its rows.
     cache, cfg = proto_setup
     calls = []
     encode = ToyVisualEncoder.encode_batch
 
-    def spy(self, arrays, rows=None):
-        calls.append((arrays is cache.arrays(), rows is not None))
-        return encode(self, arrays, rows)
+    def spy(self, arrays):
+        calls.append(arrays is cache.arrays())
+        return encode(self, arrays)
 
     monkeypatch.setattr(ToyVisualEncoder, "encode_batch", spy)
-    out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=True)
-    assert calls[0] == (False, False)
-    assert calls[1:] == [(True, True)] * (3 + len(out.result.novel_classes))
+    out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=select_by_base_val)
+    assert len(out.val_history) == (cfg.epochs if select_by_base_val else 0)
+    assert calls == [True, False]
+
+
+@pytest.mark.parametrize("row", [0, 13, 47], ids=["first", "novel", "last"])
+def test_a_zero_latent_fails_naming_its_cache_row_before_training(proto_setup, monkeypatch,
+                                                                   row):
+    # Row 13 is of class 1, a novel class, so no training step reads it.
+    cache, cfg = proto_setup
+    records = cache.records
+    sid = records[row].sample_id
+    zero = LatentTensor(np.zeros(cache.grid, np.float32), sid)
+    records[row] = CacheRecord(sid, records[row].class_label, zero)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(evaluate, "fit", no_fit)
+    with pytest.raises(NumericalDegeneracyError, match=rf"zero-length .*\(row {row},"):
+        run_base_to_novel(LatentCache(records), cfg, shots=8, select_by_base_val=True)
 
 
 def test_protocol_peak_is_one_encoder_block():
-    # 256 base and 256 novel evaluation rows, so scoring fills the encoder's
+    # The run encodes its 640 latents once, in blocks that fill the encoder's
     # largest block buffer at these sizes (128 rows, 1 MiB, at 4x16x16 and
     # `embed_dim` 8). Beside it the run holds a trained state and a few (n, d)
     # embeddings; a float32 copy of the block (0.5 MiB), or a second float64

@@ -17,7 +17,6 @@ from bandprompt.teacher import LatentCache, SyntheticSpec, generate_dataset
 from bandprompt.trainer import (
     ENCODE_ROWS,
     FROZEN_INPUTS,
-    GATHER_ROWS,
     MIN_BLOCK_ROWS,
     SMALL_PRODUCT,
     SPLIT_ROWS,
@@ -34,6 +33,7 @@ from bandprompt.trainer import (
     load_checkpoint,
     run_gradient_check,
     save_checkpoint,
+    seed_streams,
     state_from_values,
     train_step,
 )
@@ -72,6 +72,15 @@ def test_train_config_rejects_a_negative_seed():
     # The seed feeds numpy's SeedSequence, which takes no negative integer.
     with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
         TrainConfig(seed=-1)
+
+
+@pytest.mark.parametrize("draw", [lambda: ToyVisualEncoder.create(8, GRID, -1),
+                                  lambda: seed_streams(-1)], ids=["encoder", "streams"])
+def test_seed_draws_reject_a_negative_seed(draw):
+    # A Python caller that skips TrainConfig still gets a typed error, not
+    # numpy's bare ValueError from SeedSequence.
+    with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+        draw()
 
 
 def test_encoder_outputs_unit_rows_deterministically(cache):
@@ -217,8 +226,8 @@ def test_compute_features_blocks_are_bitwise_the_whole_stack_split(n):
     assert np.array_equal(feats.visual, encoder.encode_batch(arrays))
 
 
-# `encode_batch`'s float64 block buffer at `embed_dim` 8 and 4x16x16 for 512,
-# 1536 or 2048 rows: blocks of at least 123 rows, so of 128 (1 MiB).
+# `encode_batch`'s float64 block buffer at `embed_dim` 8 and 4x16x16 for 512
+# or 1536 rows: blocks of at least 123 rows, so of 128 (1 MiB).
 BLOCK_AT_DIM_8 = 128 * int(np.prod(GRID)) * 8
 
 
@@ -248,54 +257,6 @@ def test_a_band_split_holds_under_half_an_encoder_block():
     factorize(arrays, 7)  # fill the table caches
     _, peak = traced_peak(factorize, arrays, 7)
     assert peak < MIN_BLOCK_ROWS * int(np.prod(GRID)) * 8 / 2, peak
-
-
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
-def test_encoding_rows_is_bitwise_encoding_their_gathered_copy(n):
-    enc = ToyVisualEncoder.create(32, GRID, seed=1)
-    rng = np.random.default_rng(n)
-    arrays = rng.normal(size=(300, *GRID)).astype(np.float32)
-    rows = np.resize(rng.permutation(300), n)  # unsorted; wraps into repeats past 300
-    rows[n // 2] = rows[0]  # and a repeat at every n
-    assert np.array_equal(enc.encode_batch(arrays, rows), enc.encode_batch(arrays[rows]))
-
-
-@pytest.mark.parametrize("rows", [[-1], [0, 300], [[0, 1]], [0.0], [True, False]],
-                         ids=["negative", "past-the-end", "2-d", "float", "mask"])
-def test_encoding_rejects_rows_that_are_not_indices_of_the_stack(rows):
-    enc = ToyVisualEncoder.create(8, GRID, seed=0)
-    arrays = np.ones((300, *GRID), np.float32)
-    with pytest.raises(ParameterError, match=r"rows must be .* in \[0, 300\)"):
-        enc.encode_batch(arrays, rows)
-    assert enc.encode_batch(arrays, []).shape == (0, 8)
-
-
-def test_encoding_rows_holds_no_gathered_copy():
-    # 2048 rows of 512 latents: a gathered copy would hold 8 MiB, four times
-    # the input. Beside its output the call holds one float64 block buffer
-    # (128 rows, 1 MiB, at `embed_dim` 8) and one gathered GATHER_ROWS piece
-    # of float32 rows; a float32 copy of the whole block (0.5 MiB) would not
-    # fit.
-    enc = ToyVisualEncoder.create(8, GRID, seed=0)
-    rng = np.random.default_rng(6)
-    arrays = rng.normal(size=(512, *GRID)).astype(np.float32)
-    rows = rng.integers(0, 512, size=2048)
-    out, peak = traced_peak(enc.encode_batch, arrays, rows)
-    cells = int(np.prod(GRID))
-    assert peak < BLOCK_AT_DIM_8 + GATHER_ROWS * cells * 4 + 2 * out.nbytes, peak
-    assert peak < arrays[rows].nbytes / 2, peak
-
-
-def test_encoder_names_the_degenerate_latent_of_rows():
-    enc = ToyVisualEncoder.create(8, GRID, seed=0)
-    arrays = np.random.default_rng(3).normal(size=(8, *GRID)).astype(np.float32)
-    arrays[3] = 0.0
-    with pytest.raises(NumericalDegeneracyError, match=r"zero-length .*\(latent 3, row 1 of rows"):
-        enc.encode_batch(arrays, [5, 3, 1])
-    arrays[3, 0, 0, 0] = np.nan
-    with pytest.raises(NumericalDegeneracyError,
-                       match=r"non-finite-norm .*\(latent 3, row 2 of rows"):
-        enc.encode_batch(arrays, np.array([7, 6, 3, 3]))
 
 
 def test_train_step_requires_a_full_bank(cache):
