@@ -157,12 +157,8 @@ def test_validation_selection_tracks_and_restores(proto_setup, monkeypatch):
     assert_views(out.state)
 
 
-@pytest.mark.parametrize("select_by_base_val", [False, True], ids=["all-shots", "base-val"])
-def test_protocol_encodes_the_cache_once(proto_setup, monkeypatch, select_by_base_val):
-    # The encoder is frozen, so beside fit's features of its training subset
-    # the run encodes the cache's own block once; the validation, base,
-    # novel-shot and novel rows, scored every epoch or once, are its rows.
-    cache, cfg = proto_setup
+def spy_on_encoding(monkeypatch, cache):
+    """Record, per encode_batch call, whether it encodes the cache's own block."""
     calls = []
     encode = ToyVisualEncoder.encode_batch
 
@@ -171,8 +167,27 @@ def test_protocol_encodes_the_cache_once(proto_setup, monkeypatch, select_by_bas
         return encode(self, arrays)
 
     monkeypatch.setattr(ToyVisualEncoder, "encode_batch", spy)
-    out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=select_by_base_val)
-    assert len(out.val_history) == (cfg.epochs if select_by_base_val else 0)
+    return calls
+
+
+def test_validation_latents_are_encoded_once_per_run(proto_setup, monkeypatch):
+    # The encoder is frozen: scored every epoch, the validation rows are rows
+    # of the cache's block, encoded once before fit encodes its training subset.
+    cache, cfg = proto_setup
+    calls = spy_on_encoding(monkeypatch, cache)
+    out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=True)
+    assert len(out.val_history) == cfg.epochs
+    assert calls == [True, False]
+
+
+def test_scoring_encodes_the_cache_block_by_index(proto_setup, monkeypatch):
+    # No gathered copy: beside fit's features of the training subset, the base,
+    # novel-shot and novel rows are indexed out of one encoding of the cache's
+    # own block.
+    cache, cfg = proto_setup
+    calls = spy_on_encoding(monkeypatch, cache)
+    out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False)
+    assert out.val_history == []
     assert calls == [True, False]
 
 
