@@ -22,6 +22,7 @@ from .diagnostics import (
 )
 from .errors import (
     BandpromptError,
+    BankFillError,
     BankStateError,
     CacheCorruptionError,
     CacheFormatError,

@@ -16,7 +16,9 @@ which every checkpoint carries, however it was saved) replaces the resolved
 values: `eval` on a cache of another grid is a ProtocolError naming both
 grids.
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure, such as a
-float64 overflow (from `logit_scale=1e308`, say), which numpy raises.
+float64 overflow (from `logit_scale=1e308`, say), which numpy raises. A
+`train` whose epochs can never fill its bank (`BankFillError`) is a config
+error, raised before any training step.
 """
 
 from __future__ import annotations
@@ -30,14 +32,15 @@ import numpy as np
 from .bank import write_bank
 from .config import FIELD_TYPES, RunConfig, apply_settings, resolve_config
 from .diagnostics import diagnose, write_report
-from .errors import (BandpromptError, ConfigError, NumericalDegeneracyError, ParameterError,
-                     ProtocolError)
+from .errors import (BandpromptError, BankFillError, ConfigError, NumericalDegeneracyError,
+                     ParameterError, ProtocolError)
 from .evaluate import check_shots, run_base_to_novel, score
 from .teacher import generate_dataset, read_cache, write_cache
 from .trainer import (
     ENCODER_KEYS,
     FD_TOLERANCE,
     ToyVisualEncoder,
+    check_bank_fills,
     fit,
     load_checkpoint,
     run_gradient_check,
@@ -161,6 +164,7 @@ def cmd_train(args) -> int:
         print(f"base {res.base_acc:.2f}  novel {res.novel_acc:.2f}  "
               f"hm {res.hm:.2f}  gap {res.gap_percent:.2f}")
     else:
+        check_bank_fills(cfg, len(cache))  # as `run_base_to_novel` does
         state = fit(cache, cfg)
         print(f"trained {cfg.epochs} epochs on {len(cache)} latents")
     save_checkpoint(cfg.checkpoint_path, state, cfg.items())
@@ -273,7 +277,7 @@ def main(argv=None) -> int:
                 return args.func(args)
             except FloatingPointError as exc:
                 raise NumericalDegeneracyError(f"floating-point {exc}") from None
-    except ConfigError as exc:
+    except (ConfigError, BankFillError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BandpromptError, OSError) as exc:

@@ -33,6 +33,11 @@ class BankStateError(BandpromptError):
     """An operation needs a fully filled bank."""
 
 
+class BankFillError(ParameterError):
+    """A run's epochs absorb fewer latents than its bank holds, so the bank
+    never fills and nothing can score with it."""
+
+
 class NumericalDegeneracyError(BandpromptError, ArithmeticError):
     """A normalization or similar step hit a degenerate (zero / non-finite) value."""
 

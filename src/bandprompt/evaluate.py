@@ -29,11 +29,13 @@ from .trainer import (
     ToyVisualEncoder,
     TrainConfig,
     TrainState,
+    check_bank_fills,
     check_labels,
     compute_features,
-    fit,
     group,
+    new_state,
     seed_streams,
+    train_epochs,
 )
 
 
@@ -160,19 +162,23 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
     With `select_by_base_val` a quarter of each base class's shots becomes a
     validation split; the parameters and bank entries with the best (earliest
     on ties) post-fill validation accuracy are restored before scoring.
+    Epochs that cannot fill the bank raise BankFillError before any
+    encoding or training.
     """
     check_shots(shots, select_by_base_val)
     labels = cache.labels()
     num_classes = check_labels(labels)
     base_classes, novel_classes = split_base_novel(num_classes)
-    # The encoder is frozen and drawn from `cfg` as in `fit`: encode once.
-    encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
-    visual = encoder.encode_batch(cache.arrays())
-
     rng = np.random.default_rng(seed_streams(cfg.seed)["shots"])
     shot_idx, eval_idx = _subsample_shots(labels, shots, rng)
     n_val = max(1, shots // 4) if select_by_base_val else 0
     train_idx, train_labels = _gather(base_classes, {c: shot_idx[c][n_val:] for c in base_classes})
+    check_bank_fills(cfg, len(train_idx))
+
+    # The encoder is frozen and drawn from `cfg` as in `fit`: encode once.
+    encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
+    arrays = cache.arrays()
+    visual = encoder.encode_batch(arrays)
 
     val_history: list[float] = []
     best: tuple[float, np.ndarray, np.ndarray | None] | None = None
@@ -190,9 +196,10 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
                 bank_copy = state.bank.entries.copy() if state.bank is not None else None
                 best = (acc, state.optimizer.values.copy(), bank_copy)
 
-    # Only `fit` reads the training subset's copy, so nothing keeps it alive
-    # through scoring.
-    state = fit(cache.subset(train_idx, train_labels), cfg, epoch_callback=callback)
+    # Training reads its rows of the one encoding and of the cache's own
+    # block: no copy of its latents, and no second encoder or encoding.
+    feats = compute_features(arrays, train_idx, visual[train_idx], train_labels, cfg.kernel)
+    state = train_epochs(new_state(feats, encoder, cfg), feats, cfg, callback)
     if best is not None:
         state.optimizer.values[...] = best[1]  # in place: parameters view it
         if state.bank is not None:
@@ -245,7 +252,8 @@ def granule_source_accuracy(state: TrainState, cfg: TrainConfig,
     if labels.min() < 0 or labels.max() >= state.num_classes:
         raise ParameterError(f"labels must lie in [0, {state.num_classes}), got "
                              f"{labels.min()} to {labels.max()}")
-    feats = compute_features(state.encoder, arrays, labels, cfg.kernel)
+    feats = compute_features(arrays, np.arange(len(arrays)), state.encoder.encode_batch(arrays),
+                             labels, cfg.kernel)
     bs = min(cfg.batch_size, len(labels))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCF]))
     text_raw = state.params["text_raw"].value

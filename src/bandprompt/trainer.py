@@ -13,13 +13,20 @@ Every forward pass is built on the autodiff tape in float64, so seeded runs
 are bitwise reproducible and the finite-difference harness below can check
 the analytic gradient of every trainable scalar.
 
-The frozen features are computed once per cache in bounded blocks. The
+The frozen features are computed once per run in bounded blocks. The
 encoder sizes its row blocks by their product (`_block_edges`): each holds
 at least the fewest rows whose product stays above BLAS's small-matrix
 switch, and at most ENCODE_ROWS (768 latents of 4x16x16 at `embed_dim` 16
 or 32 take 64-row blocks, 0.5 MiB), each converted into one reused float64
-buffer; `compute_features` splits SPLIT_ROWS at a time. That buffer is the
-largest transient of both, and neither holds a copy of the whole stack.
+buffer and normalized in place. `compute_features` takes the embeddings of
+its rows and splits their latents SPLIT_ROWS at a time, gathering each
+split from the stack. That buffer is the largest transient of both, and
+neither holds a copy of the stack or of its rows.
+
+A run is a state and its features (`new_state`), then the epoch loop over
+them (`train_epochs`). `fit` and `init_state` build both from a whole
+cache; `evaluate.run_base_to_novel` builds them from the rows of its one
+encoding and of the cache's block, with the encoder it encoded with.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from . import autodiff as ad
 from .bands import band_stats, factorize, head_graph, uniform_init
 from .bank import (SemanticBank, absorb, format_bank, format_block, read_bank_block, read_block,
                    read_lines)
-from .errors import NumericalDegeneracyError, ParameterError
+from .errors import BankFillError, NumericalDegeneracyError, ParameterError
 from .granules import check_permutation, film_rows, fuse_rows
 from .losses import LossBreakdown, combine, loss_cls, loss_granule, loss_sem
 from .refine import TextFeatureSet, refined_text_graph
@@ -212,8 +219,9 @@ class ToyVisualEncoder:
     def encode_batch(self, arrays) -> np.ndarray:
         """Unit rows of the (n, C, h, w) latents times the weight; a row whose
         norm is below MIN_NORM or not finite raises, naming the row. Each row
-        block of `_block_edges` is converted into one reused float64 buffer
-        and multiplied from it. The blocks equal the single product bitwise
+        block of `_block_edges` is converted into one reused float64 buffer,
+        multiplied from it and normalized in place, so no temporary but the
+        output grows with n. The blocks equal the single product bitwise
         only where BLAS runs both with one kernel (README)."""
         x = np.asarray(arrays)
         if x.ndim != 4 or x.shape[1:] != self.grid:
@@ -226,16 +234,17 @@ class ToyVisualEncoder:
         with np.errstate(over="ignore", invalid="ignore"):
             for a, b in zip(edges[:-1], edges[1:]):
                 buffer[:b - a] = flat[a:b]
-                np.dot(buffer[:b - a], self.weight.T, out=out[a:b])
-            norms = np.linalg.norm(out, axis=1, keepdims=True)
-        # As in `ad.unit_rows`: NaN fails both comparisons.
-        if not (np.minimum.reduce(norms, axis=None, initial=ad.MIN_NORM) >= ad.MIN_NORM
-                and np.maximum.reduce(norms, axis=None, initial=0.0) < np.inf):
-            bad = int((np.isfinite(norms) & (norms >= ad.MIN_NORM)).argmin())
-            kind = "a zero-length" if norms[bad, 0] < ad.MIN_NORM else "a non-finite-norm"
-            raise NumericalDegeneracyError(
-                f"encoder produced {kind} embedding (row {bad}, norm {norms[bad, 0]:.3e})")
-        out /= norms
+                block = np.dot(buffer[:b - a], self.weight.T, out=out[a:b])
+                # Per-row norms: a block's are bitwise the whole output's.
+                norms = np.linalg.norm(block, axis=1, keepdims=True)
+                # As in `ad.unit_rows`: NaN fails both comparisons.
+                if not (np.minimum.reduce(norms, axis=None, initial=ad.MIN_NORM) >= ad.MIN_NORM
+                        and np.maximum.reduce(norms, axis=None, initial=0.0) < np.inf):
+                    bad = int((np.isfinite(norms) & (norms >= ad.MIN_NORM)).argmin())
+                    kind = "a zero-length" if norms[bad, 0] < ad.MIN_NORM else "a non-finite-norm"
+                    raise NumericalDegeneracyError(f"encoder produced {kind} embedding "
+                                                   f"(row {a + bad}, norm {norms[bad, 0]:.3e})")
+                block /= norms
         return out
 
 
@@ -375,22 +384,28 @@ class CacheFeatures:
     labels: np.ndarray
 
 
-def compute_features(encoder: ToyVisualEncoder, arrays: np.ndarray,
+def compute_features(arrays: np.ndarray, rows: np.ndarray, visual: np.ndarray,
                      labels: np.ndarray, kernel: int) -> CacheFeatures:
-    """Encode an (n, C, h, w) stack, then split it into bands and take their
-    statistics SPLIT_ROWS latents at a time, into preallocated (n, C) rows.
-    Each latent splits exactly and alone, so the rows are bitwise those of
-    one split of the whole stack, and the split's float64 temporaries do not
-    grow with n."""
-    arrays = np.asarray(arrays)
-    visual = encoder.encode_batch(arrays)  # checks the stack's shape
-    phi_base, phi_detail = np.empty((2, len(arrays), encoder.grid[0]))
-    for a in range(0, len(arrays), SPLIT_ROWS):
-        pair = factorize(arrays[a:a + SPLIT_ROWS], kernel)
+    """The frozen features of the rows `rows` of an (n, C, h, w) stack, in
+    that order: their embeddings `visual` (rows of `encode_batch`) and
+    `labels`, and their band statistics. These are split SPLIT_ROWS latents
+    at a time into preallocated (m, C) rows, each split gathering only its
+    own latents. Each latent splits exactly and alone, so the rows are
+    bitwise those of one split of the gathered stack, and the split's
+    float64 temporaries grow with neither n nor m."""
+    arrays, rows = np.asarray(arrays), np.asarray(rows, dtype=np.intp)
+    labels = np.asarray(labels, dtype=np.intp)
+    if arrays.ndim != 4:
+        raise ParameterError(f"expected (n, C, h, w) latents, got {arrays.shape}")
+    if not len(rows) == len(visual) == len(labels):
+        raise ParameterError(f"{len(rows)} rows need as many embeddings and labels, got "
+                             f"{len(visual)} and {len(labels)}")
+    phi_base, phi_detail = np.empty((2, len(rows), arrays.shape[1]))
+    for a in range(0, len(rows), SPLIT_ROWS):
+        pair = factorize(arrays[rows[a:a + SPLIT_ROWS]], kernel)
         phi_base[a:a + SPLIT_ROWS] = band_stats(pair.base)
         phi_detail[a:a + SPLIT_ROWS] = band_stats(pair.detail)
-    return CacheFeatures(visual=visual, phi_base=phi_base, phi_detail=phi_detail,
-                         labels=np.asarray(labels, dtype=np.intp))
+    return CacheFeatures(visual=visual, phi_base=phi_base, phi_detail=phi_detail, labels=labels)
 
 
 def seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
@@ -401,24 +416,41 @@ def seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
     return dict(zip(("init", "batch", "pi", "shots"), children))
 
 
-def init_state(cache: LatentCache, cfg: TrainConfig) -> tuple[TrainState, CacheFeatures]:
-    """A fresh state for `cache` and the cache's frozen features, computed
-    once; the text rows start at the features' per-class visual means."""
-    labels = cache.labels()
-    num_classes = check_labels(labels)
-    encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
-    feats = compute_features(encoder, cache.arrays(), labels, cfg.kernel)
-    means = np.stack([feats.visual[labels == c].mean(axis=0) for c in range(num_classes)])
-    streams = seed_streams(cfg.seed)
-    params = init_params(num_classes, cache.grid[0], cfg.embed_dim,
-                         means, np.random.default_rng(streams["init"]))
+def new_state(feats: CacheFeatures, encoder: ToyVisualEncoder, cfg: TrainConfig) -> TrainState:
+    """A fresh state over `encoder` for the classes of `feats`; the text rows
+    start at the features' per-class visual means."""
+    num_classes = check_labels(feats.labels)
+    means = np.stack([feats.visual[feats.labels == c].mean(axis=0) for c in range(num_classes)])
+    params = init_params(num_classes, encoder.grid[0], cfg.embed_dim, means,
+                         np.random.default_rng(seed_streams(cfg.seed)["init"]))
     bank = (
         SemanticBank.create(cfg.bank_size, cfg.embed_dim, cfg.bank_momentum, cfg.bank_tau)
         if cfg.bank_size > 0 and cfg.eta > 0 else None
     )
-    state = TrainState(params=params, bank=bank, encoder=encoder,
-                       optimizer=Adam(params, cfg.learning_rate))
-    return state, feats
+    return TrainState(params=params, bank=bank, encoder=encoder,
+                      optimizer=Adam(params, cfg.learning_rate))
+
+
+def init_state(cache: LatentCache, cfg: TrainConfig) -> tuple[TrainState, CacheFeatures]:
+    """A fresh state for `cache` (`new_state`) and the cache's frozen
+    features, computed once."""
+    labels = cache.labels()
+    check_labels(labels)  # an empty cache has no grid to draw the encoder for
+    encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
+    arrays = cache.arrays()
+    feats = compute_features(arrays, np.arange(len(arrays)), encoder.encode_batch(arrays),
+                             labels, cfg.kernel)
+    return new_state(feats, encoder, cfg), feats
+
+
+def check_bank_fills(cfg: TrainConfig, n: int) -> None:
+    """Raise BankFillError unless `cfg.epochs` epochs over `n` latents fill
+    the bank that `cfg` builds: its fill phase absorbs every latent of an
+    epoch, and scoring reads only a full bank."""
+    if cfg.bank_size > 0 and cfg.eta > 0 and cfg.epochs * n < cfg.bank_size:
+        raise BankFillError(
+            f"bank_size {cfg.bank_size} can never fill: epochs {cfg.epochs} over {n} "
+            f"latents absorb {cfg.epochs * n}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +543,15 @@ def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
     return LossBreakdown(**means)
 
 
-def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState:
-    """Full training loop: fill the bank, then stratified mini-batch updates."""
-    state, feats = init_state(cache, cfg)
+def train_epochs(state: TrainState, feats: CacheFeatures, cfg: TrainConfig,
+                 epoch_callback) -> TrainState:
+    """`cfg.epochs` epochs on `state` over `feats`: fill the bank, then
+    stratified mini-batch updates. `epoch_callback(state, epoch)`, unless
+    None, runs after each epoch."""
     streams = seed_streams(cfg.seed)
     rng_batch = np.random.default_rng(streams["batch"])
     rng_pi = np.random.default_rng(streams["pi"])
-    n = len(cache)
+    n = len(feats.labels)
 
     for epoch in range(cfg.epochs):
         order = _stratified_order(feats.labels, rng_batch)
@@ -538,6 +572,11 @@ def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState
         if epoch_callback is not None:
             epoch_callback(state, epoch)
     return state
+
+
+def fit(cache: LatentCache, cfg: TrainConfig, epoch_callback=None) -> TrainState:
+    """Full training loop on `cache`: `init_state`, then `train_epochs`."""
+    return train_epochs(*init_state(cache, cfg), cfg, epoch_callback)
 
 
 # ---------------------------------------------------------------------------

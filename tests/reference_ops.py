@@ -9,7 +9,8 @@ two-branch granule step that the stacked pass replaced, and the other loops
 that array code replaced, and the mask forms of the input guards that one or
 two reductions replaced. The per-record `struct` cache codec is here too,
 as the oracle of the codec's bytes and errors, and so is the whole-class
-generator that the row-block one replaced.
+generator that the row-block one replaced, and the base-to-novel protocol
+that trained `fit` on a copied subset of the cache.
 `traced_peak` is the one memory probe of the tests.
 """
 
@@ -694,3 +695,59 @@ def reduce_retrieve_rows(entries, queries, temperature):
         return ((queries, (gscores * inv_t) @ entries),)
 
     return weights, ad.node(weights @ entries, (queries,), vjp)
+
+
+def subset_base_to_novel(cache, cfg, shots, select_by_base_val):
+    """`evaluate.run_base_to_novel` as it trained before it built its training
+    features from its one encoding: `fit` on a copied subset of the training
+    rows, which `fit` encodes a second time with its own draw of the frozen
+    encoder."""
+    from bandprompt import evaluate as ev
+    from bandprompt.trainer import ToyVisualEncoder, check_labels, fit, seed_streams
+
+    ev.check_shots(shots, select_by_base_val)
+    labels = cache.labels()
+    base_classes, novel_classes = ev.split_base_novel(check_labels(labels))
+    encoder = ToyVisualEncoder.create(cfg.embed_dim, cache.grid, cfg.seed)
+    visual = encoder.encode_batch(cache.arrays())
+    rng = np.random.default_rng(seed_streams(cfg.seed)["shots"])
+    shot_idx, eval_idx = ev._subsample_shots(labels, shots, rng)
+    n_val = max(1, shots // 4) if select_by_base_val else 0
+    train_idx, train_labels = ev._gather(base_classes,
+                                         {c: shot_idx[c][n_val:] for c in base_classes})
+    val_history = []
+    best = None
+    callback = None
+    if select_by_base_val:
+        val_idx, val_labels = ev._gather(base_classes,
+                                         {c: shot_idx[c][:n_val] for c in base_classes})
+
+        def callback(state, epoch):
+            nonlocal best
+            if state.bank is not None and not state.bank.full:
+                return
+            acc = ev.score(state, cfg, visual[val_idx], val_labels)
+            val_history.append(acc)
+            if best is None or acc > best[0]:
+                bank_copy = state.bank.entries.copy() if state.bank is not None else None
+                best = (acc, state.optimizer.values.copy(), bank_copy)
+
+    state = fit(cache.subset(train_idx, train_labels), cfg, epoch_callback=callback)
+    if best is not None:
+        state.optimizer.values[...] = best[1]
+        if state.bank is not None:
+            state.bank.entries = best[2]
+    base_idx, base_labels = ev._gather(base_classes, eval_idx)
+    base_acc = ev.score(state, cfg, visual[base_idx], base_labels)
+    proto = np.stack([visual[shot_idx[c]].mean(axis=0) for c in novel_classes])
+    novel_idx, novel_labels = ev._gather(novel_classes, eval_idx)
+    novel_acc = ev.score(state, cfg, visual[novel_idx], novel_labels, raw=proto)
+    result = ev.EvalResult(
+        base_acc=base_acc, novel_acc=novel_acc,
+        hm=ev.harmonic_mean(base_acc, novel_acc),
+        gap_percent=ev.generalization_gap(base_acc, novel_acc) if base_acc > 0 else float("nan"),
+        base_classes=base_classes, novel_classes=novel_classes,
+        base_count=len(base_idx), novel_count=len(novel_idx),
+    )
+    return ev.ProtocolOutput(state=state, result=result, shot_indices=shot_idx,
+                             eval_indices=eval_idx, val_history=val_history)

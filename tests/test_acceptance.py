@@ -133,7 +133,9 @@ def test_2_gradient_suite():
         for k in state1.params
     )
 
-    feats = compute_features(state3.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    arrays = cache.arrays()
+    feats = compute_features(arrays, np.arange(len(arrays)), state3.encoder.encode_batch(arrays),
+                             cache.labels(), cfg.kernel)
     idx = np.arange(cfg.batch_size)
     pi = np.random.default_rng(0).permutation(cfg.batch_size)
     total, _ = forward_batch(state3.params, feats, idx, state3.bank, cfg, pi)

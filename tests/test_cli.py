@@ -154,12 +154,12 @@ def test_eval_rejects_label_space_mismatch(ws):
 
 
 def test_eval_stops_on_a_partly_filled_bank(ws, capsys):
+    # `train` refuses these settings (exit 1), so `fit` writes the checkpoint.
     root = ws["root"]
     ckpt = str(root / "partial.txt")
-    assert main(["train", "--config", ws["cfg"], "--set", "protocol=all",
-                 "--set", "bank_size=64", "--set", "epochs=1", "--cache", ws["cache"],
-                 "--checkpoint", ckpt, "--history", str(root / "p_h.txt"),
-                 "--report", str(root / "p_r.txt")]) == 0
+    cfg = RunConfig(num_classes=4, n_per_class=12, embed_dim=8, bank_size=64, batch_size=5,
+                    epochs=1, seed=0, protocol="all")
+    save_checkpoint(ckpt, fit(read_cache(ws["cache"]), cfg), cfg.items())
     _, _, bank = load_checkpoint(ckpt)
     assert bank.fill_count == 48 and not bank.full
     capsys.readouterr()
@@ -307,6 +307,35 @@ def test_a_float_overflow_exits_two_before_any_report(ws, capsys, settings):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: floating-point overflow") and len(err.splitlines()) == 1
+    for suffix in ("ckpt", "hist", "eval"):
+        assert not os.path.exists(f"{out}_{suffix}.txt"), suffix
+
+
+@pytest.mark.parametrize("settings", [["protocol=all", "epochs=0"],
+                                      ["protocol=all", "bank_size=5000", "epochs=1"],
+                                      ["bank_size=5000", "epochs=1"]],
+                         ids=["all-epochs-0", "all-bank-5000", "base_to_novel-bank-5000"])
+def test_a_bank_that_never_fills_exits_one_before_training(ws, capsys, monkeypatch, settings):
+    # `eval` would reject the unfilled bank of such a checkpoint; under
+    # base_to_novel scoring would, after every epoch had run.
+    from bandprompt import evaluate, trainer
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(trainer, "train_epochs", no_training)
+    monkeypatch.setattr(evaluate, "train_epochs", no_training)
+    out = ws["root"] / f"unfilled_{'_'.join(settings)}"
+    argv = ["train", "--config", ws["cfg"], "--cache", ws["cache"],
+            "--checkpoint", f"{out}_ckpt.txt", "--history", f"{out}_hist.txt",
+            "--report", f"{out}_eval.txt"]
+    for setting in settings:
+        argv += ["--set", setting]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bank_size ") and len(err.splitlines()) == 1
+    assert "can never fill: epochs " in err and " latents" in err
     for suffix in ("ckpt", "hist", "eval"):
         assert not os.path.exists(f"{out}_{suffix}.txt"), suffix
 

@@ -1,10 +1,12 @@
 """Metrics, inference, and the base-to-novel protocol."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bandprompt import evaluate
-from bandprompt.errors import NumericalDegeneracyError, ParameterError, ProtocolError
+from bandprompt.errors import BankFillError, NumericalDegeneracyError, ParameterError, ProtocolError
 from bandprompt.evaluate import (
     EvalResult,
     accuracy_percent,
@@ -19,7 +21,7 @@ from bandprompt.refine import TextFeatureSet
 from bandprompt.teacher import (CacheRecord, LatentCache, LatentTensor, SyntheticSpec,
                                 generate_dataset)
 from bandprompt.trainer import ToyVisualEncoder, TrainConfig, fit
-from reference_ops import traced_peak
+from reference_ops import subset_base_to_novel, traced_peak
 from test_trainer import assert_views
 
 
@@ -135,16 +137,16 @@ def test_base_validation_needs_two_shots(proto_setup):
 def test_validation_selection_tracks_and_restores(proto_setup, monkeypatch):
     cache, cfg = proto_setup
     snapshots = []  # (values, bank entries) of each post-fill epoch
-    fit = evaluate.fit
+    train_epochs = evaluate.train_epochs
 
-    def recording_fit(train_cache, train_cfg, epoch_callback=None):
+    def recording_train(state, feats, train_cfg, epoch_callback):
         def callback(state, epoch):
             epoch_callback(state, epoch)
             if state.bank.full:
                 snapshots.append((state.optimizer.values.copy(), state.bank.entries.copy()))
-        return fit(train_cache, train_cfg, epoch_callback=callback)
+        return train_epochs(state, feats, train_cfg, callback)
 
-    monkeypatch.setattr(evaluate, "fit", recording_fit)
+    monkeypatch.setattr(evaluate, "train_epochs", recording_train)
     out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=True)
     assert len(out.val_history) == len(snapshots) >= 1
     assert all(0.0 <= v <= 100.0 for v in out.val_history)
@@ -158,7 +160,8 @@ def test_validation_selection_tracks_and_restores(proto_setup, monkeypatch):
 
 
 def spy_on_encoding(monkeypatch, cache):
-    """Record, per encode_batch call, whether it encodes the cache's own block."""
+    """Record, per encode_batch call, whether it encodes the cache's own
+    block; a call of `LatentCache.subset` fails."""
     calls = []
     encode = ToyVisualEncoder.encode_batch
 
@@ -166,29 +169,32 @@ def spy_on_encoding(monkeypatch, cache):
         calls.append(arrays is cache.arrays())
         return encode(self, arrays)
 
+    def no_subset(*args, **kwargs):
+        raise AssertionError("the run copied a subset of the cache")
+
     monkeypatch.setattr(ToyVisualEncoder, "encode_batch", spy)
+    monkeypatch.setattr(LatentCache, "subset", no_subset)
     return calls
 
 
 def test_validation_latents_are_encoded_once_per_run(proto_setup, monkeypatch):
     # The encoder is frozen: scored every epoch, the validation rows are rows
-    # of the cache's block, encoded once before fit encodes its training subset.
+    # of the cache's block, encoded once, and so are the training rows.
     cache, cfg = proto_setup
     calls = spy_on_encoding(monkeypatch, cache)
     out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=True)
     assert len(out.val_history) == cfg.epochs
-    assert calls == [True, False]
+    assert calls == [True]
 
 
 def test_scoring_encodes_the_cache_block_by_index(proto_setup, monkeypatch):
-    # No gathered copy: beside fit's features of the training subset, the base,
-    # novel-shot and novel rows are indexed out of one encoding of the cache's
-    # own block.
+    # No gathered copy: the training, base, novel-shot and novel rows are
+    # indexed out of one encoding of the cache's own block.
     cache, cfg = proto_setup
     calls = spy_on_encoding(monkeypatch, cache)
     out = run_base_to_novel(cache, cfg, shots=8, select_by_base_val=False)
     assert out.val_history == []
-    assert calls == [True, False]
+    assert calls == [True]
 
 
 @pytest.mark.parametrize("row", [0, 13, 47], ids=["first", "novel", "last"])
@@ -201,12 +207,26 @@ def test_a_zero_latent_fails_naming_its_cache_row_before_training(proto_setup, m
     zero = LatentTensor(np.zeros(cache.grid, np.float32), sid)
     records[row] = CacheRecord(sid, records[row].class_label, zero)
 
-    def no_fit(*args, **kwargs):
+    def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
-    monkeypatch.setattr(evaluate, "fit", no_fit)
+    monkeypatch.setattr(evaluate, "train_epochs", no_training)
     with pytest.raises(NumericalDegeneracyError, match=rf"zero-length .*\(row {row},"):
         run_base_to_novel(LatentCache(records), cfg, shots=8, select_by_base_val=True)
+
+
+@pytest.mark.parametrize("select, latents", [(False, 16), (True, 12)])
+def test_an_unfillable_bank_fails_before_encoding(proto_setup, monkeypatch, select, latents):
+    # Two base classes of 8 shots train, 6 each under base-val selection.
+    cache, cfg = proto_setup
+    calls = spy_on_encoding(monkeypatch, cache)
+    cfg = replace(cfg, epochs=2, bank_size=2 * latents + 1)
+    with pytest.raises(BankFillError, match=rf"bank_size {2 * latents + 1} can never fill: "
+                                            rf"epochs 2 over {latents} latents"):
+        run_base_to_novel(cache, cfg, shots=8, select_by_base_val=select)
+    assert calls == []
+    out = run_base_to_novel(cache, replace(cfg, bank_size=2 * latents), 8, select)
+    assert out.state.bank.full and calls == [True]
 
 
 def test_protocol_peak_is_one_encoder_block():
@@ -221,6 +241,58 @@ def test_protocol_peak_is_one_encoder_block():
     out, peak = traced_peak(run_base_to_novel, cache, cfg, 16, True)
     assert out.result.base_count == out.result.novel_count == 256
     assert peak < 128 * int(np.prod(cache.grid)) * 8 + (512 << 10), peak
+
+
+@pytest.fixture(scope="module")
+def oracle_cache():
+    # 6 base classes of 16 shots (12 under base-val selection) train: 96 or
+    # 72 latents, one encoder block each in the subset protocol, and rows of
+    # 72-row blocks of the whole cache's encoding here.
+    return generate_dataset(SyntheticSpec(num_classes=12, seed=3), n_per_class=24)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("select", [False, True], ids=["all-shots", "base-val"])
+@pytest.mark.parametrize("embed_dim", [16, 32])
+def test_protocol_is_bitwise_the_subset_protocol(oracle_cache, embed_dim, select, eta):
+    # The run trains on rows of its one encoding and on the cache's own
+    # latents; the oracle trains `fit` on a copied subset, encoded again.
+    # Each block of both encodings is past BLAS's small-matrix switch at
+    # these sizes, so the rows agree bitwise. At `embed_dim` 4 and 8 a
+    # block's bits depend on the block layout (README): a single subset
+    # block may fall under the switch while the cache's blocks do not, and
+    # then the two protocols train on other bits. Their trained parameters
+    # differ at `embed_dim` 8 on this cache, and at 4 and 8 on a 16x64
+    # cache of seed 3, so they are not compared there.
+    cfg = TrainConfig(embed_dim=embed_dim, bank_size=16, bank_refresh=True, eta=eta, epochs=5,
+                      seed=3)
+    out = run_base_to_novel(oracle_cache, cfg, 16, select)
+    ref = subset_base_to_novel(oracle_cache, cfg, 16, select)
+    assert out.result == ref.result
+    assert out.val_history == ref.val_history and len(out.val_history) == 5 * select
+    assert out.state.optimizer.values.tobytes() == ref.state.optimizer.values.tobytes()
+    if eta > 0:
+        assert out.state.bank.entries.tobytes() == ref.state.bank.entries.tobytes()
+    else:
+        assert out.state.bank is ref.state.bank is None
+    for c in out.shot_indices:
+        assert np.array_equal(out.shot_indices[c], ref.shot_indices[c])
+        assert np.array_equal(out.eval_indices[c], ref.eval_indices[c])
+
+
+def test_protocol_peak_holds_no_training_copy():
+    # At the benchmark's base-to-novel sizes (32 classes x 64 latents of
+    # 4x16x16, `embed_dim` 32, 16 shots, base-val selection) the run holds
+    # the cache's one (n, d) encoding (0.5 MiB) beside an encoder block, a
+    # state or the scoring rows, 1.9 MiB in all. A float32 copy of its 192
+    # training latents (0.75 MiB), with the second encoding of them, took it
+    # to 2.7 MiB, past the encoding and 1.75 MiB.
+    cache = generate_dataset(SyntheticSpec(num_classes=32, seed=2), n_per_class=64)
+    cfg = TrainConfig(embed_dim=32, bank_refresh=True, epochs=2, seed=2)
+    run_base_to_novel(cache, cfg, 16, True)  # fill the table caches
+    out, peak = traced_peak(run_base_to_novel, cache, cfg, 16, True)
+    assert len(out.val_history) == 2
+    assert peak < len(cache) * 32 * 8 + int(1.75 * 2**20), peak
 
 
 def test_granule_source_accuracy_bounds_and_determinism(proto_setup):

@@ -12,7 +12,8 @@ import pytest
 import bandprompt.autodiff as ad
 from bandprompt.bands import band_stats, factorize
 from bandprompt.bank import SemanticBank
-from bandprompt.errors import BankStateError, NumericalDegeneracyError, ParameterError
+from bandprompt.errors import (BankFillError, BankStateError, NumericalDegeneracyError,
+                               ParameterError)
 from bandprompt.teacher import LatentCache, SyntheticSpec, generate_dataset
 from bandprompt.trainer import (
     ENCODE_ROWS,
@@ -23,6 +24,7 @@ from bandprompt.trainer import (
     Adam,
     ToyVisualEncoder,
     TrainConfig,
+    check_bank_fills,
     compute_features,
     fill_bank,
     fit,
@@ -196,7 +198,9 @@ def first_batch(cfg):
 def test_init_state_returns_the_cache_features(cache):
     cfg = small_cfg()
     state, feats = init_state(cache, cfg)
-    ref = compute_features(state.encoder, cache.arrays(), cache.labels(), cfg.kernel)
+    arrays = cache.arrays()
+    ref = compute_features(arrays, np.arange(len(arrays)), state.encoder.encode_batch(arrays),
+                           cache.labels(), cfg.kernel)
     for name in ("visual", "phi_base", "phi_detail", "labels"):
         assert np.array_equal(getattr(feats, name), getattr(ref, name)), name
     means = np.stack([feats.visual[feats.labels == c].mean(axis=0) for c in range(4)])
@@ -204,49 +208,71 @@ def test_init_state_returns_the_cache_features(cache):
 
 
 def test_compute_features_matches_a_per_latent_loop(cache):
+    # Any rows, in any order, repeats included: row i is latent rows[i].
     encoder = ToyVisualEncoder.create(8, GRID, seed=0)
     arrays = cache.arrays()
-    feats = compute_features(encoder, arrays, cache.labels(), 5)
-    for i, z in enumerate(arrays):
+    rows = np.random.default_rng(1).permutation(len(arrays))[:21]
+    rows[-1] = rows[0]
+    visual = encoder.encode_batch(arrays)[rows]
+    feats = compute_features(arrays, rows, visual, cache.labels()[rows], 5)
+    for i, z in enumerate(arrays[rows]):
         pair = factorize(z, 5)
         assert np.array_equal(feats.phi_base[i], band_stats(pair.base)), i
         assert np.array_equal(feats.phi_detail[i], band_stats(pair.detail)), i
-    assert np.array_equal(feats.visual, encoder.encode_batch(arrays))
-    assert np.array_equal(feats.labels, cache.labels())
+    assert feats.visual is visual
+    assert np.array_equal(feats.labels, cache.labels()[rows])
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
 def test_compute_features_blocks_are_bitwise_the_whole_stack_split(n):
-    encoder = ToyVisualEncoder.create(8, GRID, seed=0)
     arrays = np.random.default_rng(n).normal(size=(n, *GRID)).astype(np.float32)
-    feats = compute_features(encoder, arrays, np.zeros(n, np.int64), 7)
+    feats = compute_features(arrays, np.arange(n), np.zeros((n, 8)), np.zeros(n, np.int64), 7)
     pair = factorize(arrays, 7)
     assert np.array_equal(feats.phi_base, band_stats(pair.base))
     assert np.array_equal(feats.phi_detail, band_stats(pair.detail))
-    assert np.array_equal(feats.visual, encoder.encode_batch(arrays))
 
 
-# `encode_batch`'s float64 block buffer at `embed_dim` 8 and 4x16x16 for 512
-# or 1536 rows: blocks of at least 123 rows, so of 128 (1 MiB).
-BLOCK_AT_DIM_8 = 128 * int(np.prod(GRID)) * 8
+def test_compute_features_rejects_unpaired_rows():
+    arrays = np.zeros((6, *GRID), np.float32)
+    with pytest.raises(ParameterError, match="3 rows need as many embeddings and labels"):
+        compute_features(arrays, np.arange(3), np.zeros((2, 8)), np.zeros(3, np.intp), 7)
+    with pytest.raises(ParameterError, match=r"expected \(n, C, h, w\) latents"):
+        compute_features(arrays[0], np.arange(3), np.zeros((3, 8)), np.zeros(3, np.intp), 7)
 
 
 def test_compute_features_peak_does_not_grow_with_the_stack():
-    # Beyond its outputs, the call holds the encoder's one float64 block
-    # buffer (128 rows, 1 MiB, at `embed_dim` 8), or one SPLIT_ROWS split,
-    # whatever n; a whole-stack split of 1536 latents would hold several
-    # 12 MiB float64 copies.
-    encoder = ToyVisualEncoder.create(8, GRID, seed=0)
+    # Beyond its outputs, the call holds one SPLIT_ROWS split, whatever the
+    # stack's size n or the row count m: a whole-stack split of 1536 latents
+    # would hold several 12 MiB float64 copies, and a gathered float32 copy
+    # of its m = n / 2 rows 3 MiB.
     rng = np.random.default_rng(5)
     beyond = {}
     for n in (512, 1536):
         arrays = rng.normal(size=(n, *GRID)).astype(np.float32)
-        labels = np.zeros(n, np.intp)
-        compute_features(encoder, arrays, labels, 7)  # fill the table caches
-        _, peak = traced_peak(compute_features, encoder, arrays, labels, 7)
-        beyond[n] = peak - n * 8 * (encoder.weight.shape[0] + 2 * GRID[0])
+        rows = np.arange(n)[::-2].copy()
+        visual = np.zeros((len(rows), 8))
+        labels = np.zeros(len(rows), np.intp)
+        compute_features(arrays, rows, visual, labels, 7)  # fill the table caches
+        _, peak = traced_peak(compute_features, arrays, rows, visual, labels, 7)
+        beyond[n] = peak - len(rows) * 8 * 2 * GRID[0]
     assert beyond[1536] < beyond[512] + (64 << 10), beyond
-    assert beyond[1536] < BLOCK_AT_DIM_8 + (128 << 10), beyond
+    assert beyond[1536] < MIN_BLOCK_ROWS * int(np.prod(GRID)) * 8 / 2, beyond
+
+
+def test_encode_batch_peak_does_not_grow_with_the_stack():
+    # Beyond its output, a call holds its one float64 block buffer (64 rows,
+    # 0.5 MiB, at `embed_dim` 32 and 4x16x16) and one block's norms,
+    # whatever n. The norms of the whole output at once would take an (n, d)
+    # temporary: 2 MiB at n = 8192.
+    encoder = ToyVisualEncoder.create(32, GRID, seed=0)
+    rng = np.random.default_rng(6)
+    beyond = {}
+    for n in (2048, 8192):
+        arrays = rng.random((n, *GRID), dtype=np.float32)
+        out, peak = traced_peak(encoder.encode_batch, arrays)
+        beyond[n] = peak - out.nbytes
+    assert beyond[8192] < beyond[2048] + (64 << 10), beyond
+    assert beyond[8192] < MIN_BLOCK_ROWS * int(np.prod(GRID)) * 8 + (128 << 10), beyond
 
 
 def test_a_band_split_holds_under_half_an_encoder_block():
@@ -660,6 +686,26 @@ def test_fit_is_bitwise_deterministic(cache):
 def test_epochs_zero_is_an_initialized_no_op(cache):
     state = fit(cache, small_cfg(epochs=0))
     assert state.optimizer.t == 0 and state.epoch_history == []
+
+
+@pytest.mark.parametrize("epochs, bank_size", [(0, 6), (1, 32), (1, 33), (2, 64), (2, 65)])
+def test_check_bank_fills_exactly_when_the_epochs_fill_the_bank(cache, epochs, bank_size):
+    # The fill phase absorbs every latent of an epoch: 32 here.
+    cfg = small_cfg(epochs=epochs, bank_size=bank_size)
+    fills = fit(cache, cfg).bank.full
+    assert fills == (epochs * len(cache) >= bank_size)
+    if fills:
+        check_bank_fills(cfg, len(cache))
+    else:
+        with pytest.raises(BankFillError, match=rf"bank_size {bank_size} can never fill: "
+                                                rf"epochs {epochs} over 32 latents"):
+            check_bank_fills(cfg, len(cache))
+
+
+def test_check_bank_fills_passes_without_a_bank(cache):
+    for cfg in (small_cfg(epochs=0, bank_size=0), small_cfg(epochs=0, eta=0.0)):
+        check_bank_fills(cfg, len(cache))
+        assert fit(cache, cfg).bank is None
 
 
 def test_counterfactual_flag_changes_film_training(cache):
