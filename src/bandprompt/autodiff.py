@@ -2,9 +2,11 @@
 
 Every differentiable quantity in the training graph is a :class:`Tensor`.
 Frozen inputs (teacher band statistics, bank entries, visual embeddings)
-enter the graph as constants, so no gradient can reach them by construction;
-the trainer's finite-difference harness checks the analytic side of every
-op used here.
+enter the graph as constants: a plain `Tensor(x)`, or an array that a
+composite `lift`s. No gradient can reach them by construction; the
+trainer's finite-difference harness checks the analytic side of every op
+used here. A pass that never calls `backward` runs on the live parameters
+and reads `.value`: its nodes' VJPs never run.
 
 Nodes whose parents are all constants collapse back to constants, which
 keeps the tape small and makes "this path carries no gradient" a structural
@@ -109,10 +111,6 @@ def lift(x) -> Tensor:
 
 def parameter(value) -> Tensor:
     return Tensor(np.array(value, dtype=np.float64), requires_grad=True)
-
-
-def constant(value) -> Tensor:
-    return Tensor(value)
 
 
 def node(value, parents, vjp) -> Tensor:

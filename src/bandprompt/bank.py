@@ -116,7 +116,7 @@ def retrieve_rows(entries: np.ndarray, queries,
     """Softmax weights over the frozen `entries` for a batch of query rows, and
     the contexts `weights @ entries`: the weights as a detached array, the
     contexts as one tape node that differentiates only through the queries."""
-    queries, frozen = ad.lift(queries), ad.constant(entries)
+    queries, frozen = ad.lift(queries), ad.Tensor(entries)
     if queries.value.ndim != 2 or queries.shape[1:] != frozen.shape[1:]:
         raise ParameterError(f"retrieval expects (n, d) query rows matching the (M, d) "
                              f"entries {frozen.shape}, got {queries.shape}")

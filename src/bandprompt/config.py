@@ -7,7 +7,7 @@ Every key has a default; unknown keys are hard errors so typos cannot
 silently fall back to defaults, and each value is checked as it is applied,
 so an out-of-range value is a ConfigError naming its source and key before
 any input is read. Precedence: defaults < config file < --set overrides <
-SPECPL_SEED < command flags.
+SPECPL_SEED < command flags; a config file sets each key once.
 """
 
 from __future__ import annotations
@@ -160,11 +160,18 @@ def _split_setting(source: str, text: str, sep: str) -> tuple[str, str, str]:
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     """Line-oriented `key = value`, each setting named by its line (`line N`);
-    blank lines and # comments are skipped."""
+    blank lines and # comments are skipped. Once every value is applied, a
+    key set on two lines is a ConfigError naming both."""
     lines = ((n, line.strip()) for n, line in enumerate(text.splitlines(), start=1))
-    return apply_settings(base if base is not None else RunConfig(),
-                          (_split_setting(f"line {n}", line, " = ") for n, line in lines
-                           if line and not line.startswith("#")))
+    settings = [_split_setting(f"line {n}", line, " = ") for n, line in lines
+                if line and not line.startswith("#")]
+    cfg = apply_settings(base if base is not None else RunConfig(), settings)
+    first: dict[str, str] = {}
+    for source, key, _ in settings:
+        if first.setdefault(key.strip(), source) != source:
+            raise ConfigError(f"{source}: config key {key.strip()!r} is set twice, at "
+                              f"{first[key.strip()]} and {source}")
+    return cfg
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .bands import head_graph
 from .errors import ParameterError, ProtocolError
 from .granules import check_permutation, film_rows, fuse_rows
@@ -204,6 +203,7 @@ def run_base_to_novel(cache: LatentCache, cfg: TrainConfig, shots: int,
         state.optimizer.values[...] = best[1]  # in place: parameters view it
         if state.bank is not None:
             state.bank.entries = best[2]
+        best = None  # scoring holds no second copy of the parameters
 
     # Base accuracy: held-out base samples against the trained class rows.
     base_idx, base_labels = _gather(base_classes, eval_idx)
@@ -257,24 +257,20 @@ def granule_source_accuracy(state: TrainState, cfg: TrainConfig,
     bs = min(cfg.batch_size, len(labels))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCF]))
     text_raw = state.params["text_raw"].value
-    high_params = group(state.params, "proj_high", constant=True)
-    fuse_params = group(state.params, "fuse", constant=True)
-    film_params = group(state.params, "film", constant=True)
     if cfg.anchor == "refined_text_by_label":
         anchor_rows = state.text_features(cfg).mixed
     else:
         anchor_rows = text_raw
 
+    # Passes on the live parameters that no `backward` reads.
     hits = 0
-    total = 0
     for _ in range(num_batches):
         idx = rng.choice(len(labels), size=bs, replace=False)
         pi = check_permutation(rng.permutation(bs), bs)
         y = feats.labels[idx]
-        t_high = head_graph(ad.constant(feats.phi_detail[idx]), *high_params).value
-        codes = fuse_rows(ad.constant(anchor_rows[y]), ad.constant(t_high[pi]), *fuse_params)
-        v_cf = film_rows(codes, ad.constant(feats.visual[idx]), *film_params).value
+        t_high = head_graph(feats.phi_detail[idx], *group(state.params, "proj_high")).value
+        codes = fuse_rows(anchor_rows[y], t_high[pi], *group(state.params, "fuse"))
+        v_cf = film_rows(codes, feats.visual[idx], *group(state.params, "film")).value
         _, pred = predict(v_cf, text_raw, cfg.logit_scale)
         hits += int(np.sum(pred == y[pi]))
-        total += bs
-    return 100.0 * hits / total
+    return 100.0 * hits / (num_batches * bs)

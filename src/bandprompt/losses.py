@@ -68,7 +68,9 @@ def class_logits(visual, text_rows, scale: float) -> np.ndarray:
     if v.shape[1] != rows.shape[1]:
         raise ParameterError(f"visual rows {v.shape} and class rows {rows.shape} "
                              "differ in width")
-    return v.dot(rows.T) * scale
+    logits = v.dot(rows.T)
+    logits *= scale
+    return logits
 
 
 def loss_cls(visual, text_rows, labels, scale: float,

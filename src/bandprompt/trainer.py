@@ -267,10 +267,8 @@ class TrainState:
         """A copy of the `refined_text_graph` rows at `cfg.eta` of the trained
         text rows, or of `raw` rows (novel-class prototypes) through the same
         bank/aggregator."""
-        if raw is None:
-            raw = self.params["text_raw"].value
-        rows = refined_text_graph(ad.constant(raw), self.bank,
-                                  group(self.params, "agg", constant=True), cfg.eta)
+        rows = refined_text_graph(self.params["text_raw"] if raw is None else raw, self.bank,
+                                  group(self.params, "agg"), cfg.eta)
         return TextFeatureSet(mixed=np.array(rows.value))
 
 
@@ -327,12 +325,9 @@ class Adam:
 # state construction
 
 
-def group(params: dict[str, ad.Tensor], prefix: str,
-          constant: bool = False) -> tuple[ad.Tensor, ...]:
-    """One group's tensors in `param_table` order; with `constant`, value-only
-    copies for eager use, through which no gradient reaches the parameters."""
-    tensors = _GROUP_GETTERS[prefix](params)
-    return tuple(ad.constant(t.value) for t in tensors) if constant else tensors
+def group(params: dict[str, ad.Tensor], prefix: str) -> tuple[ad.Tensor, ...]:
+    """One group's tensors in `param_table` order."""
+    return _GROUP_GETTERS[prefix](params)
 
 
 def check_labels(labels: np.ndarray) -> int:
@@ -458,8 +453,9 @@ def check_bank_fills(cfg: TrainConfig, n: int) -> None:
 
 
 def low_band_rows(params: dict[str, ad.Tensor], phi_base: np.ndarray) -> np.ndarray:
-    """Eager unit low-band embeddings for bank absorption (no gradients kept)."""
-    return head_graph(ad.constant(phi_base), *group(params, "proj_low", constant=True)).value
+    """Unit low-band embeddings for bank absorption: the value of a head pass
+    that no `backward` reads."""
+    return head_graph(phi_base, *group(params, "proj_low")).value
 
 
 def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
@@ -475,14 +471,14 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
     """
     idx = np.asarray(idx, dtype=np.intp)
     y = feats.labels[idx]
-    visual = ad.constant(feats.visual[idx])
+    visual = feats.visual[idx]
     text_raw = params["text_raw"]
     text_pred = refined_text_graph(text_raw, bank, group(params, "agg"), cfg.eta)
     cls_term, probs = loss_cls(visual, text_pred, y, cfg.logit_scale)
 
     sem_term = None
     if cfg.lambda_sem > 0:
-        t_low = head_graph(ad.constant(feats.phi_base[idx]), *group(params, "proj_low"))
+        t_low = head_graph(feats.phi_base[idx], *group(params, "proj_low"))
         sem_term = loss_sem(probs if probs_override is None else probs_override, text_raw, t_low)
 
     granule_terms = None
@@ -495,13 +491,11 @@ def forward_batch(params: dict[str, ad.Tensor], feats: CacheFeatures,
                 raise ParameterError("counterfactual term needs a permutation")
             donors.append(check_permutation(pi, len(idx)))
         donor, k = np.concatenate(donors), len(donors)
-        t_high = head_graph(ad.constant(feats.phi_detail[idx[donor]]),
-                            *group(params, "proj_high"))
+        t_high = head_graph(feats.phi_detail[idx[donor]], *group(params, "proj_high"))
         anchor_rows = text_pred if cfg.anchor == "refined_text_by_label" else text_raw
         codes = fuse_rows(ad.take_rows(anchor_rows, np.concatenate([y] * k)), t_high,
                           *group(params, "fuse"))
-        v_mod = film_rows(codes, ad.constant(np.concatenate([visual.value] * k)),
-                          *group(params, "film"))
+        v_mod = film_rows(codes, np.concatenate([visual] * k), *group(params, "film"))
         granule_terms = loss_granule(v_mod, text_raw, y[donor], cfg.logit_scale, k)
 
     return combine(cls_term, sem_term, granule_terms,

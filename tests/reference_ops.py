@@ -10,7 +10,9 @@ that array code replaced, and the mask forms of the input guards that one or
 two reductions replaced. The per-record `struct` cache codec is here too,
 as the oracle of the codec's bytes and errors, and so is the whole-class
 generator that the row-block one replaced, and the base-to-novel protocol
-that trained `fit` on a copied subset of the cache.
+that trained `fit` on a copied subset of the cache. The passes that never
+call `backward` (`text_features`, `low_band_rows`, the granule-source probe)
+are here as they ran on value-only copies of the parameters.
 `traced_peak` is the one memory probe of the tests.
 """
 
@@ -245,14 +247,14 @@ def cosine_rows(a, b):
 
 def chain_retrieve_rows(entries, queries, temperature):
     """Four nodes: scores, scaled scores, softmax weights, contexts."""
-    scores = mul(matmul(ad.lift(queries), ad.constant(entries.T)), 1.0 / temperature)
+    scores = mul(matmul(ad.lift(queries), ad.lift(entries.T)), 1.0 / temperature)
     weights = softmax_rows(scores)
-    return weights.value, matmul(weights, ad.constant(entries))
+    return weights.value, matmul(weights, ad.lift(entries))
 
 
 def chain_loss_sem(probs, raw_rows, t_low):
     """Five nodes: unit raw rows, expected text, cosine, `1 -`, mean."""
-    t_exp = matmul(ad.constant(probs), l2normalize_rows(raw_rows))
+    t_exp = matmul(ad.lift(probs), l2normalize_rows(raw_rows))
     return tmean(sub(1.0, cosine_rows(t_exp, t_low)))
 
 
@@ -456,18 +458,18 @@ def two_branch_forward_batch(params, feats, idx, bank, cfg, pi):
 
     idx = np.asarray(idx, dtype=np.intp)
     y = feats.labels[idx]
-    visual = ad.constant(feats.visual[idx])
+    visual = ad.lift(feats.visual[idx])
     text_raw = params["text_raw"]
     text_pred = refined_text_graph(text_raw, bank, group(params, "agg"), cfg.eta)
     cls_term = loss_cls(visual, text_pred, y, cfg.logit_scale)[0]
     weighted = []
     if cfg.lambda_sem > 0:
         probs = pseudo_labels(visual.value, text_pred.value, cfg.logit_scale)
-        t_low = head_graph(ad.constant(feats.phi_base[idx]), *group(params, "proj_low"))
+        t_low = head_graph(ad.lift(feats.phi_base[idx]), *group(params, "proj_low"))
         weighted.append((loss_sem(probs, text_raw, t_low), cfg.lambda_sem))
     gf_term = gcf_term = None
     if cfg.lambda_gf > 0 or cfg.lambda_gcf > 0:
-        t_high = head_graph(ad.constant(feats.phi_detail[idx]), *group(params, "proj_high"))
+        t_high = head_graph(ad.lift(feats.phi_detail[idx]), *group(params, "proj_high"))
         anchor_rows = text_pred if cfg.anchor == "refined_text_by_label" else text_raw
         anchors = ad.take_rows(anchor_rows, y)
         if cfg.lambda_gf > 0:
@@ -751,3 +753,71 @@ def subset_base_to_novel(cache, cfg, shots, select_by_base_val):
     )
     return ev.ProtocolOutput(state=state, result=result, shot_indices=shot_idx,
                              eval_indices=eval_idx, val_history=val_history)
+
+
+# ---------------------------------------------------------------------------
+# the no-gradient passes as they ran on value-only copies of the parameters,
+# before they ran on the live parameter tensors
+
+
+def value_copy_group(params, prefix):
+    """`trainer.group` in its value-copy mode: constant tensors over the
+    group's values, through which no gradient reaches the parameters."""
+    from bandprompt.trainer import group
+
+    return tuple(ad.Tensor(t.value) for t in group(params, prefix))
+
+
+def value_copy_text_features(state, cfg, raw=None):
+    """`TrainState.text_features` over constant copies of the text rows and
+    the aggregator."""
+    from bandprompt.refine import TextFeatureSet, refined_text_graph
+
+    if raw is None:
+        raw = state.params["text_raw"].value
+    rows = refined_text_graph(ad.Tensor(raw), state.bank, value_copy_group(state.params, "agg"),
+                              cfg.eta)
+    return TextFeatureSet(mixed=np.array(rows.value))
+
+
+def value_copy_low_band_rows(params, phi_base):
+    """`trainer.low_band_rows` over constant copies of the low-band head."""
+    from bandprompt.bands import head_graph
+
+    return head_graph(ad.Tensor(phi_base), *value_copy_group(params, "proj_low")).value
+
+
+def value_copy_granule_source_accuracy(state, cfg, arrays, labels, num_batches=8):
+    """`evaluate.granule_source_accuracy` over constant copies of the high-band
+    head, fusion and FiLM nets, each frozen row wrapped as a constant."""
+    from bandprompt.bands import head_graph
+    from bandprompt.evaluate import predict
+    from bandprompt.granules import check_permutation, film_rows, fuse_rows
+    from bandprompt.trainer import compute_features
+
+    labels = np.asarray(labels, dtype=np.intp)
+    feats = compute_features(arrays, np.arange(len(arrays)), state.encoder.encode_batch(arrays),
+                             labels, cfg.kernel)
+    bs = min(cfg.batch_size, len(labels))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xCF]))
+    text_raw = state.params["text_raw"].value
+    high_params = value_copy_group(state.params, "proj_high")
+    fuse_params = value_copy_group(state.params, "fuse")
+    film_params = value_copy_group(state.params, "film")
+    if cfg.anchor == "refined_text_by_label":
+        anchor_rows = value_copy_text_features(state, cfg).mixed
+    else:
+        anchor_rows = text_raw
+    hits = 0
+    total = 0
+    for _ in range(num_batches):
+        idx = rng.choice(len(labels), size=bs, replace=False)
+        pi = check_permutation(rng.permutation(bs), bs)
+        y = feats.labels[idx]
+        t_high = head_graph(ad.Tensor(feats.phi_detail[idx]), *high_params).value
+        codes = fuse_rows(ad.Tensor(anchor_rows[y]), ad.Tensor(t_high[pi]), *fuse_params)
+        v_cf = film_rows(codes, ad.Tensor(feats.visual[idx]), *film_params).value
+        _, pred = predict(v_cf, text_raw, cfg.logit_scale)
+        hits += int(np.sum(pred == y[pi]))
+        total += bs
+    return 100.0 * hits / total

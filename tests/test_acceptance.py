@@ -157,7 +157,7 @@ def test_2_gradient_suite():
     probs = np.full((cfg.batch_size, 4), 0.25)
 
     def sem_term() -> ad.Tensor:
-        t_low = head_graph(ad.constant(feats.phi_base[idx]),
+        t_low = head_graph(ad.lift(feats.phi_base[idx]),
                            *group(state3.params, "proj_low"))
         return loss_sem(probs, state3.params["text_raw"], t_low)
 
@@ -208,11 +208,11 @@ def test_3_counterfactual_semantics():
                   ad.parameter(0.1 * rng.normal(size=d)),
                   ad.parameter(0.5 * rng.normal(size=(d, 2 * d))),
                   ad.parameter(0.1 * rng.normal(size=2 * d)))
-        anchors = ad.constant(rng.normal(size=(n, d)))
-        t_high = ad.constant(rng.normal(size=(n, d)))
+        anchors = ad.lift(rng.normal(size=(n, d)))
+        t_high = ad.lift(rng.normal(size=(n, d)))
         visual = rng.normal(size=(n, d))
-        visual = ad.constant(visual / np.linalg.norm(visual, axis=1, keepdims=True))
-        rows = ad.constant(rng.normal(size=(c, d)))
+        visual = ad.lift(visual / np.linalg.norm(visual, axis=1, keepdims=True))
+        rows = ad.lift(rng.normal(size=(c, d)))
         y = rng.integers(0, c, size=n)
         identity = np.arange(n)
 
@@ -230,7 +230,7 @@ def test_3_counterfactual_semantics():
         n = int(rng.integers(2, 20))
         granules = rng.normal(size=(n, d))
         pi = check_permutation(rng.permutation(n), n)
-        swapped = ad.take_rows(ad.constant(granules), pi).value
+        swapped = ad.take_rows(ad.lift(granules), pi).value
         multiset_ok &= sorted(g.tobytes() for g in granules) == sorted(
             g.tobytes() for g in swapped)
 

@@ -104,7 +104,7 @@ def cross_entropy_mean(logits, labels):
     """`ad.logit_cross_entropy` against identity class rows at scale 1, which
     leave the logits exact."""
     logits = ad.lift(logits)
-    eye = ad.constant(np.eye(logits.value.shape[1]))
+    eye = ad.lift(np.eye(logits.value.shape[1]))
     return ad.logit_cross_entropy(logits, eye, labels, 1.0)[0]
 
 
@@ -195,24 +195,24 @@ def test_unit_rows_names_a_row_whose_squared_norm_overflows():
 def test_softmax_rows_matches_oracle_and_grads():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 5)) * 3.0
-    s = softmax_rows(ad.constant(a)).value
+    s = softmax_rows(ad.lift(a)).value
     e = np.exp(a - a.max(axis=1, keepdims=True))
     assert np.allclose(s, e / e.sum(axis=1, keepdims=True), atol=1e-12)
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
     check_scalar_fn(lambda x: tsum(square(softmax_rows(x))), a)
     # shift invariance: adding a constant per row changes nothing
-    shifted = softmax_rows(ad.constant(a + 7.5)).value
+    shifted = softmax_rows(ad.lift(a + 7.5)).value
     assert np.allclose(s, shifted, atol=1e-12)
 
 
 def test_l2normalize_rows_grads_and_degeneracy():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(3, 4)) + 0.1
-    out = l2normalize_rows(ad.constant(a)).value
+    out = l2normalize_rows(ad.lift(a)).value
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
     check_scalar_fn(lambda x: tsum(square(l2normalize_rows(x))), a)
     with pytest.raises(NumericalDegeneracyError):
-        l2normalize_rows(ad.constant(np.zeros((2, 3))))
+        l2normalize_rows(ad.lift(np.zeros((2, 3))))
 
 
 def test_layer_norm_rows_oracle_and_grads():
@@ -220,7 +220,7 @@ def test_layer_norm_rows_oracle_and_grads():
     x = rng.normal(size=(3, 5))
     gain = rng.normal(size=5) + 1.0
     bias = rng.normal(size=5)
-    out = layer_norm_rows(ad.constant(x), ad.constant(gain), ad.constant(bias)).value
+    out = layer_norm_rows(ad.lift(x), ad.lift(gain), ad.lift(bias)).value
     mu = x.mean(axis=1, keepdims=True)
     var = x.var(axis=1, keepdims=True)
     expect = (x - mu) / np.sqrt(var + 1e-5) * gain + bias
@@ -234,20 +234,20 @@ def test_cross_entropy_matches_log_softmax():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(6, 4)) * 2.0
     y = rng.integers(0, 4, size=6)
-    val = cross_entropy_mean(ad.constant(logits), y).value
+    val = cross_entropy_mean(ad.lift(logits), y).value
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     assert np.allclose(val, -logp[np.arange(6), y].mean(), atol=1e-12)
     check_scalar_fn(lambda x: cross_entropy_mean(x, y), logits)
     with pytest.raises(ParameterError):
-        cross_entropy_mean(ad.constant(logits), np.array([0, 1, 2, 3, 4, 9]))
+        cross_entropy_mean(ad.lift(logits), np.array([0, 1, 2, 3, 4, 9]))
 
 
 def test_cosine_rows_grads():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(4, 3))
     b = rng.normal(size=(4, 3))
-    cos = cosine_rows(ad.constant(a), ad.constant(b)).value
+    cos = cosine_rows(ad.lift(a), ad.lift(b)).value
     expect = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
     assert np.allclose(cos, expect, atol=1e-12)
     check_scalar_fn(lambda x, y: tsum(cosine_rows(x, y)), a, b)
@@ -268,7 +268,7 @@ def test_mlp_rows_gradients():
 
 def test_constant_results_collapse():
     # ops on constants produce constants: no gradient path can exist
-    c = ad.constant(np.ones((2, 2)))
+    c = ad.lift(np.ones((2, 2)))
     out = matmul(tanh(c), c)
     assert not out.requires_grad
     p = ad.parameter(np.ones((2, 2)))
@@ -277,7 +277,7 @@ def test_constant_results_collapse():
 
 
 def test_constants_never_receive_gradients():
-    c = ad.constant(np.ones((2, 3)))
+    c = ad.lift(np.ones((2, 3)))
     p = ad.parameter(np.full((2, 3), 2.0))
     root = tsum(mul(p, c))
     ad.backward(root)
@@ -413,7 +413,7 @@ def chain_affine(x, w, b):
 
 def chain_softmax_rows(x):
     x = ad.lift(x)
-    shift = ad.constant(x.value.max(axis=1, keepdims=True))
+    shift = ad.lift(x.value.max(axis=1, keepdims=True))
     e = exp(sub(x, shift))
     return div(e, tsum(e, axis=1, keepdims=True))
 
@@ -444,13 +444,13 @@ def chain_cross_entropy_mean(logits, labels, weights=None):
     n, c = logits.value.shape
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    picked = tsum(mul(logits, ad.constant(onehot)), axis=1, keepdims=True)
-    shift = ad.constant(logits.value.max(axis=1, keepdims=True))
+    picked = tsum(mul(logits, ad.lift(onehot)), axis=1, keepdims=True)
+    shift = ad.lift(logits.value.max(axis=1, keepdims=True))
     lse = add(shift, log(tsum(exp(sub(logits, shift)), axis=1, keepdims=True)))
     losses = sub(lse, picked)
     if weights is None:
         return tmean(losses)
-    return tsum(matmul(ad.constant(weights), losses), axis=1)
+    return tsum(matmul(ad.lift(weights), losses), axis=1)
 
 
 def chain_cosine_rows(a, b):
@@ -504,7 +504,7 @@ def value_and_vjp(op, arrays):
     params = [ad.parameter(a) for a in arrays]
     out = op(*params)
     c = np.random.default_rng(0).normal(size=out.shape)
-    ad.backward(tsum(mul(out, ad.constant(c))))
+    ad.backward(tsum(mul(out, ad.lift(c))))
     return out.value, [p.grad for p in params]
 
 
@@ -572,33 +572,33 @@ def model_cases(rng):
                [visual, rows])
         yield (f"logit_ce-{tag}-const",
                lambda r, v=visual, y=labels, s=scale:
-                   ad.logit_cross_entropy(ad.constant(v), r, y, s)[0],
+                   ad.logit_cross_entropy(ad.lift(v), r, y, s)[0],
                lambda r, v=visual, y=labels, s=scale:
-                   chain_logit_cross_entropy(ad.constant(v), r, y, s),
+                   chain_logit_cross_entropy(ad.lift(v), r, y, s),
                [rows])
 
         stats = np.abs(rng.normal(size=(n, d))) + 0.1
         head = mlp_arrays(rng, d, h, d)
         yield f"head-{tag}", head_graph, chain_head_graph, [stats, *head]
         yield (f"head-{tag}-const",
-               lambda *p, x=stats: head_graph(ad.constant(x), *p),
-               lambda *p, x=stats: chain_head_graph(ad.constant(x), *p), head)
+               lambda *p, x=stats: head_graph(ad.lift(x), *p),
+               lambda *p, x=stats: chain_head_graph(ad.lift(x), *p), head)
 
         anchors, granules = rng.normal(size=(n, d)), rng.normal(size=(n, d))
         fuse = mlp_arrays(rng, 2 * d, h, d) + [rng.normal(size=d) + 1.0, rng.normal(size=d)]
         yield f"fuse-{tag}", fuse_rows, chain_fuse_rows, [anchors, granules, *fuse]
         yield (f"fuse-{tag}-const",
-               lambda *p, a=anchors, g=granules: fuse_rows(ad.constant(a), ad.constant(g), *p),
+               lambda *p, a=anchors, g=granules: fuse_rows(ad.lift(a), ad.lift(g), *p),
                lambda *p, a=anchors, g=granules:
-                   chain_fuse_rows(ad.constant(a), ad.constant(g), *p),
+                   chain_fuse_rows(ad.lift(a), ad.lift(g), *p),
                fuse)
 
         codes = rng.normal(size=(n, d))
         film = mlp_arrays(rng, d, h, 2 * d)
         yield f"film-{tag}", film_rows, chain_film_rows, [codes, visual, *film]
         yield (f"film-{tag}-const",
-               lambda codes, *p, v=visual: film_rows(codes, ad.constant(v), *p),
-               lambda codes, *p, v=visual: chain_film_rows(codes, ad.constant(v), *p),
+               lambda codes, *p, v=visual: film_rows(codes, ad.lift(v), *p),
+               lambda codes, *p, v=visual: chain_film_rows(codes, ad.lift(v), *p),
                [codes, *film])
 
         # (k, n) weights: two blocks as the stacked granule pass uses, and a
@@ -629,8 +629,8 @@ def model_cases(rng):
            lambda a, b, t: chain_weighted_sum(a, [(b, 0.4), (t, [0.1, -2.0])]),
            [np.asarray(terms[0]), np.asarray(terms[1]), terms[2:4].copy()])
     yield ("weighted_sum-const",
-           lambda a, b, t=terms[3]: ad.weighted_sum(a, [(ad.constant(t), 0.3), (b, 0.7)]),
-           lambda a, b, t=terms[3]: chain_weighted_sum(a, [(ad.constant(t), 0.3), (b, 0.7)]),
+           lambda a, b, t=terms[3]: ad.weighted_sum(a, [(ad.lift(t), 0.3), (b, 0.7)]),
+           lambda a, b, t=terms[3]: chain_weighted_sum(a, [(ad.lift(t), 0.3), (b, 0.7)]),
            [np.asarray(terms[0]), np.asarray(terms[1])])
 
 
@@ -659,8 +659,8 @@ def retrieval_and_sem_cases(rng):
                lambda r, lo, p=probs: chain_loss_sem(p, r, lo),
                [raw, t_low])
         yield (f"sem-{tag}-const",
-               lambda lo, p=probs, r=raw: loss_sem(p, ad.constant(r), lo),
-               lambda lo, p=probs, r=raw: chain_loss_sem(p, ad.constant(r), lo),
+               lambda lo, p=probs, r=raw: loss_sem(p, ad.lift(r), lo),
+               lambda lo, p=probs, r=raw: chain_loss_sem(p, ad.lift(r), lo),
                [t_low])
 
 
@@ -693,7 +693,7 @@ def test_fused_vjps_skip_constant_inputs():
         return ad.parameter(rng.normal(size=shape))
 
     def const(*shape):
-        return ad.constant(rng.normal(size=shape))
+        return ad.lift(rng.normal(size=shape))
 
     def mlp(fan_in, out):
         return live(fan_in, h), live(h), live(h, out), live(out)

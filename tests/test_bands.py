@@ -243,10 +243,10 @@ def test_head_jacobian_matches_finite_differences():
     head = init_group("proj_low", 0, 3, 5, rng)
     stats = np.abs(rng.normal(size=(2, 3))) + 0.1
     params = [ad.parameter(p) for p in head.values()]
-    probe = ad.constant(rng.normal(size=(2, 5)))
+    probe = ad.lift(rng.normal(size=(2, 5)))
 
     def scalar():
-        return tsum(mul(head_graph(ad.constant(stats), *params), probe))
+        return tsum(mul(head_graph(ad.lift(stats), *params), probe))
 
     root = scalar()
     ad.backward(root)

@@ -220,7 +220,7 @@ def test_retrieval_is_one_node_equal_to_its_chain():
     def run(op):
         q = ad.parameter(queries)
         weights, context = op(entries, q, 0.07)
-        ad.backward(tsum(mul(context, ad.constant(probe))))
+        ad.backward(tsum(mul(context, ad.lift(probe))))
         return weights, context, q
 
     weights, context, q = run(retrieve_rows)

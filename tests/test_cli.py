@@ -276,6 +276,18 @@ def test_non_utf8_config_is_a_config_error(ws, capsys):
     assert err.startswith("error: ") and "not_utf8.cfg" in err and "UTF-8" in err
 
 
+def test_a_config_file_that_sets_a_key_twice_exits_one(ws, capsys):
+    dup = ws["root"] / "dup.cfg"
+    dup.write_text("seed = 1\nepochs = 2\nseed = 3\n")
+    out = ws["root"] / "dup.bin"
+    capsys.readouterr()
+    assert main(["gen", "--config", str(dup), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (f"error: {dup}: line 3: config key 'seed' is set twice, "
+                                   "at line 1 and line 3")
+    assert "Traceback" not in err and not out.exists()
+
+
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
 
 

@@ -78,6 +78,34 @@ def test_config_file_errors_name_the_file_and_line(tmp_path, text, line, message
         load_config(path)
 
 
+def test_a_key_set_twice_in_a_file_names_both_lines(tmp_path):
+    # The last value would otherwise win without a word.
+    text = "seed = 1\nepochs = 2\n\n  seed = 3\n"
+    message = "line 4: config key 'seed' is set twice, at line 1 and line 4"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config_text(text)
+    path = tmp_path / "dup.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_config(path)
+    # Every value is applied before repeats are looked for, so a bad value
+    # on either line is named as a bad value.
+    with pytest.raises(ConfigError, match="^line 3: invalid value for seed"):
+        parse_config_text("seed = 1\nepochs = 2\nseed = x\n")
+    with pytest.raises(ConfigError, match="^line 1: invalid value for seed"):
+        parse_config_text("seed = x\nseed = 1\n")
+    # A commented-out line sets nothing.
+    assert parse_config_text("# seed = 1\nseed = 3\n").seed == 3
+
+
+def test_repeats_across_sources_and_set_pairs_keep_their_precedence(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 3\nepochs = 5\n")
+    cfg = resolve_config(config_path=path, overrides=["epochs=7", "epochs=9"], env={},
+                         flags=[("--k", "kernel", 5), ("--k", "kernel", 3)])
+    assert (cfg.seed, cfg.epochs, cfg.kernel) == (3, 9, 3)
+
+
 def test_boolean_spellings():
     for raw, want in (("true", True), ("1", True), ("on", True), ("YES", True),
                       ("false", False), ("0", False), ("off", False), ("No", False)):

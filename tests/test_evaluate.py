@@ -20,9 +20,10 @@ from bandprompt.evaluate import (
 from bandprompt.refine import TextFeatureSet
 from bandprompt.teacher import (CacheRecord, LatentCache, LatentTensor, SyntheticSpec,
                                 generate_dataset)
-from bandprompt.trainer import ToyVisualEncoder, TrainConfig, fit
-from reference_ops import subset_base_to_novel, traced_peak
-from test_trainer import assert_views
+from bandprompt.trainer import ANCHOR_POLICIES, ToyVisualEncoder, TrainConfig, fit
+from reference_ops import (subset_base_to_novel, traced_peak,
+                           value_copy_granule_source_accuracy)
+from test_trainer import assert_views, optimizer_bytes
 
 
 def test_harmonic_mean_pinned_values():
@@ -280,19 +281,34 @@ def test_protocol_is_bitwise_the_subset_protocol(oracle_cache, embed_dim, select
         assert np.array_equal(out.eval_indices[c], ref.eval_indices[c])
 
 
-def test_protocol_peak_holds_no_training_copy():
-    # At the benchmark's base-to-novel sizes (32 classes x 64 latents of
-    # 4x16x16, `embed_dim` 32, 16 shots, base-val selection) the run holds
-    # the cache's one (n, d) encoding (0.5 MiB) beside an encoder block, a
-    # state or the scoring rows, 1.9 MiB in all. A float32 copy of its 192
-    # training latents (0.75 MiB), with the second encoding of them, took it
-    # to 2.7 MiB, past the encoding and 1.75 MiB.
+@pytest.fixture(scope="module")
+def b2n_peak():
+    # A run at the benchmark's base-to-novel sizes (32 classes x 64 latents
+    # of 4x16x16, `embed_dim` 32, 16 shots, base-val selection) at 2 epochs:
+    # the bytes of its one (n, d) encoding, its output and its traced peak.
     cache = generate_dataset(SyntheticSpec(num_classes=32, seed=2), n_per_class=64)
     cfg = TrainConfig(embed_dim=32, bank_refresh=True, epochs=2, seed=2)
     run_base_to_novel(cache, cfg, 16, True)  # fill the table caches
-    out, peak = traced_peak(run_base_to_novel, cache, cfg, 16, True)
+    return (len(cache) * 32 * 8, *traced_peak(run_base_to_novel, cache, cfg, 16, True))
+
+
+def test_protocol_peak_holds_no_training_copy(b2n_peak):
+    # The run holds the cache's one (n, d) encoding (0.5 MiB) beside an
+    # encoder block, a state or the scoring rows, 1.7 MiB in all. A float32
+    # copy of its 192 training latents (0.75 MiB), with the second encoding
+    # of them, took it to 2.7 MiB, past the encoding and 1.75 MiB.
+    encoding, out, peak = b2n_peak
     assert len(out.val_history) == 2
-    assert peak < len(cache) * 32 * 8 + int(1.75 * 2**20), peak
+    assert peak < encoding + int(1.75 * 2**20), peak
+
+
+def test_protocol_scoring_holds_no_snapshot_or_second_logits(b2n_peak):
+    # The run peaks in a training step, at the encoding and 1.23 MiB. Its
+    # final scoring took it to 1.35 MiB past the encoding while it still held
+    # the restored best-epoch snapshot of the parameters (82 KiB) and a
+    # scaled copy of the novel logits (96 KiB) beside the unscaled ones.
+    encoding, _, peak = b2n_peak
+    assert peak < encoding + int(1.3 * 2**20), peak
 
 
 def test_granule_source_accuracy_bounds_and_determinism(proto_setup):
@@ -310,6 +326,30 @@ def test_granule_source_accuracy_bounds_and_determinism(proto_setup):
     assert 0.0 <= a <= 100.0
     with pytest.raises(ParameterError):
         granule_source_accuracy(out.state, cfg, arrays[base_eval], y, num_batches=0)
+
+
+@pytest.mark.parametrize("anchor", ANCHOR_POLICIES)
+def test_granule_source_accuracy_is_bitwise_the_value_copy_pass(proto_setup, monkeypatch, anchor):
+    # The probe runs on the live parameters and hands its frozen rows to the
+    # composites as arrays. Every modulated row it scores is bitwise the
+    # value-copy pass's, and it moves no parameter and no gradient.
+    cache, cfg = proto_setup
+    cfg = replace(cfg, anchor=anchor, eta=0.5)
+    state = fit(cache, cfg)
+    scored = []
+
+    def recording_predict(visual, text, scale):
+        scored.append(np.array(visual))
+        return predict(visual, text, scale)
+
+    monkeypatch.setattr(evaluate, "predict", recording_predict)
+    before = optimizer_bytes(state)
+    got = granule_source_accuracy(state, cfg, cache.arrays(), cache.labels(), num_batches=4)
+    assert optimizer_bytes(state) == before
+    live, scored[:] = scored[:], []
+    assert got == value_copy_granule_source_accuracy(state, cfg, cache.arrays(), cache.labels(), 4)
+    assert len(live) == len(scored) == 4
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(live, scored))
 
 
 def test_granule_source_accuracy_rejects_empty_or_unpaired_samples(proto_setup):

@@ -65,8 +65,8 @@ def test_film_batch_matches_single_rows():
     net["film.w2"] = rng.normal(size=(dim, 2 * dim)) * 0.1
     codes = rng.normal(size=(3, dim))
     visual = np.stack([unit(rng.normal(size=dim)) for _ in range(3)])
-    batch = film_rows(ad.constant(codes), ad.constant(visual),
-                      *(ad.constant(p) for p in net.values())).value
+    batch = film_rows(ad.lift(codes), ad.lift(visual),
+                      *(ad.lift(p) for p in net.values())).value
     for i in range(3):
         single = film_rows(codes[i : i + 1], visual[i : i + 1], *net.values()).value
         assert np.allclose(batch[i], single[0], atol=1e-12)
@@ -83,14 +83,14 @@ def test_fusion_gradients_match_finite_differences():
     values = [p.copy() for p in net.values()]
 
     def objective(vals, g=None):
-        params = tuple(ad.constant(v) for v in vals)
+        params = tuple(ad.lift(v) for v in vals)
         gr = granules if g is None else g
-        out = fuse_rows(ad.constant(anchors), ad.constant(gr), *params)
+        out = fuse_rows(ad.lift(anchors), ad.lift(gr), *params)
         return float(np.sum(out.value ** 2))
 
     params = tuple(ad.parameter(v) for v in values)
     g_in = ad.parameter(granules)
-    out = fuse_rows(ad.constant(anchors), g_in, *params)
+    out = fuse_rows(ad.lift(anchors), g_in, *params)
     ad.backward(tsum(square(out)))
     eps = 1e-6
     for pi_, p in enumerate(params):
@@ -121,10 +121,10 @@ def test_counterfactual_swap_semantics():
     rng = np.random.default_rng(4)
     granules = rng.normal(size=(4, 3))
     pi = check_permutation(np.array([1, 3, 0, 2]), 4)
-    swapped = ad.take_rows(ad.constant(granules), pi).value
+    swapped = ad.take_rows(ad.lift(granules), pi).value
     for i in range(4):
         assert np.array_equal(swapped[i], granules[pi[i]])
     # identity permutation preserves order; any permutation preserves multiset
-    same = ad.take_rows(ad.constant(granules), np.arange(4)).value
+    same = ad.take_rows(ad.lift(granules), np.arange(4)).value
     assert np.array_equal(same, granules)
     assert np.array_equal(np.sort(swapped, axis=0), np.sort(granules, axis=0))

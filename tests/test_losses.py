@@ -144,9 +144,9 @@ def test_granule_blocks_give_each_blocks_mean():
 
 
 def test_combine_weighted_total_pinned():
-    cls = ad.constant(1.0)
-    sem = ad.constant(2.0)
-    granule = ad.constant([3.0, 4.0])  # granule_f, granule_cf
+    cls = ad.lift(1.0)
+    sem = ad.lift(2.0)
+    granule = ad.lift([3.0, 4.0])  # granule_f, granule_cf
     total, parts = combine(cls, sem, granule, 0.1, 0.2, 0.3)
     assert total.item() == pytest.approx(3.0, abs=1e-12)
     assert parts.total == pytest.approx(3.0, abs=1e-12)
@@ -155,7 +155,7 @@ def test_combine_weighted_total_pinned():
 
 
 def test_absent_terms_leave_total_equal_to_cls():
-    cls = ad.constant(1.2345)
+    cls = ad.lift(1.2345)
     total, parts = combine(cls, None, None, 0.1, 0.1, 0.1)
     assert total is cls  # reuses the tensor: zero contribution is structural
     assert parts.sem is None and parts.granule_f is None and parts.granule_cf is None
@@ -163,8 +163,8 @@ def test_absent_terms_leave_total_equal_to_cls():
 
 
 def test_zero_lambda_matches_absent_term_in_value():
-    cls = ad.constant(0.5)
-    sem = ad.constant(9.0)
+    cls = ad.lift(0.5)
+    sem = ad.lift(9.0)
     total, parts = combine(cls, sem, None, 0.0, 0.1, 0.1)
     assert total.item() == 0.5
     assert parts.sem == 9.0  # still reported even though weighted to zero
@@ -186,7 +186,7 @@ def test_non_finite_losses_are_named():
 def test_combine_names_the_first_non_finite_term(sem, granule, lambda_sem, name):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match=f"'{name}'"):
-            combine(ad.constant(1.0), ad.constant(sem), ad.constant(granule),
+            combine(ad.lift(1.0), ad.lift(sem), ad.lift(granule),
                     lambda_sem, 0.2, 0.3)
 
 

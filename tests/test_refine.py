@@ -131,11 +131,11 @@ def test_batch_refinement_matches_per_row():
     bank = full_bank(dim)
     raw = rng.normal(size=(3, dim))
     batch = refined_text_graph(
-        ad.constant(raw), bank, tuple(ad.constant(p) for p in agg.values()), 1.0,
+        ad.lift(raw), bank, tuple(ad.lift(p) for p in agg.values()), 1.0,
     ).value
     for i in range(3):
         single = refined_text_graph(
-            ad.constant(raw[i : i + 1]), bank, tuple(ad.constant(p) for p in agg.values()), 1.0,
+            ad.lift(raw[i : i + 1]), bank, tuple(ad.lift(p) for p in agg.values()), 1.0,
         ).value
         assert np.allclose(batch[i], single[0], atol=1e-12)
 
@@ -148,9 +148,9 @@ def test_refinement_is_row_permutation_equivariant():
     bank = full_bank(dim)
     raw = rng.normal(size=(4, dim))
     perm = np.array([2, 0, 3, 1])
-    params = tuple(ad.constant(p) for p in agg.values())
-    a = refined_text_graph(ad.constant(raw), bank, params, 1.0).value
-    b = refined_text_graph(ad.constant(raw[perm]), bank, params, 1.0).value
+    params = tuple(ad.lift(p) for p in agg.values())
+    a = refined_text_graph(ad.lift(raw), bank, params, 1.0).value
+    b = refined_text_graph(ad.lift(raw[perm]), bank, params, 1.0).value
     assert np.allclose(a[perm], b, atol=1e-12)
 
 
@@ -219,12 +219,12 @@ def test_aggregator_gradients_match_finite_differences():
     values = [p.copy() for p in agg.values()]
 
     def objective(vals):
-        params = tuple(ad.constant(v) for v in vals)
-        out = refined_text_graph(ad.constant(raw), bank, params, 1.0)
+        params = tuple(ad.lift(v) for v in vals)
+        out = refined_text_graph(ad.lift(raw), bank, params, 1.0)
         return float(np.sum(out.value ** 2))
 
     params = tuple(ad.parameter(v) for v in values)
-    out = refined_text_graph(ad.constant(raw), bank, params, 1.0)
+    out = refined_text_graph(ad.lift(raw), bank, params, 1.0)
     ad.backward(tsum(square(out)))
     eps = 1e-6
     for pi, p in enumerate(params):

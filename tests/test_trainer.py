@@ -33,15 +33,17 @@ from bandprompt.trainer import (
     gradient_check,
     init_state,
     load_checkpoint,
+    low_band_rows,
     run_gradient_check,
     save_checkpoint,
     seed_streams,
     state_from_values,
+    train_epochs,
     train_step,
 )
 from bandprompt.trainer import _block_edges
 from reference_ops import (concatenating_adam_step, popping_stratified_order, pseudo_labels,
-                           traced_peak)
+                           traced_peak, value_copy_low_band_rows, value_copy_text_features)
 
 GRID = (4, 16, 16)
 
@@ -291,6 +293,38 @@ def test_train_step_requires_a_full_bank(cache):
     idx, pi = first_batch(cfg)
     with pytest.raises(BankStateError):
         train_step(state, feats, idx, cfg, pi)
+
+
+def optimizer_bytes(state) -> tuple[bytes, bytes]:
+    """The optimizer's flat values and gradients, which every parameter views."""
+    return state.optimizer.values.tobytes(), state.optimizer.grads.tobytes()
+
+
+@pytest.mark.parametrize("proto", [False, True], ids=["trained-rows", "prototype-rows"])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+def test_text_features_are_bitwise_the_value_copy_pass(cache, eta, proto):
+    # The pass runs on the live parameters and reads the value; no `backward`
+    # reads its nodes, so it moves no parameter and no gradient (the last
+    # step's, still in the buffer), and it hands back a copy.
+    cfg = small_cfg(eta=eta)
+    state = fit(cache, cfg)
+    raw = np.random.default_rng(1).normal(size=(3, cfg.embed_dim)) if proto else None
+    before = optimizer_bytes(state)
+    assert state.optimizer.grads.any() and (state.bank is None) == (eta == 0.0)
+    text = state.text_features(cfg, raw)
+    assert optimizer_bytes(state) == before
+    assert text.mixed.tobytes() == value_copy_text_features(state, cfg, raw).mixed.tobytes()
+    assert not np.shares_memory(text.mixed, state.optimizer.values)
+
+
+def test_low_band_rows_are_bitwise_the_value_copy_pass(cache):
+    cfg = small_cfg()
+    state, feats = init_state(cache, cfg)
+    train_epochs(state, feats, cfg, None)
+    before = optimizer_bytes(state)
+    rows = low_band_rows(state.params, feats.phi_base)
+    assert optimizer_bytes(state) == before
+    assert rows.tobytes() == value_copy_low_band_rows(state.params, feats.phi_base).tobytes()
 
 
 def test_text_features_require_a_full_bank(cache):
