@@ -174,11 +174,6 @@ class LatentCache:
         """The read-only float32 (n, C, h, w) block itself, on every call."""
         return self._block
 
-    def subset(self, index: np.ndarray, labels: np.ndarray) -> LatentCache:
-        """Rows `index` of this cache, relabelled with `labels`."""
-        return LatentCache._of(self._block[index], np.asarray(labels, dtype=np.int64),
-                               [self.ids[i] for i in index])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatentCache):
             return NotImplemented

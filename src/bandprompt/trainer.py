@@ -17,16 +17,18 @@ The frozen features are computed once per run in bounded blocks. The
 encoder sizes its row blocks by their product (`_block_edges`): each holds
 at least the fewest rows whose product stays above BLAS's small-matrix
 switch, and at most ENCODE_ROWS (768 latents of 4x16x16 at `embed_dim` 16
-or 32 take 64-row blocks, 0.5 MiB), each converted into one reused float64
-buffer and normalized in place. `compute_features` takes the embeddings of
-its rows and splits their latents SPLIT_ROWS at a time, gathering each
-split from the stack. That buffer is the largest transient of both, and
-neither holds a copy of the stack or of its rows.
+or 32 take 64-row blocks, 0.5 MiB). Each block is converted to float64 by
+one `astype`, multiplied and normalized in place. `compute_features` takes
+the embeddings of its rows and splits their latents SPLIT_ROWS at a time,
+gathering each split from the stack. One converted block is the largest
+transient of both, and neither holds a copy of the stack or of its rows.
 
 A run is a state and its features (`new_state`), then the epoch loop over
 them (`train_epochs`). `fit` and `init_state` build both from a whole
 cache; `evaluate.run_base_to_novel` builds them from the rows of its one
-encoding and of the cache's block, with the encoder it encoded with.
+encoding and of the cache's block, with the encoder it encoded with. A
+fresh state and a loaded one are built and checked by one constructor,
+`state_from_values`.
 """
 
 from __future__ import annotations
@@ -171,13 +173,14 @@ ENCODER_KEYS = ("embed_dim", "seed", "grid_c", "grid_h", "grid_w")
 # cells) with its small-matrix kernel, whose bits differ from the large one's,
 # so a block reaches past it where it can. MIN_BLOCK_ROWS keeps a block of a
 # wide product from shrinking to a few rows (one row is a matrix-vector
-# product, of other bits again), and ENCODE_ROWS bounds its buffer.
+# product, of other bits again), and ENCODE_ROWS bounds its float64 copy.
 SMALL_PRODUCT = 10**6
 MIN_BLOCK_ROWS = 64
 ENCODE_ROWS = 256
 # Latents per band split in `compute_features`. A split holds about four
-# float64 copies of its latents at once, so 4 keeps it under half of a
-# MIN_BLOCK_ROWS block buffer (0.13 MiB against 0.25 MiB at 4x16x16).
+# float64 copies of its latents at once, so 4 keeps it under half of an
+# encoder block's float64 copy at MIN_BLOCK_ROWS (0.13 MiB against 0.25 MiB
+# at 4x16x16).
 SPLIT_ROWS = 4
 
 
@@ -219,22 +222,20 @@ class ToyVisualEncoder:
     def encode_batch(self, arrays) -> np.ndarray:
         """Unit rows of the (n, C, h, w) latents times the weight; a row whose
         norm is below MIN_NORM or not finite raises, naming the row. Each row
-        block of `_block_edges` is converted into one reused float64 buffer,
-        multiplied from it and normalized in place, so no temporary but the
-        output grows with n. The blocks equal the single product bitwise
-        only where BLAS runs both with one kernel (README)."""
+        block of `_block_edges` is converted to float64 by one `astype`,
+        multiplied into the output and normalized in place, so no temporary
+        but the output grows with n. The blocks equal the single product
+        bitwise only where BLAS runs both with one kernel (README)."""
         x = np.asarray(arrays)
         if x.ndim != 4 or x.shape[1:] != self.grid:
             raise ParameterError(f"expected (n, {self.grid}) latents, got {x.shape}")
         flat = x.reshape(len(x), -1)
         out = np.empty((len(x), len(self.weight)))
         edges = _block_edges(len(x), *self.weight.shape)
-        buffer = np.empty((-(-len(x) // (len(edges) - 1)), flat.shape[1]))
         # Non-finite latents give non-finite norms, which the guard reports.
         with np.errstate(over="ignore", invalid="ignore"):
             for a, b in zip(edges[:-1], edges[1:]):
-                buffer[:b - a] = flat[a:b]
-                block = np.dot(buffer[:b - a], self.weight.T, out=out[a:b])
+                block = np.dot(flat[a:b].astype(np.float64), self.weight.T, out=out[a:b])
                 # Per-row norms: a block's are bitwise the whole output's.
                 norms = np.linalg.norm(block, axis=1, keepdims=True)
                 # As in `ad.unit_rows`: NaN fails both comparisons.
@@ -357,18 +358,6 @@ def init_group(prefix: str, num_classes: int, channels: int, dim: int,
     return values
 
 
-def init_params(num_classes: int, channels: int, dim: int,
-                class_means: np.ndarray, rng: np.random.Generator) -> dict[str, ad.Tensor]:
-    """Trainable tensors; text rows start at per-class visual means plus noise."""
-    if class_means.shape != (num_classes, dim):
-        raise ParameterError("class means must be (num_classes, dim)")
-    values: dict[str, np.ndarray] = {}
-    for prefix in PARAM_GROUPS:
-        values.update(init_group(prefix, num_classes, channels, dim, rng))
-    values["text_raw"] = class_means + values["text_raw"]
-    return {k: ad.parameter(v) for k, v in values.items()}
-
-
 @dataclass(frozen=True)
 class CacheFeatures:
     """Frozen per-sample inputs: embeddings, band statistics, labels."""
@@ -412,18 +401,23 @@ def seed_streams(seed: int) -> dict[str, np.random.SeedSequence]:
 
 
 def new_state(feats: CacheFeatures, encoder: ToyVisualEncoder, cfg: TrainConfig) -> TrainState:
-    """A fresh state over `encoder` for the classes of `feats`; the text rows
-    start at the features' per-class visual means."""
+    """A fresh state over `encoder` for the classes of `feats`: values drawn
+    in `param_table` order, with the text rows at the features' per-class
+    visual means plus noise, checked and built by `state_from_values`."""
     num_classes = check_labels(feats.labels)
     means = np.stack([feats.visual[feats.labels == c].mean(axis=0) for c in range(num_classes)])
-    params = init_params(num_classes, encoder.grid[0], cfg.embed_dim, means,
-                         np.random.default_rng(seed_streams(cfg.seed)["init"]))
+    if means.shape != (num_classes, cfg.embed_dim):
+        raise ParameterError("class means must be (num_classes, dim)")
+    rng = np.random.default_rng(seed_streams(cfg.seed)["init"])
+    values: dict[str, np.ndarray] = {}
+    for prefix in PARAM_GROUPS:
+        values.update(init_group(prefix, num_classes, encoder.grid[0], cfg.embed_dim, rng))
+    values["text_raw"] = means + values["text_raw"]
     bank = (
         SemanticBank.create(cfg.bank_size, cfg.embed_dim, cfg.bank_momentum, cfg.bank_tau)
         if cfg.bank_size > 0 and cfg.eta > 0 else None
     )
-    return TrainState(params=params, bank=bank, encoder=encoder,
-                      optimizer=Adam(params, cfg.learning_rate))
+    return state_from_values(values, bank, encoder, cfg)
 
 
 def init_state(cache: LatentCache, cfg: TrainConfig) -> tuple[TrainState, CacheFeatures]:

@@ -10,9 +10,10 @@ that array code replaced, and the mask forms of the input guards that one or
 two reductions replaced. The per-record `struct` cache codec is here too,
 as the oracle of the codec's bytes and errors, and so is the whole-class
 generator that the row-block one replaced, and the base-to-novel protocol
-that trained `fit` on a copied subset of the cache. The passes that never
-call `backward` (`text_features`, `low_band_rows`, the granule-source probe)
-are here as they ran on value-only copies of the parameters.
+that trained `fit` on a copied subset of the cache (`relabelled`). The
+passes that never call `backward` (`text_features`, `low_band_rows`, the
+granule-source probe) are here as they ran on value-only copies of the
+parameters.
 `traced_peak` is the one memory probe of the tests.
 """
 
@@ -699,6 +700,15 @@ def reduce_retrieve_rows(entries, queries, temperature):
     return weights, ad.node(weights @ entries, (queries,), vjp)
 
 
+def relabelled(cache, index, labels):
+    """A cache of the rows `index` of `cache`, gathered into a new block and
+    relabelled with `labels`; `LatentCache._of` checks the counts."""
+    from bandprompt.teacher import LatentCache
+
+    return LatentCache._of(cache.arrays()[index], np.asarray(labels, dtype=np.int64),
+                           [cache.ids[i] for i in index])
+
+
 def subset_base_to_novel(cache, cfg, shots, select_by_base_val):
     """`evaluate.run_base_to_novel` as it trained before it built its training
     features from its one encoding: `fit` on a copied subset of the training
@@ -734,7 +744,7 @@ def subset_base_to_novel(cache, cfg, shots, select_by_base_val):
                 bank_copy = state.bank.entries.copy() if state.bank is not None else None
                 best = (acc, state.optimizer.values.copy(), bank_copy)
 
-    state = fit(cache.subset(train_idx, train_labels), cfg, epoch_callback=callback)
+    state = fit(relabelled(cache, train_idx, train_labels), cfg, epoch_callback=callback)
     if best is not None:
         state.optimizer.values[...] = best[1]
         if state.bank is not None:

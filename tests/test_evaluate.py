@@ -162,7 +162,7 @@ def test_validation_selection_tracks_and_restores(proto_setup, monkeypatch):
 
 def spy_on_encoding(monkeypatch, cache):
     """Record, per encode_batch call, whether it encodes the cache's own
-    block; a call of `LatentCache.subset` fails."""
+    block."""
     calls = []
     encode = ToyVisualEncoder.encode_batch
 
@@ -170,11 +170,7 @@ def spy_on_encoding(monkeypatch, cache):
         calls.append(arrays is cache.arrays())
         return encode(self, arrays)
 
-    def no_subset(*args, **kwargs):
-        raise AssertionError("the run copied a subset of the cache")
-
     monkeypatch.setattr(ToyVisualEncoder, "encode_batch", spy)
-    monkeypatch.setattr(LatentCache, "subset", no_subset)
     return calls
 
 
@@ -231,11 +227,11 @@ def test_an_unfillable_bank_fails_before_encoding(proto_setup, monkeypatch, sele
 
 
 def test_protocol_peak_is_one_encoder_block():
-    # The run encodes its 640 latents once, in blocks that fill the encoder's
-    # largest block buffer at these sizes (128 rows, 1 MiB, at 4x16x16 and
-    # `embed_dim` 8). Beside it the run holds a trained state and a few (n, d)
-    # embeddings; a float32 copy of the block (0.5 MiB), or a second float64
-    # one, would not fit.
+    # The run encodes its 640 latents once, in blocks whose float64 copy is
+    # the encoder's largest transient at these sizes (128 rows, 1 MiB, at
+    # 4x16x16 and `embed_dim` 8). Beside it the run holds a trained state and
+    # a few (n, d) embeddings; a float32 copy of the block (0.5 MiB), or a
+    # second float64 one, would not fit.
     cache = generate_dataset(SyntheticSpec(num_classes=8, seed=3), n_per_class=80)
     cfg = TrainConfig(embed_dim=8, bank_size=16, epochs=3, seed=0)
     run_base_to_novel(cache, cfg, shots=16, select_by_base_val=True)  # fill the table caches

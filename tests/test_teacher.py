@@ -32,7 +32,7 @@ from bandprompt.teacher import (
 )
 from bandprompt.trainer import TrainConfig
 from reference_ops import (per_class_dataset, per_record_dataset, per_record_read_cache,
-                           struct_cache_bytes, traced_peak)
+                           relabelled, struct_cache_bytes, traced_peak)
 
 
 def small_spec(**kw):
@@ -251,19 +251,10 @@ def test_the_block_is_a_frozen_input():
     assert np.array_equal(cache.labels(), np.repeat(np.arange(3), 3))
 
 
-def test_subset_takes_rows_and_relabels():
-    cache = generate_dataset(small_spec(), 3)
-    sub = cache.subset(np.array([4, 0]), np.array([1, 0]))
-    assert sub.ids == (cache.ids[4], cache.ids[0])
-    assert np.array_equal(sub.labels(), [1, 0])
-    assert np.array_equal(sub.arrays(), cache.arrays()[[4, 0]])
-    assert not sub.arrays().flags.writeable
-
-
 @pytest.mark.parametrize("make", [
-    lambda c: c.subset(np.array([0, 1, 5]), np.array([0, 1])),
-    lambda c: c.subset(np.array([0, 1]), np.array([0, 1, 2])),
-    lambda c: c.subset(np.array([0, 1]), np.array([[0], [1]])),
+    lambda c: LatentCache._of(c.arrays()[:3], np.array([0, 1]), c.ids[:3]),
+    lambda c: LatentCache._of(c.arrays()[:2], np.array([0, 1, 2]), c.ids[:2]),
+    lambda c: LatentCache._of(c.arrays()[:2], np.array([[0], [1]]), c.ids[:2]),
     lambda c: LatentCache._of(c.arrays(), c.labels()[:-1], c.ids),
     lambda c: LatentCache._of(c.arrays(), c.labels(), c.ids[:-1]),
     lambda c: LatentCache._of(c.arrays()[:-1], c.labels(), c.ids),
@@ -563,18 +554,18 @@ def test_a_bulk_rejection_names_the_record_the_struct_reader_names(tmp_path, fau
 @pytest.mark.parametrize("label", [-1, 2**32])
 def test_write_cache_rejects_a_label_outside_u32_before_opening_the_file(tmp_path, label):
     cache = generate_dataset(small_spec(), 2)
-    bad = cache.subset(np.arange(len(cache)), [0, 1, label, 0, 1, 2])
+    bad = relabelled(cache, np.arange(len(cache)), [0, 1, label, 0, 1, 2])
     path = tmp_path / "c.bin"
     with pytest.raises(ParameterError, match=rf"record 2 \('c001_s00000'\).*label {label}"):
         write_cache(bad, path)
     assert not path.exists()
     with pytest.raises(ParameterError, match="record 0"):
-        write_cache(cache.subset(np.array([0, 1]), [label, 0]), path)
+        write_cache(relabelled(cache, np.array([0, 1]), [label, 0]), path)
     assert not path.exists()
     # The last record is checked before an existing file is opened too.
     path.write_bytes(b"an earlier cache")
     with pytest.raises(ParameterError, match="record 5"):
-        write_cache(cache.subset(np.arange(len(cache)), [0, 1, 2, 0, 1, label]), path)
+        write_cache(relabelled(cache, np.arange(len(cache)), [0, 1, 2, 0, 1, label]), path)
     assert path.read_bytes() == b"an earlier cache"
 
 

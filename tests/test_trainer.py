@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from bandprompt.trainer import (
     init_state,
     load_checkpoint,
     low_band_rows,
+    new_state,
     run_gradient_check,
     save_checkpoint,
     seed_streams,
@@ -189,6 +191,28 @@ def test_init_rejects_gapped_labels(cache):
         init_state(gapped, small_cfg())
     with pytest.raises(ParameterError):
         init_state(LatentCache(records=[]), small_cfg())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_new_state_rejects_a_non_finite_embedding_when_built(cache, value):
+    # A fresh state is checked as a loaded one is, and its text rows start at
+    # the class means, so a non-finite embedding fails before any step.
+    cfg = small_cfg()
+    state, feats = init_state(cache, cfg)
+    visual = feats.visual.copy()
+    visual[5, 2] = value
+    with pytest.raises(ParameterError, match="'text_raw' has non-finite values"):
+        new_state(replace(feats, visual=visual), state.encoder, cfg)
+
+
+@pytest.mark.parametrize("width", [1, 9])
+def test_new_state_rejects_features_of_another_width(cache, width):
+    # Width 1 would broadcast against the (K, embed_dim) noise unchecked.
+    cfg = small_cfg()
+    state, feats = init_state(cache, cfg)
+    visual = np.ones((len(feats.labels), width))
+    with pytest.raises(ParameterError, match=re.escape("class means must be (num_classes, dim)")):
+        new_state(replace(feats, visual=visual), state.encoder, cfg)
 
 
 def first_batch(cfg):
